@@ -7,7 +7,6 @@ from .models import (
     Granularity,
     IndexTable,
     RegionSelector,
-    Venue,
     ingest_checkins,
     ingest_index_table,
     load_bundled_index,

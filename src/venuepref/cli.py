@@ -26,7 +26,7 @@ from .models import (
     load_bundled_index,
     write_checkins,
 )
-from .filtering import FilterConfig, apply_filters
+from .filtering import FilterConfig, apply_filters, partition_by_region
 from .popularity import AnalysisMode, popularity_table, write_popularity_csv
 from .nullmodel import (
     NullMethod,
@@ -112,17 +112,52 @@ def _out_dir(args) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _load_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    # config file supplies values for flags not given on the command line
-    if not getattr(args, "config", None):
-        return
+def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: list[str]) -> list[str]:
+    """argv with the --config file's settings put in front of the flags, so
+    the same parser converts and checks them and the flags win."""
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        parser.error(f"config file {args.config} must hold a JSON object")
+    tokens = []
     for key, value in config.items():
         attr = key.replace("-", "_")
+        if attr in ("func", "subcommand", "config") or not hasattr(args, attr):
+            parser.error(f"unknown key {key!r} in config file {args.config} "
+                         f"for {args.subcommand}")
+        if isinstance(value, (list, dict)):
+            parser.error(f"config key {key!r} must be a string, number or boolean")
         flag = "--" + key.replace("_", "-")
-        if hasattr(args, attr) and flag not in argv:
-            setattr(args, attr, value)
+        if value is True:
+            tokens.append(flag)
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return [argv[0], *tokens, *argv[1:]]
+
+
+def _at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _probability(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
 
 
 def _filter_config(args) -> FilterConfig:
@@ -208,13 +243,11 @@ def cmd_vectors(args) -> int:
     manifest.add_seed("filter", args.seed)
 
     granularity = Granularity(args.granularity)
+    by_name = partition_by_region(records, granularity)
     if args.regions:
         names = [n.strip() for n in args.regions.split(",")]
     else:
-        names = sorted({
-            (rec.country if granularity is Granularity.COUNTRY else rec.city)
-            for rec in records
-        } - {None})
+        names = sorted(set(by_name) - {None})
     if not names:
         raise DataError("no regions found in the input")
 
@@ -222,7 +255,7 @@ def cmd_vectors(args) -> int:
     filtered_by_region = {}
     for name in names:
         region = RegionSelector(granularity, name)
-        filtered, _ = apply_filters(records, region, config)
+        filtered, _ = apply_filters(by_name.get(name, []), region, config)
         filtered_by_region[name] = (region, filtered)
 
     pooled = [rec for _, recs in filtered_by_region.values() for rec in recs]
@@ -336,13 +369,13 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-checkins-per-venue", type=int, default=5)
+    parser.add_argument("--min-checkins-per-venue", type=_at_least(1), default=5)
     parser.add_argument("--no-dedupe", action="store_true",
                         help="keep multiple check-ins per user per venue")
     parser.add_argument("--categories", default=None,
                         help="comma-separated category whitelist")
-    parser.add_argument("--min-venues-per-subcategory", type=int, default=2)
-    parser.add_argument("--max-checkins-per-region", type=int, default=None)
+    parser.add_argument("--min-venues-per-subcategory", type=_at_least(1), default=2)
+    parser.add_argument("--max-checkins-per-region", type=_at_least(1), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="subcategory")
     p.add_argument("--subcategory", help="scope subcategory for "
                                          "venue_within_subcategory mode")
-    p.add_argument("--k", type=int, default=100, help="null-model replicates")
-    p.add_argument("--confidence", type=float, default=0.99)
+    p.add_argument("--k", type=_at_least(2), default=100,
+                   help="null-model replicates")
+    p.add_argument("--confidence", type=_probability, default=0.99)
     p.add_argument("--method", choices=[m.value for m in NullMethod],
                    default="generative")
     _add_filter_flags(p)
@@ -389,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vectors.csv or a directory containing it")
     p.add_argument("--granularity", choices=["country", "city"],
                    default="country")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--restarts", type=int, default=1,
+    p.add_argument("--k", type=_at_least(1), required=True)
+    p.add_argument("--max-iter", type=_at_least(1), default=100)
+    p.add_argument("--restarts", type=_at_least(1), default=1,
                    help="restarts; best inertia wins")
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
@@ -406,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-name", help="name for a custom index file")
     p.add_argument("--anchor", help="anchor region")
     p.add_argument("--all-anchors", action="store_true")
-    p.add_argument("--permutations", type=int, default=100)
+    p.add_argument("--permutations", type=_at_least(2), default=100)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 
@@ -424,9 +458,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    argv = list(argv)
     args = parser.parse_args(argv)
     try:
-        _load_config_file(args, list(argv))
+        if args.config:
+            args = parser.parse_args(_config_argv(parser, args, argv))
         return args.func(args)
     except (DataError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckInRecord, DataError, RegionSelector
+from .models import CheckInRecord, DataError, Granularity, RegionSelector, region_name
 
 DEFAULT_CATEGORIES = frozenset({"Arts", "Education", "Food", "Nightlife", "Work"})
 
@@ -95,6 +95,16 @@ def _cap_by_venue_sampling(records: list[CheckInRecord], cap: int,
             kept.add(vid)
             budget -= n
     return [rec for rec in records if rec.venue_id in kept]
+
+
+def partition_by_region(records: list[CheckInRecord], granularity: Granularity
+                        ) -> dict[Optional[str], list[CheckInRecord]]:
+    """Records grouped by region name in one pass; each group keeps input
+    order, so filtering a group equals filtering all records for that region."""
+    groups: dict[Optional[str], list[CheckInRecord]] = defaultdict(list)
+    for rec in records:
+        groups[region_name(rec, granularity)].append(rec)
+    return groups
 
 
 def apply_filters(records: list[CheckInRecord], region: RegionSelector,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from importlib import resources
@@ -55,25 +55,17 @@ class CheckInRecord:
 
 
 @dataclass(frozen=True)
-class Venue:
-    venue_id: str
-    category: str
-    subcategory: str
-    latitude: float
-    longitude: float
-    country: str
-    city: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class RegionSelector:
     granularity: Granularity
     name: str
 
     def matches(self, record: CheckInRecord) -> bool:
-        if self.granularity is Granularity.COUNTRY:
-            return record.country == self.name
-        return record.city == self.name
+        return region_name(record, self.granularity) == self.name
+
+
+def region_name(record: CheckInRecord, granularity: Granularity) -> Optional[str]:
+    """The record's country or city, by granularity."""
+    return record.country if granularity is Granularity.COUNTRY else record.city
 
 
 @dataclass
@@ -154,6 +146,12 @@ def _record_from_mapping(row: dict, report: IngestReport,
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         report.bad_coordinates += 1
         return None
+    try:
+        ts = _parse_timestamp(row.get("timestamp") or None)
+    except ValueError:
+        report.missing_field += 1
+        return None
+    # only a row that is otherwise accepted may decide its venue's subcategory
     venue_id = str(row["venue_id"])
     subcategory = str(row["subcategory"])
     known = venue_subcats.get(venue_id)
@@ -161,11 +159,6 @@ def _record_from_mapping(row: dict, report: IngestReport,
         venue_subcats[venue_id] = subcategory
     elif known != subcategory:
         report.venue_conflict += 1
-        return None
-    try:
-        ts = _parse_timestamp(row.get("timestamp") or None)
-    except ValueError:
-        report.missing_field += 1
         return None
     city = row.get("city") or None
     if city is not None:
@@ -234,29 +227,6 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[list[CheckInRecord], In
             f"(>50%); refusing to continue: {report.as_dict()}"
         )
     return records, report
-
-
-def derive_venues(records: Iterable[CheckInRecord]) -> dict[str, Venue]:
-    """First-wins venue table; a subcategory conflict is a data error."""
-    venues: dict[str, Venue] = {}
-    for rec in records:
-        known = venues.get(rec.venue_id)
-        if known is None:
-            venues[rec.venue_id] = Venue(
-                venue_id=rec.venue_id,
-                category=rec.category,
-                subcategory=rec.subcategory,
-                latitude=rec.latitude,
-                longitude=rec.longitude,
-                country=rec.country,
-                city=rec.city,
-            )
-        elif known.subcategory != rec.subcategory:
-            raise DataError(
-                f"venue {rec.venue_id!r} has conflicting subcategories "
-                f"{known.subcategory!r} and {rec.subcategory!r}"
-            )
-    return venues
 
 
 def record_to_row(rec: CheckInRecord) -> dict[str, str]:

@@ -15,14 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckInRecord, DataError, Gender, RegionSelector
-from .popularity import (
-    AnalysisMode,
-    AnalysisUnit,
-    SQRT2,
-    scope_records,
-    unit_keys,
-)
+from .models import CheckInRecord, DataError, RegionSelector
+from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
 
@@ -77,57 +71,12 @@ class NullModelResult:
         }
 
 
-class _ScopeIndex:
-    """Integer-coded view of a scope: unit membership per record and per venue."""
-
-    def __init__(self, scoped: list[CheckInRecord], mode: AnalysisMode):
-        if not scoped:
-            raise DataError("empty scope")
-        self.mode = mode
-        self.c = len(scoped)
-        self.genders = np.array(
-            [1 if r.gender is Gender.MALE else 0 for r in scoped], dtype=np.int8)
-        self.male_total = int(self.genders.sum())
-        self.female_total = self.c - self.male_total
-        if self.male_total == 0 or self.female_total == 0:
-            raise DataError("scope lacks check-ins for one gender; "
-                            "null model undefined")
-        self.users = sorted({r.user_id for r in scoped})
-
-        venue_ids = sorted({r.venue_id for r in scoped})
-        venue_pos = {v: i for i, v in enumerate(venue_ids)}
-        venue_subcat = {}
-        for r in scoped:
-            venue_subcat[r.venue_id] = r.subcategory
-        self.n_venues = len(venue_ids)
-
-        if mode is AnalysisMode.SUBCATEGORY:
-            self.keys = sorted({r.subcategory for r in scoped})
-            key_pos = {s: i for i, s in enumerate(self.keys)}
-            self.venue_unit = np.array(
-                [key_pos[venue_subcat[v]] for v in venue_ids], dtype=np.int64)
-        else:
-            self.keys = venue_ids
-            self.venue_unit = np.arange(self.n_venues, dtype=np.int64)
-        self.n_units = len(self.keys)
-        self.record_unit = np.array(
-            [self.venue_unit[venue_pos[r.venue_id]] for r in scoped],
-            dtype=np.int64)
-
-    def observed_d(self) -> np.ndarray:
-        male = np.bincount(self.record_unit[self.genders == 1],
-                           minlength=self.n_units)
-        female = np.bincount(self.record_unit[self.genders == 0],
-                             minlength=self.n_units)
-        return (male / self.male_total - female / self.female_total) / SQRT2
-
-
-def _replicate_generative(index: _ScopeIndex, rng: np.random.Generator) -> np.ndarray:
+def _replicate_generative(index: ScopeIndex, rng: np.random.Generator) -> np.ndarray:
     c = index.c
     for _ in range(_MAX_REDRAWS):
         genders = rng.integers(0, 2, size=c)
-        venues = rng.integers(0, index.n_venues, size=c)
-        rng.integers(0, len(index.users), size=c)  # user draw per protocol; d ignores it
+        venues = rng.integers(0, len(index.venue_ids), size=c)
+        rng.integers(0, index.n_users, size=c)  # user draw per protocol; d ignores it
         male_total = int(genders.sum())
         female_total = c - male_total
         if male_total == 0 or female_total == 0:
@@ -135,19 +84,20 @@ def _replicate_generative(index: _ScopeIndex, rng: np.random.Generator) -> np.nd
         units = index.venue_unit[venues]
         male = np.bincount(units[genders == 1], minlength=index.n_units)
         female = np.bincount(units[genders == 0], minlength=index.n_units)
-        return (male / male_total - female / female_total) / SQRT2
+        return signed_difference(male / male_total, female / female_total)
     raise DataError(f"replicate produced a single-gender sample "
                     f"{_MAX_REDRAWS} times in a row (scope too small)")
 
 
-def _replicate_shuffle(index: _ScopeIndex, rng: np.random.Generator) -> np.ndarray:
+def _replicate_shuffle(index: ScopeIndex, rng: np.random.Generator) -> np.ndarray:
+    # a shuffle keeps every unit's total, so female = total - male exactly
     genders = rng.permutation(index.genders)
     male = np.bincount(index.record_unit[genders == 1], minlength=index.n_units)
-    female = np.bincount(index.record_unit[genders == 0], minlength=index.n_units)
-    return (male / index.male_total - female / index.female_total) / SQRT2
+    return signed_difference(male / index.male_total,
+                             (index.unit_total - male) / index.female_total)
 
 
-def _null_matrix(index: _ScopeIndex, config: NullModelConfig) -> np.ndarray:
+def _null_matrix(index: ScopeIndex, config: NullModelConfig) -> np.ndarray:
     """k x n_units matrix of replicate differences. Replicate i draws from
     its own rng seeded by (rng_seed, i) so results do not depend on
     execution order."""
@@ -192,36 +142,23 @@ def run_null_model_batch(records: list[CheckInRecord], mode: AnalysisMode,
                          ) -> list[NullModelResult]:
     """Null-model verdicts for every unit of a scope; the k replicates are
     drawn once and scored against all units."""
-    scoped = scope_records(records, scope, scope_subcategory)
-    if not scoped:
-        raise DataError(f"scope {scope.name!r} matches zero records")
-    index = _ScopeIndex(scoped, mode)
-    observed = index.observed_d()
+    index = ScopeIndex(records, mode, scope, scope_subcategory)
+    observed = index.popularity()[2]
     null = _null_matrix(index, config)
-    results = []
-    for j, key in enumerate(index.keys):
-        unit = AnalysisUnit(mode=mode, key=key, scope=scope,
-                            scope_subcategory=scope_subcategory)
-        results.append(_verdict(unit, observed[j], null[:, j],
-                                config.confidence))
-    return results
+    return [_verdict(index.unit(j), observed[j], null[:, j], config.confidence)
+            for j in range(index.n_units)]
 
 
 def run_null_model(records: list[CheckInRecord], unit: AnalysisUnit,
                    config: NullModelConfig) -> NullModelResult:
-    """Null-model verdict for a single analysis unit."""
-    scoped = scope_records(records, unit.scope, unit.scope_subcategory)
-    if not scoped:
-        raise DataError(f"scope {unit.scope.name!r} matches zero records")
-    index = _ScopeIndex(scoped, unit.mode)
-    try:
-        j = index.keys.index(unit.key)
-    except ValueError:
-        raise DataError(f"unit {unit.key!r} not present in scope "
-                        f"{unit.scope.name!r}") from None
-    observed = index.observed_d()[j]
-    null = _null_matrix(index, config)[:, j]
-    return _verdict(unit, observed, null, config.confidence)
+    """Null-model verdict for a single analysis unit: its row of the batch."""
+    results = run_null_model_batch(records, unit.mode, unit.scope, config,
+                                   unit.scope_subcategory)
+    for result in results:
+        if result.unit.key == unit.key:
+            return result
+    raise DataError(f"unit {unit.key!r} not present in scope "
+                    f"{unit.scope.name!r}")
 
 
 def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .models import CheckInRecord, DataError, Gender, RegionSelector
 
 SQRT2 = math.sqrt(2.0)
@@ -67,60 +69,94 @@ def scope_records(records: list[CheckInRecord], scope: RegionSelector,
     return out
 
 
-def _in_unit(rec: CheckInRecord, unit: AnalysisUnit) -> bool:
-    if unit.mode is AnalysisMode.SUBCATEGORY:
-        return rec.subcategory == unit.key
-    return rec.venue_id == unit.key
-
-
-def signed_difference(p_male: float, p_female: float) -> float:
+def signed_difference(p_male, p_female):
+    """d for scalars or, elementwise, for arrays of popularities."""
     return (p_male - p_female) / SQRT2
 
 
-def popularity_from_counts(unit: AnalysisUnit, male_in_unit: int, female_in_unit: int,
-                           male_total: int, female_total: int) -> PopularityPoint:
-    if male_total == 0 or female_total == 0:
-        raise DataError(
-            f"scope for unit {unit.key!r} lacks check-ins for one gender "
-            f"(male={male_total}, female={female_total}); difference undefined"
-        )
-    p_male = male_in_unit / male_total
-    p_female = female_in_unit / female_total
-    return PopularityPoint(
-        unit=unit,
-        p_male=p_male,
-        p_female=p_female,
-        d=signed_difference(p_male, p_female),
-        n_checkins=male_in_unit + female_in_unit,
-    )
+class ScopeIndex:
+    """Integer-coded view of one scope, the input of every statistic.
+
+    Venues and subcategories get codes in sorted key order, and each venue
+    maps to its subcategory's code. Per-record gender (1 = male) and unit
+    codes give the per-unit male/female counts and the gender totals by
+    ``np.bincount``. Counts are exact integers, so p = count / total and
+    d = (p_male - p_female) / sqrt(2) are the same floats a per-record
+    count would give.
+    """
+
+    def __init__(self, records: list[CheckInRecord], mode: AnalysisMode,
+                 scope: RegionSelector, scope_subcategory: Optional[str] = None):
+        scoped = scope_records(records, scope, scope_subcategory)
+        if not scoped:
+            raise DataError(f"scope {scope.name!r} matches zero records")
+        self.mode = mode
+        self.scope = scope
+        self.scope_subcategory = scope_subcategory
+        self.c = len(scoped)
+        self.n_users = len({r.user_id for r in scoped})
+        self.genders = np.fromiter((r.gender is Gender.MALE for r in scoped),
+                                   dtype=np.int8, count=self.c)
+
+        venue_subcat: dict[str, str] = {}
+        for r in scoped:
+            if venue_subcat.setdefault(r.venue_id, r.subcategory) != r.subcategory:
+                raise DataError(f"venue {r.venue_id!r} has conflicting subcategories "
+                                f"{venue_subcat[r.venue_id]!r} and {r.subcategory!r}")
+        self.venue_ids = sorted(venue_subcat)
+        self.subcategories = sorted(set(venue_subcat.values()))
+        subcat_pos = {s: i for i, s in enumerate(self.subcategories)}
+        self.venue_subcat = np.array(
+            [subcat_pos[venue_subcat[v]] for v in self.venue_ids], dtype=np.intp)
+        venue_pos = {v: i for i, v in enumerate(self.venue_ids)}
+        record_venue = np.fromiter((venue_pos[r.venue_id] for r in scoped),
+                                   dtype=np.intp, count=self.c)
+
+        if mode is AnalysisMode.SUBCATEGORY:
+            self.keys = self.subcategories
+            self.venue_unit = self.venue_subcat
+        else:
+            self.keys = self.venue_ids
+            self.venue_unit = np.arange(len(self.venue_ids))
+        self.n_units = len(self.keys)
+        self.record_unit = self.venue_unit[record_venue]
+        self.unit_total = np.bincount(self.record_unit, minlength=self.n_units)
+        self.male = np.bincount(self.record_unit[self.genders == 1],
+                                minlength=self.n_units)
+        self.female = self.unit_total - self.male
+        self.male_total = int(self.male.sum())
+        self.female_total = self.c - self.male_total
+
+    def unit(self, j: int) -> AnalysisUnit:
+        return AnalysisUnit(mode=self.mode, key=self.keys[j], scope=self.scope,
+                            scope_subcategory=self.scope_subcategory)
+
+    def popularity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p_male, p_female and d of every unit."""
+        if self.male_total == 0 or self.female_total == 0:
+            raise DataError(
+                f"scope {self.scope.name!r} lacks check-ins for one gender "
+                f"(male={self.male_total}, female={self.female_total}); "
+                f"difference undefined")
+        p_male = self.male / self.male_total
+        p_female = self.female / self.female_total
+        return p_male, p_female, signed_difference(p_male, p_female)
+
+    def points(self) -> list[PopularityPoint]:
+        columns = [a.tolist() for a in self.popularity()]
+        return [PopularityPoint(unit=self.unit(j), p_male=pm, p_female=pf, d=d,
+                                n_checkins=n)
+                for j, (pm, pf, d, n) in enumerate(
+                    zip(*columns, self.unit_total.tolist()))]
 
 
 def popularity(records: list[CheckInRecord], unit: AnalysisUnit) -> PopularityPoint:
     """Popularity point of one analysis unit within its scope."""
-    scoped = scope_records(records, unit.scope, unit.scope_subcategory)
-    male_total = sum(1 for r in scoped if r.gender is Gender.MALE)
-    female_total = len(scoped) - male_total
-    male_in = 0
-    female_in = 0
-    for rec in scoped:
-        if _in_unit(rec, unit):
-            if rec.gender is Gender.MALE:
-                male_in += 1
-            else:
-                female_in += 1
-    if male_in + female_in == 0:
-        raise DataError(f"unit {unit.key!r} has no check-ins in scope "
-                        f"{unit.scope.name!r}")
-    return popularity_from_counts(unit, male_in, female_in, male_total, female_total)
-
-
-def unit_keys(records: list[CheckInRecord], mode: AnalysisMode,
-              scope: RegionSelector,
-              scope_subcategory: Optional[str] = None) -> list[str]:
-    scoped = scope_records(records, scope, scope_subcategory)
-    if mode is AnalysisMode.SUBCATEGORY:
-        return sorted({rec.subcategory for rec in scoped})
-    return sorted({rec.venue_id for rec in scoped})
+    for point in ScopeIndex(records, unit.mode, unit.scope,
+                            unit.scope_subcategory).points():
+        if point.unit.key == unit.key:
+            return point
+    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope.name!r}")
 
 
 def popularity_table(records: list[CheckInRecord], mode: AnalysisMode,
@@ -129,15 +165,7 @@ def popularity_table(records: list[CheckInRecord], mode: AnalysisMode,
     """One PopularityRow per qualifying unit, sorted by |d| descending
     (ties by key ascending). Normalization divides both axes by the joint
     maximum popularity over the table; it never feeds any statistic."""
-    keys = unit_keys(records, mode, scope, scope_subcategory)
-    if not keys:
-        raise DataError(f"no analysis units of mode {mode.value!r} in scope "
-                        f"{scope.name!r}")
-    points = [
-        popularity(records, AnalysisUnit(mode=mode, key=key, scope=scope,
-                                         scope_subcategory=scope_subcategory))
-        for key in keys
-    ]
+    points = ScopeIndex(records, mode, scope, scope_subcategory).points()
     points.sort(key=lambda p: (-abs(p.d), p.unit.key))
     p_max = max(max(p.p_male, p.p_female) for p in points)
     if p_max == 0:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CheckInRecord, DataError, Gender, RegionSelector
-from .popularity import AnalysisMode, AnalysisUnit, popularity, scope_records, unit_keys
+from .models import CheckInRecord, DataError, RegionSelector, region_name
+from .popularity import AnalysisMode, ScopeIndex, signed_difference
 
 
 @dataclass
@@ -51,45 +51,45 @@ def gini(x) -> float:
     return float((n + 1) / n - 2.0 * np.dot(weights, arr) / (n * total))
 
 
-def region_subcategories(records: list[CheckInRecord],
-                         region: RegionSelector) -> list[str]:
-    return sorted({rec.subcategory for rec in records if region.matches(rec)})
-
-
 def collect_global_dims(records: list[CheckInRecord],
                         regions: list[RegionSelector]) -> list[str]:
     """Lexicographic union of subcategories present in any of the regions."""
-    dims: set[str] = set()
-    for region in regions:
-        dims.update(region_subcategories(records, region))
-    return sorted(dims)
+    names = {(region.granularity, region.name) for region in regions}
+    granularities = {granularity for granularity, _ in names}
+    return sorted({rec.subcategory for rec in records
+                   if any((g, region_name(rec, g)) in names for g in granularities)})
 
 
 def build_preference_vector(records: list[CheckInRecord], region: RegionSelector,
                             global_dims: list[str]) -> PreferenceVector:
     """Gini-per-subcategory vector for one region, over the global dims.
 
-    A subcategory whose scope lacks one gender entirely has undefined
-    venue-level differences; it is treated as absent (value 0).
+    One venue-mode index of the region gives every venue's counts; a
+    subcategory's venues are scored against that subcategory's gender
+    totals, as in venue_within_subcategory mode. A subcategory whose scope
+    lacks one gender entirely has undefined venue-level differences; it is
+    treated as absent (value 0).
     """
-    present = set(region_subcategories(records, region))
     values = np.zeros(len(global_dims))
-    for i, subcat in enumerate(global_dims):
-        if subcat not in present:
+    if not any(region.matches(rec) for rec in records):
+        return PreferenceVector(region=region, dims=list(global_dims), values=values)
+    index = ScopeIndex(records, AnalysisMode.VENUE, region)
+    dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
+    # venues grouped by subcategory, each group in venue-key order
+    order = np.argsort(index.venue_subcat, kind="stable")
+    bounds = np.searchsorted(index.venue_subcat[order],
+                             np.arange(len(index.subcategories) + 1))
+    for s, subcat in enumerate(index.subcategories):
+        if subcat not in dim_pos:
             continue
-        scoped = scope_records(records, region, subcat)
-        has_male = any(r.gender is Gender.MALE for r in scoped)
-        has_female = any(r.gender is Gender.FEMALE for r in scoped)
-        if not (has_male and has_female):
+        venues = order[bounds[s]:bounds[s + 1]]
+        male, female = index.male[venues], index.female[venues]
+        male_total, female_total = int(male.sum()), int(female.sum())
+        if male_total == 0 or female_total == 0:
             continue
-        diffs = []
-        for venue_id in sorted({r.venue_id for r in scoped}):
-            unit = AnalysisUnit(mode=AnalysisMode.VENUE_WITHIN_SUBCATEGORY,
-                                key=venue_id, scope=region,
-                                scope_subcategory=subcat)
-            diffs.append(abs(popularity(records, unit).d))
+        diffs = np.abs(signed_difference(male / male_total, female / female_total))
         # all-zero differences are perfect equality; skip the gini warning
-        values[i] = gini(diffs) if any(diffs) else 0.0
+        values[dim_pos[subcat]] = gini(diffs) if diffs.any() else 0.0
     return PreferenceVector(region=region, dims=list(global_dims), values=values)
 
 

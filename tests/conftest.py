@@ -1,8 +1,13 @@
 from datetime import datetime
 
 import pytest
+from hypothesis import settings
 
 from venuepref.models import CheckInRecord, Gender
+
+# fixed example sequences keep the suite deterministic; no per-example timing
+settings.register_profile("venuepref", derandomize=True, deadline=None)
+settings.load_profile("venuepref")
 
 
 def make_record(user="u1", gender="male", venue="v1", subcat="Café",

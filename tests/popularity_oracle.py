@@ -1,0 +1,114 @@
+"""Per-record reference implementations of the popularity statistics.
+
+This is the straightforward counting loop the integer-coded kernel in
+``venuepref.popularity`` replaced: every unit rescans its whole scope. It is
+slow (units x records) and kept only so tests can require the fast paths
+to give the very same floats.
+"""
+
+from collections import Counter
+
+import numpy as np
+
+from venuepref.models import DataError, Gender
+from venuepref.popularity import (
+    AnalysisMode,
+    AnalysisUnit,
+    PopularityPoint,
+    scope_records,
+    signed_difference,
+)
+from venuepref.preference import gini
+
+
+def _in_unit(rec, unit):
+    if unit.mode is AnalysisMode.SUBCATEGORY:
+        return rec.subcategory == unit.key
+    return rec.venue_id == unit.key
+
+
+def popularity(records, unit):
+    scoped = scope_records(records, unit.scope, unit.scope_subcategory)
+    male_total = sum(1 for r in scoped if r.gender is Gender.MALE)
+    female_total = len(scoped) - male_total
+    male_in = 0
+    female_in = 0
+    for rec in scoped:
+        if _in_unit(rec, unit):
+            if rec.gender is Gender.MALE:
+                male_in += 1
+            else:
+                female_in += 1
+    if male_in + female_in == 0:
+        raise DataError(f"unit {unit.key!r} has no check-ins")
+    if male_total == 0 or female_total == 0:
+        raise DataError("scope lacks check-ins for one gender")
+    p_male = male_in / male_total
+    p_female = female_in / female_total
+    return PopularityPoint(unit=unit, p_male=p_male, p_female=p_female,
+                           d=signed_difference(p_male, p_female),
+                           n_checkins=male_in + female_in)
+
+
+def unit_keys(records, mode, scope, scope_subcategory=None):
+    scoped = scope_records(records, scope, scope_subcategory)
+    if mode is AnalysisMode.SUBCATEGORY:
+        return sorted({rec.subcategory for rec in scoped})
+    return sorted({rec.venue_id for rec in scoped})
+
+
+def points(records, mode, scope, scope_subcategory=None):
+    """One point per unit of the scope, in key order."""
+    return [popularity(records, AnalysisUnit(mode=mode, key=key, scope=scope,
+                                             scope_subcategory=scope_subcategory))
+            for key in unit_keys(records, mode, scope, scope_subcategory)]
+
+
+def preference_values(records, region, global_dims):
+    """Gini of venue-level |d| per subcategory, one popularity() per venue."""
+    values = []
+    for subcat in global_dims:
+        scoped = scope_records(records, region, subcat)
+        genders = {r.gender for r in scoped}
+        if len(genders) < 2:
+            values.append(0.0)
+            continue
+        diffs = [abs(p.d) for p in points(records, AnalysisMode.VENUE_WITHIN_SUBCATEGORY,
+                                          region, subcat)]
+        values.append(gini(diffs) if any(diffs) else 0.0)
+    return values
+
+
+def table(records, mode, scope, scope_subcategory=None):
+    """popularity_table rows as (key, p_male, p_female, p_male_norm,
+    p_female_norm, d, n_checkins), sorted by |d| descending, then key."""
+    pts = points(records, mode, scope, scope_subcategory)
+    if not pts:
+        raise DataError("no analysis units in scope")
+    pts.sort(key=lambda p: (-abs(p.d), p.unit.key))
+    p_max = max(max(p.p_male, p.p_female) for p in pts) or 1.0
+    return [(p.unit.key, p.p_male, p.p_female, p.p_male / p_max,
+             p.p_female / p_max, p.d, p.n_checkins) for p in pts]
+
+
+def shuffle_replicates(records, mode, scope, scope_subcategory, k, seed):
+    """Gender-shuffle null model replayed record by record: replicate i
+    permutes the scope's gender column with the rng seeded by (seed, i).
+    Returns one list of d per unit, in key order."""
+    scoped = scope_records(records, scope, scope_subcategory)
+    keys = unit_keys(records, mode, scope, scope_subcategory)
+    genders = np.array([r.gender is Gender.MALE for r in scoped], dtype=np.int8)
+    unit_of = [r.subcategory if mode is AnalysisMode.SUBCATEGORY else r.venue_id
+               for r in scoped]
+    per_unit = [[] for _ in keys]
+    for i in range(k):
+        shuffled = np.random.default_rng([seed, i]).permutation(genders)
+        counts = {1: Counter(), 0: Counter()}
+        for male, unit in zip(shuffled.tolist(), unit_of):
+            counts[male][unit] += 1
+        male_total = sum(counts[1].values())
+        female_total = sum(counts[0].values())
+        for j, key in enumerate(keys):
+            per_unit[j].append(signed_difference(counts[1][key] / male_total,
+                                                 counts[0][key] / female_total))
+    return per_unit

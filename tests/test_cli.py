@@ -187,3 +187,64 @@ def test_bundled_index_by_name(tmp_path):
     with open(cmp_dir / "comparison.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["index"] == "GII"
+
+
+def assert_usage_error(argv, capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert text in err
+
+
+def test_null_model_k_below_two_is_usage_error(dataset, tmp_path, capsys):
+    assert_usage_error(["analyze", "--input", str(dataset), "--country",
+                        "Synthland", "--k", "1", "--out-dir", str(tmp_path)],
+                       capsys, "--k")
+
+
+def test_confidence_outside_unit_interval_is_usage_error(dataset, tmp_path, capsys):
+    assert_usage_error(["analyze", "--input", str(dataset), "--country",
+                        "Synthland", "--confidence", "1.5",
+                        "--out-dir", str(tmp_path)], capsys, "--confidence")
+
+
+def test_zero_min_checkins_per_venue_is_usage_error(dataset, tmp_path, capsys):
+    assert_usage_error(["analyze", "--input", str(dataset), "--country",
+                        "Synthland", "--min-checkins-per-venue", "0",
+                        "--out-dir", str(tmp_path)], capsys,
+                       "--min-checkins-per-venue")
+
+
+def test_zero_region_cap_is_usage_error(dataset, tmp_path, capsys):
+    assert_usage_error(["vectors", "--input", str(dataset),
+                        "--max-checkins-per-region", "0",
+                        "--out-dir", str(tmp_path)], capsys,
+                       "--max-checkins-per-region")
+
+
+def test_unknown_config_key_is_usage_error(dataset, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"k": 5, "replicates": 9}))
+    assert_usage_error(["analyze", "--input", str(dataset), "--country",
+                        "Synthland", "--config", str(config),
+                        "--out-dir", str(tmp_path)], capsys, "'replicates'")
+
+
+def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"confidence": 1.5}))
+    assert_usage_error(["analyze", "--input", str(dataset), "--country",
+                        "Synthland", "--config", str(config),
+                        "--out-dir", str(tmp_path)], capsys, "--confidence")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cluster", "--vectors", "v", "--k", "0"], "--k"),
+    (["cluster", "--vectors", "v", "--k", "2", "--restarts", "0"], "--restarts"),
+    (["compare", "--vectors", "v", "--index", "GII", "--permutations", "1"],
+     "--permutations"),
+])
+def test_out_of_range_cluster_and_compare_flags_are_usage_errors(argv, flag, capsys):
+    assert_usage_error(argv, capsys, flag)

@@ -72,6 +72,18 @@ def test_venue_subcategory_conflict_rejected_first_wins():
     assert report.venue_conflict == 1
 
 
+def test_rejected_row_does_not_claim_venue_subcategory():
+    # the first row is dropped for its timestamp, so the venue is still
+    # unclaimed when the valid row arrives
+    stream = csv_stream("u1,male,v1,Food,Bakery,1.0,2.0,BR,,not-a-time",
+                        "u2,male,v1,Food,Café,1.0,2.0,BR,,",
+                        "u3,female,v1,Food,Café,1.0,2.0,BR,,")
+    records, report = ingest_checkins(stream, "csv")
+    assert [r.subcategory for r in records] == ["Café", "Café"]
+    assert report.missing_field == 1
+    assert report.venue_conflict == 0
+
+
 def test_majority_rejected_aborts():
     stream = csv_stream("u1,other,v1,Food,Café,1.0,2.0,BR,,",
                         "u2,other,v1,Food,Café,1.0,2.0,BR,,",

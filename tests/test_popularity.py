@@ -174,6 +174,14 @@ def test_venue_within_subcategory_scope_denominators():
     assert point.p_male == 0.0
 
 
+def test_venue_with_two_subcategories_is_rejected():
+    # a venue has one subcategory; ingest keeps the first and rejects the rest
+    records = [make_record(user="m1", gender="male", venue="v1", subcat="Café"),
+               make_record(user="f1", gender="female", venue="v1", subcat="Bar")]
+    with pytest.raises(DataError, match="conflicting subcategories"):
+        popularity_table(records, AnalysisMode.VENUE, BR)
+
+
 def test_unit_validation():
     with pytest.raises(ValueError):
         AnalysisUnit(AnalysisMode.VENUE_WITHIN_SUBCATEGORY, "v1", BR)

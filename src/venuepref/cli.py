@@ -1,8 +1,8 @@
 """Command-line pipeline orchestration.
 
 Commands: ingest-check, analyze, vectors, cluster, compare, synth.
-Every run writes its artifacts atomically plus a run_manifest.json
-recording inputs, seeds, and output paths.
+``main`` hands every command one ``Manifest``, which writes its artifacts
+atomically and then a run_manifest.json recording inputs, seeds and outputs.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .models import (
@@ -67,10 +68,10 @@ def _sha256(path: Path) -> str:
 
 
 class Manifest:
-    def __init__(self, command: str, args: argparse.Namespace, out_dir: Path):
+    def __init__(self, args: argparse.Namespace, out_dir: Path):
         self.out_dir = out_dir
         self.data = {
-            "command": command,
+            "command": args.subcommand,
             "config": {k: v for k, v in sorted(vars(args).items())
                        if k != "func" and not k.startswith("_")},
             "inputs": {},
@@ -79,30 +80,34 @@ class Manifest:
             "started_at": datetime.now(timezone.utc).isoformat(),
         }
 
-    def add_input(self, path: Path) -> None:
-        self.data["inputs"][str(path)] = _sha256(path)
+    def add_input(self, path: Path) -> str:
+        """Record an input file by its sha256, which it returns."""
+        digest = self.data["inputs"][str(path)] = _sha256(path)
+        return digest
 
     def add_seed(self, stage: str, seed: int) -> None:
         self.data["seeds"][stage] = seed
 
-    def write_artifact(self, name: str, text: str) -> Path:
+    def write_artifact(self, name: str, content) -> None:
+        """Write ``content`` atomically as artifact ``name``: a function that
+        writes text to a sink, or a JSON value (written indented)."""
+        if callable(content):
+            buf = io.StringIO()
+            content(buf)
+            text = buf.getvalue()
+        else:
+            text = json.dumps(content, indent=2) + "\n"
         path = self.out_dir / name
         _atomic_write_text(path, text)
         self.data["artifacts"].append(str(path))
-        return path
 
     def finish(self) -> None:
+        """Write run_manifest.json, if the run wrote any artifact."""
+        if not self.data["artifacts"]:
+            return
         self.data["finished_at"] = datetime.now(timezone.utc).isoformat()
         _atomic_write_text(self.out_dir / "run_manifest.json",
                            json.dumps(self.data, indent=2, default=str) + "\n")
-
-
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _out_dir(args) -> Path:
@@ -190,15 +195,13 @@ def _read_input(args):
     return path, records, report
 
 
-def cmd_ingest_check(args) -> int:
-    _, records, report = _read_input(args)
-    print(json.dumps(report.as_dict(), indent=2))
-    return 0
+def cmd_ingest_check(args, manifest: Manifest) -> None:
+    _, _, report = _read_input(args)
+    json.dump(report.as_dict(), sys.stdout, indent=2)
+    print()
 
 
-def cmd_analyze(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = Manifest("analyze", args, out_dir)
+def cmd_analyze(args, manifest: Manifest) -> None:
     path, records, _ = _read_input(args)
     manifest.add_input(path)
     manifest.add_seed("filter", args.seed)
@@ -211,35 +214,23 @@ def cmd_analyze(args) -> int:
     scope_subcategory = args.subcategory if mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY else None
 
     filtered, filter_report = apply_filters(records, region, _filter_config(args))
-    manifest.write_artifact("filter_report.json",
-                            json.dumps(filter_report.as_dict(), indent=2) + "\n")
+    manifest.write_artifact("filter_report.json", filter_report.as_dict())
 
     rows = popularity_table(filtered, mode, region, scope_subcategory)
-    buf = io.StringIO()
-    write_popularity_csv(rows, buf)
-    manifest.write_artifact("popularity.csv", buf.getvalue())
+    manifest.write_artifact("popularity.csv", partial(write_popularity_csv, rows))
 
     config = NullModelConfig(k=args.k, confidence=args.confidence,
                              method=NullMethod(args.method), rng_seed=args.seed)
     results = run_null_model_batch(filtered, mode, region, config,
                                    scope_subcategory)
-    manifest.write_artifact(
-        "significance.json",
-        json.dumps([r.as_dict() for r in results], indent=2,
-                   default=_json_default) + "\n")
-    buf = io.StringIO()
-    write_null_distribution_csv(results, buf)
-    manifest.write_artifact("null_distribution.csv", buf.getvalue())
-
-    manifest.finish()
-    return 0
+    manifest.write_artifact("significance.json", [r.as_dict() for r in results])
+    manifest.write_artifact("null_distribution.csv",
+                            partial(write_null_distribution_csv, results))
 
 
-def cmd_vectors(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = Manifest("vectors", args, out_dir)
+def cmd_vectors(args, manifest: Manifest) -> None:
     path, records, _ = _read_input(args)
-    manifest.add_input(path)
+    source_sha256 = manifest.add_input(path)
     manifest.add_seed("filter", args.seed)
 
     granularity = Granularity(args.granularity)
@@ -264,42 +255,32 @@ def cmd_vectors(args) -> int:
     vectors = [build_preference_vector(recs, region, dims)
                for region, recs in filtered_by_region.values()]
 
-    buf = io.StringIO()
-    write_vectors_csv(vectors, buf)
-    manifest.write_artifact("vectors.csv", buf.getvalue())
-    manifest.write_artifact("vectors_manifest.json", json.dumps({
+    manifest.write_artifact("vectors.csv", partial(write_vectors_csv, vectors))
+    manifest.write_artifact("vectors_manifest.json", {
         "granularity": granularity.value,
         "regions": names,
         "dims": dims,
         "source": str(path),
-        "source_sha256": _sha256(path),
+        "source_sha256": source_sha256,
         "filter_seed": args.seed,
-    }, indent=2) + "\n")
-    manifest.finish()
-    return 0
+    })
 
 
-def _load_vectors(path_arg: str, granularity: str):
+def _load_vectors(path_arg: str):
     path = Path(path_arg)
     if path.is_dir():
         path = path / "vectors.csv"
     with open(path, encoding="utf-8", newline="") as fh:
-        return path, read_vectors_csv(fh, granularity)
+        return path, read_vectors_csv(fh)
 
 
-def cmd_cluster(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = Manifest("cluster", args, out_dir)
-    path, vectors = _load_vectors(args.vectors, args.granularity)
+def cmd_cluster(args, manifest: Manifest) -> None:
+    path, vectors = _load_vectors(args.vectors)
     manifest.add_input(path)
     manifest.add_seed("kmeans", args.seed)
     result = cluster_regions(list(vectors.values()), k=args.k, seed=args.seed,
                              max_iter=args.max_iter, restarts=args.restarts)
-    manifest.write_artifact(
-        "clusters.json",
-        json.dumps(result.as_dict(), indent=2, default=_json_default) + "\n")
-    manifest.finish()
-    return 0
+    manifest.write_artifact("clusters.json", result.as_dict())
 
 
 def _load_index(args):
@@ -311,10 +292,8 @@ def _load_index(args):
         return ingest_index_table(fh, index_name=name)
 
 
-def cmd_compare(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = Manifest("compare", args, out_dir)
-    path, vectors = _load_vectors(args.vectors, args.granularity)
+def cmd_compare(args, manifest: Manifest) -> None:
+    path, vectors = _load_vectors(args.vectors)
     manifest.add_input(path)
     manifest.add_seed("baseline", args.seed)
     index = _load_index(args)
@@ -332,27 +311,17 @@ def cmd_compare(args) -> int:
         base = random_baseline(vectors, index, anchor,
                                n_permutations=args.permutations, seed=args.seed)
         rows.append((comp, base))
-    buf = io.StringIO()
-    write_comparison_csv(rows, buf)
-    manifest.write_artifact("comparison.csv", buf.getvalue())
-    manifest.finish()
-    return 0
+    manifest.write_artifact("comparison.csv", partial(write_comparison_csv, rows))
 
 
-def cmd_synth(args) -> int:
-    out_dir = _out_dir(args)
-    manifest = Manifest("synth", args, out_dir)
+def cmd_synth(args, manifest: Manifest) -> None:
     spec_path = Path(args.spec)
     manifest.add_input(spec_path)
     spec = SynthSpec.from_json(spec_path.read_text(encoding="utf-8"))
     manifest.add_seed("synth", spec.rng_seed)
     records = generate(spec)
-    buf = io.StringIO()
-    write_checkins(records, buf, fmt=args.format)
-    name = args.out or f"synth.{args.format}"
-    manifest.write_artifact(name, buf.getvalue())
-    manifest.finish()
-    return 0
+    manifest.write_artifact(args.out or f"synth.{args.format}",
+                            partial(write_checkins, records, fmt=args.format))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -421,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="spherical k-means over preference vectors")
     p.add_argument("--vectors", required=True,
                    help="vectors.csv or a directory containing it")
-    p.add_argument("--granularity", choices=["country", "city"],
-                   default="country")
     p.add_argument("--k", type=_at_least(1), required=True)
     p.add_argument("--max-iter", type=_at_least(1), default=100)
     p.add_argument("--restarts", type=_at_least(1), default=1,
@@ -432,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="rank comparison against a scalar index")
     p.add_argument("--vectors", required=True)
-    p.add_argument("--granularity", choices=["country", "city"],
-                   default="country")
     p.add_argument("--index", required=True,
                    help="'GII', 'HDI' (bundled 2014 tables) or a "
                         "country,value CSV path")
@@ -455,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: exit 0, 1 on a data or file error, 2 on a usage error."""
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -463,10 +429,13 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = parser.parse_args(_config_argv(parser, args, argv))
-        return args.func(args)
-    except (DataError, ValueError, OSError, json.JSONDecodeError) as exc:
+        manifest = Manifest(args, _out_dir(args))
+        args.func(args, manifest)
+        manifest.finish()
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ def cluster_regions(vectors: list[PreferenceVector], k: int, seed: int,
     for vec in vectors:
         if vec.dims != dims:
             raise DataError("vectors have mismatched dims")
-    names = [vec.region.name for vec in vectors]
+    names = [vec.region for vec in vectors]
     matrix = np.vstack([vec.values for vec in vectors])
     best = None
     for r in range(restarts):

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from typing import BinaryIO, Iterable, Optional
@@ -121,9 +121,12 @@ def _parse_gender(raw: str) -> Optional[Gender]:
 
 
 def _parse_timestamp(raw: Optional[str]) -> Optional[datetime]:
+    """ISO 8601; a timestamp without a UTC offset is read as UTC, so that
+    any two timestamps of one input compare."""
     if not raw:
         return None
-    return datetime.fromisoformat(raw)
+    ts = datetime.fromisoformat(raw)
+    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
 
 
 def _record_from_mapping(row: dict, report: IngestReport,
@@ -148,7 +151,7 @@ def _record_from_mapping(row: dict, report: IngestReport,
         return None
     try:
         ts = _parse_timestamp(row.get("timestamp") or None)
-    except ValueError:
+    except (TypeError, ValueError):  # TypeError: a jsonl timestamp that is no string
         report.missing_field += 1
         return None
     # only a row that is otherwise accepted may decide its venue's subcategory

@@ -19,7 +19,7 @@ from .popularity import AnalysisMode, ScopeIndex, signed_difference
 
 @dataclass
 class PreferenceVector:
-    region: RegionSelector
+    region: str  # the region's name
     dims: list[str]
     values: np.ndarray
 
@@ -72,7 +72,8 @@ def build_preference_vector(records: list[CheckInRecord], region: RegionSelector
     """
     values = np.zeros(len(global_dims))
     if not any(region.matches(rec) for rec in records):
-        return PreferenceVector(region=region, dims=list(global_dims), values=values)
+        return PreferenceVector(region=region.name, dims=list(global_dims),
+                                values=values)
     index = ScopeIndex(records, AnalysisMode.VENUE, region)
     dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
     # venues grouped by subcategory, each group in venue-key order
@@ -90,7 +91,7 @@ def build_preference_vector(records: list[CheckInRecord], region: RegionSelector
         diffs = np.abs(signed_difference(male / male_total, female / female_total))
         # all-zero differences are perfect equality; skip the gini warning
         values[dim_pos[subcat]] = gini(diffs) if diffs.any() else 0.0
-    return PreferenceVector(region=region, dims=list(global_dims), values=values)
+    return PreferenceVector(region=region.name, dims=list(global_dims), values=values)
 
 
 def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
@@ -105,13 +106,11 @@ def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["region"] + dims)
     for vec in vectors:
-        writer.writerow([vec.region.name] + [f"{v:.12g}" for v in vec.values])
+        writer.writerow([vec.region] + [f"{v:.12g}" for v in vec.values])
 
 
-def read_vectors_csv(source, granularity) -> dict[str, PreferenceVector]:
+def read_vectors_csv(source) -> dict[str, PreferenceVector]:
     import csv
-
-    from .models import Granularity
 
     reader = csv.reader(source)
     header = next(reader, None)
@@ -124,6 +123,5 @@ def read_vectors_csv(source, granularity) -> dict[str, PreferenceVector]:
             continue
         name = row[0]
         values = np.array([float(v) for v in row[1:]])
-        region = RegionSelector(granularity=Granularity(granularity), name=name)
-        out[name] = PreferenceVector(region=region, dims=dims, values=values)
+        out[name] = PreferenceVector(region=name, dims=dims, values=values)
     return out

@@ -5,11 +5,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from .models import CheckInRecord, Gender
+
+
+def _check_types(spec, types: dict) -> None:
+    """Raise ValueError naming the first field whose value is not of its type
+    (a spec read from JSON may hold a string where a number belongs)."""
+    for name, kind in types.items():
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{type(spec).__name__}.{name} has the wrong type: "
+                             f"{value!r}")
 
 
 @dataclass
@@ -21,6 +32,8 @@ class SubcategorySpec:
     gender_skew: float = 0.0
 
     def __post_init__(self):
+        _check_types(self, {"name": str, "category": str, "n_venues": Integral,
+                            "base_weight": Real, "gender_skew": Real})
         if self.n_venues < 1:
             raise ValueError(f"subcategory {self.name!r}: n_venues must be >= 1")
         if self.base_weight < 0:
@@ -41,6 +54,9 @@ class SynthSpec:
     bbox: tuple[float, float, float, float] = (-60.0, 60.0, -180.0, 180.0)
 
     def __post_init__(self):
+        _check_types(self, {"n_users": Integral, "female_fraction": Real,
+                            "n_checkins": Integral, "region_name": str,
+                            "rng_seed": Integral})
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not (0.0 <= self.female_fraction <= 1.0):
@@ -59,9 +75,14 @@ class SynthSpec:
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
         data = json.loads(text)
-        if "bbox" in data:
-            data["bbox"] = tuple(data["bbox"])
-        return cls(**data)
+        if not isinstance(data, dict):
+            raise ValueError("synth spec must be a JSON object")
+        try:
+            if "bbox" in data:
+                data["bbox"] = tuple(data["bbox"])
+            return cls(**data)
+        except TypeError as exc:  # an unknown or missing key, here or in a subcategory
+            raise ValueError(f"bad synth spec: {exc}") from None
 
 
 def _gender_weights(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -207,16 +207,16 @@ def test_criterion_7_clustering_recovery():
     for i in range(6):
         values = np.concatenate([[1.0], rng.random(5) * 0.05])
         vectors.append(PreferenceVector(
-            region=RegionSelector(Granularity.COUNTRY, f"A{i}"),
+            region=f"A{i}",
             dims=[f"d{j}" for j in range(6)], values=values))
         truth.append(0)
     for i in range(6):
         values = np.concatenate([[0.02, 1.0], rng.random(4) * 0.05])
         vectors.append(PreferenceVector(
-            region=RegionSelector(Granularity.COUNTRY, f"B{i}"),
+            region=f"B{i}",
             dims=[f"d{j}" for j in range(6)], values=values))
         truth.append(1)
-    names = [v.region.name for v in vectors]
+    names = [v.region for v in vectors]
     all_ari_one = True
     scale_ok = True
     for seed in range(20):
@@ -319,7 +319,7 @@ def test_criterion_9_determinism():
     # clustering
     rng = np.random.default_rng(3)
     vectors = [PreferenceVector(
-        region=RegionSelector(Granularity.COUNTRY, f"r{i}"),
+        region=f"r{i}",
         dims=[f"d{j}" for j in range(4)], values=rng.random(4) + 0.01)
         for i in range(10)]
     cl_a = cluster_regions(vectors, k=3, seed=21)
@@ -331,7 +331,7 @@ def test_criterion_9_determinism():
 
     # baseline permutations
     index = IndexTable("T", {f"r{i}": (i + 1) / 12 for i in range(10)})
-    vec_map = {v.region.name: v for v in vectors}
+    vec_map = {v.region: v for v in vectors}
     base_a = random_baseline(vec_map, index, "r0", n_permutations=60, seed=5)
     base_b = random_baseline(vec_map, index, "r0", n_permutations=60, seed=5)
     same = np.array_equal(base_a.rho_samples, base_b.rho_samples)

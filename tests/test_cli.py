@@ -5,7 +5,7 @@ import json
 import pytest
 
 from venuepref.cli import main
-from venuepref.models import write_checkins
+from venuepref.models import CSV_FIELDS, write_checkins
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 SPEC_JSON = {
@@ -130,6 +130,37 @@ def test_vectors_cluster_compare_pipeline(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
     assert {r["country"] for r in rows} == {f"Land{i}" for i in range(5)}
+
+
+def test_mixed_naive_and_aware_timestamps(tmp_path):
+    # one (user, venue) pair checked in without and with a UTC offset; dedupe
+    # compares the two, so a naive timestamp must be read as UTC
+    rows = [f"u{i},{'male' if i % 2 else 'female'},v{v},Food,S{v // 2},"
+            f"1.0,2.0,Synthland,,2014-04-2{i}T10:00:00+00:00"
+            for v in range(4) for i in range(7)]
+    rows += ["u0,female,v0,Food,S0,1.0,2.0,Synthland,,2014-04-19T10:00:00",
+             "u1,male,v0,Food,S0,1.0,2.0,Synthland,,2014-04-19T10:00:00"]
+    data = tmp_path / "mixed.csv"
+    data.write_text(",".join(CSV_FIELDS) + "\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert main(["analyze", "--input", str(data), "--country", "Synthland",
+                 "--k", "10", "--out-dir", str(out)]) == 0
+    stages = json.loads((out / "filter_report.json").read_text())["stages"]
+    assert {"stage": "dedupe", "in": 30, "out": 28} in stages
+
+
+@pytest.mark.parametrize("spec", [
+    {**SPEC_JSON, "bogus": 1},
+    [1, 2],
+    {**SPEC_JSON, "n_users": "5"},
+], ids=["unknown-key", "not-an-object", "wrong-type"])
+def test_bad_synth_spec_is_runtime_error(spec, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(spec_path),
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "s").exists()
 
 
 def test_synth_roundtrip(tmp_path):

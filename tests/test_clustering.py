@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from venuepref.clustering import cluster_regions, cluster_vectors
-from venuepref.models import DataError, Granularity, RegionSelector
+from venuepref.models import DataError
 from venuepref.preference import PreferenceVector
 
 
 def vec(name, values):
-    return PreferenceVector(region=RegionSelector(Granularity.COUNTRY, name),
+    return PreferenceVector(region=name,
                             dims=[f"d{i}" for i in range(len(values))],
                             values=np.asarray(values, dtype=float))
 
@@ -70,7 +70,7 @@ def test_scale_invariance_of_assignments():
     rng = np.random.default_rng(17)
     vectors = [vec(f"r{i}", rng.random(6) + 0.01) for i in range(10)]
     result = cluster_regions(vectors, k=3, seed=5)
-    scaled = [vec(v.region.name, v.values * s)
+    scaled = [vec(v.region, v.values * s)
               for v, s in zip(vectors, rng.uniform(0.1, 50.0, size=10))]
     result_scaled = cluster_regions(scaled, k=3, seed=5)
     assert result.assignments == result_scaled.assignments

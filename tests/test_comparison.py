@@ -9,9 +9,7 @@ from venuepref.comparison import (
 )
 from venuepref.models import (
     DataError,
-    Granularity,
     IndexTable,
-    RegionSelector,
     load_bundled_index,
 )
 from venuepref.preference import PreferenceVector
@@ -28,7 +26,7 @@ D2_BRAZIL = [0, 0.754, 0.757, 0.414, 0.556, 0.328, 0.249, 0.563, 0.795,
 
 
 def pv(name, values):
-    return PreferenceVector(region=RegionSelector(Granularity.COUNTRY, name),
+    return PreferenceVector(region=name,
                             dims=[f"d{i}" for i in range(len(values))],
                             values=np.asarray(values, dtype=float))
 

@@ -1,5 +1,10 @@
+from collections import Counter, defaultdict
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from venuepref.filtering import FilterConfig, apply_filters
 from venuepref.models import DataError, Granularity, RegionSelector
@@ -162,3 +167,47 @@ def test_config_validation():
         FilterConfig(min_checkins_per_venue=0)
     with pytest.raises(ValueError):
         FilterConfig(max_checkins_per_region=0)
+
+
+@st.composite
+def checkin_sets(draw):
+    """Up to 8 venues, each with one subcategory, country (BR or US) and
+    category (Food, or Shops outside the default whitelist), and 1-8 visits
+    by 10 users; repeated (user, venue) pairs have missing or tied days."""
+    venues = draw(st.lists(st.tuples(
+        st.sampled_from(["Bar", "Café", "Gym"]), st.sampled_from(["BR", "BR", "US"]),
+        st.sampled_from(["Food", "Food", "Shops"]),
+        st.lists(st.tuples(st.integers(0, 9), st.booleans(),
+                           st.none() | st.integers(0, 3)), min_size=1, max_size=8)),
+        min_size=1, max_size=8))
+    start = datetime(2014, 4, 1)
+    return [make_record(user=f"u{user}", gender="male" if male else "female",
+                        venue=f"v{v}", subcat=subcat, category=category,
+                        country=country,
+                        ts=None if day is None else start + timedelta(days=day))
+            for v, (subcat, country, category, visits) in enumerate(venues)
+            for user, male, day in visits]
+
+
+@given(records=checkin_sets(), config=st.builds(
+    FilterConfig, min_checkins_per_venue=st.integers(1, 3),
+    dedupe_user_venue=st.booleans(), min_venues_per_subcategory=st.integers(1, 3),
+    max_checkins_per_region=st.integers(1, 30) | st.none(),
+    rng_seed=st.integers(0, 3)))
+def test_filters_are_idempotent_and_meet_every_threshold(records, config):
+    assume(any(BR.matches(rec) for rec in records))
+    out, _ = apply_filters(records, BR, config)
+    assert all(BR.matches(rec) and rec.category in config.allowed_categories
+               for rec in out)
+    assert all(n >= config.min_checkins_per_venue
+               for n in Counter(rec.venue_id for rec in out).values())
+    venues = defaultdict(set)
+    for rec in out:
+        venues[rec.subcategory].add(rec.venue_id)
+    assert all(len(v) >= config.min_venues_per_subcategory for v in venues.values())
+    if config.max_checkins_per_region is not None:
+        assert len(out) <= config.max_checkins_per_region
+    if config.dedupe_user_venue:
+        assert len({(rec.user_id, rec.venue_id) for rec in out}) == len(out)
+    if out:
+        assert apply_filters(out, BR, config)[0] == out

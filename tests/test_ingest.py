@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 
@@ -107,6 +108,24 @@ def test_jsonl_ingest():
     assert len(records) == 1
     assert report.unparseable == 1
     assert records[0].subcategory == "Café"
+
+
+def test_jsonl_timestamp_that_is_not_a_string_is_rejected():
+    row = {"user_id": "u1", "gender": "male", "venue_id": "v1", "category": "Food",
+           "subcategory": "Café", "latitude": 1.0, "longitude": 2.0, "country": "BR"}
+    lines = (json.dumps({**row, "timestamp": 1398427200}) + "\n"
+             + json.dumps({**row, "timestamp": "2014-04-25T12:00:00"}) + "\n")
+    records, report = ingest_checkins(io.BytesIO(lines.encode()), "jsonl")
+    assert len(records) == 1
+    assert report.missing_field == 1
+
+
+def test_timestamp_without_offset_is_read_as_utc():
+    records, _ = ingest_checkins(
+        csv_stream("u1,male,v1,Food,Café,1.0,2.0,BR,,2014-04-25T12:00:00",
+                   "u2,male,v1,Food,Café,1.0,2.0,BR,,2014-04-25T14:00:00+02:00"),
+        "csv")
+    assert records[0].timestamp == records[1].timestamp
 
 
 def test_accepted_plus_rejected_equals_total():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from venuepref.filtering import FilterConfig, apply_filters
 from venuepref.models import Granularity, RegionSelector
 from venuepref.preference import (
     PreferenceVector,
@@ -8,6 +11,7 @@ from venuepref.preference import (
     collect_global_dims,
     gini,
 )
+from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from conftest import make_record
 
@@ -147,4 +151,46 @@ def test_values_in_unit_interval():
 
 def test_vector_length_checked():
     with pytest.raises(ValueError):
-        PreferenceVector(region=BR, dims=["a", "b"], values=np.zeros(3))
+        PreferenceVector(region="BR", dims=["a", "b"], values=np.zeros(3))
+
+
+REGIONS = [BR, RegionSelector(Granularity.COUNTRY, "US")]
+
+
+@st.composite
+def two_region_checkins(draw):
+    """Synthetic check-ins of BR and US: three subcategories of 1-4 venues
+    each, with drawn gender skews, users, sizes and seeds."""
+    records = []
+    for region in REGIONS:
+        subcats = [SubcategorySpec(name=name, category="Food",
+                                   n_venues=draw(st.integers(1, 4)), base_weight=1.0,
+                                   gender_skew=draw(st.floats(-0.9, 0.9)))
+                   for name in ("Bar", "Café", "Gym")]
+        records += generate(SynthSpec(
+            n_users=draw(st.integers(1, 20)), female_fraction=0.5,
+            subcategories=subcats, n_checkins=draw(st.integers(1, 80)),
+            region_name=region.name, rng_seed=draw(st.integers(0, 2**16))))
+    return records
+
+
+def region_vectors(records, config):
+    """The vectors command's pipeline: filter each region, take the global
+    dims of all regions, build one vector per region."""
+    filtered = [apply_filters(records, region, config)[0] for region in REGIONS]
+    dims = collect_global_dims([rec for recs in filtered for rec in recs], REGIONS)
+    return [build_preference_vector(recs, region, dims)
+            for region, recs in zip(REGIONS, filtered)]
+
+
+@given(records=two_region_checkins(), data=st.data(), config=st.builds(
+    FilterConfig, min_checkins_per_venue=st.integers(1, 3),
+    dedupe_user_venue=st.just(False), min_venues_per_subcategory=st.integers(1, 3),
+    max_checkins_per_region=st.integers(1, 60) | st.none(),
+    rng_seed=st.integers(0, 3)))
+def test_vectors_do_not_depend_on_row_order(records, data, config):
+    shuffled = data.draw(st.permutations(records))
+    for a, b in zip(region_vectors(records, config),
+                    region_vectors(shuffled, config)):
+        assert a.region == b.region and a.dims == b.dims
+        assert np.array_equal(a.values, b.values)

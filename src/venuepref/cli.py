@@ -2,7 +2,8 @@
 
 Commands: ingest-check, analyze, vectors, cluster, compare, synth.
 ``main`` hands every command one ``Manifest``, which writes its artifacts
-atomically and then a run_manifest.json recording inputs, seeds and outputs.
+atomically and then a run_manifest.json recording inputs, seeds, outputs,
+versions and whether the run succeeded.
 """
 
 from __future__ import annotations
@@ -12,12 +13,16 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .models import (
     DataError,
     Granularity,
@@ -77,6 +82,8 @@ class Manifest:
             "inputs": {},
             "seeds": {},
             "artifacts": [],
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__, "venuepref": __version__},
             "started_at": datetime.now(timezone.utc).isoformat(),
         }
 
@@ -101,10 +108,15 @@ class Manifest:
         _atomic_write_text(path, text)
         self.data["artifacts"].append(str(path))
 
-    def finish(self) -> None:
-        """Write run_manifest.json, if the run wrote any artifact."""
+    def finish(self, error: Exception | None = None) -> None:
+        """Write run_manifest.json, if the run wrote any artifact. A run that
+        failed after writing some is recorded with its error, so the manifest
+        never describes artifacts of an earlier run."""
         if not self.data["artifacts"]:
             return
+        self.data["status"] = "ok" if error is None else "failed"
+        if error is not None:
+            self.data["error"] = str(error)
         self.data["finished_at"] = datetime.now(timezone.utc).isoformat()
         _atomic_write_text(self.out_dir / "run_manifest.json",
                            json.dumps(self.data, indent=2, default=str) + "\n")
@@ -236,7 +248,8 @@ def cmd_vectors(args, manifest: Manifest) -> None:
     granularity = Granularity(args.granularity)
     by_name = partition_by_region(records, granularity)
     if args.regions:
-        names = [n.strip() for n in args.regions.split(",")]
+        # a repeated name is one region, in vectors.csv and in the manifest
+        names = list(dict.fromkeys(n.strip() for n in args.regions.split(",")))
     else:
         names = sorted(set(by_name) - {None})
     if not names:
@@ -426,6 +439,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     argv = list(argv)
     args = parser.parse_args(argv)
+    manifest = None
     try:
         if args.config:
             args = parser.parse_args(_config_argv(parser, args, argv))
@@ -434,6 +448,11 @@ def main(argv=None) -> int:
         manifest.finish()
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if manifest is not None:
+            try:
+                manifest.finish(error=exc)
+            except OSError as write_exc:
+                print(f"error: {write_exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
 from .models import CheckInRecord, DataError, Granularity, RegionSelector, region_name
 

@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
 from .models import CheckInRecord, DataError, RegionSelector
 from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference

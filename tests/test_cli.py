@@ -132,6 +132,39 @@ def test_vectors_cluster_compare_pipeline(tmp_path):
     assert {r["country"] for r in rows} == {f"Land{i}" for i in range(5)}
 
 
+def test_repeated_region_name_is_one_region(tmp_path):
+    data = write_dataset(tmp_path / "multi.csv", countries=["Land0", "Land1"])
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(data), "--regions",
+                 "Land0,Land1,Land0", "--out-dir", str(out)]) == 0
+    meta = json.loads((out / "vectors_manifest.json").read_text())
+    assert meta["regions"] == ["Land0", "Land1"]
+    with open(out / "vectors.csv", newline="") as fh:
+        assert [row["region"] for row in csv.DictReader(fh)] == meta["regions"]
+
+
+def test_failed_run_rewrites_the_manifest_of_its_artifacts(dataset, tmp_path,
+                                                            capsys):
+    out = tmp_path / "o"
+    assert main(["analyze", "--input", str(dataset), "--country", "Synthland",
+                 "--seed", "3", "--k", "10", "--out-dir", str(out)]) == 0
+    first = json.loads((out / "run_manifest.json").read_text())
+    assert first["status"] == "ok"
+    assert "error" not in first
+    assert set(first["versions"]) == {"python", "numpy", "venuepref"}
+    capsys.readouterr()
+    # the filter report is written, then no venue is left to analyze
+    assert main(["analyze", "--input", str(dataset), "--country", "Synthland",
+                 "--min-checkins-per-venue", "100000", "--seed", "5",
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] and f"error: {manifest['error']}" in err
+    assert manifest["seeds"]["null_model"] == 5
+    assert manifest["artifacts"] == [str(out / "filter_report.json")]
+
+
 def test_mixed_naive_and_aware_timestamps(tmp_path):
     # one (user, venue) pair checked in without and with a UTC offset; dedupe
     # compares the two, so a naive timestamp must be read as UTC

@@ -1,11 +1,20 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from scipy import stats
 
+import comparison_oracle as oracle
 from venuepref.comparison import (
+    average_ranks,
     compare_with_index,
     cosine_distance,
     random_baseline,
     spearman,
+    t_two_sided_p,
 )
 from venuepref.models import (
     DataError,
@@ -166,3 +175,108 @@ def test_too_few_regions():
     index = IndexTable("X", {f"C{i}": 0.2 * i for i in range(3)})
     with pytest.raises(DataError, match="at least 4"):
         compare_with_index(vectors, index, "C0")
+
+
+# Differential tests against the scipy calls the module used to make
+# (kept in comparison_oracle.py). Small integer pools give heavy ties.
+tied_floats = st.one_of(st.integers(-2, 2).map(float),
+                        st.floats(allow_nan=False, width=32))
+
+
+@given(st.lists(tied_floats, min_size=1, max_size=40))
+def test_average_ranks_equal_scipy_rankdata(values):
+    x = np.array(values)
+    expected = stats.rankdata(x, method="average")
+    ranks = average_ranks(x)
+    assert ranks.dtype == expected.dtype
+    assert np.array_equal(ranks, expected)
+
+
+def scipy_two_sided_p(t, df):
+    if df == 1:
+        # Cauchy: scipy's own value is off by up to 4e-11 here for
+        # |t| < 1e-4 (checked against 50-digit mpmath); the closed form is not
+        return 2.0 / math.pi * math.atan(1.0 / abs(t))
+    return 2.0 * float(stats.t.sf(abs(t), df))
+
+
+@given(st.integers(1, 500), st.floats(-6.0, 3.0), st.booleans())
+@example(df=500, exponent=3.0, negative=False)    # underflows to 0.0
+@example(df=162, exponent=math.log10(900.0), negative=True)  # ~1e-301
+@example(df=48, exponent=-6.0, negative=False)    # p ~ 1
+def test_t_tail_matches_scipy(df, exponent, negative):
+    t = -(10.0 ** exponent) if negative else 10.0 ** exponent
+    expected = scipy_two_sided_p(t, df)
+    p = t_two_sided_p(t, df)
+    if expected < sys.float_info.min:
+        # below the smallest normal float scipy returns 0.0 or a subnormal
+        # whose digits depend on its internals; this module returns 0.0
+        assert p == 0.0
+    else:
+        assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert f"{p:.6g}" == f"{expected:.6g}"
+
+
+def test_t_tail_matches_scipy_on_a_grid():
+    # every df, and |t| dense around the switch between the two expansions
+    # (t^2 ~ 3), where an error in the common factor is amplified most
+    ts = np.geomspace(1e-6, 1e3, 101)
+    for df in range(2, 501):
+        expected = 2.0 * stats.t.sf(ts, df)
+        p = np.array([t_two_sided_p(t, df) for t in ts])
+        normal = expected >= sys.float_info.min
+        assert np.all(p[~normal] == 0.0), df
+        rel = np.abs(p[normal] - expected[normal]) / expected[normal]
+        assert rel.max() <= 1e-12, (df, ts[normal][rel.argmax()])
+
+
+def test_t_tail_at_zero_is_one():
+    assert t_two_sided_p(0.0, 5) == 1.0
+
+
+def outcome(fn, *args):
+    """The result of fn, or the DataError message when it refuses the input."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+@st.composite
+def rank_pairs(draw):
+    n = draw(st.integers(2, 30))
+    values = st.lists(tied_floats.filter(math.isfinite), min_size=n, max_size=n)
+    return draw(values), draw(values)
+
+
+@given(rank_pairs())
+def test_spearman_equals_scipy_version(pair):
+    a, b = pair
+    got = outcome(spearman, a, b)
+    expected = outcome(oracle.spearman, a, b)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    rho, p = got
+    assert rho == expected[0]
+    assert p == pytest.approx(expected[1], rel=1e-12, abs=0.0)
+    assert f"{p:.6g}" == f"{expected[1]:.6g}"
+
+
+@given(st.lists(st.sampled_from([0.1, 0.2, 0.4]), min_size=4, max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+def test_baseline_samples_equal_scipy_version(values, seed):
+    # a three-valued index: permutations tie, and some give a constant d1
+    vectors, _ = make_world(n=len(values), seed=seed % 7)
+    index = IndexTable("C", {f"C{i}": v for i, v in enumerate(values)})
+    got = outcome(random_baseline, vectors, index, "C0", 20, seed)
+    expected = outcome(oracle.baseline_samples, vectors, index, "C0", 20, seed)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got.rho_samples, expected)
+
+
+def test_non_finite_input_rejected():
+    with pytest.raises(DataError, match="non-finite"):
+        spearman([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])

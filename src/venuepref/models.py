@@ -188,8 +188,8 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[list[CheckInRecord], In
     """
     if fmt not in ("csv", "jsonl"):
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
+    text = io.TextIOWrapper(source, encoding="utf-8")
     try:
-        text = io.TextIOWrapper(source, encoding="utf-8")
         report = IngestReport()
         records: list[CheckInRecord] = []
         venue_subcats: dict[str, str] = {}
@@ -224,6 +224,8 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[list[CheckInRecord], In
                     report.accepted += 1
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not valid UTF-8: {exc}") from exc
+    finally:
+        text.detach()  # a collected wrapper would close the caller's stream
     if report.total_lines > 0 and report.rejected > report.total_lines / 2:
         raise DataError(
             f"{report.rejected} of {report.total_lines} lines rejected "
@@ -267,7 +269,10 @@ def write_checkins(records: Iterable[CheckInRecord], sink, fmt: str = "csv") -> 
 def ingest_index_table(source: BinaryIO, index_name: str = "INDEX") -> IndexTable:
     """Parse a two-column country,value CSV into an IndexTable."""
     text = io.TextIOWrapper(source, encoding="utf-8")
-    reader = csv.reader(text)
+    try:
+        reader = iter(list(csv.reader(text)))
+    finally:
+        text.detach()  # a collected wrapper would close the caller's stream
     header = next(reader, None)
     if header is None:
         raise DataError("index table is empty")

@@ -141,8 +141,8 @@ def run_null_model_batch(records: list[CheckInRecord], mode: AnalysisMode,
                          scope: RegionSelector, config: NullModelConfig,
                          scope_subcategory: Optional[str] = None
                          ) -> list[NullModelResult]:
-    """Null-model verdicts for every unit of a scope; the k replicates are
-    drawn once and scored against all units."""
+    """Null-model verdicts for every unit of one region's ``apply_filters``
+    output; the k replicates are drawn once and scored against all units."""
     index = ScopeIndex(records, mode, scope, scope_subcategory)
     observed = index.popularity()[2]
     null = _null_matrix(index, config)
@@ -152,7 +152,8 @@ def run_null_model_batch(records: list[CheckInRecord], mode: AnalysisMode,
 
 def run_null_model(records: list[CheckInRecord], unit: AnalysisUnit,
                    config: NullModelConfig) -> NullModelResult:
-    """Null-model verdict for a single analysis unit: its row of the batch."""
+    """Null-model verdict for one unit of a region's ``apply_filters`` output:
+    its row of the batch."""
     results = run_null_model_batch(records, unit.mode, unit.scope, config,
                                    unit.scope_subcategory)
     for result in results:

@@ -59,16 +59,6 @@ class PopularityRow:
     p_female_norm: float
 
 
-def scope_records(records: list[CheckInRecord], scope: RegionSelector,
-                  scope_subcategory: Optional[str] = None) -> list[CheckInRecord]:
-    """The denominator population for a unit: the region, optionally
-    narrowed to one subcategory."""
-    out = [rec for rec in records if scope.matches(rec)]
-    if scope_subcategory is not None:
-        out = [rec for rec in out if rec.subcategory == scope_subcategory]
-    return out
-
-
 def signed_difference(p_male, p_female):
     """d for scalars or, elementwise, for arrays of popularities."""
     return (p_male - p_female) / SQRT2
@@ -77,19 +67,23 @@ def signed_difference(p_male, p_female):
 class ScopeIndex:
     """Integer-coded view of one scope, the input of every statistic.
 
-    Venues and subcategories get codes in sorted key order, and each venue
-    maps to its subcategory's code. Per-record gender (1 = male) and unit
-    codes give the per-unit male/female counts and the gender totals by
-    ``np.bincount``. Counts are exact integers, so p = count / total and
-    d = (p_male - p_female) / sqrt(2) are the same floats a per-record
-    count would give.
+    It counts all of ``records``, one region's ``apply_filters`` output;
+    ``scope`` labels that region. venue_within_subcategory mode narrows them
+    to ``scope_subcategory``, as that mode's units are defined. Venues and
+    subcategories get codes in sorted key order, and each venue maps to its
+    subcategory's code. Per-record gender (1 = male) and unit codes give the
+    per-unit male/female counts and the gender totals by ``np.bincount``.
+    Counts are exact integers, so p = count / total and d are the same
+    floats a per-record count would give.
     """
 
     def __init__(self, records: list[CheckInRecord], mode: AnalysisMode,
                  scope: RegionSelector, scope_subcategory: Optional[str] = None):
-        scoped = scope_records(records, scope, scope_subcategory)
+        scoped = records if scope_subcategory is None else [
+            rec for rec in records if rec.subcategory == scope_subcategory]
         if not scoped:
-            raise DataError(f"scope {scope.name!r} matches zero records")
+            what = f" subcategory {scope_subcategory!r}" if scope_subcategory else ""
+            raise DataError(f"scope {scope.name!r}{what} has no records to analyze")
         self.mode = mode
         self.scope = scope
         self.scope_subcategory = scope_subcategory
@@ -151,7 +145,7 @@ class ScopeIndex:
 
 
 def popularity(records: list[CheckInRecord], unit: AnalysisUnit) -> PopularityPoint:
-    """Popularity point of one analysis unit within its scope."""
+    """Popularity point of one unit in one region's ``apply_filters`` output."""
     for point in ScopeIndex(records, unit.mode, unit.scope,
                             unit.scope_subcategory).points():
         if point.unit.key == unit.key:
@@ -162,9 +156,10 @@ def popularity(records: list[CheckInRecord], unit: AnalysisUnit) -> PopularityPo
 def popularity_table(records: list[CheckInRecord], mode: AnalysisMode,
                      scope: RegionSelector,
                      scope_subcategory: Optional[str] = None) -> list[PopularityRow]:
-    """One PopularityRow per qualifying unit, sorted by |d| descending
-    (ties by key ascending). Normalization divides both axes by the joint
-    maximum popularity over the table; it never feeds any statistic."""
+    """One PopularityRow per unit of one region's ``apply_filters`` output,
+    sorted by |d| descending (ties by key ascending). Normalization divides
+    both axes by the joint maximum popularity over the table; it never feeds
+    any statistic."""
     points = ScopeIndex(records, mode, scope, scope_subcategory).points()
     points.sort(key=lambda p: (-abs(p.d), p.unit.key))
     p_max = max(max(p.p_male, p.p_female) for p in points)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CheckInRecord, DataError, RegionSelector, region_name
+from .models import CheckInRecord, DataError, RegionSelector
 from .popularity import AnalysisMode, ScopeIndex, signed_difference
 
 
@@ -51,27 +51,25 @@ def gini(x) -> float:
     return float((n + 1) / n - 2.0 * np.dot(weights, arr) / (n * total))
 
 
-def collect_global_dims(records: list[CheckInRecord],
-                        regions: list[RegionSelector]) -> list[str]:
-    """Lexicographic union of subcategories present in any of the regions."""
-    names = {(region.granularity, region.name) for region in regions}
-    granularities = {granularity for granularity, _ in names}
-    return sorted({rec.subcategory for rec in records
-                   if any((g, region_name(rec, g)) in names for g in granularities)})
+def collect_global_dims(records: list[CheckInRecord]) -> list[str]:
+    """Lexicographic union of the subcategories of the given records, the
+    pooled ``apply_filters`` output of every region."""
+    return sorted({rec.subcategory for rec in records})
 
 
 def build_preference_vector(records: list[CheckInRecord], region: RegionSelector,
                             global_dims: list[str]) -> PreferenceVector:
     """Gini-per-subcategory vector for one region, over the global dims.
 
-    One venue-mode index of the region gives every venue's counts; a
+    ``records`` are the region's ``apply_filters`` output (none gives the zero
+    vector). One venue-mode index of them gives every venue's counts; a
     subcategory's venues are scored against that subcategory's gender
     totals, as in venue_within_subcategory mode. A subcategory whose scope
     lacks one gender entirely has undefined venue-level differences; it is
     treated as absent (value 0).
     """
     values = np.zeros(len(global_dims))
-    if not any(region.matches(rec) for rec in records):
+    if not records:
         return PreferenceVector(region=region.name, dims=list(global_dims),
                                 values=values)
     index = ScopeIndex(records, AnalysisMode.VENUE, region)

@@ -3,7 +3,8 @@
 This is the straightforward counting loop the integer-coded kernel in
 ``venuepref.popularity`` replaced: every unit rescans its whole scope. It is
 slow (units x records) and kept only so tests can require the fast paths
-to give the very same floats.
+to give the very same floats. It selects each scope's records itself, so
+it takes records of any number of regions.
 """
 
 from collections import Counter
@@ -15,10 +16,18 @@ from venuepref.popularity import (
     AnalysisMode,
     AnalysisUnit,
     PopularityPoint,
-    scope_records,
     signed_difference,
 )
 from venuepref.preference import gini
+
+
+def scope_records(records, scope, scope_subcategory=None):
+    """The denominator population for a unit: the region, optionally
+    narrowed to one subcategory."""
+    out = [rec for rec in records if scope.matches(rec)]
+    if scope_subcategory is not None:
+        out = [rec for rec in out if rec.subcategory == scope_subcategory]
+    return out
 
 
 def _in_unit(rec, unit):

@@ -143,6 +143,38 @@ def test_repeated_region_name_is_one_region(tmp_path):
         assert [row["region"] for row in csv.DictReader(fh)] == meta["regions"]
 
 
+def test_other_regions_do_not_change_a_regions_artifacts(tmp_path):
+    # apply_filters selects the region; every later stage counts only what
+    # it returns, so the other regions of an input change no artifact
+    lands = [f"Land{i}" for i in range(3)]
+    data = {n: write_dataset(tmp_path / f"{n}.csv", countries=lands[:n])
+            for n in (1, 2, 3)}
+    with open(data[3], "a", encoding="utf-8") as fh:  # a subcategory only Land2 has
+        fh.writelines(f"z{i},{('male', 'female')[i % 2]},zoo{v},Food,Zoo,1.0,2.0,"
+                      f"Land2,,\n" for v in range(2) for i in range(6))
+
+    def run(command, n, *flags):
+        out = tmp_path / f"{command}-{n}"
+        assert main([command, "--input", str(data[n]), *flags, "--seed", "5",
+                     "--out-dir", str(out)]) == 0
+        return out
+
+    one, three = (run("analyze", n, "--country", "Land0", "--k", "10")
+                  for n in (1, 3))
+    for artifact in ("popularity.csv", "significance.json",
+                     "null_distribution.csv"):
+        assert (one / artifact).read_bytes() == (three / artifact).read_bytes()
+    stages = [json.loads((out / "filter_report.json").read_text())["stages"]
+              for out in (one, three)]
+    assert (stages[0][0]["in"], stages[1][0]["in"]) == (2000, 6012)
+    stages[1][0]["in"] = 2000
+    assert stages[0] == stages[1]
+
+    two, three = (run("vectors", n, "--regions", "Land0,Land1") for n in (2, 3))
+    assert (two / "vectors.csv").read_bytes() == \
+        (three / "vectors.csv").read_bytes()
+
+
 def test_failed_run_rewrites_the_manifest_of_its_artifacts(dataset, tmp_path,
                                                             capsys):
     out = tmp_path / "o"

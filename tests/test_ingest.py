@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 
@@ -182,3 +183,23 @@ def test_bundled_tables():
     assert hdi.entries["Germany"] == 0.916
     assert len(gii.entries) == len(hdi.entries) == 15
     assert all(0.0 <= v <= 1.0 for v in gii.entries.values())
+
+
+@pytest.mark.parametrize("read, data", [
+    (lambda s: ingest_checkins(s, "csv"), HEADER + "u1,male,v1,Food,Café,1,2,BR,,\n"),
+    (lambda s: ingest_checkins(s, "jsonl"), '{"user_id": "u1"}\n'),
+    (lambda s: ingest_checkins(s, "csv"), "user_id,gender\nu1,male\n"),
+    (lambda s: ingest_checkins(s, "csv"), "\udcff"),
+    (ingest_index_table, "country,value\nBrazil,0.457\n"),
+    (ingest_index_table, "country,value\nBrazil,1.5\n"),
+    (ingest_index_table, ""),
+], ids=["csv", "jsonl-rejected", "csv-bad-header", "not-utf8",
+        "index", "index-out-of-range", "index-empty"])
+def test_ingest_leaves_the_callers_stream_open(read, data):
+    stream = io.BytesIO(data.encode("utf-8", "surrogateescape"))
+    try:
+        read(stream)
+    except DataError:
+        pass
+    gc.collect()  # a text wrapper left on the stream would close it here
+    assert not stream.closed

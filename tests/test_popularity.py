@@ -174,6 +174,15 @@ def test_venue_within_subcategory_scope_denominators():
     assert point.p_male == 0.0
 
 
+def test_empty_scope_names_what_is_empty():
+    # the region was selected upstream; the scope names what left it empty
+    records = [make_record(gender="male"), make_record(user="f", gender="female")]
+    with pytest.raises(DataError, match="'BR' subcategory 'Bar' has no records"):
+        popularity_table(records, AnalysisMode.VENUE_WITHIN_SUBCATEGORY, BR, "Bar")
+    with pytest.raises(DataError, match="'BR' has no records"):
+        popularity_table([], AnalysisMode.SUBCATEGORY, BR)
+
+
 def test_venue_with_two_subcategories_is_rejected():
     # a venue has one subcategory; ingest keeps the first and rejects the rest
     records = [make_record(user="m1", gender="male", venue="v1", subcat="Café"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from venuepref.filtering import FilterConfig, apply_filters
+from venuepref.filtering import FilterConfig, apply_filters, partition_by_region
 from venuepref.models import Granularity, RegionSelector
 from venuepref.preference import (
     PreferenceVector,
@@ -111,15 +111,19 @@ def two_region_records():
     return records
 
 
+def region_records(name):
+    """One country's share of two_region_records, as the vectors command
+    hands it to build_preference_vector."""
+    return partition_by_region(two_region_records(), Granularity.COUNTRY)[name]
+
+
 def test_global_dims_union_is_sorted():
-    records = two_region_records()
-    us = RegionSelector(Granularity.COUNTRY, "US")
-    dims = collect_global_dims(records, [BR, us])
+    dims = collect_global_dims(two_region_records())
     assert dims == ["Bar", "Café"]
 
 
 def test_identical_venue_differences_give_zero():
-    records = two_region_records()
+    records = region_records("BR")
     vec = build_preference_vector(records, BR, ["Bar", "Café"])
     bar = vec.values[vec.dims.index("Bar")]
     cafe = vec.values[vec.dims.index("Café")]
@@ -128,7 +132,7 @@ def test_identical_venue_differences_give_zero():
 
 
 def test_absent_dimension_is_zero():
-    records = two_region_records()
+    records = region_records("US")
     us = RegionSelector(Granularity.COUNTRY, "US")
     vec = build_preference_vector(records, us, ["Bar", "Café", "Zoo"])
     assert vec.values[vec.dims.index("Café")] == 0.0
@@ -136,14 +140,14 @@ def test_absent_dimension_is_zero():
 
 
 def test_vector_build_is_deterministic():
-    records = two_region_records()
+    records = region_records("BR")
     a = build_preference_vector(records, BR, ["Bar", "Café"])
     b = build_preference_vector(records, BR, ["Bar", "Café"])
     assert np.array_equal(a.values, b.values)
 
 
 def test_values_in_unit_interval():
-    records = two_region_records()
+    records = region_records("BR")
     vec = build_preference_vector(records, BR, ["Bar", "Café"])
     assert np.all(vec.values >= 0.0)
     assert np.all(vec.values <= 1.0)
@@ -178,7 +182,7 @@ def region_vectors(records, config):
     """The vectors command's pipeline: filter each region, take the global
     dims of all regions, build one vector per region."""
     filtered = [apply_filters(records, region, config)[0] for region in REGIONS]
-    dims = collect_global_dims([rec for recs in filtered for rec in recs], REGIONS)
+    dims = collect_global_dims([rec for recs in filtered for rec in recs])
     return [build_preference_vector(recs, region, dims)
             for region, recs in zip(REGIONS, filtered)]
 

@@ -1,8 +1,17 @@
 """Randomization null model, acceptance range, and significance verdicts.
 
-Two randomizations are supported: a generative model that redraws every
-check-in in the scope (gender, venue, user all sampled independently with
-replacement), and a gender shuffle that permutes only the gender column.
+Two randomizations are supported, each drawn as per-unit counts, so a
+replicate costs O(units), not O(check-ins):
+
+- generative: every check-in of the scope is redrawn with a uniform gender
+  and a uniform venue, independently and with replacement. The (gender,
+  unit) counts are then multinomial over 2 x units cells with n = the
+  scope's check-ins and p = the unit's venues / (2 x venues); a draw with
+  no check-ins of one gender is redrawn.
+- gender shuffle: the gender column is permuted. Each unit keeps its total,
+  and its male count is multivariate hypergeometric, with the units' totals
+  as colours and the scope's male total as the number of draws.
+
 Each replicate recomputes the cross-gender difference; the acceptance range
 is the central empirical quantile interval of the resulting distribution.
 """
@@ -72,43 +81,36 @@ class NullModelResult:
         }
 
 
-def _replicate_generative(index: ScopeIndex, rng: np.random.Generator) -> np.ndarray:
-    c = index.c
+def _generative_counts(index: ScopeIndex, rng: np.random.Generator
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Male and female counts per unit of one generative replicate."""
+    venues = np.bincount(index.venue_unit, minlength=index.n_units)
+    cells = np.tile(venues / (2 * venues.sum()), 2)  # male units, then female
     for _ in range(_MAX_REDRAWS):
-        genders = rng.integers(0, 2, size=c)
-        venues = rng.integers(0, len(index.venue_ids), size=c)
-        rng.integers(0, index.n_users, size=c)  # user draw per protocol; d ignores it
-        male_total = int(genders.sum())
-        female_total = c - male_total
-        if male_total == 0 or female_total == 0:
-            continue
-        units = index.venue_unit[venues]
-        male = np.bincount(units[genders == 1], minlength=index.n_units)
-        female = np.bincount(units[genders == 0], minlength=index.n_units)
-        return signed_difference(male / male_total, female / female_total)
+        male, female = rng.multinomial(index.c, cells).reshape(2, index.n_units)
+        if male.any() and female.any():
+            return male, female
     raise DataError(f"replicate produced a single-gender sample "
                     f"{_MAX_REDRAWS} times in a row (scope too small)")
 
 
-def _replicate_shuffle(index: ScopeIndex, rng: np.random.Generator) -> np.ndarray:
-    # a shuffle keeps every unit's total, so female = total - male exactly
-    genders = rng.permutation(index.genders)
-    male = np.bincount(index.record_unit[genders == 1], minlength=index.n_units)
-    return signed_difference(male / index.male_total,
-                             (index.unit_total - male) / index.female_total)
+def _shuffle_counts(index: ScopeIndex, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Male and female counts per unit of one gender-shuffle replicate."""
+    male = rng.multivariate_hypergeometric(index.unit_total, index.male_total)
+    return male, index.unit_total - male  # a shuffle keeps every unit's total
 
 
 def _null_matrix(index: ScopeIndex, config: NullModelConfig) -> np.ndarray:
     """k x n_units matrix of replicate differences. Replicate i draws from
     its own rng seeded by (rng_seed, i) so results do not depend on
     execution order."""
+    counts = (_generative_counts if config.method is NullMethod.GENERATIVE
+              else _shuffle_counts)
     rows = np.empty((config.k, index.n_units))
     for i in range(config.k):
-        rng = np.random.default_rng([config.rng_seed, i])
-        if config.method is NullMethod.GENERATIVE:
-            rows[i] = _replicate_generative(index, rng)
-        else:
-            rows[i] = _replicate_shuffle(index, rng)
+        male, female = counts(index, np.random.default_rng([config.rng_seed, i]))
+        rows[i] = signed_difference(male / male.sum(), female / female.sum())
     return rows
 
 
@@ -165,9 +167,14 @@ def run_null_model(records: list[CheckInRecord], unit: AnalysisUnit,
 
 def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:
     import csv
+    import io
 
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["unit_key", "replicate", "d"])
     for res in results:
-        for i, value in enumerate(res.null_distribution):
-            writer.writerow([res.unit.key, i, f"{value:.10g}"])
+        # the csv writer quotes the key once; the empty field leaves "key,"
+        quoted = io.StringIO()
+        csv.writer(quoted, lineterminator="\n").writerow([res.unit.key, ""])
+        prefix = quoted.getvalue()[:-1]
+        sink.write("".join([f"{prefix}{i},{value:.10g}\n" for i, value
+                            in enumerate(res.null_distribution.tolist())]))

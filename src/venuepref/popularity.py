@@ -88,9 +88,8 @@ class ScopeIndex:
         self.scope = scope
         self.scope_subcategory = scope_subcategory
         self.c = len(scoped)
-        self.n_users = len({r.user_id for r in scoped})
-        self.genders = np.fromiter((r.gender is Gender.MALE for r in scoped),
-                                   dtype=np.int8, count=self.c)
+        genders = np.fromiter((r.gender is Gender.MALE for r in scoped),
+                              dtype=np.int8, count=self.c)
 
         venue_subcat: dict[str, str] = {}
         for r in scoped:
@@ -113,10 +112,9 @@ class ScopeIndex:
             self.keys = self.venue_ids
             self.venue_unit = np.arange(len(self.venue_ids))
         self.n_units = len(self.keys)
-        self.record_unit = self.venue_unit[record_venue]
-        self.unit_total = np.bincount(self.record_unit, minlength=self.n_units)
-        self.male = np.bincount(self.record_unit[self.genders == 1],
-                                minlength=self.n_units)
+        record_unit = self.venue_unit[record_venue]
+        self.unit_total = np.bincount(record_unit, minlength=self.n_units)
+        self.male = np.bincount(record_unit[genders == 1], minlength=self.n_units)
         self.female = self.unit_total - self.male
         self.male_total = int(self.male.sum())
         self.female_total = self.c - self.male_total

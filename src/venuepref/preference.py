@@ -33,8 +33,9 @@ def gini(x) -> float:
     """Gini coefficient of non-negative values, via the discrete Lorenz
     formula g = (n+1)/n - 2*sum((n+1-i)*x_i) / (n*sum(x)) with x ascending.
 
-    An all-zero input is perfect equality; it returns 0 with a warning
-    (the sum in the denominator would vanish).
+    Equal values give exactly 0, and the result is clamped to the exact range
+    [0, 1 - 1/n]. An all-zero input is perfect equality; it returns 0 with a
+    warning (the sum in the denominator would vanish).
     """
     arr = np.sort(np.asarray(x, dtype=float))
     if arr.size == 0:
@@ -47,8 +48,11 @@ def gini(x) -> float:
         warnings.warn("gini of all-zero values: returning 0 (perfect equality)",
                       stacklevel=2)
         return 0.0
+    if arr[0] == arr[-1]:
+        return 0.0  # equal values; the formula would round to about ±2e-16
     weights = np.arange(n, 0, -1)  # n+1-i for i = 1..n
-    return float((n + 1) / n - 2.0 * np.dot(weights, arr) / (n * total))
+    g = float((n + 1) / n - 2.0 * np.dot(weights, arr) / (n * total))
+    return min(max(0.0, g), 1.0 - 1.0 / n)  # the exact range, despite rounding
 
 
 def collect_global_dims(records: list[CheckInRecord]) -> list[str]:

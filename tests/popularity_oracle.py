@@ -5,6 +5,9 @@ This is the straightforward counting loop the integer-coded kernel in
 slow (units x records) and kept only so tests can require the fast paths
 to give the very same floats. It selects each scope's records itself, so
 it takes records of any number of regions.
+
+The null-model samplers here draw one value per check-in, as the library
+did before it drew per-unit counts; tests compare the two in distribution.
 """
 
 from collections import Counter
@@ -100,6 +103,23 @@ def table(records, mode, scope, scope_subcategory=None):
              p.p_female / p_max, p.d, p.n_checkins) for p in pts]
 
 
+def _unit_of(scoped, mode):
+    return [r.subcategory if mode is AnalysisMode.SUBCATEGORY else r.venue_id
+            for r in scoped]
+
+
+def _replicate_d(keys, genders, units):
+    """d of every unit, in key order, from one replicate's per-record gender
+    (1 = male) and unit."""
+    counts = {1: Counter(), 0: Counter()}
+    for male, unit in zip(genders, units):
+        counts[male][unit] += 1
+    male_total = sum(counts[1].values())
+    female_total = sum(counts[0].values())
+    return [signed_difference(counts[1][key] / male_total,
+                              counts[0][key] / female_total) for key in keys]
+
+
 def shuffle_replicates(records, mode, scope, scope_subcategory, k, seed):
     """Gender-shuffle null model replayed record by record: replicate i
     permutes the scope's gender column with the rng seeded by (seed, i).
@@ -107,17 +127,34 @@ def shuffle_replicates(records, mode, scope, scope_subcategory, k, seed):
     scoped = scope_records(records, scope, scope_subcategory)
     keys = unit_keys(records, mode, scope, scope_subcategory)
     genders = np.array([r.gender is Gender.MALE for r in scoped], dtype=np.int8)
-    unit_of = [r.subcategory if mode is AnalysisMode.SUBCATEGORY else r.venue_id
-               for r in scoped]
-    per_unit = [[] for _ in keys]
+    units = _unit_of(scoped, mode)
+    rows = [_replicate_d(keys, np.random.default_rng([seed, i]).permutation(genders)
+                         .tolist(), units) for i in range(k)]
+    return [list(col) for col in zip(*rows)]
+
+
+def generative_replicates(records, mode, scope, scope_subcategory, k, seed):
+    """Generative null model replayed record by record: replicate i redraws
+    every check-in of the scope with a uniform gender, venue and user, with
+    the rng seeded by (seed, i), and draws again while one gender has no
+    check-ins. Returns one list of d per unit, in key order."""
+    scoped = scope_records(records, scope, scope_subcategory)
+    keys = unit_keys(records, mode, scope, scope_subcategory)
+    venue_ids = sorted({r.venue_id for r in scoped})
+    unit_of_venue = dict(zip([r.venue_id for r in scoped], _unit_of(scoped, mode)))
+    n_users = len({r.user_id for r in scoped})
+    c = len(scoped)
+    rows = []
     for i in range(k):
-        shuffled = np.random.default_rng([seed, i]).permutation(genders)
-        counts = {1: Counter(), 0: Counter()}
-        for male, unit in zip(shuffled.tolist(), unit_of):
-            counts[male][unit] += 1
-        male_total = sum(counts[1].values())
-        female_total = sum(counts[0].values())
-        for j, key in enumerate(keys):
-            per_unit[j].append(signed_difference(counts[1][key] / male_total,
-                                                 counts[0][key] / female_total))
-    return per_unit
+        rng = np.random.default_rng([seed, i])
+        for _ in range(100):
+            genders = rng.integers(0, 2, size=c).tolist()
+            venues = rng.integers(0, len(venue_ids), size=c).tolist()
+            rng.integers(0, n_users, size=c)  # the user draw; d never reads it
+            if 0 < sum(genders) < c:
+                break
+        else:
+            raise DataError("replicate drew a single-gender sample 100 times")
+        rows.append(_replicate_d(keys, genders,
+                                 [unit_of_venue[venue_ids[v]] for v in venues]))
+    return [list(col) for col in zip(*rows)]

@@ -5,10 +5,16 @@ per-record oracle in popularity_oracle.py, over small random check-in sets,
 all three analysis modes and random scopes. The fast paths take one
 region's records, as apply_filters returns them; the oracle takes the
 records of every region and selects the scope's itself.
+
+The null replicates draw per-unit counts where the oracle draws one value
+per check-in, so their streams differ: they are checked for exact count
+invariants, against the moments of the exact laws and, in distribution,
+against the oracle.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -16,12 +22,25 @@ from hypothesis import strategies as st
 import popularity_oracle as oracle
 from conftest import make_record
 from venuepref.models import DataError, Gender, Granularity, RegionSelector
-from venuepref.nullmodel import NullMethod, NullModelConfig, run_null_model_batch
-from venuepref.popularity import AnalysisMode, AnalysisUnit, popularity, popularity_table
+from venuepref.nullmodel import (
+    NullMethod,
+    NullModelConfig,
+    _generative_counts,
+    _shuffle_counts,
+    run_null_model_batch,
+)
+from venuepref.popularity import (
+    AnalysisMode,
+    AnalysisUnit,
+    ScopeIndex,
+    popularity,
+    popularity_table,
+)
 from venuepref.preference import build_preference_vector
 
 SUBCATS = ["Bar", "Café", "Gym"]
 COUNTRIES = ["A", "B"]
+REGION = RegionSelector(Granularity.COUNTRY, "BR")
 
 
 @st.composite
@@ -100,14 +119,100 @@ def test_observed_d_equals_oracle(records, scope):
 
 
 @given(checkins(), scopes(), st.integers(0, 3))
-def test_shuffle_null_distribution_equals_oracle(records, scope, seed):
+def test_null_replicate_counts_keep_their_totals(records, scope, seed):
     mode, region, subcat = scope
-    config = NullModelConfig(k=5, method=NullMethod.GENDER_SHUFFLE, rng_seed=seed)
-    fast = outcome(run_null_model_batch, oracle.scope_records(records, region),
-                   mode, region, config, subcat)
-    assume(fast is not DataError)
-    assert [r.null_distribution.tolist() for r in fast] == \
-        oracle.shuffle_replicates(records, mode, region, subcat, 5, seed)
+    index = outcome(ScopeIndex, oracle.scope_records(records, region), *scope)
+    assume(index is not DataError)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        male, female = _shuffle_counts(index, rng)
+        assert male.sum() == index.male_total
+        assert (male >= 0).all() and (male <= index.unit_total).all()
+        assert (female == index.unit_total - male).all()
+        if index.c == 1:  # one check-in always has a single gender
+            with pytest.raises(DataError, match="single-gender"):
+                _generative_counts(index, rng)
+            continue
+        male, female = _generative_counts(index, rng)
+        assert male.sum() + female.sum() == index.c
+        assert male.min() >= 0 and female.min() >= 0
+        assert male.sum() > 0 and female.sum() > 0
+
+
+def law_records():
+    """115 check-ins of one country: 10 venues with 5-16 check-ins each, in
+    four subcategories of 1-4 venues, both genders at every venue."""
+    records = []
+    for v in range(10):
+        subcat = "Bar" if v < 1 else "Café" if v < 3 else "Gym" if v < 6 else "Zoo"
+        for i in range(2 + v):
+            records.append(make_record(user=f"m{i}", gender="male",
+                                       venue=f"v{v}", subcat=subcat))
+        for i in range(3 + 7 * v % 5):
+            records.append(make_record(user=f"f{i}", gender="female",
+                                       venue=f"v{v}", subcat=subcat))
+    return records
+
+
+LAW_MODES = [AnalysisMode.SUBCATEGORY, AnalysisMode.VENUE]
+
+
+@pytest.mark.parametrize("mode", LAW_MODES)
+def test_null_count_moments_match_the_exact_laws(mode):
+    """Per-unit sample mean and variance of the counts over k replicates
+    against the exact laws: hypergeometric (the shuffle's male counts) and
+    binomial(c, venues / (2 venues)) (each generative cell; the redraw of a
+    single-gender sample, probability 2^(1-c) = 4e-35 here, is ignored).
+    Both statistics are near normal at this k, so a bound of z = 5 standard
+    errors fails a correct sampler with probability about 6e-7 per check;
+    with at most 60 checks per mode the false-alarm rate is below 4e-5. The
+    variance's standard error, var * sqrt((2 + excess kurtosis) / k), takes
+    the excess kurtosis as at most 1: these laws have |excess kurtosis| at
+    most about 1 / var, and every var here is above 1."""
+    k = 4000
+    index = ScopeIndex(law_records(), mode, REGION)
+    rng = np.random.default_rng(20)
+    shuffle = np.array([_shuffle_counts(index, rng)[0] for _ in range(k)])
+    generative = np.array([np.concatenate(_generative_counts(index, rng))
+                           for _ in range(k)])
+    t, c, m = index.unit_total, index.c, index.male_total
+    q = np.bincount(index.venue_unit) / (2 * len(index.venue_ids))
+    for counts, mean, var in (
+            (shuffle, m * t / c, m * (t / c) * (1 - t / c) * (c - m) / (c - 1)),
+            (generative, np.tile(c * q, 2), np.tile(c * q * (1 - q), 2))):
+        assert (var > 1).all()
+        z_mean = np.abs(counts.mean(axis=0) - mean) / np.sqrt(var / k)
+        z_var = np.abs(counts.var(axis=0, ddof=1) / var - 1) / np.sqrt(3 / k)
+        assert z_mean.max() < 5 and z_var.max() < 5
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic; ties are handled exactly."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, at, side="right") / a.size
+                  - np.searchsorted(b, at, side="right") / b.size).max()
+
+
+@pytest.mark.parametrize("method", list(NullMethod))
+@pytest.mark.parametrize("mode", LAW_MODES)
+def test_null_distribution_matches_the_per_record_oracle(method, mode):
+    """Per unit, the k replicate differences of the count sampler and of the
+    per-record oracle come from the same law: a two-sample KS test at level
+    1e-5 per unit. Its asymptotic critical value is conservative for these
+    discrete laws, so over the 14 units of both modes the false-alarm rate
+    of each method is below 1.4e-4. The two sides use unrelated seeds."""
+    k = 2000
+    records = law_records()
+    fast = run_null_model_batch(records, mode, REGION,
+                                NullModelConfig(k=k, method=method, rng_seed=1))
+    replay = (oracle.generative_replicates if method is NullMethod.GENERATIVE
+              else oracle.shuffle_replicates)
+    expected = replay(records, mode, REGION, None, k, 2)
+    critical = np.sqrt(-np.log(1e-5 / 2) / 2) * np.sqrt(2 / k)
+    for result, reference in zip(fast, expected, strict=True):
+        assert ks_distance(result.null_distribution, reference) < critical, \
+            result.unit.key
 
 
 @given(checkins(), st.sampled_from(COUNTRIES))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from venuepref.nullmodel import (
     NullModelConfig,
     run_null_model,
     run_null_model_batch,
+    write_null_distribution_csv,
 )
 from venuepref.popularity import AnalysisMode, AnalysisUnit
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
@@ -129,3 +133,22 @@ def test_venue_mode_null_model():
     results = run_null_model_batch(records, AnalysisMode.VENUE, REGION, config)
     assert len(results) == len({r.venue_id for r in records})
     assert all(res.delta_min <= res.delta_max for res in results)
+
+
+def test_null_distribution_csv_bytes_match_a_row_per_cell_writer():
+    records = synth_scope(0.0, n_checkins=300, n_subcats=6)
+    results = run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION,
+                                   NullModelConfig(k=4, rng_seed=3))
+    keys = ["plain", "a,b", 'say "hi"', "two\nlines", " padded ", ""]
+    for res, key in zip(results, keys, strict=True):
+        res.unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, key, REGION)
+    results[0].null_distribution[:3] = [0.0, -0.0, 1e-300]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["unit_key", "replicate", "d"])
+    for res in results:
+        for i, value in enumerate(res.null_distribution):
+            writer.writerow([res.unit.key, i, f"{value:.10g}"])
+    sink = io.StringIO()
+    write_null_distribution_csv(results, sink)
+    assert sink.getvalue() == expected.getvalue()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from venuepref.filtering import FilterConfig, apply_filters, partition_by_region
@@ -31,6 +31,8 @@ def lorenz_gini(x):
 def test_perfect_equality():
     for c in (0.3, 1.0, 7.5):
         assert gini([c] * 6) == pytest.approx(0.0, abs=1e-15)
+    # rounding once gave +2.2e-16 and -2.2e-16 here
+    assert gini([0.1] * 3) == gini([1e-3] * 7) == 0.0
 
 
 def test_zero_one_pair():
@@ -73,6 +75,14 @@ def test_range_bound():
         assert 0.0 <= g <= 1.0 - 1.0 / n + 1e-12
     # one-point-takes-all approaches the bound
     assert gini([0, 0, 0, 1]) == pytest.approx(0.75)
+
+
+@given(st.one_of(
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
+    st.builds(lambda v, n: [v] * n, st.floats(1e-9, 1e6), st.integers(1, 40))))
+def test_range_property(x):
+    assume(any(x))
+    assert 0.0 <= gini(x) <= 1.0 - 1.0 / len(x)
 
 
 def test_all_zero_returns_zero_with_warning():

@@ -1,5 +1,6 @@
 """venuepref runs on numpy and the standard library alone: scipy is a test
-dependency (the oracle of test_comparison.py), never imported by the CLI.
+dependency (the oracle of test_comparison.py), never imported by the CLI
+(synth, vectors, compare and analyze with both null models are run).
 Each check runs in a fresh interpreter, since this test session has scipy
 loaded already."""
 
@@ -62,3 +63,11 @@ def test_synth_vectors_compare_run_with_scipy_blocked(tmp_path):
               str(tmp_path / "index.csv"), "--all-anchors")
     with open(tmp_path / "comparison.csv", newline="") as fh:
         assert [row["country"] for row in csv.DictReader(fh)] == regions
+
+    for method in ("generative", "gender_shuffle"):
+        venuepref("analyze", "--input", str(tmp_path / "Land0.csv"), "--country",
+                  "Land0", "--method", method, "--k", "7")
+        with open(tmp_path / "popularity.csv", newline="") as fh:
+            units = len(fh.readlines()) - 1
+        with open(tmp_path / "null_distribution.csv", newline="") as fh:
+            assert units > 0 and len(fh.readlines()) == units * 7 + 1

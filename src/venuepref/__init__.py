@@ -2,6 +2,7 @@
 
 from .models import (
     CheckInRecord,
+    CheckinTable,
     DataError,
     Gender,
     Granularity,

@@ -262,8 +262,7 @@ def cmd_vectors(args, manifest: Manifest) -> None:
         filtered, _ = apply_filters(by_name.get(name, []), region, config)
         filtered_by_region[name] = (region, filtered)
 
-    dims = collect_global_dims(
-        [rec for _, recs in filtered_by_region.values() for rec in recs])
+    dims = collect_global_dims(*(recs for _, recs in filtered_by_region.values()))
     vectors = [build_preference_vector(recs, region, dims)
                for region, recs in filtered_by_region.values()]
 

@@ -3,14 +3,13 @@ venue and subcategory thresholds, and the optional per-region check-in cap."""
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
-from .models import CheckInRecord, DataError, Granularity, RegionSelector, region_name
+from .models import CheckinTable, DataError, Granularity, RegionSelector, rows_with
 
 DEFAULT_CATEGORIES = frozenset({"Arts", "Education", "Food", "Nightlife", "Work"})
 
@@ -45,111 +44,112 @@ class FilterReport:
         return {"stages": self.stages}
 
 
-def _dedupe(records: list[CheckInRecord]) -> list[CheckInRecord]:
+def _earliest_per_pair(t: CheckinTable, rows: np.ndarray) -> np.ndarray:
     # Keep the earliest check-in per (user, venue); ties and missing
     # timestamps fall back to input order.
-    best: dict[tuple[str, str], tuple] = {}
-    for idx, rec in enumerate(records):
-        key = (rec.user_id, rec.venue_id)
-        ts = rec.timestamp
-        cur = best.get(key)
-        if cur is None:
-            best[key] = (ts, idx, rec)
-            continue
-        cur_ts = cur[0]
-        if ts is not None and (cur_ts is None or ts < cur_ts):
-            best[key] = (ts, idx, rec)
-    keep = sorted(best.values(), key=lambda t: t[1])
-    return [rec for _, _, rec in keep]
+    order = np.lexsort((rows, t.ts[rows], t.ts_missing[rows],
+                        t.venue[rows], t.user[rows]))
+    user, venue = t.user[rows[order]], t.venue[rows[order]]
+    first = np.ones(len(order), bool)
+    first[1:] = (user[1:] != user[:-1]) | (venue[1:] != venue[:-1])
+    return np.sort(rows[order[first]])
 
 
-def _venue_threshold(records: list[CheckInRecord], minimum: int) -> list[CheckInRecord]:
-    counts = Counter(rec.venue_id for rec in records)
-    return [rec for rec in records if counts[rec.venue_id] >= minimum]
+def _venues_with_checkins(t: CheckinTable, rows: np.ndarray, minimum: int) -> np.ndarray:
+    counts = np.bincount(t.venue[rows], minlength=len(t.venues))
+    return rows[counts[t.venue[rows]] >= minimum]
 
 
-def _subcategory_threshold(records: list[CheckInRecord], minimum: int) -> list[CheckInRecord]:
-    venues_per_subcat: dict[str, set[str]] = defaultdict(set)
-    for rec in records:
-        venues_per_subcat[rec.subcategory].add(rec.venue_id)
-    return [rec for rec in records
-            if len(venues_per_subcat[rec.subcategory]) >= minimum]
+def _subcategories_with_venues(t: CheckinTable, rows: np.ndarray,
+                               minimum: int) -> np.ndarray:
+    pairs = np.unique(t.subcategory[rows].astype(np.int64) * len(t.venues)
+                      + t.venue[rows])
+    venues = np.bincount(pairs // len(t.venues), minlength=len(t.subcategories))
+    return rows[venues[t.subcategory[rows]] >= minimum]
 
 
-def _cap_by_venue_sampling(records: list[CheckInRecord], cap: int,
-                           seed: int) -> list[CheckInRecord]:
+def _cap_by_venue_sampling(t: CheckinTable, rows: np.ndarray, cap: int,
+                           seed: int) -> np.ndarray:
     # Down-sample by randomly keeping whole venues until the cap is met:
-    # venues are visited in a seeded random order and kept when they still
-    # fit in the remaining budget.
-    if len(records) <= cap:
-        return records
-    per_venue = Counter(rec.venue_id for rec in records)
-    venue_ids = sorted(per_venue)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(venue_ids))
-    kept: set[str] = set()
+    # venues are visited in a seeded random order of their sorted ids and
+    # kept when they still fit in the remaining budget.
+    if len(rows) <= cap:
+        return rows
+    per_venue = np.bincount(t.venue[rows], minlength=len(t.venues))
+    venues = np.flatnonzero(per_venue)  # codes in venue-id order
+    visits = venues[np.random.default_rng(seed).permutation(len(venues))]
+    kept = np.zeros(len(t.venues), bool)
     budget = cap
-    for i in order:
-        vid = venue_ids[i]
-        n = per_venue[vid]
+    for venue, n in zip(visits.tolist(), per_venue[visits].tolist()):
         if n <= budget:
-            kept.add(vid)
+            kept[venue] = True
             budget -= n
-    return [rec for rec in records if rec.venue_id in kept]
+    return rows[kept[t.venue[rows]]]
 
 
-def partition_by_region(records: list[CheckInRecord], granularity: Granularity
-                        ) -> dict[Optional[str], list[CheckInRecord]]:
-    """Records grouped by region name in one pass; each group keeps input
-    order, so filtering a group equals filtering all records for that region."""
-    groups: dict[Optional[str], list[CheckInRecord]] = defaultdict(list)
-    for rec in records:
-        groups[region_name(rec, granularity)].append(rec)
-    return groups
+def partition_by_region(records, granularity: Granularity
+                        ) -> dict[Optional[str], CheckinTable]:
+    """Check-ins (a CheckinTable or a list of records) grouped by region
+    name with one stable sort; each group keeps input order, so filtering a
+    group equals filtering all check-ins for that region. Check-ins without
+    a city are grouped under None."""
+    table = CheckinTable.from_records(records)
+    codes, names = table.region(granularity)
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.diff(sorted_codes, prepend=-2))
+    ends = [*starts[1:].tolist(), len(order)]
+    return {(names[code] if code >= 0 else None): table.take(order[start:end])
+            for code, start, end in zip(sorted_codes[starts].tolist(),
+                                        starts.tolist(), ends)}
 
 
-def apply_filters(records: list[CheckInRecord], region: RegionSelector,
-                  config: FilterConfig) -> tuple[list[CheckInRecord], FilterReport]:
-    """Run the full filter protocol for one region.
+def apply_filters(records, region: RegionSelector, config: FilterConfig
+                  ) -> tuple[CheckinTable, FilterReport]:
+    """Run the full filter protocol for one region over check-ins (a
+    CheckinTable or a list of records); return the kept rows as a table.
 
     Stage order: region -> category -> dedupe -> venue threshold ->
     subcategory threshold -> cap. The subcategory threshold is re-checked
     after the cap so the output always satisfies every threshold.
     """
+    table = CheckinTable.from_records(records)
     report = FilterReport()
 
-    n_in = len(records)
-    out = [rec for rec in records if region.matches(rec)]
-    report.add("region", n_in, len(out))
-    if not out:
+    rows = rows_with(*table.region(region.granularity), region.name)
+    report.add("region", len(table), len(rows))
+    if not len(rows):
         raise DataError(f"region {region.name!r} ({region.granularity.value}) "
                         "matches zero records")
 
-    n_in = len(out)
-    out = [rec for rec in out if rec.category in config.allowed_categories]
-    report.add("category", n_in, len(out))
+    n_in = len(rows)
+    allowed = np.array([c in config.allowed_categories for c in table.categories],
+                       bool)
+    rows = rows[allowed[table.category[rows]]]
+    report.add("category", n_in, len(rows))
 
     if config.dedupe_user_venue:
-        n_in = len(out)
-        out = _dedupe(out)
-        report.add("dedupe", n_in, len(out))
+        n_in = len(rows)
+        rows = _earliest_per_pair(table, rows)
+        report.add("dedupe", n_in, len(rows))
 
-    n_in = len(out)
-    out = _venue_threshold(out, config.min_checkins_per_venue)
-    report.add("venue_threshold", n_in, len(out))
+    n_in = len(rows)
+    rows = _venues_with_checkins(table, rows, config.min_checkins_per_venue)
+    report.add("venue_threshold", n_in, len(rows))
 
-    n_in = len(out)
-    out = _subcategory_threshold(out, config.min_venues_per_subcategory)
-    report.add("subcategory_threshold", n_in, len(out))
+    n_in = len(rows)
+    rows = _subcategories_with_venues(table, rows, config.min_venues_per_subcategory)
+    report.add("subcategory_threshold", n_in, len(rows))
 
     if config.max_checkins_per_region is not None:
-        n_in = len(out)
-        out = _cap_by_venue_sampling(out, config.max_checkins_per_region,
-                                     config.rng_seed)
-        report.add("region_cap", n_in, len(out))
+        n_in = len(rows)
+        rows = _cap_by_venue_sampling(table, rows, config.max_checkins_per_region,
+                                      config.rng_seed)
+        report.add("region_cap", n_in, len(rows))
         # removing whole venues can leave a subcategory below its threshold
-        n_in = len(out)
-        out = _subcategory_threshold(out, config.min_venues_per_subcategory)
-        report.add("subcategory_threshold_recheck", n_in, len(out))
+        n_in = len(rows)
+        rows = _subcategories_with_venues(table, rows,
+                                          config.min_venues_per_subcategory)
+        report.add("subcategory_threshold_recheck", n_in, len(rows))
 
-    return out, report
+    return table.take(rows), report

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import itertools
 import json
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import operator
+from dataclasses import dataclass, replace
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from importlib import resources
 from typing import BinaryIO, Iterable, Optional
+
+import numpy as np
 
 
 class DataError(Exception):
@@ -59,13 +64,142 @@ class RegionSelector:
     granularity: Granularity
     name: str
 
-    def matches(self, record: CheckInRecord) -> bool:
-        return region_name(record, self.granularity) == self.name
+
+_TS_UNIT = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_DAY = _EPOCH.toordinal()
 
 
-def region_name(record: CheckInRecord, granularity: Granularity) -> Optional[str]:
-    """The record's country or city, by granularity."""
-    return record.country if granularity is Granularity.COUNTRY else record.city
+def _micros(stamps: list[datetime]) -> np.ndarray:
+    """Microseconds since the epoch of each datetime, exact at any date
+    (float seconds are not); a naive datetime is read as UTC."""
+    def field(get, values=stamps):
+        return np.fromiter(map(get, values), np.int64, len(values))
+
+    offsets = list(map(datetime.utcoffset, stamps))
+    offset_micros = {offset: 0 if offset is None else offset // _TS_UNIT
+                     for offset in set(offsets)}
+    seconds = ((field(datetime.toordinal) - _EPOCH_DAY) * 86400
+               + field(operator.attrgetter("hour")) * 3600
+               + field(operator.attrgetter("minute")) * 60 + field(operator.attrgetter("second")))
+    return (seconds * 1_000_000 + field(operator.attrgetter("microsecond"))
+            - field(offset_micros.__getitem__, offsets))
+
+
+# coded string columns, the name of each one's value table, and the
+# CheckInRecord field it holds
+_CODED = {"user": ("users", "user_id"), "venue": ("venues", "venue_id"),
+          "category": ("categories", "category"),
+          "subcategory": ("subcategories", "subcategory"),
+          "country": ("countries", "country"), "city": ("cities", "city")}
+_COLUMNS = (*_CODED, "gender", "latitude", "longitude", "ts", "ts_missing")
+
+
+@dataclass(frozen=True, eq=False)
+class CheckinTable:
+    """Check-ins as columns, one row per check-in, in input order.
+
+    Each string field is an int32 code into a sorted table of its distinct
+    values (``users``, ``venues``, ``categories``, ``subcategories``,
+    ``countries``, ``cities``), so code order is string order; a missing
+    city is -1. ``gender`` is int8, 1 = male and 0 = female. ``ts`` is the
+    timestamp in microseconds since the epoch, unless ``ts_missing``. A
+    subset (``take``) shares the string tables of its table.
+
+    For callers that hold records, the table also reads as a sequence of
+    ``CheckInRecord``: ``len``, ``table[i]``, iteration and ``==`` (a
+    record's timestamp comes back in UTC). The library reads the columns.
+    """
+
+    user: np.ndarray
+    venue: np.ndarray
+    category: np.ndarray
+    subcategory: np.ndarray
+    country: np.ndarray
+    city: np.ndarray
+    gender: np.ndarray
+    latitude: np.ndarray
+    longitude: np.ndarray
+    ts: np.ndarray
+    ts_missing: np.ndarray
+    users: list[str]
+    venues: list[str]
+    categories: list[str]
+    subcategories: list[str]
+    countries: list[str]
+    cities: list[str]
+
+    @classmethod
+    def from_records(cls, records) -> "CheckinTable":
+        """The table of ``records``, an iterable of CheckInRecord; a table is
+        returned as it is."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        ts, present = _micros_where_present([rec.timestamp for rec in records])
+        return _assemble(
+            {column: _coded([getattr(rec, field) for rec in records])
+             for column, (_, field) in _CODED.items()},
+            gender=np.array([rec.gender == Gender.MALE for rec in records], np.int8),
+            latitude=np.array([rec.latitude for rec in records], float),
+            longitude=np.array([rec.longitude for rec in records], float),
+            ts=ts, ts_missing=~present)
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def take(self, rows) -> "CheckinTable":
+        """The rows ``rows`` (indices or a mask), in that order."""
+        return replace(self, **{c: getattr(self, c)[rows] for c in _COLUMNS})
+
+    def region(self, granularity: Granularity) -> tuple[np.ndarray, list[str]]:
+        """Codes and value table of the country or the city column."""
+        if granularity is Granularity.COUNTRY:
+            return self.country, self.countries
+        return self.city, self.cities
+
+    def __getitem__(self, i: int) -> CheckInRecord:
+        city = int(self.city[i])
+        return CheckInRecord(
+            user_id=self.users[self.user[i]],
+            gender=Gender.MALE if self.gender[i] == 1 else Gender.FEMALE,
+            venue_id=self.venues[self.venue[i]],
+            category=self.categories[self.category[i]],
+            subcategory=self.subcategories[self.subcategory[i]],
+            latitude=float(self.latitude[i]),
+            longitude=float(self.longitude[i]),
+            country=self.countries[self.country[i]],
+            city=self.cities[city] if city >= 0 else None,
+            timestamp=None if self.ts_missing[i] else _EPOCH + int(self.ts[i]) * _TS_UNIT,
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CheckinTable):
+            other = list(other)
+        if not isinstance(other, list):
+            return NotImplemented
+        return list(self) == other
+
+
+def rows_with(codes: np.ndarray, names: list[str], name: str) -> np.ndarray:
+    """Indices of the rows whose code is that of ``name`` in the sorted
+    value table ``names``."""
+    i = bisect.bisect_left(names, name)
+    if i == len(names) or names[i] != name:
+        return np.empty(0, np.intp)
+    return np.flatnonzero(codes == i)
+
+
+def _assemble(coded: dict, **columns) -> CheckinTable:
+    """A table from ``{column: (codes, value table)}`` of every coded column
+    and the other columns."""
+    return CheckinTable(**{column: codes for column, (codes, _) in coded.items()},
+                        **{_CODED[column][0]: names
+                           for column, (_, names) in coded.items()},
+                        **columns)
 
 
 @dataclass
@@ -107,81 +241,242 @@ class IngestReport:
         }
 
 
-_REQUIRED = ("user_id", "gender", "venue_id", "category", "subcategory",
-             "latitude", "longitude", "country")
+_CHUNK_ROWS = 4096  # rows validated at once; the file is never held whole
+_RAW_FIELDS = frozenset({"latitude", "longitude", "timestamp"})
+_GENDERS = {"male": 1, "female": 0}
 
 
-def _parse_gender(raw: str) -> Optional[Gender]:
-    low = raw.strip().lower()
-    if low == "male":
-        return Gender.MALE
-    if low == "female":
-        return Gender.FEMALE
-    return None
+def _blank(value) -> bool:
+    return value is None or not value.strip()
 
 
-def _parse_timestamp(raw: Optional[str]) -> Optional[datetime]:
-    """ISO 8601; a timestamp without a UTC offset is read as UTC, so that
-    any two timestamps of one input compare."""
-    if not raw:
-        return None
-    ts = datetime.fromisoformat(raw)
-    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+def _gender_flag(value) -> int:
+    """1 male, 0 female, -1 another value, -2 blank; case and surrounding
+    whitespace do not matter."""
+    if _blank(value):
+        return -2
+    return _GENDERS.get(value.strip().lower(), -1)
 
 
-def _record_from_mapping(row: dict, report: IngestReport,
-                         venue_subcats: dict[str, str]) -> Optional[CheckInRecord]:
-    for key in _REQUIRED:
-        value = row.get(key)
-        if value is None or str(value).strip() == "":
-            report.missing_field += 1
-            return None
-    gender = _parse_gender(str(row["gender"]))
-    if gender is None:
-        report.rejected_gender += 1
-        return None
+def _city(value) -> Optional[str]:
+    return (value or "").strip() or None
+
+
+class _Strings:
+    """Interned values of one string column: a code per distinct value, in
+    the order the values are first met, and a flag per distinct value
+    (``flag(value)``; by default whether it is blank)."""
+
+    def __init__(self, flag=_blank):
+        self.code: dict = {}
+        self.flag = flag
+        self.flags = np.zeros(0, np.int8)
+
+    def __call__(self, values) -> np.ndarray:
+        """The codes of ``values``, each a str or None."""
+        code = self.code
+        new = list(set(values).difference(code))
+        if new:
+            code.update(zip(new, range(len(code), len(code) + len(new))))
+            self.flags = np.concatenate(
+                [self.flags, np.array([self.flag(v) for v in new], np.int8)])
+        return np.fromiter(map(code.__getitem__, values), np.int32, len(values))
+
+    def finish(self, codes: np.ndarray, key=None) -> tuple[np.ndarray, list[str]]:
+        """``codes`` recoded into the sorted table of the values they use,
+        after ``key`` if given; a value that is or becomes None gets -1."""
+        values = list(self.code) if key is None else list(map(key, self.code))
+        names = sorted({values[c] for c in np.unique(codes).tolist()} - {None})
+        position = {name: i for i, name in enumerate(names)}
+        recode = np.array([position.get(v, -1) for v in values], np.int32)
+        return recode[codes], names
+
+
+def _coded(values) -> tuple[np.ndarray, list[str]]:
+    strings = _Strings()
+    return strings.finish(strings(values))
+
+
+def _or_none(parse, value):
+    """``parse(value)``, or None where it refuses the value."""
     try:
-        lat = float(row["latitude"])
-        lon = float(row["longitude"])
+        return parse(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge jsonl int
+        return None
+
+
+def _floats(values) -> tuple[np.ndarray, np.ndarray]:
+    """The floats of a column, nan where ``float`` refuses a value, and the
+    mask of blank values (None or only whitespace)."""
+    n = len(values)
+    try:
+        return np.fromiter(map(float, values), float, n), np.zeros(n, bool)
+    except (TypeError, ValueError, OverflowError):
+        return (np.array([_or_none(float, v) for v in values], float),  # None -> nan
+                np.array([v is None or (isinstance(v, str) and not v.strip())
+                          for v in values], bool))
+
+
+def _micros_where_present(stamps: list) -> tuple[np.ndarray, np.ndarray]:
+    """``_micros`` of the datetimes among ``stamps`` (0 for a None), and the
+    mask of the datetimes."""
+    present = np.fromiter((ts is not None for ts in stamps), bool, len(stamps))
+    micros = np.zeros(len(stamps), np.int64)
+    micros[present] = _micros([ts for ts in stamps if ts is not None])
+    return micros, present
+
+
+def _timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Microseconds since the epoch of a column of ISO 8601 timestamps (0
+    where there is none), the mask of missing (falsy) values and the mask
+    of values that do not parse."""
+    try:
+        stamps = [datetime.fromisoformat(v) if v else None for v in values]
     except (TypeError, ValueError):
-        report.bad_coordinates += 1
-        return None
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        report.bad_coordinates += 1
-        return None
-    try:
-        ts = _parse_timestamp(row.get("timestamp") or None)
-    except (TypeError, ValueError):  # TypeError: a jsonl timestamp that is no string
-        report.missing_field += 1
-        return None
-    # only a row that is otherwise accepted may decide its venue's subcategory
-    venue_id = str(row["venue_id"])
-    subcategory = str(row["subcategory"])
-    known = venue_subcats.get(venue_id)
-    if known is None:
-        venue_subcats[venue_id] = subcategory
-    elif known != subcategory:
-        report.venue_conflict += 1
-        return None
-    city = row.get("city") or None
-    if city is not None:
-        city = str(city).strip() or None
-    return CheckInRecord(
-        user_id=str(row["user_id"]),
-        gender=gender,
-        venue_id=venue_id,
-        category=str(row["category"]),
-        subcategory=subcategory,
-        latitude=lat,
-        longitude=lon,
-        country=str(row["country"]),
-        city=city,
-        timestamp=ts,
-    )
+        stamps = [_or_none(datetime.fromisoformat, v) if v else None for v in values]
+    missing = np.fromiter(map(operator.not_, values), bool, len(values))
+    micros, parsed = _micros_where_present(stamps)
+    return micros, missing, ~missing & ~parsed
 
 
-def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[list[CheckInRecord], IngestReport]:
-    """Read check-in records from a UTF-8 byte stream in csv or jsonl format.
+class _AcceptedRows:
+    """The accepted rows of a check-in file, validated a chunk of rows at a
+    time. A row is rejected for the first rule it breaks, in this order:
+    a blank required field, gender, coordinates (unparseable or out of
+    range), an unparseable timestamp (counted as a missing field), and a
+    subcategory other than the one its venue already has. Only a row that
+    breaks none of the other rules claims its venue's subcategory."""
+
+    def __init__(self, report: IngestReport):
+        self.report = report
+        self.strings = {column: _Strings() for column in _CODED}
+        self.gender = _Strings(_gender_flag)
+        self.claims = np.zeros(0, np.int32)  # per venue code: subcategory code, or -1
+        self.parts = {column: [] for column in _COLUMNS}
+
+    def add(self, columns: list) -> None:
+        """Validate one chunk, given as its CSV_FIELDS columns: the string
+        fields hold str or None, the coordinates and timestamp raw values."""
+        fields = dict(zip(CSV_FIELDS, columns))
+        codes = {column: self.strings[column](fields[field])
+                 for column, (_, field) in _CODED.items()}
+        gender = self.gender(fields["gender"])
+        gender = self.gender.flags[gender]  # interned first: flags grow with it
+        latitude, lat_blank = _floats(fields["latitude"])
+        longitude, lon_blank = _floats(fields["longitude"])
+        ts, ts_missing, ts_bad = _timestamps(fields["timestamp"])
+
+        missing = lat_blank | lon_blank | (gender == -2)  # -2: a blank gender
+        for column in ("user", "venue", "category", "subcategory", "country"):
+            missing |= self.strings[column].flags[codes[column]].astype(bool)
+        bad_gender = ~missing & (gender == -1)  # neither male nor female
+        ok = ~missing & ~bad_gender
+        in_range = ((-90.0 <= latitude) & (latitude <= 90.0)
+                    & (-180.0 <= longitude) & (longitude <= 180.0))
+        bad_coordinates = ok & ~in_range
+        ok &= in_range
+        bad_ts = ok & ts_bad
+        ok &= ~ts_bad
+
+        rows = np.flatnonzero(ok)
+        venue, subcategory = codes["venue"][rows], codes["subcategory"][rows]
+        grown = len(self.strings["venue"].code) - len(self.claims)
+        self.claims = np.concatenate([self.claims, np.full(grown, -1, np.int32)])
+        venues, first = np.unique(venue, return_index=True)
+        unclaimed = self.claims[venues] == -1
+        self.claims[venues[unclaimed]] = subcategory[first[unclaimed]]
+        conflict = self.claims[venue] != subcategory
+        rows = rows[~conflict]
+
+        report = self.report
+        report.missing_field += int(missing.sum() + bad_ts.sum())
+        report.rejected_gender += int(bad_gender.sum())
+        report.bad_coordinates += int(bad_coordinates.sum())
+        report.venue_conflict += int(conflict.sum())
+        report.accepted += len(rows)
+        kept = dict(codes, gender=gender, latitude=latitude, longitude=longitude,
+                    ts=ts, ts_missing=ts_missing)
+        for column, values in kept.items():
+            self.parts[column].append(values[rows])
+
+    def table(self) -> CheckinTable:
+        dtypes = dict.fromkeys(_CODED, np.int32)
+        dtypes.update(gender=np.int8, latitude=float, longitude=float,
+                      ts=np.int64, ts_missing=bool)
+        columns = {column: np.concatenate([np.empty(0, dtypes[column]), *parts])
+                   for column, parts in self.parts.items()}
+        coded = {column: self.strings[column].finish(
+                     columns.pop(column), _city if column == "city" else None)
+                 for column in _CODED}
+        return _assemble(coded, **columns)
+
+
+def _csv_columns(text, report: IngestReport):
+    """The CSV_FIELDS columns of successive chunks of csv rows, read as
+    ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
+    name reads its last column, and a short row reads None past its end."""
+    reader = csv.reader(text)
+    header = next(reader, None)
+    if header is None:
+        return
+    missing = [f for f in CSV_FIELDS if f not in header]
+    if missing:
+        raise DataError(f"csv header missing columns: {missing}")
+    last = {name: i for i, name in enumerate(header)}
+    positions = [last[f] for f in CSV_FIELDS]
+    width = max(positions) + 1
+    while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+        rows = [row for row in chunk if row]
+        if not rows:
+            continue
+        report.total_lines += len(rows)
+        if min(map(len, rows)) < width:
+            rows = [row + [None] * (width - len(row)) for row in rows]
+        columns = list(zip(*rows))
+        yield [columns[p] for p in positions]
+
+
+def _jsonl_row(row: dict) -> list:
+    """A JSON object's CSV_FIELDS values in the form the csv reader gives
+    them: a string field is made ``str`` unless it is None (a falsy city
+    is None); coordinates and timestamp stay as they are."""
+    values = []
+    for field in CSV_FIELDS:
+        value = row.get(field)
+        if field == "city":
+            value = value or None
+        if field not in _RAW_FIELDS and value is not None:
+            value = str(value)
+        values.append(value)
+    return values
+
+
+def _jsonl_columns(text, report: IngestReport):
+    """The CSV_FIELDS columns of successive chunks of jsonl lines; a line
+    that is not a JSON object is counted as unparseable."""
+    rows = []
+    for line in text:
+        if not line.strip():
+            continue
+        report.total_lines += 1
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            row = None
+        if not isinstance(row, dict):
+            report.unparseable += 1
+            continue
+        rows.append(_jsonl_row(row))
+        if len(rows) == _CHUNK_ROWS:
+            yield list(zip(*rows))
+            rows = []
+    if rows:
+        yield list(zip(*rows))
+
+
+def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestReport]:
+    """Read the check-ins of a UTF-8 byte stream in csv or jsonl format into
+    a CheckinTable, a chunk of rows at a time.
 
     Malformed lines are dropped and counted by reason in the report; more
     than 50% rejected lines aborts with DataError.
@@ -189,39 +484,12 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[list[CheckInRecord], In
     if fmt not in ("csv", "jsonl"):
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
     text = io.TextIOWrapper(source, encoding="utf-8")
+    report = IngestReport()
+    accepted = _AcceptedRows(report)
     try:
-        report = IngestReport()
-        records: list[CheckInRecord] = []
-        venue_subcats: dict[str, str] = {}
-        if fmt == "csv":
-            reader = csv.DictReader(text)
-            if reader.fieldnames is not None:
-                missing = [f for f in CSV_FIELDS if f not in reader.fieldnames]
-                if missing:
-                    raise DataError(f"csv header missing columns: {missing}")
-            for row in reader:
-                report.total_lines += 1
-                rec = _record_from_mapping(row, report, venue_subcats)
-                if rec is not None:
-                    records.append(rec)
-                    report.accepted += 1
-        else:
-            for line in text:
-                if not line.strip():
-                    continue
-                report.total_lines += 1
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    report.unparseable += 1
-                    continue
-                if not isinstance(row, dict):
-                    report.unparseable += 1
-                    continue
-                rec = _record_from_mapping(row, report, venue_subcats)
-                if rec is not None:
-                    records.append(rec)
-                    report.accepted += 1
+        chunks = (_csv_columns if fmt == "csv" else _jsonl_columns)(text, report)
+        for columns in chunks:
+            accepted.add(columns)
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not valid UTF-8: {exc}") from exc
     finally:
@@ -231,7 +499,7 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[list[CheckInRecord], In
             f"{report.rejected} of {report.total_lines} lines rejected "
             f"(>50%); refusing to continue: {report.as_dict()}"
         )
-    return records, report
+    return accepted.table(), report
 
 
 def record_to_row(rec: CheckInRecord) -> dict[str, str]:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
-from .models import CheckInRecord, DataError, RegionSelector
+from .models import DataError, RegionSelector
 from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
@@ -115,12 +115,7 @@ def _null_matrix(index: ScopeIndex, config: NullModelConfig) -> np.ndarray:
 
 
 def _verdict(unit: AnalysisUnit, observed: float, null: np.ndarray,
-             confidence: float) -> NullModelResult:
-    alpha = 1.0 - confidence
-    # Weibull positions (n+1)q with linear interpolation: at q = 0.005 and
-    # k = 100 the range spans the sample extremes, matching min/max usage.
-    delta_min, delta_max = np.quantile(null, [alpha / 2, 1.0 - alpha / 2],
-                                       method="weibull")
+             delta_min: float, delta_max: float) -> NullModelResult:
     significant = observed < delta_min or observed > delta_max
     if not significant:
         direction = Direction.NONE
@@ -139,20 +134,26 @@ def _verdict(unit: AnalysisUnit, observed: float, null: np.ndarray,
     )
 
 
-def run_null_model_batch(records: list[CheckInRecord], mode: AnalysisMode,
-                         scope: RegionSelector, config: NullModelConfig,
+def run_null_model_batch(records, mode: AnalysisMode, scope: RegionSelector,
+                         config: NullModelConfig,
                          scope_subcategory: Optional[str] = None
                          ) -> list[NullModelResult]:
     """Null-model verdicts for every unit of one region's ``apply_filters``
-    output; the k replicates are drawn once and scored against all units."""
+    output (a CheckinTable or a list of records); the k replicates are drawn
+    once and scored against all units."""
     index = ScopeIndex(records, mode, scope, scope_subcategory)
     observed = index.popularity()[2]
     null = _null_matrix(index, config)
-    return [_verdict(index.unit(j), observed[j], null[:, j], config.confidence)
-            for j in range(index.n_units)]
+    alpha = 1.0 - config.confidence
+    # Weibull positions (n+1)q with linear interpolation: at q = 0.005 and
+    # k = 100 the range spans the sample extremes, matching min/max usage.
+    delta_min, delta_max = np.quantile(null, [alpha / 2, 1.0 - alpha / 2],
+                                       axis=0, method="weibull")
+    return [_verdict(index.unit(j), observed[j], null[:, j], delta_min[j],
+                     delta_max[j]) for j in range(index.n_units)]
 
 
-def run_null_model(records: list[CheckInRecord], unit: AnalysisUnit,
+def run_null_model(records, unit: AnalysisUnit,
                    config: NullModelConfig) -> NullModelResult:
     """Null-model verdict for one unit of a region's ``apply_filters`` output:
     its row of the batch."""

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckInRecord, DataError, Gender, RegionSelector
+from .models import CheckinTable, DataError, RegionSelector, rows_with
 
 SQRT2 = math.sqrt(2.0)
 
@@ -67,43 +67,45 @@ def signed_difference(p_male, p_female):
 class ScopeIndex:
     """Integer-coded view of one scope, the input of every statistic.
 
-    It counts all of ``records``, one region's ``apply_filters`` output;
-    ``scope`` labels that region. venue_within_subcategory mode narrows them
-    to ``scope_subcategory``, as that mode's units are defined. Venues and
-    subcategories get codes in sorted key order, and each venue maps to its
-    subcategory's code. Per-record gender (1 = male) and unit codes give the
-    per-unit male/female counts and the gender totals by ``np.bincount``.
-    Counts are exact integers, so p = count / total and d are the same
-    floats a per-record count would give.
+    It counts all of ``records`` (a CheckinTable or a list of records), one
+    region's ``apply_filters`` output; ``scope`` labels that region.
+    venue_within_subcategory mode narrows them to ``scope_subcategory``, as
+    that mode's units are defined. Venues and subcategories get codes in
+    sorted key order, and each venue maps to its subcategory's code. The
+    table's gender (1 = male) and unit codes give the per-unit male/female
+    counts and the gender totals by ``np.bincount``. Counts are exact
+    integers, so p = count / total and d are the same floats a per-record
+    count would give.
     """
 
-    def __init__(self, records: list[CheckInRecord], mode: AnalysisMode,
-                 scope: RegionSelector, scope_subcategory: Optional[str] = None):
-        scoped = records if scope_subcategory is None else [
-            rec for rec in records if rec.subcategory == scope_subcategory]
-        if not scoped:
+    def __init__(self, records, mode: AnalysisMode, scope: RegionSelector,
+                 scope_subcategory: Optional[str] = None):
+        table = CheckinTable.from_records(records)
+        if scope_subcategory is not None:
+            table = table.take(rows_with(table.subcategory, table.subcategories,
+                                         scope_subcategory))
+        if not len(table):
             what = f" subcategory {scope_subcategory!r}" if scope_subcategory else ""
             raise DataError(f"scope {scope.name!r}{what} has no records to analyze")
         self.mode = mode
         self.scope = scope
         self.scope_subcategory = scope_subcategory
-        self.c = len(scoped)
-        genders = np.fromiter((r.gender is Gender.MALE for r in scoped),
-                              dtype=np.int8, count=self.c)
+        self.c = len(table)
 
-        venue_subcat: dict[str, str] = {}
-        for r in scoped:
-            if venue_subcat.setdefault(r.venue_id, r.subcategory) != r.subcategory:
-                raise DataError(f"venue {r.venue_id!r} has conflicting subcategories "
-                                f"{venue_subcat[r.venue_id]!r} and {r.subcategory!r}")
-        self.venue_ids = sorted(venue_subcat)
-        self.subcategories = sorted(set(venue_subcat.values()))
-        subcat_pos = {s: i for i, s in enumerate(self.subcategories)}
-        self.venue_subcat = np.array(
-            [subcat_pos[venue_subcat[v]] for v in self.venue_ids], dtype=np.intp)
-        venue_pos = {v: i for i, v in enumerate(self.venue_ids)}
-        record_venue = np.fromiter((venue_pos[r.venue_id] for r in scoped),
-                                   dtype=np.intp, count=self.c)
+        # table codes are in sorted key order, so sorted codes give sorted keys
+        venues, first, record_venue = np.unique(table.venue, return_index=True,
+                                                return_inverse=True)
+        venue_subcat = table.subcategory[first]  # a venue's first subcategory
+        clash = np.flatnonzero(table.subcategory != venue_subcat[record_venue])
+        if clash.size:
+            row = clash[0]
+            raise DataError(
+                f"venue {table.venues[table.venue[row]]!r} has conflicting "
+                f"subcategories {table.subcategories[venue_subcat[record_venue[row]]]!r}"
+                f" and {table.subcategories[table.subcategory[row]]!r}")
+        self.venue_ids = [table.venues[v] for v in venues.tolist()]
+        subcats, self.venue_subcat = np.unique(venue_subcat, return_inverse=True)
+        self.subcategories = [table.subcategories[s] for s in subcats.tolist()]
 
         if mode is AnalysisMode.SUBCATEGORY:
             self.keys = self.subcategories
@@ -114,7 +116,7 @@ class ScopeIndex:
         self.n_units = len(self.keys)
         record_unit = self.venue_unit[record_venue]
         self.unit_total = np.bincount(record_unit, minlength=self.n_units)
-        self.male = np.bincount(record_unit[genders == 1], minlength=self.n_units)
+        self.male = np.bincount(record_unit[table.gender == 1], minlength=self.n_units)
         self.female = self.unit_total - self.male
         self.male_total = int(self.male.sum())
         self.female_total = self.c - self.male_total
@@ -142,8 +144,9 @@ class ScopeIndex:
                     zip(*columns, self.unit_total.tolist()))]
 
 
-def popularity(records: list[CheckInRecord], unit: AnalysisUnit) -> PopularityPoint:
-    """Popularity point of one unit in one region's ``apply_filters`` output."""
+def popularity(records, unit: AnalysisUnit) -> PopularityPoint:
+    """Popularity point of one unit in one region's ``apply_filters`` output
+    (a CheckinTable or a list of records)."""
     for point in ScopeIndex(records, unit.mode, unit.scope,
                             unit.scope_subcategory).points():
         if point.unit.key == unit.key:
@@ -151,11 +154,11 @@ def popularity(records: list[CheckInRecord], unit: AnalysisUnit) -> PopularityPo
     raise DataError(f"unit {unit.key!r} not present in scope {unit.scope.name!r}")
 
 
-def popularity_table(records: list[CheckInRecord], mode: AnalysisMode,
+def popularity_table(records, mode: AnalysisMode,
                      scope: RegionSelector,
                      scope_subcategory: Optional[str] = None) -> list[PopularityRow]:
-    """One PopularityRow per unit of one region's ``apply_filters`` output,
-    sorted by |d| descending (ties by key ascending). Normalization divides
+    """One PopularityRow per unit of one region's ``apply_filters`` output
+    (a CheckinTable or a list of records), sorted by |d| descending (ties by key ascending). Normalization divides
     both axes by the joint maximum popularity over the table; it never feeds
     any statistic."""
     points = ScopeIndex(records, mode, scope, scope_subcategory).points()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CheckInRecord, DataError, RegionSelector
+from .models import CheckinTable, DataError, RegionSelector
 from .popularity import AnalysisMode, ScopeIndex, signed_difference
 
 
@@ -55,25 +55,30 @@ def gini(x) -> float:
     return min(max(0.0, g), 1.0 - 1.0 / n)  # the exact range, despite rounding
 
 
-def collect_global_dims(records: list[CheckInRecord]) -> list[str]:
-    """Lexicographic union of the subcategories of the given records, the
-    pooled ``apply_filters`` output of every region."""
-    return sorted({rec.subcategory for rec in records})
+def collect_global_dims(*regions) -> list[str]:
+    """Lexicographic union of the subcategories of the given check-ins: each
+    argument is a CheckinTable or a list of records, such as the
+    ``apply_filters`` output of one region, or the pooled output of all."""
+    dims = set()
+    for records in regions:
+        table = CheckinTable.from_records(records)
+        dims.update(table.subcategories[s] for s in np.unique(table.subcategory).tolist())
+    return sorted(dims)
 
 
-def build_preference_vector(records: list[CheckInRecord], region: RegionSelector,
+def build_preference_vector(records, region: RegionSelector,
                             global_dims: list[str]) -> PreferenceVector:
     """Gini-per-subcategory vector for one region, over the global dims.
 
-    ``records`` are the region's ``apply_filters`` output (none gives the zero
-    vector). One venue-mode index of them gives every venue's counts; a
+    ``records`` are the region's ``apply_filters`` output, a CheckinTable or
+    a list of records (none gives the zero vector). One venue-mode index of them gives every venue's counts; a
     subcategory's venues are scored against that subcategory's gender
     totals, as in venue_within_subcategory mode. A subcategory whose scope
     lacks one gender entirely has undefined venue-level differences; it is
     treated as absent (value 0).
     """
     values = np.zeros(len(global_dims))
-    if not records:
+    if not len(records):
         return PreferenceVector(region=region.name, dims=list(global_dims),
                                 values=values)
     index = ScopeIndex(records, AnalysisMode.VENUE, region)

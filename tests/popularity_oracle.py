@@ -14,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 
+from filter_oracle import region_name
 from venuepref.models import DataError, Gender
 from venuepref.popularity import (
     AnalysisMode,
@@ -27,7 +28,8 @@ from venuepref.preference import gini
 def scope_records(records, scope, scope_subcategory=None):
     """The denominator population for a unit: the region, optionally
     narrowed to one subcategory."""
-    out = [rec for rec in records if scope.matches(rec)]
+    out = [rec for rec in records
+           if region_name(rec, scope.granularity) == scope.name]
     if scope_subcategory is not None:
         out = [rec for rec in out if rec.subcategory == scope_subcategory]
     return out

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from venuepref import models
 from venuepref.cli import main
 from venuepref.models import CSV_FIELDS, write_checkins
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
@@ -344,3 +345,20 @@ def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys):
 ])
 def test_out_of_range_cluster_and_compare_flags_are_usage_errors(argv, flag, capsys):
     assert_usage_error(argv, capsys, flag)
+
+
+def test_commands_build_no_record_objects(tmp_path, monkeypatch):
+    # ingest, filters and every statistic read the columns of one
+    # CheckinTable; no command builds a CheckInRecord per row
+    data = write_dataset(tmp_path / "multi.csv", countries=["Land0", "Land1"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CheckInRecord was built")
+
+    monkeypatch.setattr(models, "CheckInRecord", refuse)
+    for method in ("generative", "gender_shuffle"):
+        assert main(["analyze", "--input", str(data), "--country", "Land0",
+                     "--method", method, "--k", "5",
+                     "--out-dir", str(tmp_path / method)]) == 0
+    assert main(["vectors", "--input", str(data),
+                 "--out-dir", str(tmp_path / "v")]) == 0

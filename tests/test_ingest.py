@@ -1,10 +1,19 @@
+import csv
 import gc
 import io
 import json
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ingest_oracle
+from venuepref import models
 from venuepref.models import (
+    CSV_FIELDS,
+    CheckinTable,
     DataError,
     Gender,
     ingest_checkins,
@@ -13,6 +22,7 @@ from venuepref.models import (
     write_checkins,
 )
 
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 HEADER = "user_id,gender,venue_id,category,subcategory,latitude,longitude,country,city,timestamp\n"
 
 
@@ -203,3 +213,171 @@ def test_ingest_leaves_the_callers_stream_open(read, data):
         pass
     gc.collect()  # a text wrapper left on the stream would close it here
     assert not stream.closed
+
+
+# Differential tests: the columnar ingest against the per-row oracle in
+# ingest_oracle.py, on small chunks so that interned values and venue
+# claims cross chunk boundaries.
+
+# per field: valid values first (VALID of them), then values a row may break on
+VALID = 3
+CELLS = {
+    "user_id": ["u1", "u2", " u1", "", " "],
+    "gender": ["male", "female", "MALE", " Female ", "mAlE", "other", ""],
+    "venue_id": ["v1", "v2", "v3", ""],
+    "category": ["Food", "Arts", " Food", "", " "],
+    "subcategory": ["A", "A", "B", " A", ""],
+    "latitude": ["1.5", "-90", "1_0", "90.000001", "-0", "nan", "inf", "1e1",
+                 " 2 ", "0x1", "abc", ""],
+    "longitude": ["2.5", "-180", " 1e2", "180.5", "-inf", "1e500", ""],
+    "country": ["BR", "US", "BR ", ""],
+    "city": ["", "Rio", " Rio ", " ", "São Paulo"],
+    "timestamp": ["", "2014-04-25T12:00:00", "2014-04-25T14:00:00+02:00",
+                  "2014-04-25T08:29:59.999999-03:30",
+                  "9999-12-31T23:59:59.999999+00:00",
+                  "0001-01-01T00:00:00+01:00", "not-a-time", "2014-13-01",
+                  "2014-04-25 12:00"],
+}
+# JSON values that are not strings, for the jsonl rows
+JSON_CELLS = {
+    "user_id": [1, 1.0, True, None, ["u"]],
+    "gender": [1, True, None, {"k": 1}],
+    "venue_id": [1, "1", None, 2.5],
+    "category": [None, 0],
+    "subcategory": [1, "1", None],
+    "latitude": [1.5, -90, 90.5, True, None, 10 ** 400, [1], float("nan")],
+    "longitude": [2.5, 180, -180.5, False, None, {"k": 1}, float("inf")],
+    "country": [None, 7],
+    "city": [0, False, [], {}, None, 5, True, [1]],
+    "timestamp": [0, False, [], {}, None, 12, True, 1.5, ["x"]],
+}
+NOT_OBJECTS = ["[1, 2]", "3", '"s"', "null", "not json", "{", "", "   "]
+
+
+def draw_row(draw, cells):
+    """A mostly valid row, a dict by field name: every field valid, and each
+    venue in one subcategory, but for up to two fields drawn from all of
+    ``cells``."""
+    row = {name: draw(st.sampled_from(values[:VALID]))
+           for name, values in CELLS.items()}
+    row["subcategory"] = {"v1": "A", "v2": "A", "v3": "B"}[row["venue_id"]]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        name = draw(st.sampled_from(CSV_FIELDS))
+        row[name] = draw(st.sampled_from(cells[name]))
+    return row
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with a shuffled header that may repeat, add or miss
+    columns, and rows that may be short, long or empty."""
+    header = list(draw(st.permutations(CSV_FIELDS)))
+    if draw(st.integers(0, 15)) == 0:
+        header.remove(draw(st.sampled_from(CSV_FIELDS)))
+    for name in draw(st.lists(st.sampled_from([*CSV_FIELDS, "extra"]), max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    last = {name: i for i, name in enumerate(header)}
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        values = draw_row(draw, CELLS)
+        # a repeated column is read at its last position; the others differ
+        row = [values[name] if last[name] == i and name in values
+               else draw(st.sampled_from(CELLS.get(name, ["x", ""])))
+               for i, name in enumerate(header)]
+        cut = draw(st.sampled_from([0] * 8 + [-1, -3, 2, -len(row)]))
+        rows.append(row[:len(row) + cut] if cut <= 0 else row + ["x"] * cut)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@st.composite
+def jsonl_files(draw):
+    """JSON lines: objects with values of every JSON type and fields that
+    may be absent, and lines that are blank, malformed or not objects."""
+    cells = {name: CELLS[name] + JSON_CELLS[name] for name in CSV_FIELDS}
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(NOT_OBJECTS)))
+            continue
+        row = draw_row(draw, cells)
+        if draw(st.integers(0, 7)) == 0:
+            del row[draw(st.sampled_from(CSV_FIELDS))]
+        lines.append(json.dumps(row))
+    return "".join(line + "\n" for line in lines)
+
+
+def ingest_outcome(ingest, data, fmt):
+    try:
+        return ingest(io.BytesIO(data.encode()), fmt)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_ingest(data, fmt):
+    expected = ingest_outcome(ingest_oracle.ingest, data, fmt)
+    outcome = ingest_outcome(ingest_checkins, data, fmt)
+    if isinstance(expected, str):
+        assert outcome == expected
+        return
+    (table, report), (records, oracle_report) = outcome, expected
+    assert report.as_dict() == oracle_report.as_dict()
+    assert len(table) == len(records)
+    for i, rec in enumerate(records):
+        city = table.city[i]
+        assert table.users[table.user[i]] == rec.user_id
+        assert table.gender[i] == (rec.gender is Gender.MALE)
+        assert table.venues[table.venue[i]] == rec.venue_id
+        assert table.categories[table.category[i]] == rec.category
+        assert table.subcategories[table.subcategory[i]] == rec.subcategory
+        assert repr(float(table.latitude[i])) == repr(rec.latitude)
+        assert repr(float(table.longitude[i])) == repr(rec.longitude)
+        assert table.countries[table.country[i]] == rec.country
+        assert (table.cities[city] if city >= 0 else None) == rec.city
+        assert table.ts_missing[i] == (rec.timestamp is None)
+        if rec.timestamp is not None:
+            assert table.ts[i] == (rec.timestamp - EPOCH) // timedelta(microseconds=1)
+    for names in (table.users, table.venues, table.categories,
+                  table.subcategories, table.countries, table.cities):
+        assert names == sorted(set(names))
+
+
+@settings(max_examples=200)
+@given(csv_files(), st.integers(1, 5))
+@example(HEADER + "u1,male,v1,Food,Bakery,1.0,2.0,BR,,not-a-time\n"
+                  "u2,male,v1,Food,Café,1.0,2.0,BR,,\n"
+                  "u3,female,v1,Food,Café,1.0,2.0,BR,,\n", 1)
+@example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu2,male,v1,Food,B,1,2,BR,,\n"
+                  "u3,female,v1,Food,A,1,2,BR,,\n", 2)
+def test_csv_ingest_equals_oracle(data, chunk_rows):
+    with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows):
+        assert_same_ingest(data, "csv")
+
+
+@settings(max_examples=200)
+@given(jsonl_files(), st.integers(1, 5))
+def test_jsonl_ingest_equals_oracle(data, chunk_rows):
+    with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows):
+        assert_same_ingest(data, "jsonl")
+
+
+def test_huge_jsonl_coordinate_is_a_bad_coordinate():
+    row = {"user_id": "u1", "gender": "male", "venue_id": "v1", "category": "Food",
+           "subcategory": "Café", "latitude": 1.0, "longitude": 2.0, "country": "BR"}
+    lines = (json.dumps({**row, "latitude": 10 ** 400}) + "\n"
+             + json.dumps(row) + "\n" + json.dumps({**row, "user_id": "u2"}) + "\n")
+    table, report = ingest_checkins(io.BytesIO(lines.encode()), "jsonl")
+    assert len(table) == 2
+    assert report.bad_coordinates == 1
+
+
+def test_from_records_round_trips_the_records():
+    records, _ = ingest_checkins(csv_stream(
+        "u1,male,v1,Food,Café,1.25,2.5,BR,Rio,2014-04-25T12:00:00",
+        "u2,female,v2,Arts,Museum,-1.5,3.0,BR,,"), "csv")
+    again = CheckinTable.from_records(list(records))
+    assert again == records
+    assert CheckinTable.from_records(records) is records

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from venuepref.models import DataError, Granularity, RegionSelector
 from venuepref.nullmodel import (
@@ -152,3 +154,21 @@ def test_null_distribution_csv_bytes_match_a_row_per_cell_writer():
     sink = io.StringIO()
     write_null_distribution_csv(results, sink)
     assert sink.getvalue() == expected.getvalue()
+
+
+@given(k=st.integers(2, 120), n_subcats=st.integers(1, 8),
+       confidence=st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]),
+       method=st.sampled_from(list(NullMethod)), seed=st.integers(0, 5))
+def test_batch_acceptance_range_is_each_units_quantile(k, n_subcats, confidence,
+                                                       method, seed):
+    # the batch takes every unit's quantiles in one call; they must be the
+    # very floats of one call per unit
+    records = synth_scope(0.0, n_checkins=300, seed=seed, n_subcats=n_subcats)
+    config = NullModelConfig(k=k, confidence=confidence, method=method,
+                             rng_seed=seed)
+    alpha = 1.0 - confidence
+    for res in run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION,
+                                    config):
+        delta_min, delta_max = np.quantile(
+            res.null_distribution, [alpha / 2, 1.0 - alpha / 2], method="weibull")
+        assert (res.delta_min, res.delta_max) == (delta_min, delta_max)

@@ -9,6 +9,7 @@ and judged against a random-permutation baseline.
 
 from __future__ import annotations
 
+import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -23,8 +24,6 @@ from .preference import PreferenceVector
 class RankComparison:
     anchor_region: str
     index_name: str
-    d1: dict[str, float]  # region -> |index difference| to anchor
-    d2: dict[str, float]  # region -> cosine distance to anchor's vector
     rho: float
     p_value: float
     n: int
@@ -40,36 +39,44 @@ class RandomBaseline:
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of a 1-d array, ties given the mean of the ranks they
-    span (the half-integers of ``scipy.stats.rankdata(method="average")``)."""
-    order = np.argsort(x, kind="mergesort")
-    ordered = x[order]
-    starts = np.empty(x.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    dense = np.cumsum(starts)
+    """Ranks 1..n along the last axis, ties given the mean of the ranks they
+    span (``scipy.stats.rankdata(method="average")``'s half-integers). Rows
+    are ranked end to end, each then shifted back by its flat offset."""
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1, kind="mergesort")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    starts = np.empty(x.shape, dtype=bool)
+    starts[..., 0] = True
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
+    dense = np.cumsum(starts).reshape(x.shape)
     count = np.append(np.flatnonzero(starts), x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    offset = np.arange(0, x.size, n).reshape(x.shape[:-1] + (1,))
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, 0.5 * (count[dense] + count[dense - 1]
+                                           + 1 - 2 * offset), axis=-1)
     return ranks
 
 
-def _rank_rho(ra: np.ndarray, rb: np.ndarray) -> float:
-    """Pearson correlation of two rank vectors, clamped to [-1, 1] and
-    snapped to +-1 within 1e-12 of it."""
-    rho = float(np.corrcoef(ra, rb)[0, 1])
-    rho = max(-1.0, min(1.0, rho))
-    if abs(rho) >= 1.0 - 1e-12:
-        return 1.0 if rho > 0 else -1.0
-    return rho
+def _rank_rho(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Pearson correlation of rank rows (last axis) by np.corrcoef's steps,
+    clamped to [-1, 1] and snapped to +-1 within 1e-12 of it. Centred ranks
+    are half-integers, so the dots are exact and rho is corrcoef's float."""
+    ca = ra - ra.mean(axis=-1, keepdims=True)
+    cb = rb - rb.mean(axis=-1, keepdims=True)
+    scale = 1.0 / (ra.shape[-1] - 1)
+    ab, aa, bb = ((u * v).sum(axis=-1) * scale
+                  for u, v in ((ca, cb), (ca, ca), (cb, cb)))
+    rho = np.clip(ab / np.sqrt(aa) / np.sqrt(bb), -1.0, 1.0)
+    return np.where(np.abs(rho) >= 1.0 - 1e-12, np.sign(rho), rho)
 
 
 def _check_spearman_input(x: np.ndarray) -> None:
-    if x.size < 3:
-        raise DataError(f"spearman needs n >= 3, got {x.size}")
+    """Refuse an input, or a matrix with any row, that rho is undefined for."""
+    if x.shape[-1] < 3:
+        raise DataError(f"spearman needs n >= 3, got {x.shape[-1]}")
     if not np.isfinite(x).all():
         raise DataError("spearman undefined for a non-finite input value")
-    if np.all(x == x[0]):
+    if (x == x[..., :1]).all(axis=-1).any():
         raise DataError("spearman undefined for a constant input list")
 
 
@@ -82,7 +89,7 @@ def spearman(a, b) -> tuple[float, float]:
         raise ValueError("inputs must be 1-d and of equal length")
     _check_spearman_input(a)
     _check_spearman_input(b)
-    rho = _rank_rho(average_ranks(a), average_ranks(b))
+    rho = float(_rank_rho(average_ranks(a), average_ranks(b)))
     if abs(rho) == 1.0:
         return rho, 0.0
     n = a.size
@@ -151,14 +158,6 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
                           f"(a={a}, b={b}, x={x})")
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        raise DataError("cosine distance undefined for a zero vector")
-    return float(1.0 - np.dot(u, v) / (nu * nv))
-
-
 def _check_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
                    anchor: str) -> list[str]:
     if anchor not in vectors:
@@ -176,12 +175,19 @@ def _check_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
 
 
 def _distances(vectors: dict[str, PreferenceVector], values: dict[str, float],
-               anchor: str, others: list[str]
-               ) -> tuple[dict[str, float], dict[str, float]]:
-    anchor_vec = vectors[anchor].values
-    d1 = {r: abs(values[anchor] - values[r]) for r in others}
-    d2 = {r: cosine_distance(anchor_vec, vectors[r].values) for r in others}
-    return d1, d2
+               anchor: str, others: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The |index difference| and the cosine distance of each of ``others``
+    (in that order) to the anchor."""
+    d1 = np.abs(values[anchor] - np.array([values[r] for r in others]))
+    m = np.stack([vectors[r].values for r in [anchor, *others]])
+    # stacked 1xD @ Dx1 products give the floats of a per-pair np.dot and
+    # np.linalg.norm; m @ m[0] and np.linalg.norm(m, axis=1) sum otherwise
+    rows = m[:, None, :]
+    norms = np.sqrt(rows @ m[:, :, None])[:, 0, 0]
+    if not norms.all():
+        raise DataError("cosine distance undefined for a zero vector")
+    dots = (rows[1:] @ m[0, :, None])[:, 0, 0]
+    return d1, 1.0 - dots / (norms[0] * norms[1:])
 
 
 def compare_with_index(vectors: dict[str, PreferenceVector], index: IndexTable,
@@ -189,10 +195,9 @@ def compare_with_index(vectors: dict[str, PreferenceVector], index: IndexTable,
     """Spearman agreement between index-distance and vector-distance
     rankings around one anchor region (anchor excluded from the ranks)."""
     others = _check_regions(vectors, index, anchor)
-    d1, d2 = _distances(vectors, index.entries, anchor, others)
-    rho, p = spearman([d1[r] for r in others], [d2[r] for r in others])
+    rho, p = spearman(*_distances(vectors, index.entries, anchor, others))
     return RankComparison(anchor_region=anchor, index_name=index.index_name,
-                          d1=d1, d2=d2, rho=rho, p_value=p, n=len(others))
+                          rho=rho, p_value=p, n=len(others))
 
 
 def random_baseline(vectors: dict[str, PreferenceVector], index: IndexTable,
@@ -200,26 +205,22 @@ def random_baseline(vectors: dict[str, PreferenceVector], index: IndexTable,
                     seed: int = 0) -> RandomBaseline:
     """Permutation baseline: shuffle the index's value assignment across
     regions and recompute rho against the fixed vector-distance ranking.
+    All permutations are ranked and scored together, one row each.
     The 99% CI is mean +- 2.576 standard errors of the rho samples."""
     if n_permutations < 2:
         raise DataError("random baseline needs n_permutations >= 2")
     others = _check_regions(vectors, index, anchor)
-    regions = sorted(vectors)
-    base_values = np.array([index.entries[r] for r in regions])
-    at = {r: i for i, r in enumerate(regions)}
-    anchor_at = at[anchor]
-    others_at = np.array([at[r] for r in others])
-    _, d2_by_region = _distances(vectors, index.entries, anchor, others)
-    d2 = np.array([d2_by_region[r] for r in others])
+    _, d2 = _distances(vectors, index.entries, anchor, others)
     _check_spearman_input(d2)
-    d2_ranks = average_ranks(d2)
+    regions = sorted(vectors)  # others, with the anchor at position `at`
+    at = regions.index(anchor)
+    base_values = np.array([index.entries[r] for r in regions])
     rng = np.random.default_rng(seed)
-    samples = np.empty(n_permutations)
-    for i in range(n_permutations):
-        shuffled = rng.permutation(base_values)
-        d1 = np.abs(shuffled[anchor_at] - shuffled[others_at])
-        _check_spearman_input(d1)
-        samples[i] = _rank_rho(average_ranks(d1), d2_ranks)
+    shuffled = np.stack([rng.permutation(base_values)
+                         for _ in range(n_permutations)])
+    d1 = np.abs(shuffled[:, [at]] - np.delete(shuffled, at, axis=1))
+    _check_spearman_input(d1)
+    samples = _rank_rho(average_ranks(d1), average_ranks(d2))
     mean = samples.mean()
     stderr = samples.std(ddof=1) / np.sqrt(n_permutations)
     return RandomBaseline(n_permutations=n_permutations, rho_samples=samples,
@@ -229,8 +230,6 @@ def random_baseline(vectors: dict[str, PreferenceVector], index: IndexTable,
 
 def write_comparison_csv(rows: list[tuple[RankComparison, RandomBaseline]],
                          sink) -> None:
-    import csv
-
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["country", "index", "rho", "p_value",
                      "baseline_ci_low", "baseline_ci_high", "n"])

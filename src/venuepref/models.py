@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import io
 import itertools
@@ -411,29 +412,40 @@ class _AcceptedRows:
         return _assemble(coded, **columns)
 
 
+@contextlib.contextmanager
+def csv_reader(text):
+    """A ``csv.reader`` of ``text`` whose errors (say, a field past the csv
+    module's size limit) are raised as a DataError naming the line."""
+    reader = csv.reader(text)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise DataError(f"csv line {reader.line_num}: {exc}") from exc
+
+
 def _csv_columns(text, report: IngestReport):
     """The CSV_FIELDS columns of successive chunks of csv rows, read as
     ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
     name reads its last column, and a short row reads None past its end."""
-    reader = csv.reader(text)
-    header = next(reader, None)
-    if header is None:
-        return
-    missing = [f for f in CSV_FIELDS if f not in header]
-    if missing:
-        raise DataError(f"csv header missing columns: {missing}")
-    last = {name: i for i, name in enumerate(header)}
-    positions = [last[f] for f in CSV_FIELDS]
-    width = max(positions) + 1
-    while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-        rows = [row for row in chunk if row]
-        if not rows:
-            continue
-        report.total_lines += len(rows)
-        if min(map(len, rows)) < width:
-            rows = [row + [None] * (width - len(row)) for row in rows]
-        columns = list(zip(*rows))
-        yield [columns[p] for p in positions]
+    with csv_reader(text) as reader:
+        header = next(reader, None)
+        if header is None:
+            return
+        missing = [f for f in CSV_FIELDS if f not in header]
+        if missing:
+            raise DataError(f"csv header missing columns: {missing}")
+        last = {name: i for i, name in enumerate(header)}
+        positions = [last[f] for f in CSV_FIELDS]
+        width = max(positions) + 1
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            rows = [row for row in chunk if row]
+            if not rows:
+                continue
+            report.total_lines += len(rows)
+            if min(map(len, rows)) < width:
+                rows = [row + [None] * (width - len(row)) for row in rows]
+            columns = list(zip(*rows))
+            yield [columns[p] for p in positions]
 
 
 def _jsonl_row(row: dict) -> list:
@@ -453,7 +465,8 @@ def _jsonl_row(row: dict) -> list:
 
 def _jsonl_columns(text, report: IngestReport):
     """The CSV_FIELDS columns of successive chunks of jsonl lines; a line
-    that is not a JSON object is counted as unparseable."""
+    that is not a JSON object, or nests too deeply to parse, is counted as
+    unparseable."""
     rows = []
     for line in text:
         if not line.strip():
@@ -461,7 +474,7 @@ def _jsonl_columns(text, report: IngestReport):
         report.total_lines += 1
         try:
             row = json.loads(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             row = None
         if not isinstance(row, dict):
             report.unparseable += 1
@@ -538,7 +551,8 @@ def ingest_index_table(source: BinaryIO, index_name: str = "INDEX") -> IndexTabl
     """Parse a two-column country,value CSV into an IndexTable."""
     text = io.TextIOWrapper(source, encoding="utf-8")
     try:
-        reader = iter(list(csv.reader(text)))
+        with csv_reader(text) as lines:
+            reader = iter(list(lines))
     finally:
         text.detach()  # a collected wrapper would close the caller's stream
     header = next(reader, None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CheckinTable, DataError, RegionSelector
+from .models import CheckinTable, DataError, RegionSelector, csv_reader
 from .popularity import AnalysisMode, ScopeIndex, signed_difference
 
 
@@ -117,18 +117,20 @@ def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
 
 
 def read_vectors_csv(source) -> dict[str, PreferenceVector]:
-    import csv
-
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if not header or header[0] != "region":
+    with csv_reader(source) as reader:
+        rows = list(reader)
+    if not rows or rows[0][:1] != ["region"]:
         raise DataError("vectors csv must start with a 'region' header column")
-    dims = header[1:]
+    dims = rows[0][1:]
     out: dict[str, PreferenceVector] = {}
-    for row in reader:
+    for row in rows[1:]:
         if not row:
             continue
         name = row[0]
         values = np.array([float(v) for v in row[1:]])
+        if name in out:
+            raise DataError(f"vectors csv repeats region {name!r}")
+        if not np.isfinite(values).all():
+            raise DataError(f"vectors csv has a non-finite value for region {name!r}")
         out[name] = PreferenceVector(region=name, dims=dims, values=values)
     return out

@@ -1,15 +1,17 @@
-"""The scipy-based Spearman statistics that ``venuepref.comparison`` replaced.
+"""The scipy-based, per-pair Spearman statistics that ``venuepref.comparison``
+replaced.
 
 ``scipy.stats.rankdata`` and ``scipy.stats.t.sf`` did the ranking and the
-p-value; the numpy/standard-library versions in ``venuepref.comparison``
-must give the same ranks, the same rho and the same reported p-value. scipy
-is a test dependency only, so this module is imported by tests alone.
+p-value, one cosine distance and one permutation at a time; the array
+versions in ``venuepref.comparison`` must give the same distances, ranks,
+rho and reported p-value. scipy is a test dependency only, so this module
+is imported by tests alone.
 """
 
 import numpy as np
 from scipy import stats
 
-from venuepref.comparison import _check_regions, _distances
+from venuepref.comparison import _check_regions
 from venuepref.models import DataError
 
 
@@ -34,13 +36,37 @@ def spearman(a, b):
     return rho, min(p, 1.0)
 
 
+def cosine_distance(u, v):
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0 or nv == 0:
+        raise DataError("cosine distance undefined for a zero vector")
+    return float(1.0 - np.dot(u, v) / (nu * nv))
+
+
+def distances(vectors, values, anchor, others):
+    """region -> |index difference| and region -> cosine distance to the
+    anchor, one pair at a time."""
+    anchor_vec = vectors[anchor].values
+    d1 = {r: abs(values[anchor] - values[r]) for r in others}
+    d2 = {r: cosine_distance(anchor_vec, vectors[r].values) for r in others}
+    return d1, d2
+
+
+def rank_comparison(vectors, index, anchor):
+    """(rho, p) of ``compare_with_index``, from the per-pair distances."""
+    others = _check_regions(vectors, index, anchor)
+    d1, d2 = distances(vectors, index.entries, anchor, others)
+    return spearman([d1[r] for r in others], [d2[r] for r in others])
+
+
 def baseline_samples(vectors, index, anchor, n_permutations, seed):
     """The rho samples of ``random_baseline``, one full ``spearman`` call
     (p-value included) per permutation."""
     others = _check_regions(vectors, index, anchor)
     regions = sorted(vectors)
     base_values = np.array([index.entries[r] for r in regions])
-    _, d2 = _distances(vectors, index.entries, anchor, others)
+    _, d2 = distances(vectors, index.entries, anchor, others)
     d2_list = [d2[r] for r in others]
     rng = np.random.default_rng(seed)
     samples = np.empty(n_permutations)

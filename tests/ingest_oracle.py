@@ -97,7 +97,7 @@ def ingest(source, fmt):
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError:
+                except (json.JSONDecodeError, RecursionError):
                     row = None
                 rows.append(row if isinstance(row, dict) else None)
         for row in rows:

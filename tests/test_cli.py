@@ -362,3 +362,80 @@ def test_commands_build_no_record_objects(tmp_path, monkeypatch):
                      "--out-dir", str(tmp_path / method)]) == 0
     assert main(["vectors", "--input", str(data),
                  "--out-dir", str(tmp_path / "v")]) == 0
+
+
+def write_vectors(path, rows):
+    path.write_text("region,a,b\n" + "".join(f"{r}\n" for r in rows))
+    return path
+
+
+FIVE_INDEX = "country,value\n" + "".join(f"R{i},0.{i + 1}\n" for i in range(5))
+FIVE_VECTORS = [f"R{i},{i + 1},{5 - i}" for i in range(5)]
+HUGE_FIELD = "9" * 200_000  # past the csv module's 131072-character limit
+
+
+def huge_field_run(tmp_path, command):
+    """A command whose csv input has one 200,000-character field on line 3."""
+    data = write_dataset(tmp_path / "data.csv")
+    lines = data.read_text().splitlines(keepends=True)
+    row = lines[1].rstrip("\n").split(",")
+    row[CSV_FIELDS.index("timestamp")] = HUGE_FIELD
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(lines[:2]) + ",".join(row) + "\n" + "".join(lines[2:]))
+    index = tmp_path / "index.csv"
+    index.write_text(FIVE_INDEX)
+    vectors = write_vectors(tmp_path / "vectors.csv", FIVE_VECTORS)
+    out = ["--out-dir", str(tmp_path / "out")]
+    if command == "ingest-check":
+        return ["ingest-check", "--input", str(huge)]
+    if command == "analyze":
+        return ["analyze", "--input", str(huge), "--country", "Synthland", *out]
+    if command == "vectors":
+        return ["vectors", "--input", str(huge), *out]
+    if command == "cluster":
+        write_vectors(vectors, [FIVE_VECTORS[0], f"R9,1,{HUGE_FIELD}"])
+        return ["cluster", "--vectors", str(vectors), "--k", "2", *out]
+    index.write_text(FIVE_INDEX.replace("0.2\n", f"0.2{HUGE_FIELD}\n"))
+    return ["compare", "--vectors", str(vectors), "--index", str(index),
+            "--all-anchors", *out]
+
+
+@pytest.mark.parametrize("command", ["ingest-check", "analyze", "vectors",
+                                     "cluster", "compare"])
+def test_csv_field_past_the_size_limit_is_runtime_error(command, tmp_path, capsys):
+    assert main(huge_field_run(tmp_path, command)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: csv line 3: field larger than field limit")
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_jsonl_line_is_unparseable(tmp_path, capsys):
+    records = generate(SynthSpec(**SPEC_JSON))
+    path = tmp_path / "data.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_checkins(records, fh, fmt="jsonl")
+        fh.write("[" * 100_000 + "\n")
+    assert main(["ingest-check", "--input", str(path), "--format", "jsonl"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["unparseable"] == 1
+    assert report["accepted"] == len(records)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([*FIVE_VECTORS, "R1,7,7"], "vectors csv repeats region 'R1'"),
+    ([*FIVE_VECTORS[:4], "R4,nan,1"],
+     "vectors csv has a non-finite value for region 'R4'"),
+    ([*FIVE_VECTORS[:4], "R4,1,inf"],
+     "vectors csv has a non-finite value for region 'R4'"),
+], ids=["repeated", "nan", "inf"])
+@pytest.mark.parametrize("command", ["cluster", "compare"])
+def test_repeated_or_non_finite_vectors_row_is_runtime_error(
+        command, rows, message, tmp_path, capsys):
+    vectors = write_vectors(tmp_path / "vectors.csv", rows)
+    index = tmp_path / "index.csv"
+    index.write_text(FIVE_INDEX)
+    argv = {"cluster": ["cluster", "--vectors", str(vectors), "--k", "2"],
+            "compare": ["compare", "--vectors", str(vectors), "--index",
+                        str(index), "--all-anchors"]}[command]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -9,9 +9,9 @@ from scipy import stats
 
 import comparison_oracle as oracle
 from venuepref.comparison import (
+    _distances,
     average_ranks,
     compare_with_index,
-    cosine_distance,
     random_baseline,
     spearman,
     t_two_sided_p,
@@ -110,11 +110,16 @@ def make_world(n=6, seed=0):
 
 def test_appendix_style_distance():
     vectors, _ = make_world()
-    index = IndexTable("GII", {f"C{i}": v for i, v in
-                               enumerate([0.457, 0.088, 0.3, 0.2, 0.5, 0.6])})
+    gii = [0.457, 0.088, 0.3, 0.2, 0.5, 0.6]
+    index = IndexTable("GII", {f"C{i}": v for i, v in enumerate(gii)})
     comp = compare_with_index(vectors, index, "C0")
-    assert comp.d1["C1"] == pytest.approx(0.369)
-    assert "C0" not in comp.d1
+    # the appendix's index distance |GII(C0) - GII(C)|, 0.369 for C1
+    d1 = [abs(gii[0] - g) for g in gii[1:]]
+    assert d1[0] == pytest.approx(0.369)
+    u = vectors["C0"].values
+    d2 = [1.0 - sum(u * v) / math.sqrt(sum(u * u) * sum(v * v))
+          for v in (vectors[f"C{i}"].values for i in range(1, 6))]
+    assert (comp.rho, comp.p_value) == pytest.approx(spearman(d1, d2))
     assert comp.n == 5
 
 
@@ -165,9 +170,16 @@ def test_baseline_needs_two_permutations():
         random_baseline(vectors, index, "C0", n_permutations=1, seed=0)
 
 
-def test_cosine_distance_zero_vector():
-    with pytest.raises(DataError):
-        cosine_distance(np.zeros(3), np.ones(3))
+@pytest.mark.parametrize("zero", ["C0", "C3"])  # the anchor's, another's
+@pytest.mark.parametrize("run", [
+    compare_with_index,
+    lambda vectors, index, anchor: random_baseline(vectors, index, anchor, 5),
+], ids=["compare_with_index", "random_baseline"])
+def test_zero_preference_vector_rejected(run, zero):
+    vectors, index = make_world()
+    vectors[zero] = pv(zero, np.zeros(4))
+    with pytest.raises(DataError, match="cosine distance undefined for a zero vector"):
+        run(vectors, index, "C0")
 
 
 def test_too_few_regions():
@@ -187,6 +199,16 @@ tied_floats = st.one_of(st.integers(-2, 2).map(float),
 def test_average_ranks_equal_scipy_rankdata(values):
     x = np.array(values)
     expected = stats.rankdata(x, method="average")
+    ranks = average_ranks(x)
+    assert ranks.dtype == expected.dtype
+    assert np.array_equal(ranks, expected)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(tied_floats, min_size=n, max_size=n), min_size=1, max_size=8)))
+def test_average_ranks_rows_equal_scipy_rankdata(rows):
+    x = np.array(rows)
+    expected = stats.rankdata(x, method="average", axis=-1)
     ranks = average_ranks(x)
     assert ranks.dtype == expected.dtype
     assert np.array_equal(ranks, expected)
@@ -280,3 +302,46 @@ def test_baseline_samples_equal_scipy_version(values, seed):
 def test_non_finite_input_rejected():
     with pytest.raises(DataError, match="non-finite"):
         spearman([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
+
+@st.composite
+def tied_worlds(draw):
+    """Regions whose vectors and index values are drawn from small pools,
+    so cosine distances repeat and index distances tie."""
+    n = draw(st.integers(4, 12))
+    dim = draw(st.integers(1, 5))
+    entry = st.integers(0, 3).map(float) | st.floats(0.0, 1.0)
+    pool = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim).filter(any),
+                         min_size=1, max_size=n))
+    value = st.sampled_from([0.1, 0.25, 0.4]) | st.floats(0.0, 1.0)
+    names = [f"C{i}" for i in range(n)]
+    vectors = {r: pv(r, draw(st.sampled_from(pool))) for r in names}
+    index = IndexTable("W", {r: draw(value) for r in names})
+    return vectors, index, draw(st.sampled_from(names))
+
+
+@given(tied_worlds(), st.integers(0, 2 ** 32 - 1))
+def test_comparison_equals_per_pair_version(world, seed):
+    vectors, index, anchor = world
+    others = sorted(set(vectors) - {anchor})
+    got = outcome(_distances, vectors, index.entries, anchor, others)
+    expected = outcome(oracle.distances, vectors, index.entries, anchor, others)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        for dists, by_region in zip(got, expected):
+            assert dists.tolist() == [by_region[r] for r in others]
+    got = outcome(compare_with_index, vectors, index, anchor)
+    expected = outcome(oracle.rank_comparison, vectors, index, anchor)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.rho == expected[0]
+        assert got.p_value == pytest.approx(expected[1], rel=1e-12, abs=0.0)
+        assert f"{got.p_value:.6g}" == f"{expected[1]:.6g}"
+    got = outcome(random_baseline, vectors, index, anchor, 10, seed)
+    expected = outcome(oracle.baseline_samples, vectors, index, anchor, 10, seed)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got.rho_samples, expected)

@@ -413,39 +413,91 @@ class _AcceptedRows:
 
 
 @contextlib.contextmanager
-def csv_reader(text):
+def csv_reader(text, lines_before: int = 0):
     """A ``csv.reader`` of ``text`` whose errors (say, a field past the csv
-    module's size limit) are raised as a DataError naming the line."""
+    module's size limit) are raised as a DataError naming the line, counted
+    from the start of a file whose first ``lines_before`` lines were read
+    before ``text``."""
     reader = csv.reader(text)
     try:
         yield reader
     except csv.Error as exc:
-        raise DataError(f"csv line {reader.line_num}: {exc}") from exc
+        raise DataError(f"csv line {lines_before + reader.line_num}: {exc}") from exc
+
+
+def _row_columns(rows: list, positions: list[int], width: int) -> list:
+    """The columns at ``positions`` of non-empty rows; a row shorter than
+    ``width`` reads None past its end."""
+    if min(map(len, rows)) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    columns = list(zip(*rows))
+    return [columns[p] for p in positions]
+
+
+def _split_columns(lines: list[str], positions: list[int], width: int):
+    """The columns at ``positions`` of non-empty csv lines, each split at
+    every comma, or None where the csv dialect may read them otherwise: a
+    quote, a NUL or a CR, or a line longer than the csv field size limit.
+
+    Rows of one field count are one ``str.split`` of the joined lines, and
+    each column is a stride slice of it."""
+    blob = "".join(lines)
+    if ('"' in blob or "\0" in blob or "\r" in blob
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    commas = set(map(str.count, lines, itertools.repeat(",")))
+    if len(commas) > 1:
+        return _row_columns([line.rstrip("\n").split(",") for line in lines],
+                            positions, width)
+    n, fields_per_row = len(lines), commas.pop() + 1
+    fields = blob.replace("\n", ",").split(",")
+    end = n * fields_per_row
+    return [fields[p:end:fields_per_row] if p < fields_per_row else [None] * n
+            for p in positions]
 
 
 def _csv_columns(text, report: IngestReport):
     """The CSV_FIELDS columns of successive chunks of csv rows, read as
     ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
-    name reads its last column, and a short row reads None past its end."""
+    name reads its last column, and a short row reads None past its end.
+
+    Chunks of lines are split at commas (``_split_columns``) until the first
+    one that the csv dialect may read otherwise; from that chunk on, the
+    rest of the file goes through ``csv.reader``."""
     with csv_reader(text) as reader:
         header = next(reader, None)
-        if header is None:
+    if header is None:
+        return
+    missing = [f for f in CSV_FIELDS if f not in header]
+    if missing:
+        raise DataError(f"csv header missing columns: {missing}")
+    last = {name: i for i, name in enumerate(header)}
+    positions = [last[f] for f in CSV_FIELDS]
+    width = max(positions) + 1
+    lines_read = reader.line_num
+    while chunk := list(itertools.islice(text, _CHUNK_ROWS)):
+        lines = [line for line in chunk if line != "\n"] if "\n" in chunk else chunk
+        columns = _split_columns(lines, positions, width) if lines else []
+        if columns is None:
+            yield from _reader_columns(itertools.chain(chunk, text), lines_read,
+                                       report, positions, width)
             return
-        missing = [f for f in CSV_FIELDS if f not in header]
-        if missing:
-            raise DataError(f"csv header missing columns: {missing}")
-        last = {name: i for i, name in enumerate(header)}
-        positions = [last[f] for f in CSV_FIELDS]
-        width = max(positions) + 1
+        lines_read += len(chunk)
+        if lines:
+            report.total_lines += len(lines)
+            yield columns
+
+
+def _reader_columns(text, lines_before: int, report: IngestReport,
+                    positions: list[int], width: int):
+    """``_csv_columns`` through ``csv.reader``, for the lines of a file
+    after its first ``lines_before``."""
+    with csv_reader(text, lines_before) as reader:
         while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
             rows = [row for row in chunk if row]
-            if not rows:
-                continue
-            report.total_lines += len(rows)
-            if min(map(len, rows)) < width:
-                rows = [row + [None] * (width - len(row)) for row in rows]
-            columns = list(zip(*rows))
-            yield [columns[p] for p in positions]
+            if rows:
+                report.total_lines += len(rows)
+                yield _row_columns(rows, positions, width)
 
 
 def _jsonl_row(row: dict) -> list:

@@ -118,16 +118,22 @@ def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
 
 def read_vectors_csv(source) -> dict[str, PreferenceVector]:
     with csv_reader(source) as reader:
-        rows = list(reader)
-    if not rows or rows[0][:1] != ["region"]:
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows or rows[0][1][:1] != ["region"]:
         raise DataError("vectors csv must start with a 'region' header column")
-    dims = rows[0][1:]
+    dims = rows[0][1][1:]
     out: dict[str, PreferenceVector] = {}
-    for row in rows[1:]:
+    for line, row in rows[1:]:
         if not row:
             continue
         name = row[0]
-        values = np.array([float(v) for v in row[1:]])
+        where = f"vectors csv line {line}: region {name!r}"
+        if len(row) != len(dims) + 1:
+            raise DataError(f"{where} has {len(row) - 1} value(s) for {len(dims)} dims")
+        try:
+            values = np.array([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{where} has a value that is not a number ({exc})") from None
         if name in out:
             raise DataError(f"vectors csv repeats region {name!r}")
         if not np.isfinite(values).all():

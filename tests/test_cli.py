@@ -409,6 +409,34 @@ def test_csv_field_past_the_size_limit_is_runtime_error(command, tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, cell", [("timestamp", HUGE_FIELD), ("user_id", "u\0")],
+                         ids=["huge-field", "nul"])
+def test_csv_reader_after_split_chunks_counts_lines_from_the_start(
+        field, cell, tmp_path, capsys, monkeypatch):
+    """Chunks of two lines: lines 2-5 are split at commas, and line 7 makes
+    csv.reader read on from line 6. Its outcome is csv.reader's, with the
+    file's line number: an error for the huge field, and for the NUL an
+    error before Python 3.11 and an accepted row since."""
+    monkeypatch.setattr(models, "_CHUNK_ROWS", 2)
+    lines = write_dataset(tmp_path / "data.csv").read_text().splitlines(keepends=True)
+    row = lines[6].rstrip("\n").split(",")
+    row[CSV_FIELDS.index(field)] = cell
+    lines[6] = ",".join(row) + "\n"
+    path = tmp_path / "odd.csv"
+    path.write_text("".join(lines))
+    reader = csv.reader(lines)
+    try:
+        rows = [r for r in reader if r]
+    except csv.Error as exc:
+        assert reader.line_num == 7
+        assert main(["ingest-check", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: csv line 7: {exc}\n"
+    else:
+        assert field == "user_id"
+        assert main(["ingest-check", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["accepted"] == len(rows) - 1 == 2000
+
+
 def test_deeply_nested_jsonl_line_is_unparseable(tmp_path, capsys):
     records = generate(SynthSpec(**SPEC_JSON))
     path = tmp_path / "data.jsonl"
@@ -439,3 +467,17 @@ def test_repeated_or_non_finite_vectors_row_is_runtime_error(
                         str(index), "--all-anchors"]}[command]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("R1,abc,1", "region 'R1' has a value that is not a number "
+                 "(could not convert string to float: 'abc')"),
+    ("R1,1", "region 'R1' has 1 value(s) for 2 dims"),
+    ("R1,1,2,3", "region 'R1' has 3 value(s) for 2 dims"),
+], ids=["not-a-number", "short", "long"])
+def test_malformed_vectors_row_names_its_line(row, message, tmp_path, capsys):
+    vectors = write_vectors(tmp_path / "vectors.csv",
+                            [FIVE_VECTORS[0], row, *FIVE_VECTORS[2:]])
+    argv = ["cluster", "--vectors", str(vectors), "--k", "2"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: vectors csv line 3: {message}\n"

@@ -21,6 +21,7 @@ from venuepref.models import (
     load_bundled_index,
     write_checkins,
 )
+from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 HEADER = "user_id,gender,venue_id,category,subcategory,latitude,longitude,country,city,timestamp\n"
@@ -221,8 +222,10 @@ def test_ingest_leaves_the_callers_stream_open(read, data):
 
 # per field: valid values first (VALID of them), then values a row may break on
 VALID = 3
+# values the csv writer quotes: a comma, a quote (doubled) and a line break
+QUOTED = ["Rio, RJ", 'Rio "RJ"', "Rio\nRJ"]
 CELLS = {
-    "user_id": ["u1", "u2", " u1", "", " "],
+    "user_id": ["u1", "u2", " u1", "", " ", *QUOTED],
     "gender": ["male", "female", "MALE", " Female ", "mAlE", "other", ""],
     "venue_id": ["v1", "v2", "v3", ""],
     "category": ["Food", "Arts", " Food", "", " "],
@@ -231,7 +234,7 @@ CELLS = {
                  " 2 ", "0x1", "abc", ""],
     "longitude": ["2.5", "-180", " 1e2", "180.5", "-inf", "1e500", ""],
     "country": ["BR", "US", "BR ", ""],
-    "city": ["", "Rio", " Rio ", " ", "São Paulo"],
+    "city": ["", "Rio", " Rio ", " ", "São Paulo", *QUOTED],
     "timestamp": ["", "2014-04-25T12:00:00", "2014-04-25T14:00:00+02:00",
                   "2014-04-25T08:29:59.999999-03:30",
                   "9999-12-31T23:59:59.999999+00:00",
@@ -270,14 +273,18 @@ def draw_row(draw, cells):
 @st.composite
 def csv_files(draw):
     """CSV text with a shuffled header that may repeat, add or miss
-    columns, and rows that may be short, long or empty."""
+    columns; rows that may be short, long, empty or quoted; empty lines;
+    LF or CRLF line ends, and a last line that may have none."""
     header = list(draw(st.permutations(CSV_FIELDS)))
     if draw(st.integers(0, 15)) == 0:
         header.remove(draw(st.sampled_from(CSV_FIELDS)))
     for name in draw(st.lists(st.sampled_from([*CSV_FIELDS, "extra"]), max_size=3)):
         header.insert(draw(st.integers(0, len(header))), name)
     last = {name: i for i, name in enumerate(header)}
-    rows = []
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=end)
+    writer.writerow(header)
     for _ in range(draw(st.integers(0, 12))):
         values = draw_row(draw, CELLS)
         # a repeated column is read at its last position; the others differ
@@ -285,12 +292,11 @@ def csv_files(draw):
                else draw(st.sampled_from(CELLS.get(name, ["x", ""])))
                for i, name in enumerate(header)]
         cut = draw(st.sampled_from([0] * 8 + [-1, -3, 2, -len(row)]))
-        rows.append(row[:len(row) + cut] if cut <= 0 else row + ["x"] * cut)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+        if draw(st.integers(0, 7)) == 0:
+            buf.write(end)
+        writer.writerow(row[:len(row) + cut] if cut <= 0 else row + ["x"] * cut)
+    text = buf.getvalue()
+    return text[:-len(end)] if draw(st.booleans()) else text
 
 
 @st.composite
@@ -352,9 +358,66 @@ def assert_same_ingest(data, fmt):
                   "u3,female,v1,Food,Café,1.0,2.0,BR,,\n", 1)
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu2,male,v1,Food,B,1,2,BR,,\n"
                   "u3,female,v1,Food,A,1,2,BR,,\n", 2)
+# the first quote after the first chunk: csv.reader reads on from its chunk
+@example(HEADER + "u1,male,v1,Food,A,1,2,BR,Rio,\n"
+                  'u2,female,v1,Food,A,1,2,BR,"Rio, RJ",\n'
+                  "u3,female,v2,Food,A,1,2,BR,,\n", 1)
+@example((HEADER + "u1,male,v1,Food,A,1,2,BR,Rio,\n\n"
+                   "u2,female,v1,Food,A,1,2,BR,,\n"
+                   'u3,female,v2,Food,B,1,2,BR,"Rio ""RJ""\nnorte",\n'
+                   "u4,male,v2,Food,B,1,2,BR,,").replace("\n", "\r\n"), 2)
+# quote-free chunks whose rows are all short, all long, or of mixed length
+@example(HEADER + "u1,male,v1,Food,A,1,2,BR\nu2,male,v1,Food,A,1,2,BR,Rio,,x\n"
+                  "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 1)
+@example(HEADER + "u1,male,v1,Food,A,1,2,BR\nu2,male,v1,Food,A,1,2,BR,Rio,,x\n"
+                  "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 2)
 def test_csv_ingest_equals_oracle(data, chunk_rows):
     with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows):
         assert_same_ingest(data, "csv")
+
+
+def test_quote_free_rows_skip_the_csv_reader(monkeypatch):
+    spec = SynthSpec(n_users=40, female_fraction=0.5, n_checkins=300,
+                     region_name="Land0", rng_seed=5, city="Rio",
+                     subcategories=[SubcategorySpec(f"S{i}", "Food", 3, 1.0)
+                                    for i in range(3)])
+    buf = io.StringIO()
+    write_checkins(generate(spec), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert '"' not in buf.getvalue()
+    quoted = lines[:200] + [lines[200].replace(",Rio,", ',"Rio",')] + lines[201:]
+    calls = []
+    reader = csv.reader
+
+    def counted_reader(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(models, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(models.csv, "reader", counted_reader)
+    table, report = ingest_checkins(io.BytesIO("".join(lines).encode()), "csv")
+    assert len(calls) == 1  # the header
+    assert report.accepted == len(table) == 300
+    # a quote on line 201 hands the rest of the file to one more reader
+    again, _ = ingest_checkins(io.BytesIO("".join(quoted).encode()), "csv")
+    assert len(calls) == 3
+    assert again == table
+
+
+@pytest.mark.parametrize("size", [16, 17])
+def test_split_lines_keep_the_csv_field_size_limit(size):
+    row = "u1,male,v1,Food,A,1,2,BR,,\n"
+    data = HEADER + "u" * size + "\n" + row + row
+    limit = csv.field_size_limit(16)
+    try:
+        with mock.patch.object(models, "_CHUNK_ROWS", 1):  # the line alone
+            outcome = ingest_outcome(ingest_checkins, data, "csv")
+    finally:
+        csv.field_size_limit(limit)
+    if size == 16:
+        assert outcome[1].as_dict()["missing_field"] == 1  # a short row
+    else:
+        assert outcome == "csv line 2: field larger than field limit (16)"
 
 
 @settings(max_examples=200)

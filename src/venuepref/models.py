@@ -435,25 +435,24 @@ def _row_columns(rows: list, positions: list[int], width: int) -> list:
 
 
 def _split_columns(lines: list[str], positions: list[int], width: int):
-    """The columns at ``positions`` of non-empty csv lines, each split at
-    every comma, or None where the csv dialect may read them otherwise: a
-    quote, a NUL or a CR, or a line longer than the csv field size limit.
+    """The columns at ``positions`` of csv lines that all have the same
+    field count, at least ``width``, and no quote, NUL or line longer
+    than the csv field size limit: there the csv dialect reads a line as a
+    split at every comma. Any other lines give None; so does an empty line,
+    whose one field is fewer than the ten CSV_FIELDS need.
 
-    Rows of one field count are one ``str.split`` of the joined lines, and
-    each column is a stride slice of it."""
+    The joined lines are one ``str.split``, and each column a stride slice
+    of it."""
     blob = "".join(lines)
-    if ('"' in blob or "\0" in blob or "\r" in blob
-            or max(map(len, lines)) > csv.field_size_limit()):
+    if '"' in blob or "\0" in blob or max(map(len, lines)) > csv.field_size_limit():
         return None
     commas = set(map(str.count, lines, itertools.repeat(",")))
-    if len(commas) > 1:
-        return _row_columns([line.rstrip("\n").split(",") for line in lines],
-                            positions, width)
-    n, fields_per_row = len(lines), commas.pop() + 1
+    fields_per_row = commas.pop() + 1
+    if commas or fields_per_row < width:
+        return None
     fields = blob.replace("\n", ",").split(",")
-    end = n * fields_per_row
-    return [fields[p:end:fields_per_row] if p < fields_per_row else [None] * n
-            for p in positions]
+    end = len(lines) * fields_per_row
+    return [fields[p:end:fields_per_row] for p in positions]
 
 
 def _csv_columns(text, report: IngestReport):
@@ -462,8 +461,8 @@ def _csv_columns(text, report: IngestReport):
     name reads its last column, and a short row reads None past its end.
 
     Chunks of lines are split at commas (``_split_columns``) until the first
-    one that the csv dialect may read otherwise; from that chunk on, the
-    rest of the file goes through ``csv.reader``."""
+    one that cannot be read that way; from that chunk on, the rest of the
+    file goes through ``csv.reader``."""
     with csv_reader(text) as reader:
         header = next(reader, None)
     if header is None:
@@ -475,17 +474,15 @@ def _csv_columns(text, report: IngestReport):
     positions = [last[f] for f in CSV_FIELDS]
     width = max(positions) + 1
     lines_read = reader.line_num
-    while chunk := list(itertools.islice(text, _CHUNK_ROWS)):
-        lines = [line for line in chunk if line != "\n"] if "\n" in chunk else chunk
-        columns = _split_columns(lines, positions, width) if lines else []
+    while lines := list(itertools.islice(text, _CHUNK_ROWS)):
+        columns = _split_columns(lines, positions, width)
         if columns is None:
-            yield from _reader_columns(itertools.chain(chunk, text), lines_read,
+            yield from _reader_columns(itertools.chain(lines, text), lines_read,
                                        report, positions, width)
             return
-        lines_read += len(chunk)
-        if lines:
-            report.total_lines += len(lines)
-            yield columns
+        lines_read += len(lines)
+        report.total_lines += len(lines)
+        yield columns
 
 
 def _reader_columns(text, lines_before: int, report: IngestReport,

@@ -366,7 +366,7 @@ def assert_same_ingest(data, fmt):
                    "u2,female,v1,Food,A,1,2,BR,,\n"
                    'u3,female,v2,Food,B,1,2,BR,"Rio ""RJ""\nnorte",\n'
                    "u4,male,v2,Food,B,1,2,BR,,").replace("\n", "\r\n"), 2)
-# quote-free chunks whose rows are all short, all long, or of mixed length
+# quote-free chunks of short, long or mixed rows: csv.reader reads short ones
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR\nu2,male,v1,Food,A,1,2,BR,Rio,,x\n"
                   "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 1)
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR\nu2,male,v1,Food,A,1,2,BR,Rio,,x\n"
@@ -406,8 +406,8 @@ def test_quote_free_rows_skip_the_csv_reader(monkeypatch):
 
 @pytest.mark.parametrize("size", [16, 17])
 def test_split_lines_keep_the_csv_field_size_limit(size):
-    row = "u1,male,v1,Food,A,1,2,BR,,\n"
-    data = HEADER + "u" * size + "\n" + row + row
+    row = ",male,v1,Food,A,1,2,BR,,\n"
+    data = HEADER + "u" * size + row + "u1" + row + "u2" + row
     limit = csv.field_size_limit(16)
     try:
         with mock.patch.object(models, "_CHUNK_ROWS", 1):  # the line alone
@@ -415,7 +415,7 @@ def test_split_lines_keep_the_csv_field_size_limit(size):
     finally:
         csv.field_size_limit(limit)
     if size == 16:
-        assert outcome[1].as_dict()["missing_field"] == 1  # a short row
+        assert outcome[1].accepted == 3
     else:
         assert outcome == "csv line 2: field larger than field limit (16)"
 

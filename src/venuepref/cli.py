@@ -214,27 +214,30 @@ def cmd_ingest_check(args, manifest: Manifest) -> None:
 
 
 def cmd_analyze(args, manifest: Manifest) -> None:
+    region = _region_from_args(args)
+    mode = AnalysisMode(args.mode)
+    within = mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY
+    if within and not args.subcategory:
+        raise DataError("--subcategory is required for mode venue_within_subcategory")
+    if not within and args.subcategory is not None:
+        raise DataError(f"--subcategory is only valid for mode "
+                        f"venue_within_subcategory, not {mode.value}")
+
     path, records, _ = _read_input(args)
     manifest.add_input(path)
     manifest.add_seed("filter", args.seed)
     manifest.add_seed("null_model", args.seed)
 
-    region = _region_from_args(args)
-    mode = AnalysisMode(args.mode)
-    if mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY and not args.subcategory:
-        raise DataError("--subcategory is required for mode venue_within_subcategory")
-    scope_subcategory = args.subcategory if mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY else None
-
     filtered, filter_report = apply_filters(records, region, _filter_config(args))
     manifest.write_artifact("filter_report.json", filter_report.as_dict())
 
-    rows = popularity_table(filtered, mode, region, scope_subcategory)
+    rows = popularity_table(filtered, mode, region.name, args.subcategory)
     manifest.write_artifact("popularity.csv", partial(write_popularity_csv, rows))
 
     config = NullModelConfig(k=args.k, confidence=args.confidence,
                              method=NullMethod(args.method), rng_seed=args.seed)
-    results = run_null_model_batch(filtered, mode, region, config,
-                                   scope_subcategory)
+    results = run_null_model_batch(filtered, mode, region.name, config,
+                                   args.subcategory)
     manifest.write_artifact("significance.json", [r.as_dict() for r in results])
     manifest.write_artifact("null_distribution.csv",
                             partial(write_null_distribution_csv, results))
@@ -256,15 +259,13 @@ def cmd_vectors(args, manifest: Manifest) -> None:
         raise DataError("no regions found in the input")
 
     config = _filter_config(args)
-    filtered_by_region = {}
-    for name in names:
-        region = RegionSelector(granularity, name)
-        filtered, _ = apply_filters(by_name.get(name, []), region, config)
-        filtered_by_region[name] = (region, filtered)
+    filtered = {name: apply_filters(by_name.get(name, []),
+                                    RegionSelector(granularity, name), config)[0]
+                for name in names}
 
-    dims = collect_global_dims(*(recs for _, recs in filtered_by_region.values()))
-    vectors = [build_preference_vector(recs, region, dims)
-               for region, recs in filtered_by_region.values()]
+    dims = collect_global_dims(*filtered.values())
+    vectors = [build_preference_vector(recs, name, dims)
+               for name, recs in filtered.items()]
 
     manifest.write_artifact("vectors.csv", partial(write_vectors_csv, vectors))
     manifest.write_artifact("vectors_manifest.json", {

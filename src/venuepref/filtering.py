@@ -44,6 +44,13 @@ class FilterReport:
         return {"stages": self.stages}
 
 
+def _region_column(t: CheckinTable, granularity: Granularity):
+    """Codes and value table of the country or the city column."""
+    if granularity is Granularity.COUNTRY:
+        return t.country, t.countries
+    return t.city, t.cities
+
+
 def _earliest_per_pair(t: CheckinTable, rows: np.ndarray) -> np.ndarray:
     # Keep the earliest check-in per (user, venue); ties and missing
     # timestamps fall back to input order.
@@ -94,7 +101,7 @@ def partition_by_region(records, granularity: Granularity
     group equals filtering all check-ins for that region. Check-ins without
     a city are grouped under None."""
     table = CheckinTable.from_records(records)
-    codes, names = table.region(granularity)
+    codes, names = _region_column(table, granularity)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     starts = np.flatnonzero(np.diff(sorted_codes, prepend=-2))
@@ -116,7 +123,7 @@ def apply_filters(records, region: RegionSelector, config: FilterConfig
     table = CheckinTable.from_records(records)
     report = FilterReport()
 
-    rows = rows_with(*table.region(region.granularity), region.name)
+    rows = rows_with(*_region_column(table, region.granularity), region.name)
     report.add("region", len(table), len(rows))
     if not len(rows):
         raise DataError(f"region {region.name!r} ({region.granularity.value}) "

@@ -153,12 +153,6 @@ class CheckinTable:
         """The rows ``rows`` (indices or a mask), in that order."""
         return replace(self, **{c: getattr(self, c)[rows] for c in _COLUMNS})
 
-    def region(self, granularity: Granularity) -> tuple[np.ndarray, list[str]]:
-        """Codes and value table of the country or the city column."""
-        if granularity is Granularity.COUNTRY:
-            return self.country, self.countries
-        return self.city, self.cities
-
     def __getitem__(self, i: int) -> CheckInRecord:
         city = int(self.city[i])
         return CheckInRecord(

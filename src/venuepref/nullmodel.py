@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
-from .models import DataError, RegionSelector
+from .models import DataError
 from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
@@ -71,7 +71,7 @@ class NullModelResult:
         return {
             "unit_key": self.unit.key,
             "mode": self.unit.mode.value,
-            "scope": self.unit.scope.name,
+            "scope": self.unit.scope,
             "scope_subcategory": self.unit.scope_subcategory,
             "observed_d": self.observed_d,
             "delta_min": self.delta_min,
@@ -134,7 +134,7 @@ def _verdict(unit: AnalysisUnit, observed: float, null: np.ndarray,
     )
 
 
-def run_null_model_batch(records, mode: AnalysisMode, scope: RegionSelector,
+def run_null_model_batch(records, mode: AnalysisMode, scope: str,
                          config: NullModelConfig,
                          scope_subcategory: Optional[str] = None
                          ) -> list[NullModelResult]:
@@ -162,8 +162,7 @@ def run_null_model(records, unit: AnalysisUnit,
     for result in results:
         if result.unit.key == unit.key:
             return result
-    raise DataError(f"unit {unit.key!r} not present in scope "
-                    f"{unit.scope.name!r}")
+    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope!r}")
 
 
 def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:

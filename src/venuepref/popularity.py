@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckinTable, DataError, RegionSelector, rows_with
+from .models import CheckinTable, DataError, rows_with
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,7 +30,7 @@ class AnalysisMode(str, Enum):
 class AnalysisUnit:
     mode: AnalysisMode
     key: str
-    scope: RegionSelector
+    scope: str  # the region's name
     scope_subcategory: Optional[str] = None
 
     def __post_init__(self):
@@ -68,7 +68,7 @@ class ScopeIndex:
     """Integer-coded view of one scope, the input of every statistic.
 
     It counts all of ``records`` (a CheckinTable or a list of records), one
-    region's ``apply_filters`` output; ``scope`` labels that region.
+    region's ``apply_filters`` output; ``scope`` is that region's name.
     venue_within_subcategory mode narrows them to ``scope_subcategory``, as
     that mode's units are defined. Venues and subcategories get codes in
     sorted key order, and each venue maps to its subcategory's code. The
@@ -78,7 +78,7 @@ class ScopeIndex:
     count would give.
     """
 
-    def __init__(self, records, mode: AnalysisMode, scope: RegionSelector,
+    def __init__(self, records, mode: AnalysisMode, scope: str,
                  scope_subcategory: Optional[str] = None):
         table = CheckinTable.from_records(records)
         if scope_subcategory is not None:
@@ -86,7 +86,7 @@ class ScopeIndex:
                                          scope_subcategory))
         if not len(table):
             what = f" subcategory {scope_subcategory!r}" if scope_subcategory else ""
-            raise DataError(f"scope {scope.name!r}{what} has no records to analyze")
+            raise DataError(f"scope {scope!r}{what} has no records to analyze")
         self.mode = mode
         self.scope = scope
         self.scope_subcategory = scope_subcategory
@@ -129,7 +129,7 @@ class ScopeIndex:
         """p_male, p_female and d of every unit."""
         if self.male_total == 0 or self.female_total == 0:
             raise DataError(
-                f"scope {self.scope.name!r} lacks check-ins for one gender "
+                f"scope {self.scope!r} lacks check-ins for one gender "
                 f"(male={self.male_total}, female={self.female_total}); "
                 f"difference undefined")
         p_male = self.male / self.male_total
@@ -151,14 +151,14 @@ def popularity(records, unit: AnalysisUnit) -> PopularityPoint:
                             unit.scope_subcategory).points():
         if point.unit.key == unit.key:
             return point
-    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope.name!r}")
+    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope!r}")
 
 
-def popularity_table(records, mode: AnalysisMode,
-                     scope: RegionSelector,
+def popularity_table(records, mode: AnalysisMode, scope: str,
                      scope_subcategory: Optional[str] = None) -> list[PopularityRow]:
     """One PopularityRow per unit of one region's ``apply_filters`` output
-    (a CheckinTable or a list of records), sorted by |d| descending (ties by key ascending). Normalization divides
+    (a CheckinTable or a list of records), sorted by |d| descending (ties by
+    key ascending); ``scope`` is the region's name. Normalization divides
     both axes by the joint maximum popularity over the table; it never feeds
     any statistic."""
     points = ScopeIndex(records, mode, scope, scope_subcategory).points()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CheckinTable, DataError, RegionSelector, csv_reader
+from .models import CheckinTable, DataError, csv_reader
 from .popularity import AnalysisMode, ScopeIndex, signed_difference
 
 
@@ -66,12 +66,13 @@ def collect_global_dims(*regions) -> list[str]:
     return sorted(dims)
 
 
-def build_preference_vector(records, region: RegionSelector,
+def build_preference_vector(records, region: str,
                             global_dims: list[str]) -> PreferenceVector:
     """Gini-per-subcategory vector for one region, over the global dims.
 
     ``records`` are the region's ``apply_filters`` output, a CheckinTable or
-    a list of records (none gives the zero vector). One venue-mode index of them gives every venue's counts; a
+    a list of records (none gives the zero vector). One venue-mode index of
+    them gives every venue's counts; a
     subcategory's venues are scored against that subcategory's gender
     totals, as in venue_within_subcategory mode. A subcategory whose scope
     lacks one gender entirely has undefined venue-level differences; it is
@@ -79,7 +80,7 @@ def build_preference_vector(records, region: RegionSelector,
     """
     values = np.zeros(len(global_dims))
     if not len(records):
-        return PreferenceVector(region=region.name, dims=list(global_dims),
+        return PreferenceVector(region=region, dims=list(global_dims),
                                 values=values)
     index = ScopeIndex(records, AnalysisMode.VENUE, region)
     dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
@@ -98,7 +99,7 @@ def build_preference_vector(records, region: RegionSelector,
         diffs = np.abs(signed_difference(male / male_total, female / female_total))
         # all-zero differences are perfect equality; skip the gini warning
         values[dim_pos[subcat]] = gini(diffs) if diffs.any() else 0.0
-    return PreferenceVector(region=region.name, dims=list(global_dims), values=values)
+    return PreferenceVector(region=region, dims=list(global_dims), values=values)
 
 
 def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
@@ -139,4 +140,6 @@ def read_vectors_csv(source) -> dict[str, PreferenceVector]:
         if not np.isfinite(values).all():
             raise DataError(f"vectors csv has a non-finite value for region {name!r}")
         out[name] = PreferenceVector(region=name, dims=dims, values=values)
+    if not out:
+        raise DataError("vectors csv has no region rows")
     return out

@@ -23,6 +23,20 @@ def _check_types(spec, types: dict) -> None:
                              f"{value!r}")
 
 
+def _check_bbox(bbox) -> tuple:
+    """``bbox`` as a tuple (lat_lo, lat_hi, lon_lo, lon_hi), or ValueError
+    unless it holds four numbers with latitudes in [-90, 90] and longitudes
+    in [-180, 180] (which also rules out nan and inf)."""
+    if (isinstance(bbox, (list, tuple)) and len(bbox) == 4
+            and all(isinstance(v, Real) and not isinstance(v, bool)
+                    and -limit <= v <= limit
+                    for v, limit in zip(bbox, (90, 90, 180, 180)))):
+        return tuple(bbox)
+    raise ValueError(f"SynthSpec.bbox must be four numbers (lat_lo, lat_hi, lon_lo, "
+                     f"lon_hi), latitudes in [-90, 90] and longitudes in "
+                     f"[-180, 180]: {bbox!r}")
+
+
 @dataclass
 class SubcategorySpec:
     name: str
@@ -56,7 +70,8 @@ class SynthSpec:
     def __post_init__(self):
         _check_types(self, {"n_users": Integral, "female_fraction": Real,
                             "n_checkins": Integral, "region_name": str,
-                            "rng_seed": Integral})
+                            "rng_seed": Integral, "city": (str, type(None))})
+        self.bbox = _check_bbox(self.bbox)
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not (0.0 <= self.female_fraction <= 1.0):
@@ -78,8 +93,6 @@ class SynthSpec:
         if not isinstance(data, dict):
             raise ValueError("synth spec must be a JSON object")
         try:
-            if "bbox" in data:
-                data["bbox"] = tuple(data["bbox"])
             return cls(**data)
         except TypeError as exc:  # an unknown or missing key, here or in a subcategory
             raise ValueError(f"bad synth spec: {exc}") from None

@@ -3,8 +3,9 @@
 This is the straightforward counting loop the integer-coded kernel in
 ``venuepref.popularity`` replaced: every unit rescans its whole scope. It is
 slow (units x records) and kept only so tests can require the fast paths
-to give the very same floats. It selects each scope's records itself, so
-it takes records of any number of regions.
+to give the very same floats. It selects each scope's records itself, by
+the ``RegionSelector`` it is given, so it takes records of any number of
+regions; the units it builds carry the region's name, as the library's do.
 
 The null-model samplers here draw one value per check-in, as the library
 did before it drew per-unit counts; tests compare the two in distribution.
@@ -41,8 +42,8 @@ def _in_unit(rec, unit):
     return rec.venue_id == unit.key
 
 
-def popularity(records, unit):
-    scoped = scope_records(records, unit.scope, unit.scope_subcategory)
+def popularity(records, region, unit):
+    scoped = scope_records(records, region, unit.scope_subcategory)
     male_total = sum(1 for r in scoped if r.gender is Gender.MALE)
     female_total = len(scoped) - male_total
     male_in = 0
@@ -73,8 +74,9 @@ def unit_keys(records, mode, scope, scope_subcategory=None):
 
 def points(records, mode, scope, scope_subcategory=None):
     """One point per unit of the scope, in key order."""
-    return [popularity(records, AnalysisUnit(mode=mode, key=key, scope=scope,
-                                             scope_subcategory=scope_subcategory))
+    return [popularity(records, scope,
+                       AnalysisUnit(mode=mode, key=key, scope=scope.name,
+                                    scope_subcategory=scope_subcategory))
             for key in unit_keys(records, mode, scope, scope_subcategory)]
 
 

@@ -116,7 +116,7 @@ def test_criterion_4_null_model_calibration():
     for ds in range(10):
         records = synth_records([0.0] * 50, n_checkins=20000, seed=2000 + ds)
         results = run_null_model_batch(records, AnalysisMode.SUBCATEGORY,
-                                       REGION,
+                                       REGION.name,
                                        NullModelConfig(k=100, confidence=0.99,
                                                        rng_seed=1000 + ds))
         flagged += sum(1 for r in results if r.significant)
@@ -129,7 +129,7 @@ def test_criterion_4_null_model_calibration():
 
 
 def test_criterion_5_null_model_power():
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION)
+    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION.name)
     detected = 0
     agree = 0
     planted_sizes = []
@@ -169,11 +169,9 @@ def test_criterion_6_difference_metric_oracle():
                               subcat="MaleSpot") for i in range(6)])
     from venuepref.popularity import popularity
     fem = popularity(records, AnalysisUnit(AnalysisMode.SUBCATEGORY,
-                                           "FemSpot", RegionSelector(
-                                               Granularity.COUNTRY, "BR")))
+                                           "FemSpot", "BR"))
     mal = popularity(records, AnalysisUnit(AnalysisMode.SUBCATEGORY,
-                                           "MaleSpot", RegionSelector(
-                                               Granularity.COUNTRY, "BR")))
+                                           "MaleSpot", "BR"))
     ok = worst <= 1e-12 and fem.d < 0 < mal.d
     report(6, ok, f"max |d| deviation {worst:.2e}; signs "
                   f"fem={fem.d:.3f} male={mal.d:.3f}")
@@ -305,9 +303,9 @@ def test_criterion_9_determinism():
     for method in NullMethod:
         nm_config = NullModelConfig(k=40, method=method, rng_seed=13)
         res_a = run_null_model_batch(records_a, AnalysisMode.SUBCATEGORY,
-                                     region, nm_config)
+                                     region.name, nm_config)
         res_b = run_null_model_batch(records_b, AnalysisMode.SUBCATEGORY,
-                                     region, nm_config)
+                                     region.name, nm_config)
         same = all(np.array_equal(x.null_distribution, y.null_distribution)
                    for x, y in zip(res_a, res_b))
         single = run_null_model(records_a, res_a[0].unit, nm_config)

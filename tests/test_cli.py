@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -262,6 +263,59 @@ def test_flags_beat_config_file(dataset, tmp_path):
     assert manifest["config"]["k"] == 7
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "a region is required: pass --country or --city"),
+    (["--country", "Synthland", "--city", "Rio"],
+     "pass either --country or --city, not both"),
+    (["--country", "Synthland", "--mode", "venue_within_subcategory"],
+     "--subcategory is required for mode venue_within_subcategory"),
+    (["--country", "Synthland", "--subcategory", "S0"],
+     "--subcategory is only valid for mode venue_within_subcategory, not subcategory"),
+    (["--country", "Synthland", "--mode", "venue", "--subcategory", "S0"],
+     "--subcategory is only valid for mode venue_within_subcategory, not venue"),
+], ids=["no-region", "two-regions", "no-subcategory", "stray-subcategory",
+        "stray-subcategory-venue"])
+@pytest.mark.parametrize("exists", [False, True], ids=["no-input", "input"])
+def test_analyze_checks_its_flags_before_reading_the_input(flags, message, exists,
+                                                          tmp_path, capsys):
+    data = write_dataset(tmp_path / "data.csv") if exists else tmp_path / "nope.csv"
+    assert main(["analyze", "--input", str(data), *flags,
+                 "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_city_scope_is_the_city_name(tmp_path):
+    """Two cities of one country plus check-ins without a city: analyze
+    --city counts and names only that city, and vectors --granularity city
+    has one row per city and none for the check-ins without a city."""
+    records = []
+    for i, city in enumerate(["Recife", "Rio", None]):
+        spec = SynthSpec(**{**SPEC_JSON, "region_name": "Brazil", "city": city,
+                            "rng_seed": 11 + i})
+        records += [replace(r, venue_id=f"{city}-{r.venue_id}")
+                    for r in generate(spec)]
+    data = tmp_path / "cities.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        write_checkins(records, fh, fmt="csv")
+
+    out = tmp_path / "a"
+    assert main(["analyze", "--input", str(data), "--city", "Rio", "--k", "5",
+                 "--out-dir", str(out)]) == 0
+    stages = json.loads((out / "filter_report.json").read_text())["stages"]
+    assert stages[0] == {"stage": "region", "in": 6000, "out": 2000}
+    sig = json.loads((out / "significance.json").read_text())
+    assert sig and all(row["scope"] == "Rio" for row in sig)
+
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(data), "--granularity", "city",
+                 "--out-dir", str(out)]) == 0
+    with open(out / "vectors.csv", newline="") as fh:
+        assert [row["region"] for row in csv.DictReader(fh)] == ["Recife", "Rio"]
+    meta = json.loads((out / "vectors_manifest.json").read_text())
+    assert (meta["granularity"], meta["regions"]) == ("city", ["Recife", "Rio"])
+
+
 def test_bad_region_is_runtime_error(dataset, tmp_path, capsys):
     code = main(["analyze", "--input", str(dataset), "--country", "Atlantis",
                  "--out-dir", str(tmp_path)])
@@ -455,7 +509,8 @@ def test_deeply_nested_jsonl_line_is_unparseable(tmp_path, capsys):
      "vectors csv has a non-finite value for region 'R4'"),
     ([*FIVE_VECTORS[:4], "R4,1,inf"],
      "vectors csv has a non-finite value for region 'R4'"),
-], ids=["repeated", "nan", "inf"])
+    ([], "vectors csv has no region rows"),
+], ids=["repeated", "nan", "inf", "no-rows"])
 @pytest.mark.parametrize("command", ["cluster", "compare"])
 def test_repeated_or_non_finite_vectors_row_is_runtime_error(
         command, rows, message, tmp_path, capsys):
@@ -467,6 +522,7 @@ def test_repeated_or_non_finite_vectors_row_is_runtime_error(
                         str(index), "--all-anchors"]}[command]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("row, message", [

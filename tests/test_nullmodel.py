@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from venuepref.models import DataError, Granularity, RegionSelector
+from venuepref.models import DataError
 from venuepref.nullmodel import (
     Direction,
     NullMethod,
@@ -18,7 +18,7 @@ from venuepref.nullmodel import (
 from venuepref.popularity import AnalysisMode, AnalysisUnit
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
-REGION = RegionSelector(Granularity.COUNTRY, "Synthland")
+REGION = "Synthland"
 
 
 def synth_scope(skews, n_checkins=2000, seed=0, n_subcats=None):

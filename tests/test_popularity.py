@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from venuepref.models import DataError, Gender, Granularity, RegionSelector
+from venuepref.models import DataError, Gender
 from venuepref.popularity import (
     AnalysisMode,
     AnalysisUnit,
@@ -14,7 +14,7 @@ from venuepref.popularity import (
 
 from conftest import make_record
 
-BR = RegionSelector(Granularity.COUNTRY, "BR")
+BR = "BR"
 
 
 def point_to_diagonal_distance(p_male, p_female):

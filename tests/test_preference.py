@@ -134,7 +134,7 @@ def test_global_dims_union_is_sorted():
 
 def test_identical_venue_differences_give_zero():
     records = region_records("BR")
-    vec = build_preference_vector(records, BR, ["Bar", "Café"])
+    vec = build_preference_vector(records, BR.name, ["Bar", "Café"])
     bar = vec.values[vec.dims.index("Bar")]
     cafe = vec.values[vec.dims.index("Café")]
     assert bar == pytest.approx(0.0)
@@ -143,22 +143,21 @@ def test_identical_venue_differences_give_zero():
 
 def test_absent_dimension_is_zero():
     records = region_records("US")
-    us = RegionSelector(Granularity.COUNTRY, "US")
-    vec = build_preference_vector(records, us, ["Bar", "Café", "Zoo"])
+    vec = build_preference_vector(records, "US", ["Bar", "Café", "Zoo"])
     assert vec.values[vec.dims.index("Café")] == 0.0
     assert vec.values[vec.dims.index("Zoo")] == 0.0
 
 
 def test_vector_build_is_deterministic():
     records = region_records("BR")
-    a = build_preference_vector(records, BR, ["Bar", "Café"])
-    b = build_preference_vector(records, BR, ["Bar", "Café"])
+    a = build_preference_vector(records, BR.name, ["Bar", "Café"])
+    b = build_preference_vector(records, BR.name, ["Bar", "Café"])
     assert np.array_equal(a.values, b.values)
 
 
 def test_values_in_unit_interval():
     records = region_records("BR")
-    vec = build_preference_vector(records, BR, ["Bar", "Café"])
+    vec = build_preference_vector(records, BR.name, ["Bar", "Café"])
     assert np.all(vec.values >= 0.0)
     assert np.all(vec.values <= 1.0)
 
@@ -193,7 +192,7 @@ def region_vectors(records, config):
     dims of all regions, build one vector per region."""
     filtered = [apply_filters(records, region, config)[0] for region in REGIONS]
     dims = collect_global_dims([rec for recs in filtered for rec in recs])
-    return [build_preference_vector(recs, region, dims)
+    return [build_preference_vector(recs, region.name, dims)
             for region, recs in zip(REGIONS, filtered)]
 
 

@@ -1,8 +1,10 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
+from venuepref.cli import main
 from venuepref.models import Gender, ingest_checkins, write_checkins
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
@@ -111,3 +113,40 @@ def test_from_json_round_trip():
     assert s.subcategories[1].gender_skew == 0.5
     records = generate(s)
     assert len(records) == 20
+
+
+SPEC_JSON = {"n_users": 50, "female_fraction": 0.5, "n_checkins": 50,
+             "region_name": "Synthland",
+             "subcategories": [{"name": "S0", "category": "Food", "n_venues": 2,
+                                "base_weight": 1.0}]}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bbox", [100, 200, 0, 1]),
+    ("bbox", [0, 1, -181, 0]),
+    ("bbox", [1, 2]),
+    ("bbox", [0, 1, 0, float("nan")]),
+    ("bbox", [0, 1, 0, float("inf")]),
+    ("bbox", [0, 1, 0, True]),
+    ("bbox", "0123"),
+    ("bbox", 5),
+    ("city", 5),
+    ("city", ["Rio"]),
+], ids=["latitude-range", "longitude-range", "two-values", "nan", "inf", "bool",
+        "string", "number", "city-number", "city-list"])
+def test_bad_bbox_or_city_names_the_field(key, value, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SPEC_JSON, key: value}))
+    assert main(["synth", "--spec", str(spec_path),
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: SynthSpec.{key} ")
+    assert not (tmp_path / "s").exists()
+
+
+def test_bbox_and_city_are_written_out():
+    s = SynthSpec.from_json(json.dumps({**SPEC_JSON, "city": "Rio",
+                                        "bbox": [-10, 10.5, 170, 180]}))
+    records = generate(s)
+    assert all(r.city == "Rio" for r in records)
+    assert all(-10 <= r.latitude <= 10.5 and 170 <= r.longitude <= 180
+               for r in records)

@@ -321,10 +321,72 @@ def _micros_where_present(stamps: list) -> tuple[np.ndarray, np.ndarray]:
     return micros, present
 
 
+# The one timestamp form read as an array, as ``datetime.isoformat`` writes
+# whole seconds with an offset in minutes; every "0" stands for a digit.
+_ISO_FORM = b"0000-00-00T00:00:00+00:00"
+_ISO_DIGITS = [i for i, c in enumerate(_ISO_FORM) if c == ord("0")]
+_ISO_SIGN = _ISO_FORM.index(b"+")
+_ISO_MARKS = [i for i, c in enumerate(_ISO_FORM) if c not in b"0+"]
+_ISO_MARK_BYTES = np.frombuffer(_ISO_FORM, np.uint8)[_ISO_MARKS]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], np.int32)
+
+
+def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the epoch of the timestamps of ``_ISO_FORM``, one
+    per row of an (n, 25) uint8 matrix, and the mask of the rows in that
+    form with every field in range, the day within its month; the
+    microseconds of any other row are meaningless."""
+    digits = chars[:, _ISO_DIGITS] - np.uint8(ord("0"))  # a non-digit wraps past 9
+    sign = chars[:, _ISO_SIGN]
+    fits = ((digits <= 9).all(1) & (chars[:, _ISO_MARKS] == _ISO_MARK_BYTES).all(1)
+            & ((sign == ord("+")) | (sign == ord("-"))))
+    pairs = (digits[:, 0::2] * np.uint8(10) + digits[:, 1::2]).astype(np.int32)
+    year = pairs[:, 0] * 100 + pairs[:, 1]
+    month, day, hour, minute, second, offset_hour, offset_minute = pairs[:, 2:].T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    # a month past 12 fails the range check; np.minimum keeps it in the table
+    month_days = _MONTH_DAYS[np.minimum(month, 12)] + (leap & (month == 2))
+    fits &= ((year >= 1) & (month >= 1) & (month <= 12)
+             & (day >= 1) & (day <= month_days)
+             & (hour <= 23) & (minute <= 59) & (second <= 59)
+             & (offset_hour <= 23) & (offset_minute <= 59))
+    # days since 1970-01-01 from the civil date, in years that start in March
+    march_year = year - (month <= 2)
+    era = march_year // 400
+    year_of_era = march_year - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = (era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
+            + day_of_year - 719468)
+    offset = (offset_hour * 60 + offset_minute) * np.where(sign == ord("-"), -60, 60)
+    seconds = days.astype(np.int64) * 86400 + (hour * 3600 + minute * 60 + second - offset)
+    return seconds * 1_000_000, fits
+
+
 def _timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Microseconds since the epoch of a column of ISO 8601 timestamps (0
     where there is none), the mask of missing (falsy) values and the mask
-    of values that do not parse."""
+    of values that do not parse.
+
+    A column of ASCII strings all as wide as ``_ISO_FORM`` is read as one
+    byte matrix; its rows not in that form, or with a field out of range,
+    are parsed one by one as any other column is."""
+    try:
+        blob = "".join(values)
+    except TypeError:  # a None, or a jsonl value that is not a str
+        return _parsed_timestamps(values)
+    if not blob.isascii() or set(map(len, values)) != {len(_ISO_FORM)}:
+        return _parsed_timestamps(values)
+    chars = np.frombuffer(blob.encode("ascii"), np.uint8).reshape(-1, len(_ISO_FORM))
+    micros, fits = _fixed_width_micros(chars)
+    bad = np.zeros(len(values), bool)
+    rows = np.flatnonzero(~fits)
+    if len(rows):
+        micros[rows], _, bad[rows] = _parsed_timestamps([values[i] for i in rows])
+    return micros, np.zeros(len(values), bool), bad
+
+
+def _parsed_timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_timestamps``, each value parsed by ``datetime.fromisoformat``."""
     try:
         stamps = [datetime.fromisoformat(v) if v else None for v in values]
     except (TypeError, ValueError):

@@ -23,6 +23,16 @@ def _check_types(spec, types: dict) -> None:
                              f"{value!r}")
 
 
+def _check_not_blank(spec, names) -> None:
+    """Raise ValueError naming the first of the str fields ``names`` that is
+    empty or only whitespace (ingest rejects a check-in with a blank
+    subcategory, category or country)."""
+    for name in names:
+        if not getattr(spec, name).strip():
+            raise ValueError(f"{type(spec).__name__}.{name} must not be blank: "
+                             f"{getattr(spec, name)!r}")
+
+
 def _check_bbox(bbox) -> tuple:
     """``bbox`` as a tuple (lat_lo, lat_hi, lon_lo, lon_hi), or ValueError
     unless it holds four numbers with latitudes in [-90, 90] and longitudes
@@ -48,6 +58,7 @@ class SubcategorySpec:
     def __post_init__(self):
         _check_types(self, {"name": str, "category": str, "n_venues": Integral,
                             "base_weight": Real, "gender_skew": Real})
+        _check_not_blank(self, ("name", "category"))
         if self.n_venues < 1:
             raise ValueError(f"subcategory {self.name!r}: n_venues must be >= 1")
         if self.base_weight < 0:
@@ -71,6 +82,7 @@ class SynthSpec:
         _check_types(self, {"n_users": Integral, "female_fraction": Real,
                             "n_checkins": Integral, "region_name": str,
                             "rng_seed": Integral, "city": (str, type(None))})
+        _check_not_blank(self, ("region_name",))
         self.bbox = _check_bbox(self.bbox)
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import random
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -214,6 +216,46 @@ def test_mixed_naive_and_aware_timestamps(tmp_path):
                  "--k", "10", "--out-dir", str(out)]) == 0
     stages = json.loads((out / "filter_report.json").read_text())["stages"]
     assert {"stage": "dedupe", "in": 30, "out": 28} in stages
+
+
+def test_timestamps_read_as_an_array_or_one_by_one_give_the_same_artifacts(
+        tmp_path, capsys):
+    # the "T" form is read as a byte array, the space form by fromisoformat;
+    # 2000 check-ins of 300 users at 16 venues repeat (user, venue) pairs, so
+    # dedupe keeps the earliest of each by its timestamp
+    rng = random.Random(5)
+    with open(write_dataset(tmp_path / "plain.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        moment = datetime(2014, 1, 1) + timedelta(seconds=rng.randrange(86400 * 365))
+        offset = timedelta(minutes=rng.choice([-1, 1]) * rng.randrange(0, 24 * 60, 15))
+        row["timestamp"] = moment.replace(tzinfo=timezone(offset)).isoformat()
+    inputs = {}
+    for name, separator in (("array", "T"), ("one-by-one", " ")):
+        inputs[name] = tmp_path / f"{name}.csv"
+        with open(inputs[name], "w", newline="") as fh:
+            writer = csv.DictWriter(fh, CSV_FIELDS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows({**row, "timestamp": row["timestamp"].replace("T", separator)}
+                             for row in rows)
+    reports, tables = [], []
+    for path in inputs.values():
+        assert main(["ingest-check", "--input", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+        with open(path, "rb") as fh:
+            tables.append(models.ingest_checkins(fh, "csv")[0])
+        assert main(["analyze", "--input", str(path), "--country", "Synthland",
+                     "--seed", "3", "--k", "10", "--out-dir", str(path.with_suffix(""))]) == 0
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["accepted"] == 2000
+    assert not tables[0].ts_missing.any()
+    assert tables[0].ts.tolist() == tables[1].ts.tolist()
+    stages = json.loads((tmp_path / "array" / "filter_report.json").read_text())["stages"]
+    assert any(s["stage"] == "dedupe" and s["out"] < s["in"] for s in stages)
+    for name in ("filter_report.json", "popularity.csv", "significance.json",
+                 "null_distribution.csv"):
+        assert ((tmp_path / "array" / name).read_bytes()
+                == (tmp_path / "one-by-one" / name).read_bytes())
 
 
 @pytest.mark.parametrize("spec", [

@@ -239,7 +239,12 @@ CELLS = {
                   "2014-04-25T08:29:59.999999-03:30",
                   "9999-12-31T23:59:59.999999+00:00",
                   "0001-01-01T00:00:00+01:00", "not-a-time", "2014-13-01",
-                  "2014-04-25 12:00"],
+                  "2014-04-25 12:00",
+                  # as wide as the form read as an array, but out of range
+                  # or in another form; fromisoformat reads "-00:60"
+                  "2015-02-29T12:00:00+02:00", "2014-04-25T24:00:00+00:00",
+                  "2014-04-25T12:00:00-00:60", "2014-04-25 14:00:00+02:00",
+                  "2014-04-25t14:00:00+02:00"],
 }
 # JSON values that are not strings, for the jsonl rows
 JSON_CELLS = {
@@ -252,7 +257,8 @@ JSON_CELLS = {
     "longitude": [2.5, 180, -180.5, False, None, {"k": 1}, float("inf")],
     "country": [None, 7],
     "city": [0, False, [], {}, None, 5, True, [1]],
-    "timestamp": [0, False, [], {}, None, 12, True, 1.5, ["x"]],
+    "timestamp": [0, False, [], {}, None, 12, True, 1.5, ["x"],
+                  list("2014-04-25T14:00:00+02:00")],  # 25 one-character strings
 }
 NOT_OBJECTS = ["[1, 2]", "3", '"s"', "null", "not json", "{", "", "   "]
 
@@ -444,3 +450,88 @@ def test_from_records_round_trips_the_records():
     again = CheckinTable.from_records(list(records))
     assert again == records
     assert CheckinTable.from_records(records) is records
+
+
+# Fixed-width timestamps: the byte-matrix path of _timestamps against
+# fromisoformat and _micros, value by value.
+
+def two_digits(low, high):
+    return st.integers(low, high).map("{:02d}".format)
+
+
+@st.composite
+def fixed_width_stamps(draw):
+    """Strings as wide as YYYY-MM-DDTHH:MM:SS+HH:MM, every field drawn from
+    its range and just past it, with other separators and digits."""
+    year = draw(st.sampled_from([0, 1, 4, 1900, 1969, 1970, 2000, 2015, 2016, 9999])
+                | st.integers(0, 9999))
+    stamp = (f"{year:04d}-{draw(two_digits(0, 13))}-{draw(two_digits(0, 32))}"
+             f"{draw(st.sampled_from('TTTT t'))}{draw(two_digits(0, 24))}:"
+             f"{draw(two_digits(0, 60))}:{draw(two_digits(0, 60))}"
+             f"{draw(st.sampled_from('+-'))}{draw(two_digits(0, 24))}:"
+             f"{draw(two_digits(0, 60))}")
+    if draw(st.integers(0, 9)) == 0:  # a full-width digit, which is not ASCII
+        i = draw(st.sampled_from([i for i, c in enumerate(stamp) if c.isdigit()]))
+        stamp = stamp[:i] + chr(ord(stamp[i]) - ord("0") + ord("０")) + stamp[i + 1:]
+    return stamp
+
+
+def timestamps_one_by_one(values):
+    """The _timestamps masks and integers, each value parsed alone."""
+    micros, missing, bad = [], [], []
+    for value in values:
+        try:
+            stamp = datetime.fromisoformat(value) if value else None
+        except ValueError:
+            stamp = None
+        micros.append(0 if stamp is None else int(models._micros([stamp])[0]))
+        missing.append(not value)
+        bad.append(bool(value) and stamp is None)
+    return micros, missing, bad
+
+
+@settings(max_examples=300)
+@given(st.lists(fixed_width_stamps(), min_size=1, max_size=12),
+       st.sampled_from([None, None, None, "", "2014-04-25T12:00:00"]))
+@example(["1900-02-29T00:00:00+00:00", "2000-02-29T00:00:00+00:00",
+          "2015-02-29T00:00:00+00:00", "2016-02-29T23:59:59-23:59"], None)
+@example(["2014-04-31T12:00:00+02:00", "2014-04-00T12:00:00+02:00",
+          "2014-00-25T12:00:00+02:00", "2014-13-25T12:00:00+02:00",
+          "0000-01-01T00:00:00+00:00", "0001-01-01T00:00:00+01:00"], None)
+@example(["2014-04-25T24:00:00+00:00", "2014-04-25T23:60:00+00:00",
+          "2014-04-25T23:59:60+00:00", "9999-12-31T23:59:59-01:00"], None)
+@example(["2014-04-25T12:00:00+24:00", "2014-04-25T12:00:00-00:60",
+          "2014-04-25T12:00:00-00:00", "2014-04-25T12:00:00+23:59",
+          "2014-04-25T12:00:00+23:60"], None)
+@example(["2014-04-25 12:00:00+02:00", "2014-04-25t12:00:00+02:00",
+          "２014-04-25T12:00:00+02:00", "2014-04-25T12:00:00+02:0５",
+          "2014-04-25T12:00:00+02:00"], None)
+def test_fixed_width_timestamps_equal_fromisoformat(stamps, other):
+    """``other``, when given, is a value of another width, so the chunk
+    is parsed whole by fromisoformat; else rows that fit are read as an
+    array and the rest one by one."""
+    values = stamps if other is None else [*stamps, other]
+    micros, missing, bad = models._timestamps(values)
+    assert (micros.tolist(), missing.tolist(), bad.tolist()) \
+        == timestamps_one_by_one(values)
+
+
+def test_fixed_width_timestamps_parse_only_the_rows_that_do_not_fit(monkeypatch):
+    parsed = []
+    parse = models._parsed_timestamps
+
+    def counted_parse(values):
+        parsed.append(list(values))
+        return parse(values)
+
+    monkeypatch.setattr(models, "_parsed_timestamps", counted_parse)
+    fits = ["2014-04-25T12:00:00+02:00", "2016-02-29T23:59:59-23:59",
+            "2000-02-29T00:00:00+00:00", "0001-01-01T00:00:00+00:00",
+            "9999-12-31T23:59:59-00:00", "1970-01-31T00:00:00+00:00"]
+    models._timestamps(fits)
+    assert parsed == []
+    models._timestamps([fits[0], "2015-02-29T00:00:00+00:00", fits[1],
+                        "2014-04-25 12:00:00+02:00"])
+    assert parsed == [["2015-02-29T00:00:00+00:00", "2014-04-25 12:00:00+02:00"]]
+    models._timestamps([*fits, ""])  # another width: the chunk is parsed whole
+    assert parsed[-1] == [*fits, ""]

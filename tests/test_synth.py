@@ -143,6 +143,29 @@ def test_bad_bbox_or_city_names_the_field(key, value, tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("region_name", ""),
+    ("region_name", "  "),
+    ("name", ""),
+    ("name", " \t"),
+    ("category", ""),
+    ("category", " "),
+], ids=["region-empty", "region-space", "name-empty", "name-space",
+        "category-empty", "category-space"])
+def test_blank_name_names_the_field(field, value, tmp_path, capsys):
+    if field == "region_name":
+        bad, owner = {**SPEC_JSON, field: value}, "SynthSpec"
+    else:
+        subcategory = {**SPEC_JSON["subcategories"][0], field: value}
+        bad, owner = {**SPEC_JSON, "subcategories": [subcategory]}, "SubcategorySpec"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(bad))
+    assert main(["synth", "--spec", str(spec_path),
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {owner}.{field} must not be blank")
+    assert not (tmp_path / "s").exists()
+
+
 def test_bbox_and_city_are_written_out():
     s = SynthSpec.from_json(json.dumps({**SPEC_JSON, "city": "Rio",
                                         "bbox": [-10, 10.5, 170, 180]}))

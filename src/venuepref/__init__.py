@@ -1,10 +1,8 @@
 """Cross-gender venue-preference analytics for location-based check-in data."""
 
 from .models import (
-    CheckInRecord,
     CheckinTable,
     DataError,
-    Gender,
     Granularity,
     IndexTable,
     RegionSelector,

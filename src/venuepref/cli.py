@@ -203,8 +203,8 @@ def _region_from_args(args) -> RegionSelector:
 def _read_input(args):
     path = Path(args.input)
     with open(path, "rb") as fh:
-        records, report = ingest_checkins(fh, args.format)
-    return path, records, report
+        table, report = ingest_checkins(fh, args.format)
+    return path, table, report
 
 
 def cmd_ingest_check(args, manifest: Manifest) -> None:
@@ -223,12 +223,12 @@ def cmd_analyze(args, manifest: Manifest) -> None:
         raise DataError(f"--subcategory is only valid for mode "
                         f"venue_within_subcategory, not {mode.value}")
 
-    path, records, _ = _read_input(args)
+    path, table, _ = _read_input(args)
     manifest.add_input(path)
     manifest.add_seed("filter", args.seed)
     manifest.add_seed("null_model", args.seed)
 
-    filtered, filter_report = apply_filters(records, region, _filter_config(args))
+    filtered, filter_report = apply_filters(table, region, _filter_config(args))
     manifest.write_artifact("filter_report.json", filter_report.as_dict())
 
     rows = popularity_table(filtered, mode, region.name, args.subcategory)
@@ -244,12 +244,12 @@ def cmd_analyze(args, manifest: Manifest) -> None:
 
 
 def cmd_vectors(args, manifest: Manifest) -> None:
-    path, records, _ = _read_input(args)
+    path, table, _ = _read_input(args)
     source_sha256 = manifest.add_input(path)
     manifest.add_seed("filter", args.seed)
 
     granularity = Granularity(args.granularity)
-    by_name = partition_by_region(records, granularity)
+    by_name = partition_by_region(table, granularity)
     if args.regions:
         # a repeated name is one region, in vectors.csv and in the manifest
         names = list(dict.fromkeys(n.strip() for n in args.regions.split(",")))
@@ -331,9 +331,9 @@ def cmd_synth(args, manifest: Manifest) -> None:
     manifest.add_input(spec_path)
     spec = SynthSpec.from_json(spec_path.read_text(encoding="utf-8"))
     manifest.add_seed("synth", spec.rng_seed)
-    records = generate(spec)
+    table = generate(spec)
     manifest.write_artifact(args.out or f"synth.{args.format}",
-                            partial(write_checkins, records, fmt=args.format))
+                            partial(write_checkins, table, fmt=args.format))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -94,13 +94,12 @@ def _cap_by_venue_sampling(t: CheckinTable, rows: np.ndarray, cap: int,
     return rows[kept[t.venue[rows]]]
 
 
-def partition_by_region(records, granularity: Granularity
+def partition_by_region(table: CheckinTable, granularity: Granularity
                         ) -> dict[Optional[str], CheckinTable]:
-    """Check-ins (a CheckinTable or a list of records) grouped by region
-    name with one stable sort; each group keeps input order, so filtering a
-    group equals filtering all check-ins for that region. Check-ins without
-    a city are grouped under None."""
-    table = CheckinTable.from_records(records)
+    """The check-ins of ``table`` grouped by region name with one stable
+    sort; each group keeps input order, so filtering a group equals
+    filtering all check-ins for that region. Check-ins without a city are
+    grouped under None."""
     codes, names = _region_column(table, granularity)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
@@ -111,16 +110,15 @@ def partition_by_region(records, granularity: Granularity
                                         starts.tolist(), ends)}
 
 
-def apply_filters(records, region: RegionSelector, config: FilterConfig
+def apply_filters(table: CheckinTable, region: RegionSelector, config: FilterConfig
                   ) -> tuple[CheckinTable, FilterReport]:
-    """Run the full filter protocol for one region over check-ins (a
-    CheckinTable or a list of records); return the kept rows as a table.
+    """Run the full filter protocol for one region over the check-ins of
+    ``table``; return the kept rows as a table.
 
     Stage order: region -> category -> dedupe -> venue threshold ->
     subcategory threshold -> cap. The subcategory threshold is re-checked
     after the cap so the output always satisfies every threshold.
     """
-    table = CheckinTable.from_records(records)
     report = FilterReport()
 
     rows = rows_with(*_region_column(table, region.granularity), region.name)

@@ -13,18 +13,13 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from importlib import resources
-from typing import BinaryIO, Iterable, Optional
+from typing import BinaryIO, Optional
 
 import numpy as np
 
 
 class DataError(Exception):
     """Raised when input data violates a structural invariant."""
-
-
-class Gender(str, Enum):
-    MALE = "male"
-    FEMALE = "female"
 
 
 class Granularity(str, Enum):
@@ -44,20 +39,6 @@ CSV_FIELDS = [
     "city",
     "timestamp",
 ]
-
-
-@dataclass(frozen=True)
-class CheckInRecord:
-    user_id: str
-    gender: Gender
-    venue_id: str
-    category: str
-    subcategory: str
-    latitude: float
-    longitude: float
-    country: str
-    city: Optional[str] = None
-    timestamp: Optional[datetime] = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +69,7 @@ def _micros(stamps: list[datetime]) -> np.ndarray:
 
 
 # coded string columns, the name of each one's value table, and the
-# CheckInRecord field it holds
+# CSV_FIELDS field it holds
 _CODED = {"user": ("users", "user_id"), "venue": ("venues", "venue_id"),
           "category": ("categories", "category"),
           "subcategory": ("subcategories", "subcategory"),
@@ -106,10 +87,6 @@ class CheckinTable:
     city is -1. ``gender`` is int8, 1 = male and 0 = female. ``ts`` is the
     timestamp in microseconds since the epoch, unless ``ts_missing``. A
     subset (``take``) shares the string tables of its table.
-
-    For callers that hold records, the table also reads as a sequence of
-    ``CheckInRecord``: ``len``, ``table[i]``, iteration and ``==`` (a
-    record's timestamp comes back in UTC). The library reads the columns.
     """
 
     user: np.ndarray
@@ -130,53 +107,12 @@ class CheckinTable:
     countries: list[str]
     cities: list[str]
 
-    @classmethod
-    def from_records(cls, records) -> "CheckinTable":
-        """The table of ``records``, an iterable of CheckInRecord; a table is
-        returned as it is."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        ts, present = _micros_where_present([rec.timestamp for rec in records])
-        return _assemble(
-            {column: _coded([getattr(rec, field) for rec in records])
-             for column, (_, field) in _CODED.items()},
-            gender=np.array([rec.gender == Gender.MALE for rec in records], np.int8),
-            latitude=np.array([rec.latitude for rec in records], float),
-            longitude=np.array([rec.longitude for rec in records], float),
-            ts=ts, ts_missing=~present)
-
     def __len__(self) -> int:
         return len(self.user)
 
     def take(self, rows) -> "CheckinTable":
         """The rows ``rows`` (indices or a mask), in that order."""
         return replace(self, **{c: getattr(self, c)[rows] for c in _COLUMNS})
-
-    def __getitem__(self, i: int) -> CheckInRecord:
-        city = int(self.city[i])
-        return CheckInRecord(
-            user_id=self.users[self.user[i]],
-            gender=Gender.MALE if self.gender[i] == 1 else Gender.FEMALE,
-            venue_id=self.venues[self.venue[i]],
-            category=self.categories[self.category[i]],
-            subcategory=self.subcategories[self.subcategory[i]],
-            latitude=float(self.latitude[i]),
-            longitude=float(self.longitude[i]),
-            country=self.countries[self.country[i]],
-            city=self.cities[city] if city >= 0 else None,
-            timestamp=None if self.ts_missing[i] else _EPOCH + int(self.ts[i]) * _TS_UNIT,
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CheckinTable):
-            other = list(other)
-        if not isinstance(other, list):
-            return NotImplemented
-        return list(self) == other
 
 
 def rows_with(codes: np.ndarray, names: list[str], name: str) -> np.ndarray:
@@ -288,6 +224,8 @@ class _Strings:
 
 
 def _coded(values) -> tuple[np.ndarray, list[str]]:
+    """Codes of ``values`` (each a str or None) into the sorted table of
+    their distinct strings; None gets -1."""
     strings = _Strings()
     return strings.finish(strings(values))
 
@@ -310,15 +248,6 @@ def _floats(values) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([_or_none(float, v) for v in values], float),  # None -> nan
                 np.array([v is None or (isinstance(v, str) and not v.strip())
                           for v in values], bool))
-
-
-def _micros_where_present(stamps: list) -> tuple[np.ndarray, np.ndarray]:
-    """``_micros`` of the datetimes among ``stamps`` (0 for a None), and the
-    mask of the datetimes."""
-    present = np.fromiter((ts is not None for ts in stamps), bool, len(stamps))
-    micros = np.zeros(len(stamps), np.int64)
-    micros[present] = _micros([ts for ts in stamps if ts is not None])
-    return micros, present
 
 
 # The one timestamp form read as an array, as ``datetime.isoformat`` writes
@@ -385,14 +314,32 @@ def _timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return micros, np.zeros(len(values), bool), bad
 
 
+def _fromisoformat(value: str) -> datetime:
+    """``datetime.fromisoformat``, but a UTC offset whose minutes or seconds
+    are 60 or more is a ValueError: Python 3.11 carries them over, reading
+    ``+00:99`` as ``+01:39``."""
+    stamp = datetime.fromisoformat(value)
+    if stamp.tzinfo is None or (value[-6] in "+-" and value[-2] < "6"):
+        return stamp  # no offset, or the common +HH:MM with minutes below 60
+    # the offset follows the last + or -, and fromisoformat has checked that
+    # its fields are pairs of ASCII digits, which compare as strings
+    offset = value[max(value.rfind("+"), value.rfind("-")) + 1:]
+    digits = offset.partition(".")[0].replace(":", "")
+    if not value.endswith("Z") and (digits[2:4] >= "60" or digits[4:6] >= "60"):
+        raise ValueError(f"UTC offset out of range: {value!r}")
+    return stamp
+
+
 def _parsed_timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_timestamps``, each value parsed by ``datetime.fromisoformat``."""
+    """``_timestamps``, each value parsed by ``_fromisoformat``."""
     try:
-        stamps = [datetime.fromisoformat(v) if v else None for v in values]
+        stamps = [_fromisoformat(v) if v else None for v in values]
     except (TypeError, ValueError):
-        stamps = [_or_none(datetime.fromisoformat, v) if v else None for v in values]
+        stamps = [_or_none(_fromisoformat, v) if v else None for v in values]
     missing = np.fromiter(map(operator.not_, values), bool, len(values))
-    micros, parsed = _micros_where_present(stamps)
+    parsed = np.fromiter((ts is not None for ts in stamps), bool, len(stamps))
+    micros = np.zeros(len(values), np.int64)
+    micros[parsed] = _micros([ts for ts in stamps if ts is not None])
     return micros, missing, ~missing & ~parsed
 
 
@@ -620,36 +567,39 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestRep
     return accepted.table(), report
 
 
-def record_to_row(rec: CheckInRecord) -> dict[str, str]:
-    return {
-        "user_id": rec.user_id,
-        "gender": rec.gender.value,
-        "venue_id": rec.venue_id,
-        "category": rec.category,
-        "subcategory": rec.subcategory,
-        "latitude": repr(rec.latitude),
-        "longitude": repr(rec.longitude),
-        "country": rec.country,
-        "city": rec.city or "",
-        "timestamp": rec.timestamp.isoformat() if rec.timestamp else "",
-    }
+def _field_values(table: CheckinTable, rows: slice) -> list[list]:
+    """The CSV_FIELDS values of ``rows`` of ``table``, a list per field: str,
+    but a float per coordinate; a missing city or timestamp is empty and a
+    timestamp is ISO 8601 in UTC."""
+    def strings(codes, names):
+        return list(map(names.__getitem__, codes[rows].tolist()))
+
+    stamps = ["" if missing else (_EPOCH + ts * _TS_UNIT).isoformat() for ts, missing
+              in zip(table.ts[rows].tolist(), table.ts_missing[rows].tolist())]
+    return [strings(table.user, table.users), strings(table.gender, ("female", "male")),
+            strings(table.venue, table.venues), strings(table.category, table.categories),
+            strings(table.subcategory, table.subcategories),
+            table.latitude[rows].tolist(), table.longitude[rows].tolist(),
+            strings(table.country, table.countries),
+            strings(table.city, [*table.cities, ""]),  # code -1, no city, reads ""
+            stamps]
 
 
-def write_checkins(records: Iterable[CheckInRecord], sink, fmt: str = "csv") -> None:
-    """Serialize records back to the ingest schema (text sink)."""
-    if fmt == "csv":
-        writer = csv.DictWriter(sink, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(record_to_row(rec))
-    elif fmt == "jsonl":
-        for rec in records:
-            row = record_to_row(rec)
-            row["latitude"] = rec.latitude
-            row["longitude"] = rec.longitude
-            sink.write(json.dumps(row) + "\n")
-    else:
+def write_checkins(table: CheckinTable, sink, fmt: str = "csv") -> None:
+    """Write the check-ins of ``table`` in the ingest schema to a text sink,
+    a chunk of rows at a time; a coordinate is the repr of its float."""
+    if fmt not in ("csv", "jsonl"):
         raise DataError(f"unknown format {fmt!r}")
+    if fmt == "csv":
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+    for start in range(0, len(table), _CHUNK_ROWS):
+        rows = zip(*_field_values(table, slice(start, start + _CHUNK_ROWS)))
+        if fmt == "csv":
+            writer.writerows(rows)
+        else:
+            sink.write("".join(json.dumps(dict(zip(CSV_FIELDS, row))) + "\n"
+                               for row in rows))
 
 
 def ingest_index_table(source: BinaryIO, index_name: str = "INDEX") -> IndexTable:

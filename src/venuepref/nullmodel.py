@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
-from .models import DataError
+from .models import CheckinTable, DataError
 from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
@@ -134,14 +134,13 @@ def _verdict(unit: AnalysisUnit, observed: float, null: np.ndarray,
     )
 
 
-def run_null_model_batch(records, mode: AnalysisMode, scope: str,
+def run_null_model_batch(table: CheckinTable, mode: AnalysisMode, scope: str,
                          config: NullModelConfig,
                          scope_subcategory: Optional[str] = None
                          ) -> list[NullModelResult]:
     """Null-model verdicts for every unit of one region's ``apply_filters``
-    output (a CheckinTable or a list of records); the k replicates are drawn
-    once and scored against all units."""
-    index = ScopeIndex(records, mode, scope, scope_subcategory)
+    output; the k replicates are drawn once and scored against all units."""
+    index = ScopeIndex(table, mode, scope, scope_subcategory)
     observed = index.popularity()[2]
     null = _null_matrix(index, config)
     alpha = 1.0 - config.confidence
@@ -153,11 +152,11 @@ def run_null_model_batch(records, mode: AnalysisMode, scope: str,
                      delta_max[j]) for j in range(index.n_units)]
 
 
-def run_null_model(records, unit: AnalysisUnit,
+def run_null_model(table: CheckinTable, unit: AnalysisUnit,
                    config: NullModelConfig) -> NullModelResult:
     """Null-model verdict for one unit of a region's ``apply_filters`` output:
     its row of the batch."""
-    results = run_null_model_batch(records, unit.mode, unit.scope, config,
+    results = run_null_model_batch(table, unit.mode, unit.scope, config,
                                    unit.scope_subcategory)
     for result in results:
         if result.unit.key == unit.key:

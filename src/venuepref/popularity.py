@@ -67,8 +67,8 @@ def signed_difference(p_male, p_female):
 class ScopeIndex:
     """Integer-coded view of one scope, the input of every statistic.
 
-    It counts all of ``records`` (a CheckinTable or a list of records), one
-    region's ``apply_filters`` output; ``scope`` is that region's name.
+    It counts all of ``table``, one region's ``apply_filters`` output;
+    ``scope`` is that region's name.
     venue_within_subcategory mode narrows them to ``scope_subcategory``, as
     that mode's units are defined. Venues and subcategories get codes in
     sorted key order, and each venue maps to its subcategory's code. The
@@ -78,9 +78,8 @@ class ScopeIndex:
     count would give.
     """
 
-    def __init__(self, records, mode: AnalysisMode, scope: str,
+    def __init__(self, table: CheckinTable, mode: AnalysisMode, scope: str,
                  scope_subcategory: Optional[str] = None):
-        table = CheckinTable.from_records(records)
         if scope_subcategory is not None:
             table = table.take(rows_with(table.subcategory, table.subcategories,
                                          scope_subcategory))
@@ -144,24 +143,23 @@ class ScopeIndex:
                     zip(*columns, self.unit_total.tolist()))]
 
 
-def popularity(records, unit: AnalysisUnit) -> PopularityPoint:
-    """Popularity point of one unit in one region's ``apply_filters`` output
-    (a CheckinTable or a list of records)."""
-    for point in ScopeIndex(records, unit.mode, unit.scope,
+def popularity(table: CheckinTable, unit: AnalysisUnit) -> PopularityPoint:
+    """Popularity point of one unit in one region's ``apply_filters`` output."""
+    for point in ScopeIndex(table, unit.mode, unit.scope,
                             unit.scope_subcategory).points():
         if point.unit.key == unit.key:
             return point
     raise DataError(f"unit {unit.key!r} not present in scope {unit.scope!r}")
 
 
-def popularity_table(records, mode: AnalysisMode, scope: str,
+def popularity_table(table: CheckinTable, mode: AnalysisMode, scope: str,
                      scope_subcategory: Optional[str] = None) -> list[PopularityRow]:
-    """One PopularityRow per unit of one region's ``apply_filters`` output
-    (a CheckinTable or a list of records), sorted by |d| descending (ties by
-    key ascending); ``scope`` is the region's name. Normalization divides
+    """One PopularityRow per unit of one region's ``apply_filters`` output,
+    sorted by |d| descending (ties by key ascending); ``scope`` is the
+    region's name. Normalization divides
     both axes by the joint maximum popularity over the table; it never feeds
     any statistic."""
-    points = ScopeIndex(records, mode, scope, scope_subcategory).points()
+    points = ScopeIndex(table, mode, scope, scope_subcategory).points()
     points.sort(key=lambda p: (-abs(p.d), p.unit.key))
     p_max = max(max(p.p_male, p.p_female) for p in points)
     if p_max == 0:

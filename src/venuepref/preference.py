@@ -55,23 +55,21 @@ def gini(x) -> float:
     return min(max(0.0, g), 1.0 - 1.0 / n)  # the exact range, despite rounding
 
 
-def collect_global_dims(*regions) -> list[str]:
-    """Lexicographic union of the subcategories of the given check-ins: each
-    argument is a CheckinTable or a list of records, such as the
-    ``apply_filters`` output of one region, or the pooled output of all."""
+def collect_global_dims(*tables: CheckinTable) -> list[str]:
+    """Lexicographic union of the subcategories of the given tables, such as
+    the ``apply_filters`` output of each region."""
     dims = set()
-    for records in regions:
-        table = CheckinTable.from_records(records)
+    for table in tables:
         dims.update(table.subcategories[s] for s in np.unique(table.subcategory).tolist())
     return sorted(dims)
 
 
-def build_preference_vector(records, region: str,
+def build_preference_vector(table: CheckinTable, region: str,
                             global_dims: list[str]) -> PreferenceVector:
     """Gini-per-subcategory vector for one region, over the global dims.
 
-    ``records`` are the region's ``apply_filters`` output, a CheckinTable or
-    a list of records (none gives the zero vector). One venue-mode index of
+    ``table`` is the region's ``apply_filters`` output (an empty one gives
+    the zero vector). One venue-mode index of
     them gives every venue's counts; a
     subcategory's venues are scored against that subcategory's gender
     totals, as in venue_within_subcategory mode. A subcategory whose scope
@@ -79,10 +77,10 @@ def build_preference_vector(records, region: str,
     treated as absent (value 0).
     """
     values = np.zeros(len(global_dims))
-    if not len(records):
+    if not len(table):
         return PreferenceVector(region=region, dims=list(global_dims),
                                 values=values)
-    index = ScopeIndex(records, AnalysisMode.VENUE, region)
+    index = ScopeIndex(table, AnalysisMode.VENUE, region)
     dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
     # venues grouped by subcategory, each group in venue-key order
     order = np.argsort(index.venue_subcat, kind="stable")

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckInRecord, Gender
+from .models import CheckinTable, _assemble, _coded
 
 
 def _check_types(spec, types: dict) -> None:
@@ -118,9 +118,19 @@ def _gender_weights(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     return male, female
 
 
-def generate(spec: SynthSpec) -> list[CheckInRecord]:
-    """Draw n_checkins records: user (fixed gender), then subcategory with
-    gender-skewed weights, then a uniform venue within it."""
+def _coded_keys(keys: np.ndarray, name) -> tuple[np.ndarray, list[str]]:
+    """``_coded`` of the names ``name(key)`` of integer ``keys``, naming
+    each distinct key once: two keys may share a name, and names need not
+    sort as their keys do."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    codes, names = _coded([name(key) for key in distinct.tolist()])
+    return codes[inverse], names
+
+
+def generate(spec: SynthSpec) -> CheckinTable:
+    """Draw n_checkins check-ins: user (fixed gender), then subcategory with
+    gender-skewed weights, then a uniform venue within it. Each venue has
+    fixed coordinates in the bbox; no check-in has a timestamp."""
     rng = np.random.default_rng(spec.rng_seed)
 
     n_female = int(round(spec.female_fraction * spec.n_users))
@@ -147,15 +157,10 @@ def generate(spec: SynthSpec) -> list[CheckInRecord]:
 
     # venues laid out per subcategory with fixed coordinates in the bbox
     lat_lo, lat_hi, lon_lo, lon_hi = spec.bbox
-    venues = []  # (venue_id, subcat index, lat, lon)
-    offsets = []
-    for si, s in enumerate(spec.subcategories):
-        offsets.append(len(venues))
-        lats = rng.uniform(lat_lo, lat_hi, size=s.n_venues)
-        lons = rng.uniform(lon_lo, lon_hi, size=s.n_venues)
-        for vi in range(s.n_venues):
-            venues.append((f"v-{si:03d}-{vi:04d}", si,
-                           float(lats[vi]), float(lons[vi])))
+    coordinates = [(rng.uniform(lat_lo, lat_hi, size=s.n_venues),
+                    rng.uniform(lon_lo, lon_hi, size=s.n_venues))
+                   for s in spec.subcategories]
+    lats, lons = (np.concatenate(c) for c in zip(*coordinates))
 
     n = spec.n_checkins
     user_ids = rng.integers(0, spec.n_users, size=n)
@@ -170,20 +175,19 @@ def generate(spec: SynthSpec) -> list[CheckInRecord]:
     n_venues_arr = np.array([s.n_venues for s in spec.subcategories])
     vi_arr = (rng.random(n) * n_venues_arr[si_arr]).astype(np.int64)
 
-    records: list[CheckInRecord] = []
-    for i in range(n):
-        si = int(si_arr[i])
-        sub = spec.subcategories[si]
-        venue_id, _, lat, lon = venues[offsets[si] + int(vi_arr[i])]
-        records.append(CheckInRecord(
-            user_id=f"u-{int(user_ids[i]):06d}",
-            gender=Gender.MALE if is_male[i] else Gender.FEMALE,
-            venue_id=venue_id,
-            category=sub.category,
-            subcategory=sub.name,
-            latitude=lat,
-            longitude=lon,
-            country=spec.region_name,
-            city=spec.city,
-        ))
-    return records
+    venue = (np.cumsum(n_venues_arr) - n_venues_arr)[si_arr] + vi_arr  # into lats, lons
+    width = int(n_venues_arr.max())  # one key per (subcategory, venue)
+    subs = spec.subcategories
+    region = np.zeros(n, np.int64)  # one key: every check-in is in the spec's region
+    coded = {
+        "user": _coded_keys(user_ids, "u-{:06d}".format),
+        "venue": _coded_keys(si_arr * width + vi_arr,
+                             lambda key: "v-{:03d}-{:04d}".format(*divmod(key, width))),
+        "category": _coded_keys(si_arr, lambda si: subs[si].category),
+        "subcategory": _coded_keys(si_arr, lambda si: subs[si].name),
+        "country": _coded_keys(region, lambda _: spec.region_name),
+        "city": _coded_keys(region, lambda _: spec.city or None),  # "": no city
+    }
+    return _assemble(coded, gender=is_male.astype(np.int8), latitude=lats[venue],
+                     longitude=lons[venue], ts=np.zeros(n, np.int64),
+                     ts_missing=np.ones(n, bool))

@@ -3,7 +3,7 @@ from datetime import datetime
 import pytest
 from hypothesis import settings
 
-from venuepref.models import CheckInRecord, Gender
+from checkin_records import CheckInRecord, Gender
 
 # fixed example sequences keep the suite deterministic; no per-example timing
 settings.register_profile("venuepref", derandomize=True, deadline=None)

@@ -10,9 +10,11 @@ rows.
 import csv
 import io
 import json
+import re
 from datetime import datetime, timezone
 
-from venuepref.models import CSV_FIELDS, CheckInRecord, DataError, Gender, IngestReport
+from checkin_records import CheckInRecord, Gender
+from venuepref.models import CSV_FIELDS, DataError, IngestReport
 
 _REQUIRED = ("user_id", "gender", "venue_id", "category", "subcategory",
              "latitude", "longitude", "country")
@@ -27,11 +29,24 @@ def _parse_gender(raw):
     return None
 
 
-def _parse_timestamp(raw):
+# the UTC offset that may end an ISO timestamp: hours, then minutes and
+# seconds, each with or without a colon
+_OFFSET = re.compile(r"[+-]\d\d(?::?(\d\d)(?::?(\d\d)(?:\.\d+)?)?)?$")
+
+
+def parse_timestamp(raw):
+    """The datetime of an ISO timestamp, in UTC if it has no offset; a
+    ValueError if fromisoformat refuses it or its offset has minutes or
+    seconds past 59 (which Python 3.11's fromisoformat carries over)."""
     if not raw:
         return None
     ts = datetime.fromisoformat(raw)
-    return ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+    if ts.tzinfo is None:
+        return ts.replace(tzinfo=timezone.utc)
+    offset = _OFFSET.search(raw)
+    if offset and any(field and int(field) >= 60 for field in offset.groups()):
+        raise ValueError(f"UTC offset out of range: {raw!r}")
+    return ts
 
 
 def _record_from_mapping(row, report, venue_subcats):
@@ -54,7 +69,7 @@ def _record_from_mapping(row, report, venue_subcats):
         report.bad_coordinates += 1
         return None
     try:
-        ts = _parse_timestamp(row.get("timestamp") or None)
+        ts = parse_timestamp(row.get("timestamp") or None)
     except (TypeError, ValueError):
         report.missing_field += 1
         return None

@@ -16,7 +16,8 @@ from collections import Counter
 import numpy as np
 
 from filter_oracle import region_name
-from venuepref.models import DataError, Gender
+from checkin_records import Gender
+from venuepref.models import DataError
 from venuepref.popularity import (
     AnalysisMode,
     AnalysisUnit,

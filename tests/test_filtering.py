@@ -10,9 +10,16 @@ from venuepref.filtering import FilterConfig, apply_filters
 from venuepref.models import DataError, Granularity, RegionSelector
 
 import filter_oracle
+from checkin_records import to_records, to_table
 from conftest import make_record
 
 BR = RegionSelector(Granularity.COUNTRY, "BR")
+
+
+def filtered(records, region, config):
+    """``apply_filters`` over the table of ``records``; the kept rows as records."""
+    kept, report = apply_filters(to_table(records), region, config)
+    return to_records(kept), report
 
 
 def loose(**kwargs):
@@ -24,16 +31,16 @@ def loose(**kwargs):
 
 def test_region_selection_and_error():
     records = [make_record(country="BR"), make_record(country="US")]
-    out, _ = apply_filters(records, BR, loose())
+    out, _ = filtered(records, BR, loose())
     assert all(r.country == "BR" for r in out)
     with pytest.raises(DataError, match="zero records"):
-        apply_filters(records, RegionSelector(Granularity.COUNTRY, "FR"), loose())
+        filtered(records, RegionSelector(Granularity.COUNTRY, "FR"), loose())
 
 
 def test_city_granularity():
     records = [make_record(user=f"u{i}", city="Sao Paulo") for i in range(3)]
     records.append(make_record(user="x", city="Rio"))
-    out, _ = apply_filters(records, RegionSelector(Granularity.CITY, "Sao Paulo"),
+    out, _ = filtered(records, RegionSelector(Granularity.CITY, "Sao Paulo"),
                            loose())
     assert len(out) == 3
 
@@ -41,13 +48,13 @@ def test_city_granularity():
 def test_category_whitelist():
     records = [make_record(user="u1", category="Food"),
                make_record(user="u2", category="Travel")]
-    out, _ = apply_filters(records, BR, loose())
+    out, _ = filtered(records, BR, loose())
     assert [r.category for r in out] == ["Food"]
 
 
 def test_dedupe_keeps_one_per_user_venue():
     records = [make_record(user="u1", venue="v1") for _ in range(3)]
-    out, _ = apply_filters(records, BR, loose())
+    out, _ = filtered(records, BR, loose())
     assert len(out) == 1
 
 
@@ -57,7 +64,7 @@ def test_dedupe_keeps_earliest_by_timestamp():
         make_record(user="u1", venue="v1", ts="2014-04-25T10:00:00"),
         make_record(user="u1", venue="v1", ts="2014-04-26T10:00:00"),
     ]
-    out, _ = apply_filters(records, BR, loose())
+    out, _ = filtered(records, BR, loose())
     assert len(out) == 1
     assert out[0].timestamp.day == 25
 
@@ -65,7 +72,7 @@ def test_dedupe_keeps_earliest_by_timestamp():
 def test_venue_threshold_removes_small_venues():
     records = [make_record(user=f"u{i}", venue="small") for i in range(4)]
     records += [make_record(user=f"w{i}", venue="big") for i in range(5)]
-    out, _ = apply_filters(records, BR, loose(min_checkins_per_venue=5))
+    out, _ = filtered(records, BR, loose(min_checkins_per_venue=5))
     assert {r.venue_id for r in out} == {"big"}
 
 
@@ -74,13 +81,13 @@ def test_subcategory_needs_two_venues():
                for i in range(5)]
     records += [make_record(user=f"a{i}", venue="v1", subcat="Café") for i in range(5)]
     records += [make_record(user=f"b{i}", venue="v2", subcat="Café") for i in range(5)]
-    out, _ = apply_filters(records, BR, FilterConfig())
+    out, _ = filtered(records, BR, FilterConfig())
     assert {r.subcategory for r in out} == {"Café"}
 
 
 def test_monotonicity_output_subset_of_input():
     records = [make_record(user=f"u{i % 7}", venue=f"v{i % 5}") for i in range(40)]
-    out, _ = apply_filters(records, BR, FilterConfig())
+    out, _ = filtered(records, BR, FilterConfig())
     assert all(r in records for r in out)
 
 
@@ -95,8 +102,8 @@ def test_idempotence():
             gender="male" if rng.integers(2) else "female",
         ))
     config = FilterConfig(max_checkins_per_region=120, rng_seed=9)
-    once, _ = apply_filters(records, BR, config)
-    twice, _ = apply_filters(once, BR, config)
+    once, _ = filtered(records, BR, config)
+    twice, _ = filtered(once, BR, config)
     assert once == twice
 
 
@@ -107,7 +114,7 @@ def test_post_state_thresholds_hold():
                            subcat=f"S{rng.integers(6)}")
                for _ in range(400)]
     config = FilterConfig(max_checkins_per_region=100, rng_seed=3)
-    out, _ = apply_filters(records, BR, config)
+    out, _ = filtered(records, BR, config)
     venue_counts = {}
     subcat_venues = {}
     seen_pairs = set()
@@ -133,7 +140,7 @@ def test_cap_keeps_whole_venues():
     total = len(records)
     assert total > 500
     config = loose(max_checkins_per_region=500, rng_seed=1)
-    out, _ = apply_filters(records, BR, config)
+    out, _ = filtered(records, BR, config)
     assert len(out) <= 500
     in_counts = {}
     for rec in records:
@@ -149,15 +156,15 @@ def test_cap_keeps_whole_venues():
 def test_cap_is_deterministic_under_seed():
     records = [make_record(user=f"u{i}", venue=f"v{i % 40}") for i in range(400)]
     config = loose(max_checkins_per_region=150, rng_seed=77)
-    first, _ = apply_filters(records, BR, config)
-    second, _ = apply_filters(records, BR, config)
+    first, _ = filtered(records, BR, config)
+    second, _ = filtered(records, BR, config)
     assert first == second
 
 
 def test_report_counts_per_stage():
     records = [make_record(user="u1", category="Travel"),
                make_record(user="u2")]
-    out, report = apply_filters(records, BR, loose())
+    out, report = filtered(records, BR, loose())
     stages = {s["stage"]: s for s in report.as_dict()["stages"]}
     assert stages["region"]["in"] == 2
     assert stages["category"]["out"] == 1
@@ -197,7 +204,7 @@ def checkin_sets(draw):
     rng_seed=st.integers(0, 3)))
 def test_filters_are_idempotent_and_meet_every_threshold(records, config):
     assume(any(rec.country == BR.name for rec in records))
-    out, _ = apply_filters(records, BR, config)
+    out, _ = filtered(records, BR, config)
     assert all(rec.country == BR.name and rec.category in config.allowed_categories
                for rec in out)
     assert all(n >= config.min_checkins_per_venue
@@ -211,7 +218,7 @@ def test_filters_are_idempotent_and_meet_every_threshold(records, config):
     if config.dedupe_user_venue:
         assert len({(rec.user_id, rec.venue_id) for rec in out}) == len(out)
     if out:
-        assert apply_filters(out, BR, config)[0] == out
+        assert filtered(out, BR, config)[0] == out
 
 
 # Differential tests: the columnar filters against the per-record oracle in
@@ -233,7 +240,7 @@ def filter_outcome(filters, records, region, config):
 
 def assert_same_filters(records, config, region=BR):
     expected = filter_outcome(filter_oracle.apply_filters, records, region, config)
-    outcome = filter_outcome(apply_filters, records, region, config)
+    outcome = filter_outcome(apply_filters, to_table(records), region, config)
     if isinstance(expected, str):
         assert outcome == expected
         return
@@ -285,8 +292,8 @@ def test_dedupe_tells_apart_timestamps_one_microsecond_apart():
     late = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC)
     records = [make_record(lat=0.0, ts=late),
                make_record(lat=1.0, ts=late - timedelta(microseconds=1))]
-    out, _ = apply_filters(records, BR, loose())
-    assert out.latitude.tolist() == [1.0]
+    out, _ = filtered(records, BR, loose())
+    assert [r.latitude for r in out] == [1.0]
     assert_same_filters(records, loose())
 
 
@@ -295,8 +302,8 @@ def test_dedupe_ties_on_one_instant_go_to_input_order():
     for offset in OFFSETS[1:]:
         records = [make_record(lat=0.0, ts=noon.astimezone(offset)),
                    make_record(lat=1.0, ts=noon)]
-        out, _ = apply_filters(records, BR, loose())
-        assert out.latitude.tolist() == [0.0]
+        out, _ = filtered(records, BR, loose())
+        assert [r.latitude for r in out] == [0.0]
         assert_same_filters(records, loose())
-        out, _ = apply_filters(records[::-1], BR, loose())
-        assert out.latitude.tolist() == [1.0]
+        out, _ = filtered(records[::-1], BR, loose())
+        assert [r.latitude for r in out] == [1.0]

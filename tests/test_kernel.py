@@ -20,8 +20,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import popularity_oracle as oracle
+from checkin_records import Gender, to_table
 from conftest import make_record
-from venuepref.models import DataError, Gender, Granularity, RegionSelector
+from venuepref.models import DataError, Granularity, RegionSelector
 from venuepref.nullmodel import (
     NullMethod,
     NullModelConfig,
@@ -67,6 +68,11 @@ def scopes(draw):
     return mode, region, subcat
 
 
+def scoped(records, region):
+    """The table of the records of one region, as apply_filters hands it on."""
+    return to_table(oracle.scope_records(records, region))
+
+
 def outcome(fn, *args):
     """The result of fn, or DataError when it refuses the input."""
     try:
@@ -90,7 +96,7 @@ def rows_as_tuples(rows):
 @given(checkins(), scopes())
 def test_popularity_table_equals_oracle(records, scope):
     mode, region, subcat = scope
-    fast = outcome(popularity_table, oracle.scope_records(records, region), mode,
+    fast = outcome(popularity_table, scoped(records, region), mode,
                    region.name, subcat)
     expected = outcome(oracle.table, records, *scope)
     assert (fast if fast is DataError else rows_as_tuples(fast)) == expected
@@ -102,7 +108,7 @@ def test_single_unit_popularity_equals_oracle(records, scope):
     for key in oracle.unit_keys(records, mode, region, subcat):
         unit = AnalysisUnit(mode=mode, key=key, scope=region.name,
                             scope_subcategory=subcat)
-        assert outcome(popularity, oracle.scope_records(records, region), unit) == \
+        assert outcome(popularity, scoped(records, region), unit) == \
             outcome(oracle.popularity, records, region, unit)
 
 
@@ -110,7 +116,7 @@ def test_single_unit_popularity_equals_oracle(records, scope):
 def test_observed_d_equals_oracle(records, scope):
     mode, region, subcat = scope
     config = NullModelConfig(k=2, method=NullMethod.GENDER_SHUFFLE)
-    fast = outcome(run_null_model_batch, oracle.scope_records(records, region),
+    fast = outcome(run_null_model_batch, scoped(records, region),
                    mode, region.name, config, subcat)
     expected = outcome(oracle.points, records, mode, region, subcat)
     if fast is DataError:
@@ -123,7 +129,7 @@ def test_observed_d_equals_oracle(records, scope):
 @given(checkins(), scopes(), st.integers(0, 3))
 def test_null_replicate_counts_keep_their_totals(records, scope, seed):
     mode, region, subcat = scope
-    index = outcome(ScopeIndex, oracle.scope_records(records, region), mode,
+    index = outcome(ScopeIndex, scoped(records, region), mode,
                     region.name, subcat)
     assume(index is not DataError)
     rng = np.random.default_rng(seed)
@@ -173,7 +179,7 @@ def test_null_count_moments_match_the_exact_laws(mode):
     the excess kurtosis as at most 1: these laws have |excess kurtosis| at
     most about 1 / var, and every var here is above 1."""
     k = 4000
-    index = ScopeIndex(law_records(), mode, REGION.name)
+    index = ScopeIndex(to_table(law_records()), mode, REGION.name)
     rng = np.random.default_rng(20)
     shuffle = np.array([_shuffle_counts(index, rng)[0] for _ in range(k)])
     generative = np.array([np.concatenate(_generative_counts(index, rng))
@@ -207,7 +213,7 @@ def test_null_distribution_matches_the_per_record_oracle(method, mode):
     of each method is below 1.4e-4. The two sides use unrelated seeds."""
     k = 2000
     records = law_records()
-    fast = run_null_model_batch(records, mode, REGION.name,
+    fast = run_null_model_batch(to_table(records), mode, REGION.name,
                                 NullModelConfig(k=k, method=method, rng_seed=1))
     replay = (oracle.generative_replicates if method is NullMethod.GENERATIVE
               else oracle.shuffle_replicates)
@@ -222,7 +228,7 @@ def test_null_distribution_matches_the_per_record_oracle(method, mode):
 def test_preference_vector_equals_oracle(records, country):
     region = RegionSelector(Granularity.COUNTRY, country)
     dims = SUBCATS + ["Zoo"]
-    vec = build_preference_vector(oracle.scope_records(records, region), country,
+    vec = build_preference_vector(scoped(records, region), country,
                                   dims)
     assert vec.values.tolist() == oracle.preference_values(records, region, dims)
 
@@ -230,10 +236,10 @@ def test_preference_vector_equals_oracle(records, country):
 @given(checkins(), scopes())
 def test_gender_swap_negates_d(records, scope):
     mode, region, subcat = scope
-    rows = outcome(popularity_table, records, mode, region.name, subcat)
+    rows = outcome(popularity_table, to_table(records), mode, region.name, subcat)
     assume(rows is not DataError)
     swapped = {r.point.unit.key: r.point for r in popularity_table(
-        swap_genders(records), mode, region.name, subcat)}
+        to_table(swap_genders(records)), mode, region.name, subcat)}
     for row in rows:
         other = swapped[row.point.unit.key]
         assert other.d == -row.point.d
@@ -242,7 +248,7 @@ def test_gender_swap_negates_d(records, scope):
 
 @given(checkins(), st.sampled_from(COUNTRIES))
 def test_popularity_sums_to_one_per_gender(records, country):
-    rows = outcome(popularity_table, records, AnalysisMode.SUBCATEGORY, country)
+    rows = outcome(popularity_table, to_table(records), AnalysisMode.SUBCATEGORY, country)
     assume(rows is not DataError)
     assert math.fsum(r.point.p_male for r in rows) == pytest.approx(1.0, abs=1e-12)
     assert math.fsum(r.point.p_female for r in rows) == pytest.approx(1.0, abs=1e-12)

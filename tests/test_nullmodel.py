@@ -108,11 +108,11 @@ def test_methods_agree_on_planted_bias():
 
 
 def test_single_gender_scope_errors():
-    records = [r for r in synth_scope(0.0, n_checkins=300)
-               if r.gender.value == "male"]
+    table = synth_scope(0.0, n_checkins=300)
+    male_only = table.take(table.gender == 1)
     unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION)
     with pytest.raises(DataError, match="one gender"):
-        run_null_model(records, unit, NullModelConfig(k=5, rng_seed=0))
+        run_null_model(male_only, unit, NullModelConfig(k=5, rng_seed=0))
 
 
 def test_unknown_unit_errors():
@@ -133,7 +133,7 @@ def test_venue_mode_null_model():
     records = synth_scope(0.0, n_checkins=600, seed=21)
     config = NullModelConfig(k=30, rng_seed=8)
     results = run_null_model_batch(records, AnalysisMode.VENUE, REGION, config)
-    assert len(results) == len({r.venue_id for r in records})
+    assert len(results) == len(np.unique(records.venue))
     assert all(res.delta_min <= res.delta_max for res in results)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from venuepref.models import DataError, Gender
+from venuepref.models import DataError
 from venuepref.popularity import (
     AnalysisMode,
     AnalysisUnit,
@@ -12,6 +12,7 @@ from venuepref.popularity import (
     signed_difference,
 )
 
+from checkin_records import Gender, to_table
 from conftest import make_record
 
 BR = "BR"
@@ -43,7 +44,7 @@ def test_hand_counted_example():
     # 10 female check-ins (5 in Café), 10 male (2 in Café)
     records = two_subcat_scope()
     unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR)
-    point = popularity(records, unit)
+    point = popularity(to_table(records), unit)
     assert point.p_female == 0.5
     assert point.p_male == 0.2
     assert point.d == pytest.approx((0.2 - 0.5) / math.sqrt(2))
@@ -56,14 +57,16 @@ def test_equal_popularity_on_diagonal():
                make_record(user="f1", gender="female", subcat="Café"),
                make_record(user="m2", gender="male", subcat="Bar", venue="v2"),
                make_record(user="f2", gender="female", subcat="Bar", venue="v2")]
-    point = popularity(records, AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
+    point = popularity(to_table(records),
+                       AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
     assert point.d == 0.0
 
 
 def test_female_only_unit_is_negative():
     records = [make_record(user="f1", gender="female", subcat="Café"),
                make_record(user="m1", gender="male", subcat="Bar", venue="v2")]
-    point = popularity(records, AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
+    point = popularity(to_table(records),
+                       AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
     assert point.p_male == 0.0
     assert point.d == pytest.approx(-point.p_female / math.sqrt(2))
     assert point.d < 0
@@ -72,7 +75,8 @@ def test_female_only_unit_is_negative():
 def test_single_gender_scope_errors():
     records = [make_record(user="m1", gender="male")]
     with pytest.raises(DataError, match="lacks check-ins"):
-        popularity(records, AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
+        popularity(to_table(records),
+                   AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
 
 
 def test_abs_d_matches_point_to_line_oracle():
@@ -92,13 +96,13 @@ def test_antisymmetry_under_gender_swap():
         for r in records
     ]
     unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR)
-    assert popularity(records, unit).d == pytest.approx(
-        -popularity(swapped, unit).d)
+    assert popularity(to_table(records), unit).d == pytest.approx(
+        -popularity(to_table(swapped), unit).d)
 
 
 def test_numerators_partition_scope_totals():
     records = two_subcat_scope()
-    rows = popularity_table(records, AnalysisMode.SUBCATEGORY, BR)
+    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
     assert sum(row.point.p_male for row in rows) == pytest.approx(1.0)
     assert sum(row.point.p_female for row in rows) == pytest.approx(1.0)
     assert sum(row.point.n_checkins for row in rows) == len(records)
@@ -106,7 +110,7 @@ def test_numerators_partition_scope_totals():
 
 def test_table_sorted_by_abs_d_then_key():
     records = two_subcat_scope()
-    rows = popularity_table(records, AnalysisMode.SUBCATEGORY, BR)
+    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
     mags = [abs(row.point.d) for row in rows]
     assert mags == sorted(mags, reverse=True)
 
@@ -118,13 +122,13 @@ def test_tie_sorted_by_key():
         make_record(user="m2", gender="male", subcat="Alpha", venue="a"),
         make_record(user="f2", gender="female", subcat="Alpha", venue="a"),
     ]
-    rows = popularity_table(records, AnalysisMode.SUBCATEGORY, BR)
+    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
     assert [row.point.unit.key for row in rows] == ["Alpha", "Beta"]
 
 
 def test_normalization_max_is_one_and_preserves_order():
     records = two_subcat_scope()
-    rows = popularity_table(records, AnalysisMode.SUBCATEGORY, BR)
+    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
     top = max(max(row.p_male_norm, row.p_female_norm) for row in rows)
     assert top == pytest.approx(1.0)
     raw_order = sorted(rows, key=lambda r: r.point.p_male)
@@ -136,7 +140,7 @@ def test_normalization_max_is_one_and_preserves_order():
 def test_single_unit_table():
     records = [make_record(user="m1", gender="male"),
                make_record(user="f1", gender="female")]
-    rows = popularity_table(records, AnalysisMode.SUBCATEGORY, BR)
+    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
     assert len(rows) == 1
     assert rows[0].p_male_norm == 1.0
 
@@ -152,7 +156,7 @@ def test_planted_male_subcategory_has_largest_d():
     for i in range(80):
         records.append(make_record(user=f"p{i}", gender="male",
                                    venue=f"Planted-v{i % 3}", subcat="Planted"))
-    rows = popularity_table(records, AnalysisMode.SUBCATEGORY, BR)
+    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
     best = max(rows, key=lambda r: r.point.d)
     assert best.point.unit.key == "Planted"
     assert best.point.d > 0
@@ -169,7 +173,7 @@ def test_venue_within_subcategory_scope_denominators():
     ]
     unit = AnalysisUnit(AnalysisMode.VENUE_WITHIN_SUBCATEGORY, "n2", BR,
                         scope_subcategory="Nightclub")
-    point = popularity(records, unit)
+    point = popularity(to_table(records), unit)
     assert point.p_female == 0.5  # 1 of the 2 female Nightclub check-ins
     assert point.p_male == 0.0
 
@@ -178,9 +182,10 @@ def test_empty_scope_names_what_is_empty():
     # the region was selected upstream; the scope names what left it empty
     records = [make_record(gender="male"), make_record(user="f", gender="female")]
     with pytest.raises(DataError, match="'BR' subcategory 'Bar' has no records"):
-        popularity_table(records, AnalysisMode.VENUE_WITHIN_SUBCATEGORY, BR, "Bar")
+        popularity_table(to_table(records), AnalysisMode.VENUE_WITHIN_SUBCATEGORY,
+                         BR, "Bar")
     with pytest.raises(DataError, match="'BR' has no records"):
-        popularity_table([], AnalysisMode.SUBCATEGORY, BR)
+        popularity_table(to_table([]), AnalysisMode.SUBCATEGORY, BR)
 
 
 def test_venue_with_two_subcategories_is_rejected():
@@ -188,7 +193,7 @@ def test_venue_with_two_subcategories_is_rejected():
     records = [make_record(user="m1", gender="male", venue="v1", subcat="Café"),
                make_record(user="f1", gender="female", venue="v1", subcat="Bar")]
     with pytest.raises(DataError, match="conflicting subcategories"):
-        popularity_table(records, AnalysisMode.VENUE, BR)
+        popularity_table(to_table(records), AnalysisMode.VENUE, BR)
 
 
 def test_unit_validation():

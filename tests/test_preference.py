@@ -13,6 +13,7 @@ from venuepref.preference import (
 )
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
+from checkin_records import to_records, to_table
 from conftest import make_record
 
 BR = RegionSelector(Granularity.COUNTRY, "BR")
@@ -124,11 +125,11 @@ def two_region_records():
 def region_records(name):
     """One country's share of two_region_records, as the vectors command
     hands it to build_preference_vector."""
-    return partition_by_region(two_region_records(), Granularity.COUNTRY)[name]
+    return partition_by_region(to_table(two_region_records()), Granularity.COUNTRY)[name]
 
 
 def test_global_dims_union_is_sorted():
-    dims = collect_global_dims(two_region_records())
+    dims = collect_global_dims(to_table(two_region_records()))
     assert dims == ["Bar", "Café"]
 
 
@@ -180,20 +181,21 @@ def two_region_checkins(draw):
                                    n_venues=draw(st.integers(1, 4)), base_weight=1.0,
                                    gender_skew=draw(st.floats(-0.9, 0.9)))
                    for name in ("Bar", "Café", "Gym")]
-        records += generate(SynthSpec(
+        records += to_records(generate(SynthSpec(
             n_users=draw(st.integers(1, 20)), female_fraction=0.5,
             subcategories=subcats, n_checkins=draw(st.integers(1, 80)),
-            region_name=region.name, rng_seed=draw(st.integers(0, 2**16))))
+            region_name=region.name, rng_seed=draw(st.integers(0, 2**16)))))
     return records
 
 
 def region_vectors(records, config):
     """The vectors command's pipeline: filter each region, take the global
     dims of all regions, build one vector per region."""
-    filtered = [apply_filters(records, region, config)[0] for region in REGIONS]
-    dims = collect_global_dims([rec for recs in filtered for rec in recs])
-    return [build_preference_vector(recs, region.name, dims)
-            for region, recs in zip(REGIONS, filtered)]
+    table = to_table(records)
+    filtered = [apply_filters(table, region, config)[0] for region in REGIONS]
+    dims = collect_global_dims(*filtered)
+    return [build_preference_vector(kept, region.name, dims)
+            for region, kept in zip(REGIONS, filtered)]
 
 
 @given(records=two_region_checkins(), data=st.data(), config=st.builds(

@@ -231,8 +231,8 @@ def cmd_analyze(args, manifest: Manifest) -> None:
     filtered, filter_report = apply_filters(table, region, _filter_config(args))
     manifest.write_artifact("filter_report.json", filter_report.as_dict())
 
-    rows = popularity_table(filtered, mode, region.name, args.subcategory)
-    manifest.write_artifact("popularity.csv", partial(write_popularity_csv, rows))
+    points = popularity_table(filtered, mode, region.name, args.subcategory)
+    manifest.write_artifact("popularity.csv", partial(write_popularity_csv, points))
 
     config = NullModelConfig(k=args.k, confidence=args.confidence,
                              method=NullMethod(args.method), rng_seed=args.seed)
@@ -259,7 +259,8 @@ def cmd_vectors(args, manifest: Manifest) -> None:
         raise DataError("no regions found in the input")
 
     config = _filter_config(args)
-    filtered = {name: apply_filters(by_name.get(name, []),
+    # a name the input lacks matches none of its rows, and apply_filters says so
+    filtered = {name: apply_filters(by_name.get(name, table),
                                     RegionSelector(granularity, name), config)[0]
                 for name in names}
 

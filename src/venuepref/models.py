@@ -315,9 +315,10 @@ def _timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fromisoformat(value: str) -> datetime:
-    """``datetime.fromisoformat``, but a UTC offset whose minutes or seconds
-    are 60 or more is a ValueError: Python 3.11 carries them over, reading
-    ``+00:99`` as ``+01:39``."""
+    """``datetime.fromisoformat``, but a ValueError for a UTC offset whose
+    minutes or seconds are 60 or more (Python 3.11 reads ``+00:99`` as
+    ``+01:39``) or that has a fraction of a second (dropped from a zero
+    offset; ISO 8601 offsets have no seconds at all)."""
     stamp = datetime.fromisoformat(value)
     if stamp.tzinfo is None or (value[-6] in "+-" and value[-2] < "6"):
         return stamp  # no offset, or the common +HH:MM with minutes below 60
@@ -325,7 +326,8 @@ def _fromisoformat(value: str) -> datetime:
     # its fields are pairs of ASCII digits, which compare as strings
     offset = value[max(value.rfind("+"), value.rfind("-")) + 1:]
     digits = offset.partition(".")[0].replace(":", "")
-    if not value.endswith("Z") and (digits[2:4] >= "60" or digits[4:6] >= "60"):
+    if not value.endswith("Z") and ("." in offset or digits[2:4] >= "60"
+                                    or digits[4:6] >= "60"):
         raise ValueError(f"UTC offset out of range: {value!r}")
     return stamp
 

@@ -18,6 +18,8 @@ is the central empirical quantile interval of the resulting distribution.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -26,7 +28,8 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
 from .models import CheckinTable, DataError
-from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
+from .popularity import (AnalysisMode, AnalysisUnit, ScopeIndex, find_unit,
+                         signed_difference)
 
 _MAX_REDRAWS = 100
 
@@ -114,26 +117,6 @@ def _null_matrix(index: ScopeIndex, config: NullModelConfig) -> np.ndarray:
     return rows
 
 
-def _verdict(unit: AnalysisUnit, observed: float, null: np.ndarray,
-             delta_min: float, delta_max: float) -> NullModelResult:
-    significant = observed < delta_min or observed > delta_max
-    if not significant:
-        direction = Direction.NONE
-    elif observed > delta_max:
-        direction = Direction.MALE
-    else:
-        direction = Direction.FEMALE
-    return NullModelResult(
-        unit=unit,
-        observed_d=float(observed),
-        null_distribution=null.copy(),
-        delta_min=float(delta_min),
-        delta_max=float(delta_max),
-        significant=bool(significant),
-        direction=direction,
-    )
-
-
 def run_null_model_batch(table: CheckinTable, mode: AnalysisMode, scope: str,
                          config: NullModelConfig,
                          scope_subcategory: Optional[str] = None
@@ -148,26 +131,29 @@ def run_null_model_batch(table: CheckinTable, mode: AnalysisMode, scope: str,
     # k = 100 the range spans the sample extremes, matching min/max usage.
     delta_min, delta_max = np.quantile(null, [alpha / 2, 1.0 - alpha / 2],
                                        axis=0, method="weibull")
-    return [_verdict(index.unit(j), observed[j], null[:, j], delta_min[j],
-                     delta_max[j]) for j in range(index.n_units)]
+    above = observed > delta_max
+    significant = above | (observed < delta_min)
+    directions = (Direction.MALE, Direction.FEMALE, Direction.NONE)
+    direction = np.where(above, 0, np.where(significant, 1, 2))
+    columns = null.T.copy()  # one contiguous null distribution per unit
+    return [NullModelResult(unit=index.unit(j), observed_d=d,
+                            null_distribution=columns[j], delta_min=lo,
+                            delta_max=hi, significant=sig,
+                            direction=directions[code])
+            for j, (d, lo, hi, sig, code) in enumerate(zip(
+                observed.tolist(), delta_min.tolist(), delta_max.tolist(),
+                significant.tolist(), direction.tolist()))]
 
 
 def run_null_model(table: CheckinTable, unit: AnalysisUnit,
                    config: NullModelConfig) -> NullModelResult:
     """Null-model verdict for one unit of a region's ``apply_filters`` output:
     its row of the batch."""
-    results = run_null_model_batch(table, unit.mode, unit.scope, config,
-                                   unit.scope_subcategory)
-    for result in results:
-        if result.unit.key == unit.key:
-            return result
-    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope!r}")
+    return find_unit(run_null_model_batch(table, unit.mode, unit.scope, config,
+                                          unit.scope_subcategory), unit)
 
 
 def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:
-    import csv
-    import io
-
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["unit_key", "replicate", "d"])
     for res in results:

@@ -8,6 +8,7 @@ popular among female users.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,14 +50,6 @@ class PopularityPoint:
     p_female: float
     d: float
     n_checkins: int
-
-
-@dataclass(frozen=True)
-class PopularityRow:
-    """A table entry: the raw point plus visualization-only normalized pair."""
-    point: PopularityPoint
-    p_male_norm: float
-    p_female_norm: float
 
 
 def signed_difference(p_male, p_female):
@@ -135,50 +128,46 @@ class ScopeIndex:
         p_female = self.female / self.female_total
         return p_male, p_female, signed_difference(p_male, p_female)
 
-    def points(self) -> list[PopularityPoint]:
-        columns = [a.tolist() for a in self.popularity()]
-        return [PopularityPoint(unit=self.unit(j), p_male=pm, p_female=pf, d=d,
-                                n_checkins=n)
-                for j, (pm, pf, d, n) in enumerate(
-                    zip(*columns, self.unit_total.tolist()))]
+
+def find_unit(results: list, unit: AnalysisUnit):
+    """The entry of ``results`` (points or verdicts) for ``unit``'s key."""
+    for result in results:
+        if result.unit.key == unit.key:
+            return result
+    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope!r}")
 
 
 def popularity(table: CheckinTable, unit: AnalysisUnit) -> PopularityPoint:
     """Popularity point of one unit in one region's ``apply_filters`` output."""
-    for point in ScopeIndex(table, unit.mode, unit.scope,
-                            unit.scope_subcategory).points():
-        if point.unit.key == unit.key:
-            return point
-    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope!r}")
+    return find_unit(popularity_table(table, unit.mode, unit.scope,
+                                      unit.scope_subcategory), unit)
 
 
 def popularity_table(table: CheckinTable, mode: AnalysisMode, scope: str,
-                     scope_subcategory: Optional[str] = None) -> list[PopularityRow]:
-    """One PopularityRow per unit of one region's ``apply_filters`` output,
+                     scope_subcategory: Optional[str] = None
+                     ) -> list[PopularityPoint]:
+    """One PopularityPoint per unit of one region's ``apply_filters`` output,
     sorted by |d| descending (ties by key ascending); ``scope`` is the
-    region's name. Normalization divides
-    both axes by the joint maximum popularity over the table; it never feeds
-    any statistic."""
-    points = ScopeIndex(table, mode, scope, scope_subcategory).points()
+    region's name."""
+    index = ScopeIndex(table, mode, scope, scope_subcategory)
+    columns = [a.tolist() for a in index.popularity()]
+    points = [PopularityPoint(unit=index.unit(j), p_male=pm, p_female=pf, d=d,
+                              n_checkins=n)
+              for j, (pm, pf, d, n) in enumerate(
+                  zip(*columns, index.unit_total.tolist()))]
     points.sort(key=lambda p: (-abs(p.d), p.unit.key))
+    return points
+
+
+def write_popularity_csv(points: list[PopularityPoint], sink) -> None:
+    """The popularity table as csv. The normalized pair divides both axes by
+    the joint maximum popularity over the table, for plotting only; it never
+    feeds any statistic."""
     p_max = max(max(p.p_male, p.p_female) for p in points)
-    if p_max == 0:
-        p_max = 1.0
-    return [
-        PopularityRow(point=p, p_male_norm=p.p_male / p_max,
-                      p_female_norm=p.p_female / p_max)
-        for p in points
-    ]
-
-
-def write_popularity_csv(rows: list[PopularityRow], sink) -> None:
-    import csv
-
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["unit_key", "mode", "p_male", "p_female",
                      "p_male_norm", "p_female_norm", "d_s", "n_checkins"])
-    for row in rows:
-        p = row.point
+    for p in points:
         writer.writerow([p.unit.key, p.unit.mode.value, f"{p.p_male:.10g}",
-                         f"{p.p_female:.10g}", f"{row.p_male_norm:.10g}",
-                         f"{row.p_female_norm:.10g}", f"{p.d:.10g}", p.n_checkins])
+                         f"{p.p_female:.10g}", f"{p.p_male / p_max:.10g}",
+                         f"{p.p_female / p_max:.10g}", f"{p.d:.10g}", p.n_checkins])

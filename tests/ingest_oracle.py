@@ -31,21 +31,24 @@ def _parse_gender(raw):
 
 # the UTC offset that may end an ISO timestamp: hours, then minutes and
 # seconds, each with or without a colon
-_OFFSET = re.compile(r"[+-]\d\d(?::?(\d\d)(?::?(\d\d)(?:\.\d+)?)?)?$")
+_OFFSET = re.compile(r"[+-]\d\d(?::?(\d\d)(?::?(\d\d)(\.\d+)?)?)?$")
 
 
 def parse_timestamp(raw):
     """The datetime of an ISO timestamp, in UTC if it has no offset; a
-    ValueError if fromisoformat refuses it or its offset has minutes or
-    seconds past 59 (which Python 3.11's fromisoformat carries over)."""
+    ValueError if fromisoformat refuses it, its offset has minutes or
+    seconds past 59 (which Python 3.11's fromisoformat carries over) or its
+    offset has a fraction of a second (which it drops from a zero offset)."""
     if not raw:
         return None
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     offset = _OFFSET.search(raw)
-    if offset and any(field and int(field) >= 60 for field in offset.groups()):
-        raise ValueError(f"UTC offset out of range: {raw!r}")
+    if offset:
+        minutes, seconds, fraction = offset.groups()
+        if fraction or any(f and int(f) >= 60 for f in (minutes, seconds)):
+            raise ValueError(f"UTC offset out of range: {raw!r}")
     return ts
 
 

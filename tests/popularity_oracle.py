@@ -97,15 +97,17 @@ def preference_values(records, region, global_dims):
 
 
 def table(records, mode, scope, scope_subcategory=None):
-    """popularity_table rows as (key, p_male, p_female, p_male_norm,
-    p_female_norm, d, n_checkins), sorted by |d| descending, then key."""
+    """popularity_table points as (key, p_male, p_female, p_male_norm,
+    p_female_norm, d, n_checkins), sorted by |d| descending, then key. The
+    normalized pair divides by the joint maximum popularity and is given as
+    popularity.csv writes it."""
     pts = points(records, mode, scope, scope_subcategory)
     if not pts:
         raise DataError("no analysis units in scope")
     pts.sort(key=lambda p: (-abs(p.d), p.unit.key))
-    p_max = max(max(p.p_male, p.p_female) for p in pts) or 1.0
-    return [(p.unit.key, p.p_male, p.p_female, p.p_male / p_max,
-             p.p_female / p_max, p.d, p.n_checkins) for p in pts]
+    p_max = max(max(p.p_male, p.p_female) for p in pts)
+    return [(p.unit.key, p.p_male, p.p_female, f"{p.p_male / p_max:.10g}",
+             f"{p.p_female / p_max:.10g}", p.d, p.n_checkins) for p in pts]
 
 
 def _unit_of(scoped, mode):

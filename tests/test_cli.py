@@ -149,6 +149,20 @@ def test_repeated_region_name_is_one_region(tmp_path):
         assert [row["region"] for row in csv.DictReader(fh)] == meta["regions"]
 
 
+@pytest.mark.parametrize("regions, missing", [("Land0,Nowhere", "Nowhere"),
+                                               (",", "")],
+                         ids=["absent", "blank"])
+def test_vectors_region_absent_from_input_is_runtime_error(regions, missing,
+                                                           tmp_path, capsys):
+    data = write_dataset(tmp_path / "multi.csv", countries=["Land0"])
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(data), "--regions", regions,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: region {missing!r} (country) matches zero records\n"
+    assert not out.exists()
+
+
 def test_other_regions_do_not_change_a_regions_artifacts(tmp_path):
     # apply_filters selects the region; every later stage counts only what
     # it returns, so the other regions of an input change no artifact
@@ -271,6 +285,24 @@ def test_bad_synth_spec_is_runtime_error(spec, tmp_path, capsys):
     assert main(["synth", "--spec", str(spec_path),
                  "--out-dir", str(tmp_path / "s")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("skews, female_fraction, message", [
+    ([-1.0] * 4, 0.5, "no subcategory is reachable for male users"),
+    ([1.0, 0.0, 0.0, 0.0], 1.0,
+     "subcategory 'S0' is male-only but there are no male users"),
+], ids=["no-male-subcategory", "no-male-users"])
+def test_unreachable_synth_subcategory_is_runtime_error(
+        skews, female_fraction, message, tmp_path, capsys):
+    spec = {**SPEC_JSON, "female_fraction": female_fraction,
+            "subcategories": [{**sub, "gender_skew": skew} for sub, skew
+                              in zip(SPEC_JSON["subcategories"], skews, strict=True)]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(spec_path),
+                 "--out-dir", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "s").exists()
 
 
@@ -549,6 +581,19 @@ def test_repeated_or_non_finite_vectors_row_is_runtime_error(
                         str(index), "--all-anchors"]}[command]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cluster_of_identical_vectors_is_runtime_error(tmp_path, capsys):
+    # k-means++ has no distance to weight its second pick by, and the cluster
+    # left empty is reseeded with a point equal to the other centroid
+    vectors = write_vectors(tmp_path / "vectors.csv",
+                            [f"R{i},1,0" for i in range(4)])
+    argv = ["cluster", "--vectors", str(vectors), "--k", "2"]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: clustering converged with an "
+                                       "empty cluster; try a different seed "
+                                       "or smaller k\n")
     assert not (tmp_path / "out").exists()
 
 

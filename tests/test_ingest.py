@@ -91,6 +91,24 @@ def test_venue_subcategory_conflict_rejected_first_wins():
 # fromisoformat carries over ("+00:99" reads as +01:39)
 BAD_OFFSETS = ["2014-04-25T12:00:00+00:99", "2014-04-25T12:00:00-00:60",
                "2014-04-25T12:00:00+0099", "2014-04-25T12:00:00+00:59:99"]
+# a UTC offset with a fraction of a second, which ISO 8601 does not have;
+# Python 3.11's fromisoformat drops it from a zero offset, reading the
+# first as UTC
+FRACTION_OFFSETS = ["2014-04-25T12:00:00+00:00:00.123456",
+                    "2014-04-25T12:00:00+00:00:01.5",
+                    "2014-04-25T12:00:00+05:30:00.250000"]
+
+
+@pytest.mark.parametrize("ts", FRACTION_OFFSETS)
+def test_utc_offset_with_a_fraction_is_a_missing_field(ts):
+    with pytest.raises(ValueError, match="UTC offset"):
+        ingest_oracle.parse_timestamp(ts)
+    stream = csv_stream(f"u1,male,v1,Food,Café,1.0,2.0,BR,,{ts}",
+                        *[f"u{i},male,v1,Food,Café,1.0,2.0,BR,,2014-04-25T12:00:00"
+                          for i in range(2, 5)])
+    records, report = ingest_checkins(stream, "csv")
+    assert to_records(records)[0].user_id == "u2"
+    assert report.missing_field == 1
 
 
 def test_rejected_row_does_not_claim_venue_subcategory():
@@ -257,7 +275,7 @@ CELLS = {
                   # or in another form
                   "2015-02-29T12:00:00+02:00", "2014-04-25T24:00:00+00:00",
                   "2014-04-25T12:00:00-00:60", "2014-04-25 14:00:00+02:00",
-                  "2014-04-25t14:00:00+02:00", *BAD_OFFSETS],
+                  "2014-04-25t14:00:00+02:00", *BAD_OFFSETS, *FRACTION_OFFSETS],
 }
 # JSON values that are not strings, for the jsonl rows
 JSON_CELLS = {

@@ -12,6 +12,8 @@ invariants, against the moments of the exact laws and, in distribution,
 against the oracle.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -36,6 +38,7 @@ from venuepref.popularity import (
     ScopeIndex,
     popularity,
     popularity_table,
+    write_popularity_csv,
 )
 from venuepref.preference import build_preference_vector
 
@@ -88,9 +91,16 @@ def swap_genders(records):
             for r in records]
 
 
-def rows_as_tuples(rows):
-    return [(r.point.unit.key, r.point.p_male, r.point.p_female, r.p_male_norm,
-             r.p_female_norm, r.point.d, r.point.n_checkins) for r in rows]
+def rows_as_tuples(points):
+    """The points as oracle.table rows; the normalized pair is the text of
+    write_popularity_csv."""
+    sink = io.StringIO()
+    write_popularity_csv(points, sink)
+    norms = [(row["p_male_norm"], row["p_female_norm"])
+             for row in csv.DictReader(io.StringIO(sink.getvalue()))]
+    return [(p.unit.key, p.p_male, p.p_female, male_norm, female_norm, p.d,
+             p.n_checkins)
+            for p, (male_norm, female_norm) in zip(points, norms, strict=True)]
 
 
 @given(checkins(), scopes())
@@ -236,19 +246,20 @@ def test_preference_vector_equals_oracle(records, country):
 @given(checkins(), scopes())
 def test_gender_swap_negates_d(records, scope):
     mode, region, subcat = scope
-    rows = outcome(popularity_table, to_table(records), mode, region.name, subcat)
-    assume(rows is not DataError)
-    swapped = {r.point.unit.key: r.point for r in popularity_table(
+    points = outcome(popularity_table, to_table(records), mode, region.name, subcat)
+    assume(points is not DataError)
+    swapped = {p.unit.key: p for p in popularity_table(
         to_table(swap_genders(records)), mode, region.name, subcat)}
-    for row in rows:
-        other = swapped[row.point.unit.key]
-        assert other.d == -row.point.d
-        assert (other.p_male, other.p_female) == (row.point.p_female, row.point.p_male)
+    for point in points:
+        other = swapped[point.unit.key]
+        assert other.d == -point.d
+        assert (other.p_male, other.p_female) == (point.p_female, point.p_male)
 
 
 @given(checkins(), st.sampled_from(COUNTRIES))
 def test_popularity_sums_to_one_per_gender(records, country):
-    rows = outcome(popularity_table, to_table(records), AnalysisMode.SUBCATEGORY, country)
-    assume(rows is not DataError)
-    assert math.fsum(r.point.p_male for r in rows) == pytest.approx(1.0, abs=1e-12)
-    assert math.fsum(r.point.p_female for r in rows) == pytest.approx(1.0, abs=1e-12)
+    points = outcome(popularity_table, to_table(records), AnalysisMode.SUBCATEGORY,
+                     country)
+    assume(points is not DataError)
+    assert math.fsum(p.p_male for p in points) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(p.p_female for p in points) == pytest.approx(1.0, abs=1e-12)

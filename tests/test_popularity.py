@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -10,12 +12,20 @@ from venuepref.popularity import (
     popularity,
     popularity_table,
     signed_difference,
+    write_popularity_csv,
 )
 
 from checkin_records import Gender, to_table
 from conftest import make_record
 
 BR = "BR"
+
+
+def csv_rows(points):
+    """The rows write_popularity_csv writes for ``points``, as dicts."""
+    sink = io.StringIO()
+    write_popularity_csv(points, sink)
+    return list(csv.DictReader(io.StringIO(sink.getvalue())))
 
 
 def point_to_diagonal_distance(p_male, p_female):
@@ -102,16 +112,16 @@ def test_antisymmetry_under_gender_swap():
 
 def test_numerators_partition_scope_totals():
     records = two_subcat_scope()
-    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    assert sum(row.point.p_male for row in rows) == pytest.approx(1.0)
-    assert sum(row.point.p_female for row in rows) == pytest.approx(1.0)
-    assert sum(row.point.n_checkins for row in rows) == len(records)
+    points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
+    assert sum(p.p_male for p in points) == pytest.approx(1.0)
+    assert sum(p.p_female for p in points) == pytest.approx(1.0)
+    assert sum(p.n_checkins for p in points) == len(records)
 
 
 def test_table_sorted_by_abs_d_then_key():
     records = two_subcat_scope()
-    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    mags = [abs(row.point.d) for row in rows]
+    points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
+    mags = [abs(p.d) for p in points]
     assert mags == sorted(mags, reverse=True)
 
 
@@ -122,27 +132,27 @@ def test_tie_sorted_by_key():
         make_record(user="m2", gender="male", subcat="Alpha", venue="a"),
         make_record(user="f2", gender="female", subcat="Alpha", venue="a"),
     ]
-    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    assert [row.point.unit.key for row in rows] == ["Alpha", "Beta"]
+    points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
+    assert [p.unit.key for p in points] == ["Alpha", "Beta"]
 
 
 def test_normalization_max_is_one_and_preserves_order():
     records = two_subcat_scope()
-    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    top = max(max(row.p_male_norm, row.p_female_norm) for row in rows)
+    points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
+    rows = csv_rows(points)
+    top = max(max(float(r["p_male_norm"]), float(r["p_female_norm"])) for r in rows)
     assert top == pytest.approx(1.0)
-    raw_order = sorted(rows, key=lambda r: r.point.p_male)
-    norm_order = sorted(rows, key=lambda r: r.p_male_norm)
-    assert [r.point.unit.key for r in raw_order] == \
-        [r.point.unit.key for r in norm_order]
+    raw_order = sorted(points, key=lambda p: p.p_male)
+    norm_order = sorted(rows, key=lambda r: float(r["p_male_norm"]))
+    assert [p.unit.key for p in raw_order] == [r["unit_key"] for r in norm_order]
 
 
 def test_single_unit_table():
     records = [make_record(user="m1", gender="male"),
                make_record(user="f1", gender="female")]
-    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    assert len(rows) == 1
-    assert rows[0].p_male_norm == 1.0
+    points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
+    assert len(points) == 1
+    assert csv_rows(points)[0]["p_male_norm"] == "1"
 
 
 def test_planted_male_subcategory_has_largest_d():
@@ -156,10 +166,16 @@ def test_planted_male_subcategory_has_largest_d():
     for i in range(80):
         records.append(make_record(user=f"p{i}", gender="male",
                                    venue=f"Planted-v{i % 3}", subcat="Planted"))
-    rows = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    best = max(rows, key=lambda r: r.point.d)
-    assert best.point.unit.key == "Planted"
-    assert best.point.d > 0
+    points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
+    best = max(points, key=lambda p: p.d)
+    assert best.unit.key == "Planted"
+    assert best.d > 0
+
+
+def test_unit_absent_from_scope_errors():
+    records = two_subcat_scope()
+    with pytest.raises(DataError, match="unit 'Zoo' not present in scope 'BR'"):
+        popularity(to_table(records), AnalysisUnit(AnalysisMode.SUBCATEGORY, "Zoo", BR))
 
 
 def test_venue_within_subcategory_scope_denominators():

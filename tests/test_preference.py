@@ -149,6 +149,17 @@ def test_absent_dimension_is_zero():
     assert vec.values[vec.dims.index("Zoo")] == 0.0
 
 
+def test_single_gender_subcategory_is_zero():
+    # Bar has male check-ins only, so its venue-level differences are undefined
+    records = [r for r in two_region_records()
+               if r.country == "BR" and r.subcategory == "Café"]
+    records += [make_record(user=f"m{v}", gender="male", venue=f"b{v}", subcat="Bar")
+                for v in range(2)]
+    vec = build_preference_vector(to_table(records), BR.name, ["Bar", "Café"])
+    assert vec.values[vec.dims.index("Bar")] == 0.0
+    assert vec.values[vec.dims.index("Café")] > 0.0
+
+
 def test_vector_build_is_deterministic():
     records = region_records("BR")
     a = build_preference_vector(records, BR.name, ["Bar", "Café"])

@@ -133,8 +133,11 @@ def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
                  argv: list[str]) -> list[str]:
     """argv with the --config file's settings put in front of the flags, so
     the same parser converts and checks them and the flags win."""
-    with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except ValueError as exc:  # a JSON or a UTF-8 decoding error
+        parser.error(f"config file {args.config} is not valid UTF-8 JSON: {exc}")
     if not isinstance(config, dict):
         parser.error(f"config file {args.config} must hold a JSON object")
     tokens = []
@@ -265,6 +268,9 @@ def cmd_vectors(args, manifest: Manifest) -> None:
                 for name in names}
 
     dims = collect_global_dims(*filtered.values())
+    if not dims:
+        raise DataError("no region keeps a check-in after filtering, so the "
+                        "vectors would have no dimension")
     vectors = [build_preference_vector(recs, name, dims)
                for name, recs in filtered.items()]
 

@@ -9,7 +9,7 @@ import io
 import itertools
 import json
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from importlib import resources
@@ -141,6 +141,8 @@ class IndexTable:
 
 @dataclass
 class IngestReport:
+    """Lines read and accepted, then one count per reject reason."""
+
     total_lines: int = 0
     accepted: int = 0
     rejected_gender: int = 0
@@ -149,27 +151,17 @@ class IngestReport:
     venue_conflict: int = 0
     unparseable: int = 0
 
+    def reasons(self) -> dict[str, int]:
+        """The count of each reject reason, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
+
     @property
     def rejected(self) -> int:
-        return (
-            self.rejected_gender
-            + self.bad_coordinates
-            + self.missing_field
-            + self.venue_conflict
-            + self.unparseable
-        )
+        return sum(self.reasons().values())
 
     def as_dict(self) -> dict:
-        return {
-            "total_lines": self.total_lines,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "rejected_gender": self.rejected_gender,
-            "bad_coordinates": self.bad_coordinates,
-            "missing_field": self.missing_field,
-            "venue_conflict": self.venue_conflict,
-            "unparseable": self.unparseable,
-        }
+        return {"total_lines": self.total_lines, "accepted": self.accepted,
+                "rejected": self.rejected, **self.reasons()}
 
 
 _CHUNK_ROWS = 4096  # rows validated at once; the file is never held whole
@@ -315,21 +307,21 @@ def _timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fromisoformat(value: str) -> datetime:
-    """``datetime.fromisoformat``, but a ValueError for a UTC offset whose
-    minutes or seconds are 60 or more (Python 3.11 reads ``+00:99`` as
-    ``+01:39``) or that has a fraction of a second (dropped from a zero
-    offset; ISO 8601 offsets have no seconds at all)."""
-    stamp = datetime.fromisoformat(value)
-    if stamp.tzinfo is None or (value[-6] in "+-" and value[-2] < "6"):
-        return stamp  # no offset, or the common +HH:MM with minutes below 60
-    # the offset follows the last + or -, and fromisoformat has checked that
-    # its fields are pairs of ASCII digits, which compare as strings
-    offset = value[max(value.rfind("+"), value.rfind("-")) + 1:]
-    digits = offset.partition(".")[0].replace(":", "")
-    if not value.endswith("Z") and ("." in offset or digits[2:4] >= "60"
-                                    or digits[4:6] >= "60"):
-        raise ValueError(f"UTC offset out of range: {value!r}")
-    return stamp
+    """``datetime.fromisoformat`` of a str longer than a date only if it is a
+    ``YYYY-MM-DD`` date, then ``T``, ``t`` or a space and a time, then at
+    most a UTC offset, ``Z`` or ``±HH:MM`` with minutes below 60; else a
+    ValueError. So Python 3.10 and later read the same values."""
+    if isinstance(value, str) and len(value) > 10:
+        if value[10] not in "Tt " or value[7] != "-":
+            raise ValueError(f"no YYYY-MM-DD date and T, t or space: {value!r}")
+        value = value.replace("Z", "+00:00")  # 3.10 reads no Z; a Z mid-value fails
+        stamp = datetime.fromisoformat(value)
+        # fromisoformat has checked that an offset's fields are ASCII digits
+        if stamp.tzinfo is not None and not (
+                value[-6] in "+-" and value[-3] == ":" and value[-2] < "6"):
+            raise ValueError(f"UTC offset not Z or ±HH:MM: {value!r}")
+        return stamp
+    return datetime.fromisoformat(value)
 
 
 def _parsed_timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,11 +411,18 @@ class _AcceptedRows:
 
 @contextlib.contextmanager
 def csv_reader(text, lines_before: int = 0):
-    """A ``csv.reader`` of ``text`` whose errors (say, a field past the csv
-    module's size limit) are raised as a DataError naming the line, counted
+    """A ``csv.reader`` of ``text`` that refuses a line holding a NUL, as the
+    csv module does only before Python 3.11. Its errors, say a field past
+    the csv module's size limit, are DataErrors naming the line, counted
     from the start of a file whose first ``lines_before`` lines were read
     before ``text``."""
-    reader = csv.reader(text)
+    def lines():
+        for number, line in enumerate(text, lines_before + 1):
+            if "\0" in line:
+                raise DataError(f"csv line {number}: line contains NUL")
+            yield line
+
+    reader = csv.reader(lines())
     try:
         yield reader
     except csv.Error as exc:

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from checkin_records import CheckInRecord, Gender
 from venuepref.models import CSV_FIELDS, DataError, IngestReport
@@ -29,27 +29,44 @@ def _parse_gender(raw):
     return None
 
 
-# the UTC offset that may end an ISO timestamp: hours, then minutes and
-# seconds, each with or without a colon
-_OFFSET = re.compile(r"[+-]\d\d(?::?(\d\d)(?::?(\d\d)(\.\d+)?)?)?$")
+# the one form of a timestamp longer than a date that every supported
+# Python reads alike: a YYYY-MM-DD date, T, t or a space, a time with no
+# sign or Z in it, and at most a UTC offset, Z or ±HH:MM with minutes
+# below 60
+_TIMESTAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([^+\-Z]*)"
+                        r"(Z|[+-][0-9]{2}:[0-5][0-9])?")
 
 
 def parse_timestamp(raw):
     """The datetime of an ISO timestamp, in UTC if it has no offset; a
-    ValueError if fromisoformat refuses it, its offset has minutes or
-    seconds past 59 (which Python 3.11's fromisoformat carries over) or its
-    offset has a fraction of a second (which it drops from a zero offset)."""
+    ValueError if it is longer than a date and not of the one form above,
+    or if fromisoformat refuses its date and time."""
     if not raw:
         return None
-    ts = datetime.fromisoformat(raw)
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    offset = _OFFSET.search(raw)
-    if offset:
-        minutes, seconds, fraction = offset.groups()
-        if fraction or any(f and int(f) >= 60 for f in (minutes, seconds)):
-            raise ValueError(f"UTC offset out of range: {raw!r}")
-    return ts
+    if len(raw) <= 10:
+        ts = datetime.fromisoformat(raw)
+    else:
+        match = _TIMESTAMP.match(raw)
+        if match is None:
+            raise ValueError(f"no YYYY-MM-DD date and T, t or space: {raw!r}")
+        if match.end() < len(raw):
+            raise ValueError(f"UTC offset not Z or ±HH:MM: {raw!r}")
+        date, time, offset = match.groups()
+        ts = datetime.fromisoformat(f"{date}T{time}")
+        if offset and offset != "Z":
+            sign = -1 if offset[0] == "-" else 1
+            ts = ts.replace(tzinfo=timezone(sign * timedelta(
+                hours=int(offset[1:3]), minutes=int(offset[4:]))))
+    return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
+
+
+def _refuse_nul(text):
+    """The lines of ``text``, but a DataError at the first that holds a
+    NUL: ingest refuses it on every Python, as 3.10's csv module does."""
+    for number, line in enumerate(text, 1):
+        if "\0" in line:
+            raise DataError(f"csv line {number}: line contains NUL")
+        yield line
 
 
 def _record_from_mapping(row, report, venue_subcats):
@@ -102,7 +119,7 @@ def ingest(source, fmt):
         records = []
         venue_subcats = {}
         if fmt == "csv":
-            reader = csv.DictReader(text)
+            reader = csv.DictReader(_refuse_nul(text))
             if reader.fieldnames is not None:
                 missing = [f for f in CSV_FIELDS if f not in reader.fieldnames]
                 if missing:

@@ -315,6 +315,21 @@ def test_synth_roundtrip(tmp_path):
     assert main(["ingest-check", "--input", str(out / "data.csv")]) == 0
 
 
+@pytest.mark.parametrize("flags", [["--categories", "Nope"],
+                                   ["--max-checkins-per-region", "1"]],
+                         ids=["no-category", "cap-1"])
+def test_vectors_of_regions_that_keep_no_checkin_is_runtime_error(
+        flags, tmp_path, capsys):
+    data = write_dataset(tmp_path / "multi.csv", countries=["Land0", "Land1"])
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(data), *flags,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: no region keeps a check-in after filtering, so the vectors "
+        "would have no dimension\n")
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(dataset, tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"k": 5, "seed": 9}))
@@ -337,6 +352,37 @@ def test_flags_beat_config_file(dataset, tmp_path):
                  "--out-dir", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["k"] == 7
+
+
+def test_config_true_is_the_bare_flag(dataset, tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text('{"no_dedupe": true}')  # as in the README
+    argv = ["analyze", "--input", str(dataset), "--country", "Synthland", "--k", "5"]
+    assert main([*argv, "--config", str(config), "--out-dir", str(tmp_path / "c")]) == 0
+    assert main([*argv, "--no-dedupe", "--out-dir", str(tmp_path / "f")]) == 0
+    stages = json.loads((tmp_path / "f" / "filter_report.json").read_text())["stages"]
+    assert "dedupe" not in [s["stage"] for s in stages]
+    for name in ("filter_report.json", "popularity.csv", "significance.json",
+                 "null_distribution.csv"):
+        assert ((tmp_path / "c" / name).read_bytes()
+                == (tmp_path / "f" / name).read_bytes())
+
+
+@pytest.mark.parametrize("content, text", [
+    (b'{"k": [5]}', "config key 'k' must be a string, number or boolean"),
+    (b"k", "config file {config} is not valid UTF-8 JSON: "
+           "Expecting value: line 1 column 1 (char 0)"),
+    (b'\xff{"k": 5}', "config file {config} is not valid UTF-8 JSON: "
+                     "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["list-value", "not-json", "not-utf8"])
+def test_unreadable_config_is_usage_error(content, text, dataset, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_bytes(content)
+    assert_usage_error(["analyze", "--input", str(dataset), "--country",
+                        "Synthland", "--config", str(config),
+                        "--out-dir", str(tmp_path / "o")], capsys,
+                       text.format(config=config))
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -522,14 +568,15 @@ def test_csv_field_past_the_size_limit_is_runtime_error(command, tmp_path, capsy
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, cell", [("timestamp", HUGE_FIELD), ("user_id", "u\0")],
-                         ids=["huge-field", "nul"])
+@pytest.mark.parametrize("field, cell, message", [
+    ("timestamp", HUGE_FIELD, "field larger than field limit (131072)"),
+    ("user_id", "u\0", "line contains NUL"),
+], ids=["huge-field", "nul"])
 def test_csv_reader_after_split_chunks_counts_lines_from_the_start(
-        field, cell, tmp_path, capsys, monkeypatch):
+        field, cell, message, tmp_path, capsys, monkeypatch):
     """Chunks of two lines: lines 2-5 are split at commas, and line 7 makes
-    csv.reader read on from line 6. Its outcome is csv.reader's, with the
-    file's line number: an error for the huge field, and for the NUL an
-    error before Python 3.11 and an accepted row since."""
+    csv.reader read on from line 6; it refuses line 7 and names it by the
+    file's line number, on every Python."""
     monkeypatch.setattr(models, "_CHUNK_ROWS", 2)
     lines = write_dataset(tmp_path / "data.csv").read_text().splitlines(keepends=True)
     row = lines[6].rstrip("\n").split(",")
@@ -537,17 +584,8 @@ def test_csv_reader_after_split_chunks_counts_lines_from_the_start(
     lines[6] = ",".join(row) + "\n"
     path = tmp_path / "odd.csv"
     path.write_text("".join(lines))
-    reader = csv.reader(lines)
-    try:
-        rows = [r for r in reader if r]
-    except csv.Error as exc:
-        assert reader.line_num == 7
-        assert main(["ingest-check", "--input", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: csv line 7: {exc}\n"
-    else:
-        assert field == "user_id"
-        assert main(["ingest-check", "--input", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["accepted"] == len(rows) - 1 == 2000
+    assert main(["ingest-check", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: csv line 7: {message}\n"
 
 
 def test_deeply_nested_jsonl_line_is_unparseable(tmp_path, capsys):
@@ -609,3 +647,31 @@ def test_malformed_vectors_row_names_its_line(row, message, tmp_path, capsys):
     argv = ["cluster", "--vectors", str(vectors), "--k", "2"]
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: vectors csv line 3: {message}\n"
+
+
+@pytest.mark.parametrize("vectors_text, index_text, anchor, message", [
+    ("region,a,b\n", FIVE_INDEX.replace("R2,0.3", "R2"), "R0",
+     "index row has fewer than two columns: ['R2']"),
+    ("region,a,b\n", FIVE_INDEX.replace("R2,0.3", "R2,abc"), "R0",
+     "index value for 'R2' not a number: 'abc'"),
+    ("region,a,b\n", FIVE_INDEX, "Nowhere", "anchor 'Nowhere' has no preference vector"),
+    ("region,a,b\n", FIVE_INDEX.replace("R4,0.5\n", ""), "R4",
+     "anchor 'R4' missing from index 'INDEX'"),
+    ("name,a,b\n", FIVE_INDEX, "R0",
+     "vectors csv must start with a 'region' header column"),
+    ("region,a,b\n", FIVE_INDEX.replace("R2,", "R2\0,"), "R0",
+     "csv line 4: line contains NUL"),
+    ("region,a,b\nR9\0,1,1\n", FIVE_INDEX, "R0", "csv line 2: line contains NUL"),
+], ids=["short-index-row", "index-not-a-number", "anchor-without-vector",
+        "anchor-not-in-index", "no-region-header", "nul-in-index", "nul-in-vectors"])
+def test_bad_compare_input_is_runtime_error(vectors_text, index_text, anchor, message,
+                                            tmp_path, capsys):
+    vectors = tmp_path / "vectors.csv"
+    vectors.write_text(vectors_text + "".join(f"{r}\n" for r in FIVE_VECTORS))
+    index = tmp_path / "index.csv"
+    index.write_text(index_text)
+    argv = ["compare", "--vectors", str(vectors), "--index", str(index),
+            "--anchor", anchor, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

@@ -99,6 +99,46 @@ FRACTION_OFFSETS = ["2014-04-25T12:00:00+00:00:00.123456",
                     "2014-04-25T12:00:00+05:30:00.250000"]
 
 
+# each timestamp with the one outcome it has on every supported Python:
+# the UTC time it reads as, or None for a missing field
+ONE_OUTCOME = {
+    "2014-04-25T12:00:00Z": "2014-04-25T12:00:00",  # 3.10 read no Z
+    "2014-04-25T12:00Z": "2014-04-25T12:00:00",
+    "2014-04-25 14:00:00+02:00": "2014-04-25T12:00:00",
+    "2014-04-25t14:00:00+02:00": "2014-04-25T12:00:00",
+    "2014-04-25": "2014-04-25T00:00:00",
+    # fromisoformat takes the + for the date-time separator, 11 hours off
+    "2014-04-25+05:30": None,
+    "2014-04-25Z": None,
+    "2014-04-25x12:00:00": None,  # 3.10 took any separator
+    "2014-W17-5T12:00": None,  # a week date, which 3.11 reads
+    # offsets 3.11 reads and 3.10 does not
+    "2014-04-25T12:00:00+0200": None, "2014-04-25T12:00:00+02": None,
+    "2014-04-25T12:00:00+05:30:00": None,
+    # 3.11 reads a fraction of an hour, here as +05:00:00.5
+    "2014-04-25T12:00:00+05.50": None, "2014-04-25T12:00:00+05,50": None,
+    **dict.fromkeys([*BAD_OFFSETS, *FRACTION_OFFSETS]),
+}
+
+
+@pytest.mark.parametrize("stamp, utc", ONE_OUTCOME.items())
+def test_timestamp_has_one_outcome_on_every_python(stamp, utc):
+    """Read alone, next to a value of the array path's form (which a
+    25-character stamp then meets too) and by the oracle; a Z form reads
+    as its +00:00 twin."""
+    expected = None if utc is None else int(
+        (datetime.fromisoformat(utc).replace(tzinfo=timezone.utc) - EPOCH)
+        // timedelta(microseconds=1))
+    for values in ([stamp], [stamp, "2014-04-25T12:00:00+00:00"]):
+        micros, missing, bad = models._timestamps(values)
+        assert (bad[0], missing[0]) == (utc is None, False)
+        assert utc is None or micros[0] == expected
+    assert timestamps_one_by_one([stamp]) == (
+        [expected or 0], [False], [utc is None])
+    twin = models._timestamps([stamp.replace("Z", "+00:00")])
+    assert [a.tolist() for a in twin] == [a.tolist() for a in models._timestamps([stamp])]
+
+
 @pytest.mark.parametrize("ts", FRACTION_OFFSETS)
 def test_utc_offset_with_a_fraction_is_a_missing_field(ts):
     with pytest.raises(ValueError, match="UTC offset"):
@@ -274,8 +314,7 @@ CELLS = {
                   # as wide as the form read as an array, but out of range
                   # or in another form
                   "2015-02-29T12:00:00+02:00", "2014-04-25T24:00:00+00:00",
-                  "2014-04-25T12:00:00-00:60", "2014-04-25 14:00:00+02:00",
-                  "2014-04-25t14:00:00+02:00", *BAD_OFFSETS, *FRACTION_OFFSETS],
+                  *ONE_OUTCOME],
 }
 # JSON values that are not strings, for the jsonl rows
 JSON_CELLS = {
@@ -408,6 +447,10 @@ def assert_same_ingest(data, fmt):
                   "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 1)
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR\nu2,male,v1,Food,A,1,2,BR,Rio,,x\n"
                   "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 2)
+# a NUL ends ingest at its line, whether the chunk is split or read by csv.reader
+@example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu\0,male,v1,Food,A,1,2,BR,,\n", 1)
+@example(HEADER + 'u1,male,v1,Food,A,1,2,BR,"Rio\nRJ",\nu2,male,v1,Food,A,1,2,BR,,\n'
+                  "u3,male,v1,Food,A,1,2,BR,\0,\n", 1)
 def test_csv_ingest_equals_oracle(data, chunk_rows):
     with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows):
         assert_same_ingest(data, "csv")

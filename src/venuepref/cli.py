@@ -136,6 +136,8 @@ def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
+    except OSError as exc:
+        parser.error(f"config file {args.config} cannot be read: {exc.strerror}")
     except ValueError as exc:  # a JSON or a UTF-8 decoding error
         parser.error(f"config file {args.config} is not valid UTF-8 JSON: {exc}")
     if not isinstance(config, dict):
@@ -271,6 +273,10 @@ def cmd_vectors(args, manifest: Manifest) -> None:
     if not dims:
         raise DataError("no region keeps a check-in after filtering, so the "
                         "vectors would have no dimension")
+    empty = [name for name, recs in filtered.items() if not len(recs)]
+    if empty:  # cluster and compare refuse an all-zero vector
+        raise DataError(f"regions left with no check-in after filtering, so "
+                        f"their vectors would be all zero: {empty}")
     vectors = [build_preference_vector(recs, name, dims)
                for name, recs in filtered.items()]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from importlib import resources
-from typing import BinaryIO, Optional
+from typing import BinaryIO, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -283,27 +283,28 @@ def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seconds * 1_000_000, fits
 
 
-def _timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _timestamps(values, chars=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Microseconds since the epoch of a column of ISO 8601 timestamps (0
     where there is none), the mask of missing (falsy) values and the mask
     of values that do not parse.
 
     A column of ASCII strings all as wide as ``_ISO_FORM`` is read as one
-    byte matrix; its rows not in that form, or with a field out of range,
-    are parsed one by one as any other column is."""
-    try:
-        blob = "".join(values)
-    except TypeError:  # a None, or a jsonl value that is not a str
-        return _parsed_timestamps(values)
-    if not blob.isascii() or set(map(len, values)) != {len(_ISO_FORM)}:
-        return _parsed_timestamps(values)
-    chars = np.frombuffer(blob.encode("ascii"), np.uint8).reshape(-1, len(_ISO_FORM))
+    byte matrix, ``chars`` if given; its rows not in that form, or with a
+    field out of range, are parsed one by one as any other column is."""
+    if chars is None:
+        try:
+            blob = "".join(values)
+        except TypeError:  # a None, or a jsonl value that is not a str
+            return _parsed_timestamps(values)
+        if not blob.isascii() or set(map(len, values)) != {len(_ISO_FORM)}:
+            return _parsed_timestamps(values)
+        chars = np.frombuffer(blob.encode("ascii"), np.uint8).reshape(-1, len(_ISO_FORM))
     micros, fits = _fixed_width_micros(chars)
-    bad = np.zeros(len(values), bool)
+    bad = np.zeros(len(chars), bool)
     rows = np.flatnonzero(~fits)
     if len(rows):
         micros[rows], _, bad[rows] = _parsed_timestamps([values[i] for i in rows])
-    return micros, np.zeros(len(values), bool), bad
+    return micros, np.zeros(len(chars), bool), bad
 
 
 def _fromisoformat(value: str) -> datetime:
@@ -337,6 +338,21 @@ def _parsed_timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return micros, missing, ~missing & ~parsed
 
 
+class _Column(NamedTuple):
+    """One field of a chunk of rows: the value of row i is ``values[i]``, or
+    ``values[rows[i]]`` if ``rows`` is given. ``chars`` is the (n, 25) byte
+    matrix of a timestamp column whose every value is as wide as
+    ``_ISO_FORM``, if the reader has it."""
+
+    values: Sequence
+    rows: Optional[np.ndarray] = None
+    chars: Optional[np.ndarray] = None
+
+    def per_row(self, per_value: np.ndarray) -> np.ndarray:
+        """An array of one entry per value in ``values`` as one per row."""
+        return per_value if self.rows is None else per_value[self.rows]
+
+
 class _AcceptedRows:
     """The accepted rows of a check-in file, validated a chunk of rows at a
     time. A row is rejected for the first rule it breaks, in this order:
@@ -353,16 +369,18 @@ class _AcceptedRows:
         self.parts = {column: [] for column in _COLUMNS}
 
     def add(self, columns: list) -> None:
-        """Validate one chunk, given as its CSV_FIELDS columns: the string
-        fields hold str or None, the coordinates and timestamp raw values."""
+        """Validate one chunk, given as a ``_Column`` per CSV_FIELDS field: the
+        string fields hold str or None, the coordinates and timestamp raw
+        values."""
         fields = dict(zip(CSV_FIELDS, columns))
-        codes = {column: self.strings[column](fields[field])
+        codes = {column: fields[field].per_row(self.strings[column](fields[field].values))
                  for column, (_, field) in _CODED.items()}
-        gender = self.gender(fields["gender"])
+        gender = fields["gender"].per_row(self.gender(fields["gender"].values))
         gender = self.gender.flags[gender]  # interned first: flags grow with it
-        latitude, lat_blank = _floats(fields["latitude"])
-        longitude, lon_blank = _floats(fields["longitude"])
-        ts, ts_missing, ts_bad = _timestamps(fields["timestamp"])
+        lat, lon, stamps = fields["latitude"], fields["longitude"], fields["timestamp"]
+        latitude, lat_blank = map(lat.per_row, _floats(lat.values))
+        longitude, lon_blank = map(lon.per_row, _floats(lon.values))
+        ts, ts_missing, ts_bad = map(stamps.per_row, _timestamps(stamps.values, stamps.chars))
 
         missing = lat_blank | lon_blank | (gender == -2)  # -2: a blank gender
         for column in ("user", "venue", "category", "subcategory", "country"):
@@ -435,58 +453,195 @@ def _row_columns(rows: list, positions: list[int], width: int) -> list:
     if min(map(len, rows)) < width:
         rows = [row + [None] * (width - len(row)) for row in rows]
     columns = list(zip(*rows))
-    return [columns[p] for p in positions]
+    return [_Column(columns[p]) for p in positions]
 
 
-def _split_columns(lines: list[str], positions: list[int], width: int):
-    """The columns at ``positions`` of csv lines that all have the same
-    field count, at least ``width``, and no quote, NUL or line longer
-    than the csv field size limit: there the csv dialect reads a line as a
-    split at every comma. Any other lines give None; so does an empty line,
-    whose one field is fewer than the ten CSV_FIELDS need.
-
-    The joined lines are one ``str.split``, and each column a stride slice
-    of it."""
-    blob = "".join(lines)
-    if '"' in blob or "\0" in blob or max(map(len, lines)) > csv.field_size_limit():
+def _cut(chunk: bytes, min_fields: int):
+    """The text of a chunk of csv lines, each ending in a newline, and the
+    start and end byte offsets of its fields as two (lines, fields) arrays;
+    or None unless the csv dialect reads every line as a split at each
+    comma. That holds when the chunk is UTF-8 with no quote or NUL, a
+    carriage return only in a CRLF line end, the same number of fields on
+    every line, at least ``min_fields``, and no line, line end included,
+    longer than the csv field size limit."""
+    crlf = b"\r" in chunk  # a lone one ends a line of text, and is not read here
+    if (b'"' in chunk or b"\0" in chunk
+            or crlf and chunk.count(b"\r") != chunk.count(b"\r\n")):
         return None
-    commas = set(map(str.count, lines, itertools.repeat(",")))
-    fields_per_row = commas.pop() + 1
-    if commas or fields_per_row < width:
+    try:
+        text = chunk.decode()
+    except UnicodeDecodeError:
+        return None  # the csv.reader path reads the chunk as text, and fails
+    data = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    line_ends = ends[data[ends] == ord("\n")]
+    per_line, odd = divmod(len(ends), len(line_ends))
+    # every per_line-th end is a newline, and there are no others
+    if (odd or per_line < min_fields or (ends[per_line - 1::per_line] != line_ends).any()
+            or np.diff(line_ends, prepend=-1).max() > csv.field_size_limit()):
         return None
-    fields = blob.replace("\n", ",").split(",")
-    end = len(lines) * fields_per_row
-    return [fields[p:end:fields_per_row] for p in positions]
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    if crlf:  # a line's last field ends before its CR
+        ends[per_line - 1::per_line] -= data[line_ends - 1] == ord("\r")
+    return text, starts.reshape(-1, per_line), ends.reshape(-1, per_line)
 
 
-def _csv_columns(text, report: IngestReport):
+class _Fields:
+    """The fields of one column of a chunk's text, by their str offsets."""
+
+    def __init__(self, text: str, starts: np.ndarray, ends: np.ndarray):
+        self.text, self.starts, self.ends = text, starts, ends
+
+    def __getitem__(self, row: int) -> str:
+        return self.text[self.starts[row]:self.ends[row]]
+
+    def take(self, rows: np.ndarray) -> list[str]:
+        """The fields of ``rows``."""
+        text = self.text
+        return [text[start:end] for start, end
+                in zip(self.starts[rows].tolist(), self.ends[rows].tolist())]
+
+
+# the low r bytes of a word, by r; and the odd factor of the field hash
+_WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
+# the bytes of a field read as words; past them, a field is hashed and
+# compared as bytes, so a long field costs no numpy pass per word
+_WORD_BYTES = 64
+_ISO_WORDS = np.arange(0, len(_ISO_FORM), 8)  # byte offsets of the words of a timestamp
+
+
+def _groups(chunk: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of one column of a byte chunk grouped by their bytes: a row
+    of each group, and each row's group. Rows of one group hold the same
+    bytes; rows with the same bytes share a group unless their hash is
+    shared by other bytes, which at most repeats a value.
+
+    ``words[i]`` is the little-endian 8-byte word at byte i of ``chunk``. A
+    field's first ``_WORD_BYTES`` are read as words, zero past its end: with
+    no NUL in the chunk, its length and words tell those bytes apart from
+    any other field's. The rest of a longer field is hashed by ``hash``.
+    The rows are sorted by a hash of all that, and a group is a run of rows
+    with the same hash, length, words and rest."""
+    def word(rows, k):
+        return words[starts[rows] + 8 * k] & _WORD_MASKS[np.minimum(lengths[rows] - 8 * k, 8)]
+
+    n = len(starts)
+    head = word(slice(None), 0)
+    keys = head.copy()  # a field of up to 8 bytes is its own key
+    tail = []  # per word after the first: the rows that have it, and it
+    k = 1
+    while 8 * k < _WORD_BYTES and len(rows := np.flatnonzero(lengths > 8 * k)):
+        if len(rows) == n:
+            rows = slice(None)  # a view, not a copy
+        tail.append((rows, word(rows, k)))
+        keys[rows] = keys[rows] * _HASH_FACTOR + tail[-1][1]
+        k += 1
+    long = np.flatnonzero(lengths > _WORD_BYTES)
+    rests = {row: chunk[start + _WORD_BYTES:start + length] for row, start, length
+             in zip(long.tolist(), starts[long].tolist(), lengths[long].tolist())}
+    keys[long] = keys[long] * _HASH_FACTOR + np.array(
+        list(map(hash, rests.values())), np.int64).view(np.uint64)
+    order = np.argsort(keys)
+    twin = np.ones(n - 1, bool)  # per sorted row but the first: same bytes as the last
+    checks = [(slice(None), keys)]
+    if tail:  # a hash of more than one word may be shared
+        checks += [(slice(None), lengths), (slice(None), head), *tail]
+    for rows, values in checks:
+        if not isinstance(rows, slice):  # zero where a row has no such word
+            values, by_row = np.zeros(n, values.dtype), values
+            values[rows] = by_row
+        ordered = values[order]
+        twin &= ordered[1:] == ordered[:-1]
+    for i in np.flatnonzero(twin & (lengths[order[1:]] > _WORD_BYTES)).tolist():
+        twin[i] = rests[int(order[i])] == rests[int(order[i + 1])]
+    new = np.concatenate([[True], ~twin])
+    group = np.empty(n, np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
+def _byte_columns(chunk: bytes, positions: list[int], width: int):
+    """The ``_Column``s at ``positions`` of a chunk of csv lines, each ending
+    in a newline, if ``_cut`` reads it; else None. A column holds the
+    distinct values of a field and each row's index among them; only a
+    timestamp column of values as wide as ``_ISO_FORM`` is read as a byte
+    matrix instead."""
+    cut = _cut(chunk, width)
+    if cut is None:
+        return None
+    text, starts, ends = cut
+    data = np.frombuffer(chunk + bytes(8), np.uint8)
+    words = np.ndarray((len(chunk),), "<u8", data, 0, (1,))  # unaligned, one per byte
+    text_starts, text_ends = starts, ends
+    if len(text) < len(chunk):  # a str offset is the byte offset less the
+        # UTF-8 continuation bytes before it
+        before = np.cumsum((data & 0xC0) == 0x80) - ((data & 0xC0) == 0x80)
+        text_starts, text_ends = starts - before[starts], ends - before[ends]
+    columns = []
+    for field, position in zip(CSV_FIELDS, positions):
+        start, end = starts[:, position], ends[:, position]
+        values = _Fields(text, text_starts[:, position], text_ends[:, position])
+        if field == "timestamp" and (end - start == len(_ISO_FORM)).all():
+            # the words that cover each timestamp, as bytes
+            chars = words[start[:, None] + _ISO_WORDS].view(np.uint8)[:, :len(_ISO_FORM)]
+            columns.append(_Column(values, chars=chars))
+        else:
+            first, rows = _groups(chunk, words, start, end - start)
+            columns.append(_Column(values.take(first), rows))
+    return columns
+
+
+def _ended(chunk: bytes) -> bytes:
+    """``chunk``, with a newline at its end."""
+    return chunk if chunk.endswith(b"\n") else chunk + b"\n"
+
+
+def _csv_columns(source: BinaryIO, text, report: IngestReport):
     """The CSV_FIELDS columns of successive chunks of csv rows, read as
     ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
     name reads its last column, and a short row reads None past its end.
 
-    Chunks of lines are split at commas (``_split_columns``) until the first
-    one that cannot be read that way; from that chunk on, the rest of the
-    file goes through ``csv.reader``."""
-    with csv_reader(text) as reader:
-        header = next(reader, None)
-    if header is None:
+    The header line, then chunks of lines, are read from the byte stream
+    ``source`` and cut at commas (``_cut``, ``_byte_columns``) until the
+    first that cannot be read that way; it and the rest of the file,
+    ``text`` being ``source`` as text, go through ``csv.reader`` with
+    universal newlines."""
+    head = source.readline()
+    if not head:
         return
+    rest = None  # the lines for csv.reader, once a chunk is not cut at commas
+    if (cut := _cut(_ended(head), 1)) is not None:
+        header, lines_read = cut[0].rstrip("\r\n").split(","), 1
+    else:
+        rest = _text(head, text)
+        with csv_reader(rest) as reader:
+            header = next(reader, [])
+        lines_read = reader.line_num
     missing = [f for f in CSV_FIELDS if f not in header]
     if missing:
         raise DataError(f"csv header missing columns: {missing}")
     last = {name: i for i, name in enumerate(header)}
     positions = [last[f] for f in CSV_FIELDS]
     width = max(positions) + 1
-    lines_read = reader.line_num
-    while lines := list(itertools.islice(text, _CHUNK_ROWS)):
-        columns = _split_columns(lines, positions, width)
+    while rest is None and (lines := list(itertools.islice(source, _CHUNK_ROWS))):
+        chunk = b"".join(lines)
+        columns = _byte_columns(_ended(chunk), positions, width)
         if columns is None:
-            yield from _reader_columns(itertools.chain(lines, text), lines_read,
-                                       report, positions, width)
-            return
-        lines_read += len(lines)
-        report.total_lines += len(lines)
-        yield columns
+            rest = _text(chunk, text)
+        else:
+            lines_read += len(lines)
+            report.total_lines += len(lines)
+            yield columns
+    if rest is not None:
+        yield from _reader_columns(rest, lines_read, report, positions, width)
+
+
+def _text(head: bytes, text):
+    """The lines of ``head`` and then of ``text``, as a text stream reads
+    them: decoded, with universal newlines."""
+    return itertools.chain(io.TextIOWrapper(io.BytesIO(head), encoding="utf-8"), text)
 
 
 def _reader_columns(text, lines_before: int, report: IngestReport,
@@ -534,10 +689,10 @@ def _jsonl_columns(text, report: IngestReport):
             continue
         rows.append(_jsonl_row(row))
         if len(rows) == _CHUNK_ROWS:
-            yield list(zip(*rows))
+            yield list(map(_Column, zip(*rows)))
             rows = []
     if rows:
-        yield list(zip(*rows))
+        yield list(map(_Column, zip(*rows)))
 
 
 def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestReport]:
@@ -553,7 +708,8 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestRep
     report = IngestReport()
     accepted = _AcceptedRows(report)
     try:
-        chunks = (_csv_columns if fmt == "csv" else _jsonl_columns)(text, report)
+        chunks = (_csv_columns(source, text, report) if fmt == "csv"
+                  else _jsonl_columns(text, report))
         for columns in chunks:
             accepted.add(columns)
     except UnicodeDecodeError as exc:
@@ -568,9 +724,10 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestRep
     return accepted.table(), report
 
 
-def _field_values(table: CheckinTable, rows: slice) -> list[list]:
+def _field_values(table: CheckinTable, rows: slice, coordinates: tuple) -> list[list]:
     """The CSV_FIELDS values of ``rows`` of ``table``, a list per field: str,
-    but a float per coordinate; a missing city or timestamp is empty and a
+    but a coordinate is the value of ``coordinates`` (the latitude and the
+    longitude column) at its row; a missing city or timestamp is empty and a
     timestamp is ISO 8601 in UTC."""
     def strings(codes, names):
         return list(map(names.__getitem__, codes[rows].tolist()))
@@ -580,10 +737,17 @@ def _field_values(table: CheckinTable, rows: slice) -> list[list]:
     return [strings(table.user, table.users), strings(table.gender, ("female", "male")),
             strings(table.venue, table.venues), strings(table.category, table.categories),
             strings(table.subcategory, table.subcategories),
-            table.latitude[rows].tolist(), table.longitude[rows].tolist(),
+            coordinates[0][rows].tolist(), coordinates[1][rows].tolist(),
             strings(table.country, table.countries),
             strings(table.city, [*table.cities, ""]),  # code -1, no city, reads ""
             stamps]
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """The repr of each float of ``values``, as an object array; each
+    distinct value (by its bits) is formatted once."""
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([repr(value) for value in bits.view(float).tolist()], object)[index]
 
 
 def write_checkins(table: CheckinTable, sink, fmt: str = "csv") -> None:
@@ -591,11 +755,13 @@ def write_checkins(table: CheckinTable, sink, fmt: str = "csv") -> None:
     a chunk of rows at a time; a coordinate is the repr of its float."""
     if fmt not in ("csv", "jsonl"):
         raise DataError(f"unknown format {fmt!r}")
-    if fmt == "csv":
+    coordinates = (table.latitude, table.longitude)
+    if fmt == "csv":  # jsonl keeps the floats, which json.dumps would quote as str
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(CSV_FIELDS)
+        coordinates = tuple(map(_reprs, coordinates))
     for start in range(0, len(table), _CHUNK_ROWS):
-        rows = zip(*_field_values(table, slice(start, start + _CHUNK_ROWS)))
+        rows = zip(*_field_values(table, slice(start, start + _CHUNK_ROWS), coordinates))
         if fmt == "csv":
             writer.writerows(rows)
         else:

@@ -154,12 +154,19 @@ def run_null_model(table: CheckinTable, unit: AnalysisUnit,
 
 
 def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:
+    """One line per unit and replicate: unit key, replicate, d. Each distinct
+    d (by its bits) is formatted once."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["unit_key", "replicate", "d"])
-    for res in results:
+    null = [res.null_distribution for res in results]
+    bits, index = np.unique(np.concatenate([np.empty(0), *null]).view(np.int64),
+                            return_inverse=True)
+    texts = [f"{value:.10g}\n" for value in bits.view(float).tolist()]
+    ends = np.cumsum([len(values) for values in null], dtype=int).tolist()
+    for res, start, end in zip(results, [0, *ends], ends):
         # the csv writer quotes the key once; the empty field leaves "key,"
         quoted = io.StringIO()
         csv.writer(quoted, lineterminator="\n").writerow([res.unit.key, ""])
         prefix = quoted.getvalue()[:-1]
-        sink.write("".join([f"{prefix}{i},{value:.10g}\n" for i, value
-                            in enumerate(res.null_distribution.tolist())]))
+        sink.write("".join([f"{prefix}{i},{texts[j]}"
+                            for i, j in enumerate(index[start:end].tolist())]))

@@ -146,6 +146,8 @@ def ingest(source, fmt):
                 report.accepted += 1
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise DataError(f"csv line {reader.reader.line_num}: {exc}") from exc
     finally:
         text.detach()
     if report.total_lines > 0 and report.rejected > report.total_lines / 2:

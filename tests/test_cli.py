@@ -330,6 +330,24 @@ def test_vectors_of_regions_that_keep_no_checkin_is_runtime_error(
     assert not out.exists()
 
 
+def test_vectors_of_a_region_left_empty_by_filtering_is_runtime_error(
+        tmp_path, capsys):
+    # Land1 and Land2 hold only Arts check-ins, which --categories drops
+    data = write_dataset(tmp_path / "multi.csv", countries=["Land0", "Land1", "Land2"])
+    text = data.read_text()
+    for land in ("Land1", "Land2"):
+        text = "\n".join(line.replace(",Food,", ",Arts,") if f",{land}," in line
+                         else line for line in text.split("\n"))
+    data.write_text(text)
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(data), "--categories", "Food",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: regions left with no check-in after filtering, so their "
+        "vectors would be all zero: ['Land1', 'Land2']\n")
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(dataset, tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"k": 5, "seed": 9}))
@@ -374,10 +392,12 @@ def test_config_true_is_the_bare_flag(dataset, tmp_path):
            "Expecting value: line 1 column 1 (char 0)"),
     (b'\xff{"k": 5}', "config file {config} is not valid UTF-8 JSON: "
                      "'utf-8' codec can't decode byte 0xff in position 0"),
-], ids=["list-value", "not-json", "not-utf8"])
+    (None, "config file {config} cannot be read: No such file or directory"),
+], ids=["list-value", "not-json", "not-utf8", "no-file"])
 def test_unreadable_config_is_usage_error(content, text, dataset, tmp_path, capsys):
     config = tmp_path / "conf.json"
-    config.write_bytes(content)
+    if content is not None:
+        config.write_bytes(content)
     assert_usage_error(["analyze", "--input", str(dataset), "--country",
                         "Synthland", "--config", str(config),
                         "--out-dir", str(tmp_path / "o")], capsys,

@@ -145,15 +145,34 @@ def test_null_distribution_csv_bytes_match_a_row_per_cell_writer():
     for res, key in zip(results, keys, strict=True):
         res.unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, key, REGION)
     results[0].null_distribution[:3] = [0.0, -0.0, 1e-300]
+    sink = io.StringIO()
+    write_null_distribution_csv(results, sink)
+    assert sink.getvalue() == row_per_cell_csv(results)
+
+
+def test_null_distribution_csv_of_a_venue_batch_matches_a_row_per_cell_writer():
+    # venue units of one subcategory draw from few counts, so many cells
+    # share a value, which is formatted once
+    records = synth_scope(0.0, n_checkins=200, n_subcats=6)
+    results = run_null_model_batch(records, AnalysisMode.VENUE, REGION,
+                                   NullModelConfig(k=50, rng_seed=3))
+    cells = np.concatenate([res.null_distribution for res in results])
+    assert len(results) == 24
+    assert len(np.unique(cells)) < len(cells) * 0.6
+    sink = io.StringIO()
+    write_null_distribution_csv(results, sink)
+    assert sink.getvalue() == row_per_cell_csv(results)
+
+
+def row_per_cell_csv(results):
+    """The null distribution csv as a csv.writer row per cell writes it."""
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["unit_key", "replicate", "d"])
     for res in results:
         for i, value in enumerate(res.null_distribution):
             writer.writerow([res.unit.key, i, f"{value:.10g}"])
-    sink = io.StringIO()
-    write_null_distribution_csv(results, sink)
-    assert sink.getvalue() == expected.getvalue()
+    return expected.getvalue()
 
 
 @given(k=st.integers(2, 120), n_subcats=st.integers(1, 8),

@@ -31,8 +31,7 @@ from .clustering import ClusteringResult, cluster_regions
 from .comparison import (
     RandomBaseline,
     RankComparison,
-    compare_with_index,
-    random_baseline,
+    compare_regions,
     spearman,
 )
 from .synth import SubcategorySpec, SynthSpec, generate

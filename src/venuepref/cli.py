@@ -47,7 +47,7 @@ from .preference import (
     write_vectors_csv,
 )
 from .clustering import cluster_regions
-from .comparison import compare_with_index, random_baseline, write_comparison_csv
+from .comparison import compare_regions, write_comparison_csv
 from .synth import SynthSpec, generate
 
 
@@ -318,24 +318,21 @@ def _load_index(args):
 
 
 def cmd_compare(args, manifest: Manifest) -> None:
+    if args.anchor is not None and args.all_anchors:
+        raise DataError("pass either --anchor NAME or --all-anchors, not both")
+    if not (args.anchor or args.all_anchors):
+        raise DataError("pass --anchor NAME or --all-anchors")
+    if args.index_name is not None and args.index in ("GII", "HDI"):
+        raise DataError(f"--index-name is only valid for an index file, "
+                        f"not the bundled {args.index}")
+
     path, vectors = _load_vectors(args.vectors)
     manifest.add_input(path)
     manifest.add_seed("baseline", args.seed)
     index = _load_index(args)
-
-    if args.all_anchors:
-        anchors = sorted(vectors)
-    elif args.anchor:
-        anchors = [args.anchor]
-    else:
-        raise DataError("pass --anchor NAME or --all-anchors")
-
-    rows = []
-    for anchor in anchors:
-        comp = compare_with_index(vectors, index, anchor)
-        base = random_baseline(vectors, index, anchor,
-                               n_permutations=args.permutations, seed=args.seed)
-        rows.append((comp, base))
+    anchors = sorted(vectors) if args.all_anchors else [args.anchor]
+    rows = compare_regions(vectors, index, anchors,
+                           n_permutations=args.permutations, seed=args.seed)
     manifest.write_artifact("comparison.csv", partial(write_comparison_csv, rows))
 
 

@@ -159,11 +159,15 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 
 def _check_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
-                   anchor: str) -> list[str]:
-    if anchor not in vectors:
-        raise DataError(f"anchor {anchor!r} has no preference vector")
-    if anchor not in index.entries:
-        raise DataError(f"anchor {anchor!r} missing from index "
+                   anchors: list[str]) -> list[str]:
+    """The sorted regions, once every anchor has a vector, the first anchor
+    and then every region has an index value, and there are at least 4. (An
+    anchor past the first that has no value is among the missing regions.)"""
+    for anchor in anchors:
+        if anchor not in vectors:
+            raise DataError(f"anchor {anchor!r} has no preference vector")
+    if anchors and anchors[0] not in index.entries:
+        raise DataError(f"anchor {anchors[0]!r} missing from index "
                         f"{index.index_name!r}")
     missing = sorted(set(vectors) - set(index.entries))
     if missing:
@@ -171,61 +175,57 @@ def _check_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
                         f"{missing}")
     if len(vectors) < 4:
         raise DataError(f"need at least 4 regions, got {len(vectors)}")
-    return sorted(r for r in vectors if r != anchor)
+    return sorted(vectors)
 
 
-def _distances(vectors: dict[str, PreferenceVector], values: dict[str, float],
-               anchor: str, others: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The |index difference| and the cosine distance of each of ``others``
-    (in that order) to the anchor."""
-    d1 = np.abs(values[anchor] - np.array([values[r] for r in others]))
-    m = np.stack([vectors[r].values for r in [anchor, *others]])
+def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
+                    anchors: list[str], n_permutations: int = 100,
+                    seed: int = 0) -> list[tuple[RankComparison, RandomBaseline]]:
+    """For each anchor, in order: the Spearman agreement between the
+    index-distance and vector-distance rankings of the other regions, and
+    its permutation baseline, which shuffles the index's values across the
+    regions and recomputes rho against the fixed vector distances (99% CI:
+    mean +- 2.576 standard errors of the rho samples).
+
+    The checks, the vector norms and the P permutations (one
+    ``default_rng(seed)`` over the sorted regions) are shared, so every
+    anchor scores the same draw, and a one-anchor call gives that anchor's
+    pair of an all-anchor call. Each anchor ranks and scores its own
+    distances and its (P, R-1) permutation rows."""
+    if n_permutations < 2:
+        raise DataError("random baseline needs n_permutations >= 2")
+    regions = _check_regions(vectors, index, anchors)
+    at = {r: i for i, r in enumerate(regions)}
+    values = np.array([index.entries[r] for r in regions])
+    m = np.stack([vectors[r].values for r in regions])
     # stacked 1xD @ Dx1 products give the floats of a per-pair np.dot and
-    # np.linalg.norm; m @ m[0] and np.linalg.norm(m, axis=1) sum otherwise
+    # np.linalg.norm; m @ m[i] and np.linalg.norm(m, axis=1) sum otherwise
     rows = m[:, None, :]
     norms = np.sqrt(rows @ m[:, :, None])[:, 0, 0]
     if not norms.all():
         raise DataError("cosine distance undefined for a zero vector")
-    dots = (rows[1:] @ m[0, :, None])[:, 0, 0]
-    return d1, 1.0 - dots / (norms[0] * norms[1:])
-
-
-def compare_with_index(vectors: dict[str, PreferenceVector], index: IndexTable,
-                       anchor: str) -> RankComparison:
-    """Spearman agreement between index-distance and vector-distance
-    rankings around one anchor region (anchor excluded from the ranks)."""
-    others = _check_regions(vectors, index, anchor)
-    rho, p = spearman(*_distances(vectors, index.entries, anchor, others))
-    return RankComparison(anchor_region=anchor, index_name=index.index_name,
-                          rho=rho, p_value=p, n=len(others))
-
-
-def random_baseline(vectors: dict[str, PreferenceVector], index: IndexTable,
-                    anchor: str, n_permutations: int = 100,
-                    seed: int = 0) -> RandomBaseline:
-    """Permutation baseline: shuffle the index's value assignment across
-    regions and recompute rho against the fixed vector-distance ranking.
-    All permutations are ranked and scored together, one row each.
-    The 99% CI is mean +- 2.576 standard errors of the rho samples."""
-    if n_permutations < 2:
-        raise DataError("random baseline needs n_permutations >= 2")
-    others = _check_regions(vectors, index, anchor)
-    _, d2 = _distances(vectors, index.entries, anchor, others)
-    _check_spearman_input(d2)
-    regions = sorted(vectors)  # others, with the anchor at position `at`
-    at = regions.index(anchor)
-    base_values = np.array([index.entries[r] for r in regions])
     rng = np.random.default_rng(seed)
-    shuffled = np.stack([rng.permutation(base_values)
-                         for _ in range(n_permutations)])
-    d1 = np.abs(shuffled[:, [at]] - np.delete(shuffled, at, axis=1))
-    _check_spearman_input(d1)
-    samples = _rank_rho(average_ranks(d1), average_ranks(d2))
-    mean = samples.mean()
-    stderr = samples.std(ddof=1) / np.sqrt(n_permutations)
-    return RandomBaseline(n_permutations=n_permutations, rho_samples=samples,
-                          ci_low=float(mean - 2.576 * stderr),
-                          ci_high=float(mean + 2.576 * stderr), seed=seed)
+    shuffled = np.stack([rng.permutation(values) for _ in range(n_permutations)])
+
+    results = []
+    for anchor in anchors:
+        i = at[anchor]
+        d1 = np.abs(values[i] - np.delete(values, i))
+        d2 = 1.0 - (np.delete(rows @ m[i, :, None], i)
+                    / (norms[i] * np.delete(norms, i)))
+        rho, p = spearman(d1, d2)
+        null_d1 = np.abs(shuffled[:, [i]] - np.delete(shuffled, i, axis=1))
+        _check_spearman_input(null_d1)
+        samples = _rank_rho(average_ranks(null_d1), average_ranks(d2))
+        mean = samples.mean()
+        stderr = samples.std(ddof=1) / np.sqrt(n_permutations)
+        results.append((
+            RankComparison(anchor_region=anchor, index_name=index.index_name,
+                           rho=rho, p_value=p, n=len(regions) - 1),
+            RandomBaseline(n_permutations=n_permutations, rho_samples=samples,
+                           ci_low=float(mean - 2.576 * stderr),
+                           ci_high=float(mean + 2.576 * stderr), seed=seed)))
+    return results
 
 
 def write_comparison_csv(rows: list[tuple[RankComparison, RandomBaseline]],

@@ -11,8 +11,14 @@ is imported by tests alone.
 import numpy as np
 from scipy import stats
 
-from venuepref.comparison import _check_regions
+from venuepref.comparison import _check_regions as check_all_regions
 from venuepref.models import DataError
+
+
+def _check_regions(vectors, index, anchor):
+    """The sorted regions other than ``anchor``, once the library's region
+    checks pass for it."""
+    return [r for r in check_all_regions(vectors, index, [anchor]) if r != anchor]
 
 
 def spearman(a, b):
@@ -54,14 +60,15 @@ def distances(vectors, values, anchor, others):
 
 
 def rank_comparison(vectors, index, anchor):
-    """(rho, p) of ``compare_with_index``, from the per-pair distances."""
+    """(rho, p) of ``compare_regions`` for one anchor, from the per-pair
+    distances."""
     others = _check_regions(vectors, index, anchor)
     d1, d2 = distances(vectors, index.entries, anchor, others)
     return spearman([d1[r] for r in others], [d2[r] for r in others])
 
 
 def baseline_samples(vectors, index, anchor, n_permutations, seed):
-    """The rho samples of ``random_baseline``, one full ``spearman`` call
+    """The rho samples of one anchor's baseline, one full ``spearman`` call
     (p-value included) per permutation."""
     others = _check_regions(vectors, index, anchor)
     regions = sorted(vectors)

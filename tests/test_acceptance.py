@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from venuepref.clustering import cluster_regions
-from venuepref.comparison import random_baseline, spearman
+from venuepref.comparison import compare_regions, spearman
 from venuepref.filtering import FilterConfig, apply_filters
 from venuepref.models import (
     Granularity,
@@ -331,8 +331,10 @@ def test_criterion_9_determinism():
     # baseline permutations
     index = IndexTable("T", {f"r{i}": (i + 1) / 12 for i in range(10)})
     vec_map = {v.region: v for v in vectors}
-    base_a = random_baseline(vec_map, index, "r0", n_permutations=60, seed=5)
-    base_b = random_baseline(vec_map, index, "r0", n_permutations=60, seed=5)
+    [(_, base_a)] = compare_regions(vec_map, index, ["r0"], n_permutations=60,
+                                    seed=5)
+    [(_, base_b)] = compare_regions(vec_map, index, ["r0"], n_permutations=60,
+                                    seed=5)
     same = np.array_equal(base_a.rho_samples, base_b.rho_samples)
     ok &= same
     details.append(f"baseline={same}")

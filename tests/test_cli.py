@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -695,3 +696,66 @@ def test_bad_compare_input_is_runtime_error(vectors_text, index_text, anchor, me
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--index", "index.csv", "--anchor", "R0", "--all-anchors"],
+     "pass either --anchor NAME or --all-anchors, not both"),
+    (["--index", "index.csv"], "pass --anchor NAME or --all-anchors"),
+    (["--index", "index.csv", "--anchor", ""], "pass --anchor NAME or --all-anchors"),
+    (["--index", "GII", "--index-name", "X", "--anchor", "R0"],
+     "--index-name is only valid for an index file, not the bundled GII"),
+    (["--index", "HDI", "--index-name", "X", "--all-anchors"],
+     "--index-name is only valid for an index file, not the bundled HDI"),
+], ids=["both-anchor-flags", "no-anchor-flag", "empty-anchor", "named-gii",
+        "named-hdi"])
+@pytest.mark.parametrize("exists", [False, True], ids=["no-input", "input"])
+def test_compare_checks_its_flags_before_reading_the_input(flags, message, exists,
+                                                          tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if exists:
+        write_vectors(tmp_path / "vectors.csv", FIVE_VECTORS)
+        (tmp_path / "index.csv").write_text(FIVE_INDEX)
+    assert main(["compare", "--vectors", "vectors.csv", *flags,
+                 "--out-dir", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# 14 regions whose index takes four values, so index distances tie, and
+# whose vectors repeat entries, so cosine distances come close
+TIED_VECTORS = [f"R{i:02d},{(i * 7) % 5 + 1},{(i * 3) % 4 + 1},{(i * 5) % 7}"
+                for i in range(14)]
+TIED_INDEX = "country,value\n" + "".join(
+    f"R{i:02d},{(0.2, 0.35, 0.5, 0.65)[(i * 5) % 4]}\n" for i in range(14))
+# sha256 of its comparison.csv from --all-anchors --permutations 40 --seed 7,
+# as the per-anchor comparison and baseline calls wrote it
+TIED_COMPARISON_SHA256 = \
+    "d3b1dcbabdf7f2f186d18adea23f7ef4fe4847852b9ead9896ab15ea2d108824"
+
+
+def compare_tied_world(tmp_path, out, *flags):
+    vectors = tmp_path / "vectors.csv"
+    vectors.write_text("region,a,b,c\n" + "".join(f"{r}\n" for r in TIED_VECTORS))
+    index = tmp_path / "index.csv"
+    index.write_text(TIED_INDEX)
+    assert main(["compare", "--vectors", str(vectors), "--index", str(index),
+                 *flags, "--permutations", "40", "--seed", "7",
+                 "--out-dir", str(tmp_path / out)]) == 0
+    return (tmp_path / out / "comparison.csv").read_bytes()
+
+
+def test_all_anchor_comparison_is_pinned(tmp_path):
+    data = compare_tied_world(tmp_path, "all", "--all-anchors")
+    assert hashlib.sha256(data).hexdigest() == TIED_COMPARISON_SHA256
+
+
+def test_one_anchor_run_writes_its_row_of_the_all_anchor_run(tmp_path):
+    header, *rows = compare_tied_world(tmp_path, "all", "--all-anchors") \
+        .decode().splitlines(keepends=True)
+    assert len(rows) == 14
+    for row in rows:
+        anchor = row.split(",")[0]
+        one = compare_tied_world(tmp_path, anchor, "--anchor", anchor)
+        assert one.decode() == header + row

@@ -9,10 +9,8 @@ from scipy import stats
 
 import comparison_oracle as oracle
 from venuepref.comparison import (
-    _distances,
     average_ranks,
-    compare_with_index,
-    random_baseline,
+    compare_regions,
     spearman,
     t_two_sided_p,
 )
@@ -108,11 +106,18 @@ def make_world(n=6, seed=0):
     return vectors, IndexTable("TEST", entries)
 
 
+def compare_one(vectors, index, anchor, n_permutations=100, seed=0):
+    """The comparison and the baseline of one anchor."""
+    [(comp, base)] = compare_regions(vectors, index, [anchor], n_permutations,
+                                     seed)
+    return comp, base
+
+
 def test_appendix_style_distance():
     vectors, _ = make_world()
     gii = [0.457, 0.088, 0.3, 0.2, 0.5, 0.6]
     index = IndexTable("GII", {f"C{i}": v for i, v in enumerate(gii)})
-    comp = compare_with_index(vectors, index, "C0")
+    comp, _ = compare_one(vectors, index, "C0")
     # the appendix's index distance |GII(C0) - GII(C)|, 0.369 for C1
     d1 = [abs(gii[0] - g) for g in gii[1:]]
     assert d1[0] == pytest.approx(0.369)
@@ -125,7 +130,7 @@ def test_appendix_style_distance():
 
 def test_monotone_world_gives_rho_one():
     vectors, index = make_world()
-    comp = compare_with_index(vectors, index, "C0")
+    comp, _ = compare_one(vectors, index, "C0")
     assert comp.rho == pytest.approx(1.0)
 
 
@@ -134,46 +139,47 @@ def test_identical_vectors_degenerate():
     vectors = {f"C{i}": pv(f"C{i}", values) for i in range(5)}
     index = IndexTable("X", {f"C{i}": 0.1 * (i + 1) for i in range(5)})
     with pytest.raises(DataError, match="constant"):
-        compare_with_index(vectors, index, "C0")
+        compare_one(vectors, index, "C0")
 
 
 def test_missing_region_reported():
     vectors, index = make_world()
     del index.entries["C3"]
     with pytest.raises(DataError, match="C3"):
-        compare_with_index(vectors, index, "C0")
+        compare_one(vectors, index, "C0")
 
 
 def test_affine_rescaling_invariance():
     vectors, index = make_world()
-    comp = compare_with_index(vectors, index, "C2")
+    comp, _ = compare_one(vectors, index, "C2")
     # slope 0.25 is a power of two, so tied distances stay exactly tied
     rescaled = IndexTable("T2", {c: 0.25 * v
                                  for c, v in index.entries.items()})
-    comp2 = compare_with_index(vectors, rescaled, "C2")
+    comp2, _ = compare_one(vectors, rescaled, "C2")
     assert comp2.rho == pytest.approx(comp.rho)
 
 
 def test_baseline_near_zero_and_deterministic():
     vectors, index = make_world(n=10, seed=2)
-    base = random_baseline(vectors, index, "C0", n_permutations=100, seed=1)
+    _, base = compare_one(vectors, index, "C0", n_permutations=100, seed=1)
     assert base.ci_low <= base.ci_high
     mean = base.rho_samples.mean()
     assert abs(mean) < 0.2
-    again = random_baseline(vectors, index, "C0", n_permutations=100, seed=1)
+    _, again = compare_one(vectors, index, "C0", n_permutations=100, seed=1)
     assert np.array_equal(base.rho_samples, again.rho_samples)
 
 
 def test_baseline_needs_two_permutations():
     vectors, index = make_world()
     with pytest.raises(DataError, match=">= 2"):
-        random_baseline(vectors, index, "C0", n_permutations=1, seed=0)
+        compare_one(vectors, index, "C0", n_permutations=1, seed=0)
 
 
 @pytest.mark.parametrize("zero", ["C0", "C3"])  # the anchor's, another's
 @pytest.mark.parametrize("run", [
-    compare_with_index,
-    lambda vectors, index, anchor: random_baseline(vectors, index, anchor, 5),
+    lambda vectors, index, anchor: compare_regions(vectors, index, [anchor]),
+    lambda vectors, index, anchor: compare_regions(vectors, index,
+                                                   sorted(vectors), 5),
 ], ids=["compare_with_index", "random_baseline"])
 def test_zero_preference_vector_rejected(run, zero):
     vectors, index = make_world()
@@ -186,7 +192,7 @@ def test_too_few_regions():
     vectors = {f"C{i}": pv(f"C{i}", [1.0, float(i)]) for i in range(3)}
     index = IndexTable("X", {f"C{i}": 0.2 * i for i in range(3)})
     with pytest.raises(DataError, match="at least 4"):
-        compare_with_index(vectors, index, "C0")
+        compare_one(vectors, index, "C0")
 
 
 # Differential tests against the scipy calls the module used to make
@@ -285,18 +291,32 @@ def test_spearman_equals_scipy_version(pair):
     assert f"{p:.6g}" == f"{expected[1]:.6g}"
 
 
+def oracle_rows(vectors, index, n_permutations, seed):
+    """The per-pair oracle's (rho, p) and rho samples for every anchor in
+    turn, as ``compare_regions`` runs them over ``sorted(vectors)``, or the
+    message of the first DataError."""
+    try:
+        return [(oracle.rank_comparison(vectors, index, anchor),
+                 oracle.baseline_samples(vectors, index, anchor,
+                                         n_permutations, seed))
+                for anchor in sorted(vectors)]
+    except DataError as exc:
+        return str(exc)
+
+
 @given(st.lists(st.sampled_from([0.1, 0.2, 0.4]), min_size=4, max_size=12),
        st.integers(0, 2 ** 32 - 1))
 def test_baseline_samples_equal_scipy_version(values, seed):
     # a three-valued index: permutations tie, and some give a constant d1
     vectors, _ = make_world(n=len(values), seed=seed % 7)
     index = IndexTable("C", {f"C{i}": v for i, v in enumerate(values)})
-    got = outcome(random_baseline, vectors, index, "C0", 20, seed)
-    expected = outcome(oracle.baseline_samples, vectors, index, "C0", 20, seed)
+    got = outcome(compare_regions, vectors, index, sorted(vectors), 20, seed)
+    expected = oracle_rows(vectors, index, 20, seed)
     if isinstance(expected, str):
         assert got == expected
-    else:
-        assert np.array_equal(got.rho_samples, expected)
+        return
+    for (_, base), (_, samples) in zip(got, expected, strict=True):
+        assert np.array_equal(base.rho_samples, samples)
 
 
 def test_non_finite_input_rejected():
@@ -317,31 +337,19 @@ def tied_worlds(draw):
     names = [f"C{i}" for i in range(n)]
     vectors = {r: pv(r, draw(st.sampled_from(pool))) for r in names}
     index = IndexTable("W", {r: draw(value) for r in names})
-    return vectors, index, draw(st.sampled_from(names))
+    return vectors, index
 
 
 @given(tied_worlds(), st.integers(0, 2 ** 32 - 1))
 def test_comparison_equals_per_pair_version(world, seed):
-    vectors, index, anchor = world
-    others = sorted(set(vectors) - {anchor})
-    got = outcome(_distances, vectors, index.entries, anchor, others)
-    expected = outcome(oracle.distances, vectors, index.entries, anchor, others)
+    vectors, index = world
+    got = outcome(compare_regions, vectors, index, sorted(vectors), 10, seed)
+    expected = oracle_rows(vectors, index, 10, seed)
     if isinstance(expected, str):
         assert got == expected
-    else:
-        for dists, by_region in zip(got, expected):
-            assert dists.tolist() == [by_region[r] for r in others]
-    got = outcome(compare_with_index, vectors, index, anchor)
-    expected = outcome(oracle.rank_comparison, vectors, index, anchor)
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert got.rho == expected[0]
-        assert got.p_value == pytest.approx(expected[1], rel=1e-12, abs=0.0)
-        assert f"{got.p_value:.6g}" == f"{expected[1]:.6g}"
-    got = outcome(random_baseline, vectors, index, anchor, 10, seed)
-    expected = outcome(oracle.baseline_samples, vectors, index, anchor, 10, seed)
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert np.array_equal(got.rho_samples, expected)
+        return
+    for (comp, base), ((rho, p), samples) in zip(got, expected, strict=True):
+        assert comp.rho == rho
+        assert comp.p_value == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert f"{comp.p_value:.6g}" == f"{p:.6g}"
+        assert np.array_equal(base.rho_samples, samples)

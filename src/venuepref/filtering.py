@@ -69,8 +69,8 @@ def _venues_with_checkins(t: CheckinTable, rows: np.ndarray, minimum: int) -> np
 
 def _subcategories_with_venues(t: CheckinTable, rows: np.ndarray,
                                minimum: int) -> np.ndarray:
-    pairs = np.unique(t.subcategory[rows].astype(np.int64) * len(t.venues)
-                      + t.venue[rows])
+    pairs = np.sort(t.subcategory[rows].astype(np.int64) * len(t.venues) + t.venue[rows])
+    pairs = pairs[np.diff(pairs, prepend=-1) > 0]  # each distinct pair once
     venues = np.bincount(pairs // len(t.venues), minlength=len(t.subcategories))
     return rows[venues[t.subcategory[rows]] >= minimum]
 

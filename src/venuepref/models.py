@@ -164,7 +164,11 @@ class IngestReport:
                 "rejected": self.rejected, **self.reasons()}
 
 
-_CHUNK_ROWS = 4096  # rows validated at once; the file is never held whole
+_CHUNK_ROWS = 4096  # rows read by csv.reader or from jsonl, or written, at once
+# bytes of csv lines cut at commas at once: a block costs ~3x its bytes while
+# it is read (README, "Performance"); the file is never held whole
+_BLOCK_BYTES = 3 << 19
+_ENDS = bytes(c in b",\n" for c in range(256))  # a field ends at a comma or newline
 _RAW_FIELDS = frozenset({"latitude", "longitude", "timestamp"})
 _GENDERS = {"male": 1, "female": 0}
 
@@ -209,7 +213,8 @@ class _Strings:
         """``codes`` recoded into the sorted table of the values they use,
         after ``key`` if given; a value that is or becomes None gets -1."""
         values = list(self.code) if key is None else list(map(key, self.code))
-        names = sorted({values[c] for c in np.unique(codes).tolist()} - {None})
+        used = np.flatnonzero(np.bincount(codes, minlength=len(values)))
+        names = sorted({values[c] for c in used.tolist()} - {None})
         position = {name: i for i, name in enumerate(names)}
         recode = np.array([position.get(v, -1) for v in values], np.int32)
         return recode[codes], names
@@ -289,8 +294,9 @@ def _timestamps(values, chars=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     of values that do not parse.
 
     A column of ASCII strings all as wide as ``_ISO_FORM`` is read as one
-    byte matrix, ``chars`` if given; its rows not in that form, or with a
-    field out of range, are parsed one by one as any other column is."""
+    byte matrix, ``chars`` if given (then ``values`` is not read); its rows
+    not in that form, or with a field out of range, are decoded and parsed
+    one by one as any other column is."""
     if chars is None:
         try:
             blob = "".join(values)
@@ -303,7 +309,8 @@ def _timestamps(values, chars=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bad = np.zeros(len(chars), bool)
     rows = np.flatnonzero(~fits)
     if len(rows):
-        micros[rows], _, bad[rows] = _parsed_timestamps([values[i] for i in rows])
+        micros[rows], _, bad[rows] = _parsed_timestamps(
+            [row.tobytes().decode() for row in chars[rows]])
     return micros, np.zeros(len(chars), bool), bad
 
 
@@ -342,7 +349,7 @@ class _Column(NamedTuple):
     """One field of a chunk of rows: the value of row i is ``values[i]``, or
     ``values[rows[i]]`` if ``rows`` is given. ``chars`` is the (n, 25) byte
     matrix of a timestamp column whose every value is as wide as
-    ``_ISO_FORM``, if the reader has it."""
+    ``_ISO_FORM``, if the reader has it; it holds the values then."""
 
     values: Sequence
     rows: Optional[np.ndarray] = None
@@ -368,19 +375,24 @@ class _AcceptedRows:
         self.claims = np.zeros(0, np.int32)  # per venue code: subcategory code, or -1
         self.parts = {column: [] for column in _COLUMNS}
 
-    def add(self, columns: list) -> None:
-        """Validate one chunk, given as a ``_Column`` per CSV_FIELDS field: the
-        string fields hold str or None, the coordinates and timestamp raw
-        values."""
-        fields = dict(zip(CSV_FIELDS, columns))
-        codes = {column: fields[field].per_row(self.strings[column](fields[field].values))
-                 for column, (_, field) in _CODED.items()}
-        gender = fields["gender"].per_row(self.gender(fields["gender"].values))
-        gender = self.gender.flags[gender]  # interned first: flags grow with it
-        lat, lon, stamps = fields["latitude"], fields["longitude"], fields["timestamp"]
-        latitude, lat_blank = map(lat.per_row, _floats(lat.values))
-        longitude, lon_blank = map(lon.per_row, _floats(lon.values))
-        ts, ts_missing, ts_bad = map(stamps.per_row, _timestamps(stamps.values, stamps.chars))
+    def add(self, columns) -> None:
+        """Validate one chunk, given as a ``_Column`` per CSV_FIELDS field in
+        that order, each read before the next is taken: the string fields
+        hold str or None, the coordinates and timestamp raw values."""
+        coded = {field: column for column, (_, field) in _CODED.items()}
+        codes, floats = {}, []
+        for field, column in zip(CSV_FIELDS, columns):
+            if field in coded:
+                codes[coded[field]] = column.per_row(self.strings[coded[field]](column.values))
+            elif field == "gender":
+                gender = column.per_row(self.gender(column.values))
+                gender = self.gender.flags[gender]  # interned first: flags grow with it
+            elif field == "timestamp":
+                ts, ts_missing, ts_bad = map(column.per_row,
+                                             _timestamps(column.values, column.chars))
+            else:  # latitude, then longitude
+                floats += map(column.per_row, _floats(column.values))
+        latitude, lat_blank, longitude, lon_blank = floats
 
         missing = lat_blank | lon_blank | (gender == -2)  # -2: a blank gender
         for column in ("user", "venue", "category", "subcategory", "country"):
@@ -416,11 +428,12 @@ class _AcceptedRows:
             self.parts[column].append(values[rows])
 
     def table(self) -> CheckinTable:
+        """The accepted rows; each column's chunks are dropped once joined."""
         dtypes = dict.fromkeys(_CODED, np.int32)
         dtypes.update(gender=np.int8, latitude=float, longitude=float,
                       ts=np.int64, ts_missing=bool)
-        columns = {column: np.concatenate([np.empty(0, dtypes[column]), *parts])
-                   for column, parts in self.parts.items()}
+        columns = {column: np.concatenate([np.empty(0, dtype), *self.parts.pop(column)])
+                   for column, dtype in dtypes.items()}
         coded = {column: self.strings[column].finish(
                      columns.pop(column), _city if column == "city" else None)
                  for column in _CODED}
@@ -447,59 +460,33 @@ def csv_reader(text, lines_before: int = 0):
         raise DataError(f"csv line {lines_before + reader.line_num}: {exc}") from exc
 
 
-def _row_columns(rows: list, positions: list[int], width: int) -> list:
-    """The columns at ``positions`` of non-empty rows; a row shorter than
-    ``width`` reads None past its end."""
-    if min(map(len, rows)) < width:
-        rows = [row + [None] * (width - len(row)) for row in rows]
-    columns = list(zip(*rows))
-    return [_Column(columns[p]) for p in positions]
-
-
-def _cut(chunk: bytes, min_fields: int):
-    """The text of a chunk of csv lines, each ending in a newline, and the
-    start and end byte offsets of its fields as two (lines, fields) arrays;
-    or None unless the csv dialect reads every line as a split at each
-    comma. That holds when the chunk is UTF-8 with no quote or NUL, a
-    carriage return only in a CRLF line end, the same number of fields on
-    every line, at least ``min_fields``, and no line, line end included,
-    longer than the csv field size limit."""
-    crlf = b"\r" in chunk  # a lone one ends a line of text, and is not read here
-    if (b'"' in chunk or b"\0" in chunk
-            or crlf and chunk.count(b"\r") != chunk.count(b"\r\n")):
+def _cut(chunk, end: int, min_fields: int):
+    """The end offsets of the fields of the csv lines ``chunk[:end]``, each
+    ending in a newline, as a (lines, fields) int32 array, and those of the
+    newlines; or None unless the csv dialect reads every line as a split at
+    each comma: UTF-8 with no quote or NUL, a CR only in a CRLF line end,
+    the same number of fields on every line, at least ``min_fields``, and no
+    line, line end included, longer than the csv field size limit."""
+    crlf = chunk.find(b"\r", 0, end) >= 0  # a lone one ends a line of text, and is not read here
+    if (chunk.find(b'"', 0, end) >= 0 or chunk.find(b"\0", 0, end) >= 0
+            or crlf and chunk.count(b"\r", 0, end) != chunk.count(b"\r\n", 0, end)):
         return None
     try:
-        text = chunk.decode()
+        str(memoryview(chunk)[:end], "utf-8")  # only checked, and freed at once
     except UnicodeDecodeError:
-        return None  # the csv.reader path reads the chunk as text, and fails
-    data = np.frombuffer(chunk, np.uint8)
-    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+        return None  # the csv.reader path reads the lines as text, and fails
+    data = np.frombuffer(chunk, np.uint8, end)
+    ends = np.flatnonzero(np.frombuffer(chunk.translate(_ENDS), bool, end))
     line_ends = ends[data[ends] == ord("\n")]
     per_line, odd = divmod(len(ends), len(line_ends))
     # every per_line-th end is a newline, and there are no others
     if (odd or per_line < min_fields or (ends[per_line - 1::per_line] != line_ends).any()
             or np.diff(line_ends, prepend=-1).max() > csv.field_size_limit()):
         return None
-    starts = np.concatenate([[0], ends[:-1] + 1])
+    ends = ends.astype(np.int32).reshape(-1, per_line)
     if crlf:  # a line's last field ends before its CR
-        ends[per_line - 1::per_line] -= data[line_ends - 1] == ord("\r")
-    return text, starts.reshape(-1, per_line), ends.reshape(-1, per_line)
-
-
-class _Fields:
-    """The fields of one column of a chunk's text, by their str offsets."""
-
-    def __init__(self, text: str, starts: np.ndarray, ends: np.ndarray):
-        self.text, self.starts, self.ends = text, starts, ends
-
-    def __getitem__(self, row: int) -> str:
-        return self.text[self.starts[row]:self.ends[row]]
-
-    def take(self, rows: np.ndarray) -> list[str]:
-        """The fields of ``rows``."""
-        text = self.text
-        return [text[start:end] for start, end
-                in zip(self.starts[rows].tolist(), self.ends[rows].tolist())]
+        ends[:, -1] -= data[line_ends - 1] == ord("\r")
+    return ends, line_ends
 
 
 # the low r bytes of a word, by r; and the odd factor of the field hash
@@ -511,12 +498,12 @@ _WORD_BYTES = 64
 _ISO_WORDS = np.arange(0, len(_ISO_FORM), 8)  # byte offsets of the words of a timestamp
 
 
-def _groups(chunk: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+def _groups(chunk, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of one column of a byte chunk grouped by their bytes: a row
-    of each group, and each row's group. Rows of one group hold the same
-    bytes; rows with the same bytes share a group unless their hash is
-    shared by other bytes, which at most repeats a value.
+    """The rows of one column of a byte chunk (bytes or a bytearray) grouped
+    by their bytes: a row of each group, and each row's group. Rows of one
+    group hold the same bytes; rows with the same bytes share a group unless
+    their hash is shared by other bytes, which at most repeats a value.
 
     ``words[i]`` is the little-endian 8-byte word at byte i of ``chunk``. A
     field's first ``_WORD_BYTES`` are read as words, zero past its end: with
@@ -539,7 +526,7 @@ def _groups(chunk: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.nda
         keys[rows] = keys[rows] * _HASH_FACTOR + tail[-1][1]
         k += 1
     long = np.flatnonzero(lengths > _WORD_BYTES)
-    rests = {row: chunk[start + _WORD_BYTES:start + length] for row, start, length
+    rests = {row: bytes(chunk[start + _WORD_BYTES:start + length]) for row, start, length
              in zip(long.tolist(), starts[long].tolist(), lengths[long].tolist())}
     keys[long] = keys[long] * _HASH_FACTOR + np.array(
         list(map(hash, rests.values())), np.int64).view(np.uint64)
@@ -562,98 +549,110 @@ def _groups(chunk: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.nda
     return order[new], group
 
 
-def _byte_columns(chunk: bytes, positions: list[int], width: int):
-    """The ``_Column``s at ``positions`` of a chunk of csv lines, each ending
-    in a newline, if ``_cut`` reads it; else None. A column holds the
-    distinct values of a field and each row's index among them; only a
-    timestamp column of values as wide as ``_ISO_FORM`` is read as a byte
-    matrix instead."""
-    cut = _cut(chunk, width)
-    if cut is None:
-        return None
-    text, starts, ends = cut
-    data = np.frombuffer(chunk + bytes(8), np.uint8)
-    words = np.ndarray((len(chunk),), "<u8", data, 0, (1,))  # unaligned, one per byte
-    text_starts, text_ends = starts, ends
-    if len(text) < len(chunk):  # a str offset is the byte offset less the
-        # UTF-8 continuation bytes before it
-        before = np.cumsum((data & 0xC0) == 0x80) - ((data & 0xC0) == 0x80)
-        text_starts, text_ends = starts - before[starts], ends - before[ends]
-    columns = []
+def _byte_columns(chunk: bytearray, end: int, ends, line_ends, positions: list[int]):
+    """The ``_Column``s at ``positions`` of the csv lines ``chunk[:end]``,
+    one at a time, from their ``_cut`` (``ends``, ``line_ends``); the last
+    word read ends 7 bytes past ``end``. A column holds a field's distinct
+    values and each row's index among them, or, for timestamps as wide as
+    ``_ISO_FORM``, their byte matrix. None refers to ``chunk``."""
+    words = np.ndarray((end,), "<u8", chunk, 0, (1,))  # unaligned, one per byte
+    line_starts = np.concatenate([[0], line_ends[:-1] + 1])
     for field, position in zip(CSV_FIELDS, positions):
-        start, end = starts[:, position], ends[:, position]
-        values = _Fields(text, text_starts[:, position], text_ends[:, position])
-        if field == "timestamp" and (end - start == len(_ISO_FORM)).all():
+        start = ends[:, position - 1] + 1 if position else line_starts
+        lengths = ends[:, position] - start
+        if field == "timestamp" and (lengths == len(_ISO_FORM)).all():
             # the words that cover each timestamp, as bytes
             chars = words[start[:, None] + _ISO_WORDS].view(np.uint8)[:, :len(_ISO_FORM)]
-            columns.append(_Column(values, chars=chars))
+            yield _Column(None, chars=chars)
         else:
-            first, rows = _groups(chunk, words, start, end - start)
-            columns.append(_Column(values.take(first), rows))
-    return columns
+            first, rows = _groups(chunk, words, start, lengths)
+            yield _Column([chunk[i:i + n].decode() for i, n
+                           in zip(start[first].tolist(), lengths[first].tolist())], rows)
 
 
-def _ended(chunk: bytes) -> bytes:
-    """``chunk``, with a newline at its end."""
-    return chunk if chunk.endswith(b"\n") else chunk + b"\n"
-
-
-def _csv_columns(source: BinaryIO, text, report: IngestReport):
+def _csv_columns(source: BinaryIO, report: IngestReport):
     """The CSV_FIELDS columns of successive chunks of csv rows, read as
     ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
     name reads its last column, and a short row reads None past its end.
 
-    The header line, then chunks of lines, are read from the byte stream
-    ``source`` and cut at commas (``_cut``, ``_byte_columns``) until the
-    first that cannot be read that way; it and the rest of the file,
-    ``text`` being ``source`` as text, go through ``csv.reader`` with
-    universal newlines."""
+    The header line, then blocks of whole lines of up to ``_BLOCK_BYTES``
+    (read into one buffer once the last block's columns are freed), are cut
+    at commas until the first that cannot be, say one line longer than a
+    block; it and the rest of the file go through ``csv.reader`` as text."""
     head = source.readline()
     if not head:
         return
-    rest = None  # the lines for csv.reader, once a chunk is not cut at commas
-    if (cut := _cut(_ended(head), 1)) is not None:
-        header, lines_read = cut[0].rstrip("\r\n").split(","), 1
+    rest = None  # the text lines for csv.reader, once a block is not cut at commas
+    if _cut(line := head.rstrip(b"\n") + b"\n", len(line), 1) is not None:
+        header, lines_read = head.decode().rstrip("\r\n").split(","), 1
     else:
-        rest = _text(head, text)
+        rest = _text_lines(head, source, 0, 0)
         with csv_reader(rest) as reader:
             header = next(reader, [])
         lines_read = reader.line_num
-    missing = [f for f in CSV_FIELDS if f not in header]
-    if missing:
+    if missing := [f for f in CSV_FIELDS if f not in header]:
         raise DataError(f"csv header missing columns: {missing}")
     last = {name: i for i, name in enumerate(header)}
     positions = [last[f] for f in CSV_FIELDS]
     width = max(positions) + 1
-    while rest is None and (lines := list(itertools.islice(source, _CHUNK_ROWS))):
-        chunk = b"".join(lines)
-        columns = _byte_columns(_ended(chunk), positions, width)
-        if columns is None:
-            rest = _text(chunk, text)
-        else:
-            lines_read += len(lines)
-            report.total_lines += len(lines)
-            yield columns
-    if rest is not None:
-        yield from _reader_columns(rest, lines_read, report, positions, width)
+    block = bytearray(_BLOCK_BYTES + 8)  # the last word read may pass a full block
+    filled, offset = 0, len(head)  # bytes in the block; the file offset of its first
+    while rest is None:
+        while filled < _BLOCK_BYTES and (
+                n := source.readinto(memoryview(block)[filled:_BLOCK_BYTES])):
+            filled += n
+        if not filled:
+            break
+        end = block.rfind(b"\n", 0, filled) + 1
+        if filled < _BLOCK_BYTES and end < filled:  # the file's last line has no line end
+            block[filled] = ord("\n")
+            end = filled + 1
+        cut = _cut(block, end, width) if end else None
+        if cut is None:
+            rest = _text_lines(block[:filled], source, lines_read, offset)
+            break
+        lines_read += len(cut[1])
+        report.total_lines += len(cut[1])
+        yield _byte_columns(block, end, *cut, positions)
+        del cut  # freed, as the columns are, before the next block is read
+        end = min(end, filled)
+        block[:filled - end] = block[end:filled]  # the start of a line, for the next block
+        filled -= end
+        offset += end
+    if rest is not None:  # the rest, a chunk of non-empty rows at a time; a
+        # row shorter than the last column read reads None past its end
+        with csv_reader(rest, lines_read) as reader:
+            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+                if rows := [row for row in chunk if row]:
+                    report.total_lines += len(rows)
+                    if min(map(len, rows)) < width:
+                        rows = [row + [None] * (width - len(row)) for row in rows]
+                    columns = list(zip(*rows))
+                    yield [_Column(columns[p]) for p in positions]
 
 
-def _text(head: bytes, text):
-    """The lines of ``head`` and then of ``text``, as a text stream reads
-    them: decoded, with universal newlines."""
-    return itertools.chain(io.TextIOWrapper(io.BytesIO(head), encoding="utf-8"), text)
-
-
-def _reader_columns(text, lines_before: int, report: IngestReport,
-                    positions: list[int], width: int):
-    """``_csv_columns`` through ``csv.reader``, for the lines of a file
-    after its first ``lines_before``."""
-    with csv_reader(text, lines_before) as reader:
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            rows = [row for row in chunk if row]
-            if rows:
-                report.total_lines += len(rows)
-                yield _row_columns(rows, positions, width)
+def _text_lines(head, source: BinaryIO, number: int, offset: int):
+    """The lines of the bytes ``head`` and then of ``source``, decoded, as a
+    text stream with universal newlines reads them; ``head`` starts at byte
+    ``offset`` of the file, after ``number`` lines. A byte that is not UTF-8
+    is a DataError naming its line and its offset in the file."""
+    for line in itertools.chain(io.BytesIO(head + source.readline()), source):
+        try:
+            text = line.decode()
+        except UnicodeDecodeError as exc:
+            before = line[:exc.start]  # a lone CR in it ends a line of text
+            number += 1 + before.count(b"\r") - before.count(b"\r\n")
+            raise DataError(f"csv line {number}: input is not valid UTF-8: byte "
+                            f"0x{line[exc.start]:02x} at offset {offset + exc.start} "
+                            f"of the file ({exc.reason})") from exc
+        offset += len(line)
+        if "\r" in text:  # CRLF and lone CR line ends read as LF
+            *ended, text = text.replace("\r\n", "\n").split("\r")
+            number += len(ended)
+            yield from (part + "\n" for part in ended)
+        if text:  # not a lone CR's empty rest
+            number += 1
+            yield text
 
 
 def _jsonl_row(row: dict) -> list:
@@ -708,11 +707,11 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestRep
     report = IngestReport()
     accepted = _AcceptedRows(report)
     try:
-        chunks = (_csv_columns(source, text, report) if fmt == "csv"
-                  else _jsonl_columns(text, report))
-        for columns in chunks:
+        for columns in (_csv_columns(source, report) if fmt == "csv"
+                        else _jsonl_columns(text, report)):
             accepted.add(columns)
-    except UnicodeDecodeError as exc:
+            del columns  # freed before the next block is read
+    except UnicodeDecodeError as exc:  # jsonl: the csv path names the line
         raise DataError(f"input is not valid UTF-8: {exc}") from exc
     finally:
         text.detach()  # a collected wrapper would close the caller's stream

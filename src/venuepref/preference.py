@@ -60,7 +60,8 @@ def collect_global_dims(*tables: CheckinTable) -> list[str]:
     the ``apply_filters`` output of each region."""
     dims = set()
     for table in tables:
-        dims.update(table.subcategories[s] for s in np.unique(table.subcategory).tolist())
+        used = np.bincount(table.subcategory, minlength=len(table.subcategories))
+        dims.update(table.subcategories[s] for s in np.flatnonzero(used).tolist())
     return sorted(dims)
 
 

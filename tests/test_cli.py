@@ -595,11 +595,12 @@ def test_csv_field_past_the_size_limit_is_runtime_error(command, tmp_path, capsy
 ], ids=["huge-field", "nul"])
 def test_csv_reader_after_split_chunks_counts_lines_from_the_start(
         field, cell, message, tmp_path, capsys, monkeypatch):
-    """Chunks of two lines: lines 2-5 are split at commas, and line 7 makes
-    csv.reader read on from line 6; it refuses line 7 and names it by the
-    file's line number, on every Python."""
-    monkeypatch.setattr(models, "_CHUNK_ROWS", 2)
+    """Blocks of two lines or so: the lines before line 7's block are split
+    at commas, and line 7 makes csv.reader read on from its block; it
+    refuses line 7 and names it by the file's line number, on every
+    Python."""
     lines = write_dataset(tmp_path / "data.csv").read_text().splitlines(keepends=True)
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 2 * len(lines[1].encode()))
     row = lines[6].rstrip("\n").split(",")
     row[CSV_FIELDS.index(field)] = cell
     lines[6] = ",".join(row) + "\n"

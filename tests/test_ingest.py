@@ -2,7 +2,7 @@ import csv
 import gc
 import io
 import json
-import re
+import tracemalloc
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -289,8 +289,8 @@ def test_ingest_leaves_the_callers_stream_open(read, data):
 
 
 # Differential tests: the columnar ingest against the per-row oracle in
-# ingest_oracle.py, on small chunks so that interned values and venue
-# claims cross chunk boundaries.
+# ingest_oracle.py, on small byte blocks and row chunks so that interned
+# values and venue claims cross their boundaries.
 
 # per field: valid values first (VALID of them), then values a row may break on
 VALID = 3
@@ -354,7 +354,7 @@ def draw_row(draw, cells):
 
 
 # bytes a file may hold on one line, after the header or on it, that stop a
-# chunk from being cut at commas: invalid UTF-8 (a stray byte and a cut
+# block from being cut at commas: invalid UTF-8 (a stray byte and a cut
 # sequence), a quote, a NUL and a lone carriage return
 ODD_BYTES = [b"\xff", b"\xc3", b'"', b"\0", b"\r"]
 
@@ -416,13 +416,11 @@ def jsonl_files(draw):
 
 
 def ingest_outcome(ingest, data, fmt):
-    """(table, report), or the DataError's message, of str or bytes data. The
-    byte offset in a UTF-8 error counts from where its decoder began, which
-    is not the same place for the two readers; it is left out."""
+    """(table, report), or the DataError's message, of str or bytes data."""
     try:
         return ingest(io.BytesIO(data if isinstance(data, bytes) else data.encode()), fmt)
     except DataError as exc:
-        return re.sub(r" in position \d+(-\d+)?:", ":", str(exc))
+        return str(exc)
 
 
 def assert_same_ingest(data, fmt):
@@ -453,53 +451,75 @@ def assert_same_ingest(data, fmt):
         assert names == sorted(set(names))
 
 
+# a line of 27 bytes, and one with 2-byte UTF-8 sequences at its bytes 14 and 27
+SHORT = "u1,male,v1,Food,A,1,2,BR,,\n"
+ACCENTED = "u2,male,v1,Café,A,1,2,BR,São Paulo,\n"
+
+
 @settings(max_examples=300)
-@given(csv_files(), st.integers(1, 5), st.sampled_from([None, None, 72]))
+@given(csv_files(), st.integers(1, 5), st.sampled_from([None, None, 72]),
+       st.integers(16, 320))
 @example(HEADER + "u1,male,v1,Food,Bakery,1.0,2.0,BR,,not-a-time\n"
                   "u2,male,v1,Food,Café,1.0,2.0,BR,,\n"
-                  "u3,female,v1,Food,Café,1.0,2.0,BR,,\n", 1, None)
+                  "u3,female,v1,Food,Café,1.0,2.0,BR,,\n", 1, None, 48)
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu2,male,v1,Food,B,1,2,BR,,\n"
-                  "u3,female,v1,Food,A,1,2,BR,,\n", 2, None)
-# the first quote after the first chunk: csv.reader reads on from its chunk
+                  "u3,female,v1,Food,A,1,2,BR,,\n", 2, None, 60)
+# the first quote after the first block: csv.reader reads on from its block
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR,Rio,\n"
                   'u2,female,v1,Food,A,1,2,BR,"Rio, RJ",\n'
-                  "u3,female,v2,Food,A,1,2,BR,,\n", 1, None)
+                  "u3,female,v2,Food,A,1,2,BR,,\n", 1, None, 40)
 @example((HEADER + "u1,male,v1,Food,A,1,2,BR,Rio,\n\n"
                    "u2,female,v1,Food,A,1,2,BR,,\n"
                    'u3,female,v2,Food,B,1,2,BR,"Rio ""RJ""\nnorte",\n'
-                   "u4,male,v2,Food,B,1,2,BR,,").replace("\n", "\r\n"), 2, None)
-# quote-free chunks of short, long or mixed rows: csv.reader reads short ones
+                   "u4,male,v2,Food,B,1,2,BR,,").replace("\n", "\r\n"), 2, None, 70)
+# quote-free blocks of short, long or mixed rows: csv.reader reads short ones
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR\nu2,male,v1,Food,A,1,2,BR,Rio,,x\n"
-                  "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 1, None)
+                  "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 1, None, 30)
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR\nu2,male,v1,Food,A,1,2,BR,Rio,,x\n"
-                  "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 2, None)
-# a NUL ends ingest at its line, whether the chunk is split or read by csv.reader
-@example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu\0,male,v1,Food,A,1,2,BR,,\n", 1, None)
+                  "u3,female,v1,Food,A,1,2\nu4,female,v1,Food,A,1,2,BR,,\n", 2, None, 70)
+# a NUL ends ingest at its line, whether the block is split or read by csv.reader
+@example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu\0,male,v1,Food,A,1,2,BR,,\n", 1, None, 30)
 @example(HEADER + 'u1,male,v1,Food,A,1,2,BR,"Rio\nRJ",\nu2,male,v1,Food,A,1,2,BR,,\n'
-                  "u3,male,v1,Food,A,1,2,BR,\0,\n", 1, None)
+                  "u3,male,v1,Food,A,1,2,BR,\0,\n", 1, None, 40)
 # CRLF and LF line ends, mixed, are cut at commas; a lone CR is not
 @example((HEADER + "u1,male,v1,Food,A,1,2,BR,Rio,\nu2,female,v1,Food,A,1,2,BR,,\n").replace(
     "\n", "\r\n") + "u3,male,v1,Food,A,1,2,BR,Rio,\nu4,male,v1,Food,A,1,2,BR,,\r\n"
-    "u5,male,v1,Food,A,1,2,BR,Rio,\ru6,male,v1,Food,A,1,2,BR,,\r\n", 2, None)
-# faults first met after a chunk cut at commas: csv.reader reads on from
-# their chunk, naming lines as the oracle does
+    "u5,male,v1,Food,A,1,2,BR,Rio,\ru6,male,v1,Food,A,1,2,BR,,\r\n", 2, None, 70)
+# faults first met after a block cut at commas: csv.reader reads on from
+# their block, naming lines (and the offset of a byte that is not UTF-8) as
+# the oracle does
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu2,male,v1,Food,A,1,2,BR,,\r"
-                  "u3,male,v1,Food,A,1,2,BR,,\n", 1, None)
+                  "u3,male,v1,Food,A,1,2,BR,,\n", 1, None, 30)
 @example((HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu2,female,v1,Food,A,1,2,BR,,\n").encode()
-         + b"u3,male,v1,Food,A,1,2,BR,\xffRio,\nu4,male,v1,Food,A,1,2,BR,,\n", 1, None)
+         + b"u3,male,v1,Food,A,1,2,BR,\xffRio,\nu4,male,v1,Food,A,1,2,BR,,\n", 1, None, 30)
+@example((HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu2,female,v1,Food,A,1,2,BR,,\r").encode()
+         + b"u3,male,v1,Food,A,1,2,BR,\xffRio,\nu4,male,v1,Food,A,1,2,BR,,\n", 1, None, 30)
 @example(HEADER + "u1,male,v1,Food,A,1,2,BR,,\nu2,female,v1,Food,A,1,2,BR,,\n"
-                  + "u" * 30 + ",male,v1,Food,A,1,2,BR,,\n", 1, 28)
+                  + "u" * 30 + ",male,v1,Food,A,1,2,BR,,\n", 1, 28, 60)
 # venue ids that share their first or their last two 8-byte words
 @example(HEADER + "".join(f"u{i},male,{HEX_IDS[i % 3]},Food,{'AAB'[i % 3]},1,2,BR,,\n"
-                          for i in range(7)), 5, None)
-def test_csv_ingest_equals_oracle(data, chunk_rows, field_limit):
-    """``field_limit``, if given, is the csv module's field size limit: a
-    chunk with a longer line goes to csv.reader, which refuses a longer
-    field."""
+                          for i in range(7)), 5, None, 200)
+# a read that ends inside a UTF-8 sequence, or between the CR and LF of a
+# line end: the block is cut at its last newline, and the rest of the line
+# is read with the next
+@example(HEADER + SHORT + ACCENTED * 3, 1, None, len(SHORT) + 15)
+@example(HEADER + SHORT + ACCENTED * 3, 1, None, len(SHORT) + 28)
+@example((HEADER + SHORT * 4).replace("\n", "\r\n"), 1, None, 2 * len(SHORT) + 1)
+# a line longer than a block: csv.reader reads from it on
+@example(HEADER + SHORT + ACCENTED + SHORT, 1, None, len(SHORT) + 8)
+# a last line with no line end, a byte shorter than the block or as long
+@example(HEADER + SHORT + SHORT[:-1], 1, None, len(SHORT))
+@example(HEADER + SHORT[:-1], 1, None, len(SHORT) - 1)
+def test_csv_ingest_equals_oracle(data, chunk_rows, field_limit, block_bytes):
+    """csv.reader reads ``chunk_rows`` rows at a time, and the byte path
+    blocks of ``block_bytes``. ``field_limit``, if given, is the csv
+    module's field size limit: a block with a longer line goes to
+    csv.reader, which refuses a longer field."""
     limit = csv.field_size_limit()
     try:
         csv.field_size_limit(field_limit or limit)
-        with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(models, "_BLOCK_BYTES", block_bytes):
             assert_same_ingest(data, "csv")
     finally:
         csv.field_size_limit(limit)
@@ -517,7 +537,7 @@ def test_fields_whose_hashes_collide_keep_their_values(factor, monkeypatch):
             f"{users[i // 2 % 4]}," for i in range(24)]
     monkeypatch.setattr(models, "_HASH_FACTOR", np.uint64(factor))
     monkeypatch.setattr(models, "hash", len, raising=False)
-    monkeypatch.setattr(models, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 1024)  # 5 to 8 rows
     assert_same_ingest(csv_stream(*rows).getvalue(), "csv")
     table, _ = ingest_checkins(csv_stream(*rows), "csv")
     assert (table.users, table.venues, table.cities) == (
@@ -541,7 +561,7 @@ def test_quote_free_rows_skip_the_csv_reader(monkeypatch):
         calls.append(args)
         return reader(*args, **kwargs)
 
-    monkeypatch.setattr(models, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 4096)  # about 50 rows
     monkeypatch.setattr(models.csv, "reader", counted_reader)
     table, report = ingest_checkins(io.BytesIO("".join(lines).encode()), "csv")
     assert calls == []  # the header is cut at commas too
@@ -550,6 +570,12 @@ def test_quote_free_rows_skip_the_csv_reader(monkeypatch):
     again, _ = ingest_checkins(io.BytesIO("".join(quoted).encode()), "csv")
     assert len(calls) == 1
     assert to_records(again) == to_records(table)
+    # and so does a line longer than a block
+    long = lines[:200] + [lines[200].replace(",Rio,", f",{'R' * 4096},")] + lines[201:]
+    again, _ = ingest_checkins(io.BytesIO("".join(long).encode()), "csv")
+    assert len(calls) == 2
+    assert again.cities == ["R" * 4096, "Rio"]
+    assert (again.city == 0).sum() == 1
 
 
 @pytest.mark.parametrize("size", [16, 17])
@@ -557,8 +583,8 @@ def test_split_lines_keep_the_csv_field_size_limit(size):
     row = ",male,v1,Food,A,1,2,BR,,\n"
     data = HEADER + "u" * size + row + "u1" + row + "u2" + row
     limit = csv.field_size_limit(16)
-    try:
-        with mock.patch.object(models, "_CHUNK_ROWS", 1):  # the line alone
+    try:  # a block of the line alone
+        with mock.patch.object(models, "_BLOCK_BYTES", size + len(row)):
             outcome = ingest_outcome(ingest_checkins, data, "csv")
     finally:
         csv.field_size_limit(limit)
@@ -566,6 +592,44 @@ def test_split_lines_keep_the_csv_field_size_limit(size):
         assert outcome[1].accepted == 3
     else:
         assert outcome == "csv line 2: field larger than field limit (16)"
+
+
+def test_a_byte_that_is_not_utf8_is_named_by_line_and_file_offset():
+    """On either path: cut at commas, or read by csv.reader from a quote on."""
+    for second in (SHORT, SHORT.replace(",BR,", ',"BR",')):
+        data = (HEADER + SHORT + second + "u3,male,v1,Food,A,1,2,BR,").encode()
+        message = (f"csv line 4: input is not valid UTF-8: byte 0xff at offset {len(data)} "
+                   "of the file (invalid start byte)")
+        data += b"\xff,\n"
+        for block in (30, 1 << 12):
+            with mock.patch.object(models, "_BLOCK_BYTES", block):
+                assert ingest_outcome(ingest_checkins, data, "csv") == message
+        assert ingest_outcome(ingest_oracle.ingest, data, "csv") == message
+
+
+def test_ingest_memory_is_bounded_by_the_block_not_the_file(monkeypatch):
+    """A file of 16 blocks is read with a traced peak (numpy's arrays
+    included) below its size, and below four blocks over the bytes of the
+    table it returns."""
+    block = 1 << 17
+    spec = SynthSpec(n_users=400, female_fraction=0.5, n_checkins=26_000,
+                     region_name="Land0", rng_seed=5, city="Rio",
+                     subcategories=[SubcategorySpec(f"S{i}", "Food", 20, 1.0)
+                                    for i in range(10)])
+    buf = io.StringIO()
+    write_checkins(generate(spec), buf)
+    data = buf.getvalue().encode()
+    assert len(data) >= 16 * block
+    monkeypatch.setattr(models, "_BLOCK_BYTES", block)
+    tracemalloc.start()
+    try:
+        table, _ = ingest_checkins(io.BytesIO(data), "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(table, column).nbytes for column in models._COLUMNS)
+    assert peak < len(data)
+    assert peak - kept < 4 * block
 
 
 @settings(max_examples=200)

@@ -11,6 +11,7 @@ from venuepref.nullmodel import (
     Direction,
     NullMethod,
     NullModelConfig,
+    _weibull_quantiles,
     run_null_model,
     run_null_model_batch,
     write_null_distribution_csv,
@@ -191,3 +192,30 @@ def test_batch_acceptance_range_is_each_units_quantile(k, n_subcats, confidence,
         delta_min, delta_max = np.quantile(
             res.null_distribution, [alpha / 2, 1.0 - alpha / 2], method="weibull")
         assert (res.delta_min, res.delta_max) == (delta_min, delta_max)
+
+
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 0.25, -1.5, 1e-300, 3.0, np.nan]),
+                         min_size=3, max_size=3), min_size=2, max_size=40),
+       st.lists(st.sampled_from([0.0, 1e-9, 0.0005, 0.005, 0.025, 0.05, 0.25, 0.5,
+                                 0.75, 0.975, 0.995, 0.9995, 1.0]), min_size=1, max_size=3))
+def test_weibull_quantiles_are_numpys_bit_for_bit(rows, qs):
+    """The acceptance range's quantiles, which keep numpy.ma unloaded, give
+    the bits of ``np.quantile`` on ties, signed zeros and NaN columns."""
+    null = np.array(rows)
+    expected = np.quantile(null, qs, axis=0, method="weibull")
+    assert np.array_equal(np.array(_weibull_quantiles(null, qs)).view(np.int64),
+                          expected.view(np.int64))
+
+
+def test_null_distribution_csv_of_one_replicate_or_none():
+    """A unit of one replicate is one line (one index, which itemgetter
+    would not give as a tuple); a unit of none writes no line."""
+    records = synth_scope(0.0, n_checkins=300, n_subcats=3)
+    results = run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION,
+                                   NullModelConfig(k=4, rng_seed=3))
+    for res, size in zip(results, [1, 0, 2], strict=True):
+        res.null_distribution = res.null_distribution[:size]
+    sink = io.StringIO()
+    write_null_distribution_csv(results, sink)
+    assert sink.getvalue() == row_per_cell_csv(results)
+    assert len(sink.getvalue().splitlines()) == 1 + 1 + 2

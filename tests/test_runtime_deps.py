@@ -71,3 +71,32 @@ def test_synth_vectors_compare_run_with_scipy_blocked(tmp_path):
             units = len(fh.readlines()) - 1
         with open(tmp_path / "null_distribution.csv", newline="") as fh:
             assert units > 0 and len(fh.readlines()) == units * 7 + 1
+
+
+def test_analyze_and_vectors_load_no_masked_arrays(tmp_path):
+    """A bare ``np.unique`` imports numpy.ma where numpy loads it lazily
+    (2.4 does), which costs a fresh process 10-20 ms of its run; no command
+    path calls one. Where ``import numpy`` loads it, there is nothing to
+    check."""
+    check = ("import sys; from venuepref.cli import main; "
+             "before = 'numpy.ma' in sys.modules; code = main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules and not before); sys.exit(code)")
+
+    def loads_masked_arrays(*argv):
+        result = python(check, *argv, "--out-dir", str(tmp_path), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()[-1]
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n_users": 300, "female_fraction": 0.5, "n_checkins": 2000,
+        "region_name": "Land0", "rng_seed": 11,
+        "subcategories": [{"name": f"S{j}", "category": "Food", "n_venues": 4,
+                           "base_weight": 1.0, "gender_skew": 0.2} for j in range(4)],
+    }))
+    loads_masked_arrays("synth", "--spec", str(spec), "--out", "land0.csv")
+    data = str(tmp_path / "land0.csv")
+    for mode in ("subcategory", "venue"):
+        assert loads_masked_arrays("analyze", "--input", data, "--country", "Land0",
+                                   "--mode", mode, "--k", "7") == "False"
+    assert loads_masked_arrays("vectors", "--input", data) == "False"

@@ -295,7 +295,7 @@ def _load_vectors(path_arg: str):
     path = Path(path_arg)
     if path.is_dir():
         path = path / "vectors.csv"
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, "rb") as fh:
         return path, read_vectors_csv(fh)
 
 

@@ -65,12 +65,13 @@ def _kmeanspp_init(unit: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centroids
 
 
-def _update_centroids(unit: np.ndarray, labels: np.ndarray, k: int,
+def _update_centroids(unit: np.ndarray, labels: np.ndarray, dists: np.ndarray,
                       old: np.ndarray) -> np.ndarray:
+    """The renormalized member means of the ``old`` centroids; ``dists`` are
+    the distances from ``old`` that drew ``labels``."""
     centroids = old.copy()
-    dists = np.maximum(1.0 - unit @ old.T, 0.0)
     point_dist = dists[np.arange(unit.shape[0]), labels]
-    for j in range(k):
+    for j in range(len(old)):
         members = unit[labels == j]
         if members.shape[0] == 0:
             # reseed with the point currently worst served
@@ -98,7 +99,7 @@ def cluster_vectors(matrix: np.ndarray, names: list[str], k: int, seed: int,
     for iterations in range(1, max_iter + 1):
         dists = np.maximum(1.0 - unit @ centroids.T, 0.0)
         new_labels = np.argmin(dists, axis=1)
-        centroids = _update_centroids(unit, new_labels, k, centroids)
+        centroids = _update_centroids(unit, new_labels, dists, centroids)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

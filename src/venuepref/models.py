@@ -168,7 +168,6 @@ _CHUNK_ROWS = 4096  # rows read by csv.reader or from jsonl, or written, at once
 # bytes of csv lines cut at commas at once: a block costs ~3x its bytes while
 # it is read (README, "Performance"); the file is never held whole
 _BLOCK_BYTES = 3 << 19
-_ENDS = bytes(c in b",\n" for c in range(256))  # a field ends at a comma or newline
 _RAW_FIELDS = frozenset({"latitude", "longitude", "timestamp"})
 _GENDERS = {"male": 1, "female": 0}
 
@@ -441,13 +440,15 @@ class _AcceptedRows:
 
 
 @contextlib.contextmanager
-def csv_reader(text, lines_before: int = 0):
-    """A ``csv.reader`` of ``text`` that refuses a line holding a NUL, as the
-    csv module does only before Python 3.11. Its errors, say a field past
-    the csv module's size limit, are DataErrors naming the line, counted
-    from the start of a file whose first ``lines_before`` lines were read
-    before ``text``."""
+def csv_reader(source: BinaryIO, head=b"", lines_before: int = 0, offset: int = 0):
+    """A ``csv.reader`` of the bytes ``head`` and then of ``source``, decoded
+    by ``_text_lines``; ``head`` starts at byte ``offset`` of the file, after
+    ``lines_before`` lines. It refuses a line holding a NUL, as the csv
+    module does only before Python 3.11. Its errors, say a field past the
+    csv module's size limit, are DataErrors naming the line, counted from
+    the start of the file."""
     def lines():
+        text = _text_lines(source, "csv", head, lines_before, offset)
         for number, line in enumerate(text, lines_before + 1):
             if "\0" in line:
                 raise DataError(f"csv line {number}: line contains NUL")
@@ -476,7 +477,9 @@ def _cut(chunk, end: int, min_fields: int):
     except UnicodeDecodeError:
         return None  # the csv.reader path reads the lines as text, and fails
     data = np.frombuffer(chunk, np.uint8, end)
-    ends = np.flatnonzero(np.frombuffer(chunk.translate(_ENDS), bool, end))
+    ends = data == ord(",")  # a field ends at a comma or a newline
+    ends |= data == ord("\n")
+    ends = np.flatnonzero(ends)
     line_ends = ends[data[ends] == ord("\n")]
     per_line, odd = divmod(len(ends), len(line_ends))
     # every per_line-th end is a newline, and there are no others
@@ -570,6 +573,29 @@ def _byte_columns(chunk: bytearray, end: int, ends, line_ends, positions: list[i
                            in zip(start[first].tolist(), lengths[first].tolist())], rows)
 
 
+def _positions(header: list[str]) -> list[int]:
+    """The column of each CSV_FIELDS field in ``header``, the last of a
+    repeated name."""
+    if missing := [f for f in CSV_FIELDS if f not in header]:
+        raise DataError(f"csv header missing columns: {missing}")
+    last = {name: i for i, name in enumerate(header)}
+    return [last[f] for f in CSV_FIELDS]
+
+
+def _row_columns(rows, positions, report: IngestReport):
+    """The ``_Column``s at ``positions`` of successive chunks of
+    ``_CHUNK_ROWS`` rows, each a list of values, counted as lines read; a
+    row shorter than the last position reads None past its end."""
+    width = max(positions) + 1
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        report.total_lines += len(chunk)
+        if min(map(len, chunk)) < width:
+            chunk = [row + [None] * (width - len(row)) for row in chunk]
+        columns = list(zip(*chunk))
+        yield [_Column(columns[p]) for p in positions]
+        del chunk, columns  # freed before the next chunk is read
+
+
 def _csv_columns(source: BinaryIO, report: IngestReport):
     """The CSV_FIELDS columns of successive chunks of csv rows, read as
     ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
@@ -578,38 +604,31 @@ def _csv_columns(source: BinaryIO, report: IngestReport):
     The header line, then blocks of whole lines of up to ``_BLOCK_BYTES``
     (read into one buffer once the last block's columns are freed), are cut
     at commas until the first that cannot be, say one line longer than a
-    block; it and the rest of the file go through ``csv.reader`` as text."""
+    block; it and the rest of the file go through ``csv_reader``."""
     head = source.readline()
     if not head:
         return
-    rest = None  # the text lines for csv.reader, once a block is not cut at commas
-    if _cut(line := head.rstrip(b"\n") + b"\n", len(line), 1) is not None:
-        header, lines_read = head.decode().rstrip("\r\n").split(","), 1
+    # rest: csv_reader's first bytes, the lines before them and their offset
+    if _cut(line := head.rstrip(b"\n") + b"\n", len(line), 1) is None:
+        rest, positions = (head, 0, 0), None
     else:
-        rest = _text_lines(head, source, 0, 0)
-        with csv_reader(rest) as reader:
-            header = next(reader, [])
-        lines_read = reader.line_num
-    if missing := [f for f in CSV_FIELDS if f not in header]:
-        raise DataError(f"csv header missing columns: {missing}")
-    last = {name: i for i, name in enumerate(header)}
-    positions = [last[f] for f in CSV_FIELDS]
-    width = max(positions) + 1
+        rest, positions = None, _positions(head.decode().rstrip("\r\n").split(","))
     block = bytearray(_BLOCK_BYTES + 8)  # the last word read may pass a full block
-    filled, offset = 0, len(head)  # bytes in the block; the file offset of its first
+    # bytes in the block; the file offset of its first, and the lines before it
+    filled, offset, lines_read = 0, len(head), 1
     while rest is None:
         while filled < _BLOCK_BYTES and (
                 n := source.readinto(memoryview(block)[filled:_BLOCK_BYTES])):
             filled += n
         if not filled:
-            break
+            return
         end = block.rfind(b"\n", 0, filled) + 1
         if filled < _BLOCK_BYTES and end < filled:  # the file's last line has no line end
             block[filled] = ord("\n")
             end = filled + 1
-        cut = _cut(block, end, width) if end else None
+        cut = _cut(block, end, max(positions) + 1) if end else None
         if cut is None:
-            rest = _text_lines(block[:filled], source, lines_read, offset)
+            rest = (block[:filled], lines_read, offset)
             break
         lines_read += len(cut[1])
         report.total_lines += len(cut[1])
@@ -619,30 +638,24 @@ def _csv_columns(source: BinaryIO, report: IngestReport):
         block[:filled - end] = block[end:filled]  # the start of a line, for the next block
         filled -= end
         offset += end
-    if rest is not None:  # the rest, a chunk of non-empty rows at a time; a
-        # row shorter than the last column read reads None past its end
-        with csv_reader(rest, lines_read) as reader:
-            while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-                if rows := [row for row in chunk if row]:
-                    report.total_lines += len(rows)
-                    if min(map(len, rows)) < width:
-                        rows = [row + [None] * (width - len(row)) for row in rows]
-                    columns = list(zip(*rows))
-                    yield [_Column(columns[p]) for p in positions]
+    with csv_reader(source, *rest) as reader:
+        if positions is None:
+            positions = _positions(next(reader, []))
+        yield from _row_columns(filter(None, reader), positions, report)
 
 
-def _text_lines(head, source: BinaryIO, number: int, offset: int):
+def _text_lines(source: BinaryIO, kind: str, head=b"", number: int = 0, offset: int = 0):
     """The lines of the bytes ``head`` and then of ``source``, decoded, as a
     text stream with universal newlines reads them; ``head`` starts at byte
     ``offset`` of the file, after ``number`` lines. A byte that is not UTF-8
-    is a DataError naming its line and its offset in the file."""
+    is a DataError naming its ``kind`` line and its offset in the file."""
     for line in itertools.chain(io.BytesIO(head + source.readline()), source):
         try:
             text = line.decode()
         except UnicodeDecodeError as exc:
             before = line[:exc.start]  # a lone CR in it ends a line of text
             number += 1 + before.count(b"\r") - before.count(b"\r\n")
-            raise DataError(f"csv line {number}: input is not valid UTF-8: byte "
+            raise DataError(f"{kind} line {number}: input is not valid UTF-8: byte "
                             f"0x{line[exc.start]:02x} at offset {offset + exc.start} "
                             f"of the file ({exc.reason})") from exc
         offset += len(line)
@@ -655,43 +668,32 @@ def _text_lines(head, source: BinaryIO, number: int, offset: int):
             yield text
 
 
-def _jsonl_row(row: dict) -> list:
-    """A JSON object's CSV_FIELDS values in the form the csv reader gives
-    them: a string field is made ``str`` unless it is None (a falsy city
-    is None); coordinates and timestamp stay as they are."""
-    values = []
-    for field in CSV_FIELDS:
-        value = row.get(field)
-        if field == "city":
-            value = value or None
-        if field not in _RAW_FIELDS and value is not None:
-            value = str(value)
-        values.append(value)
-    return values
-
-
-def _jsonl_columns(text, report: IngestReport):
-    """The CSV_FIELDS columns of successive chunks of jsonl lines; a line
-    that is not a JSON object, or nests too deeply to parse, is counted as
-    unparseable."""
-    rows = []
-    for line in text:
+def _jsonl_rows(source: BinaryIO, report: IngestReport):
+    """The CSV_FIELDS values of each JSON object line of ``source``, in the
+    form the csv reader gives them: a string field is made ``str`` unless
+    it is None (a falsy city is None); coordinates and timestamp stay as
+    they are. A non-blank line that is not a JSON object, or nests too
+    deeply to parse, is counted as unparseable."""
+    for line in _text_lines(source, "jsonl"):
         if not line.strip():
             continue
-        report.total_lines += 1
         try:
             row = json.loads(line)
         except (json.JSONDecodeError, RecursionError):
             row = None
         if not isinstance(row, dict):
+            report.total_lines += 1
             report.unparseable += 1
             continue
-        rows.append(_jsonl_row(row))
-        if len(rows) == _CHUNK_ROWS:
-            yield list(map(_Column, zip(*rows)))
-            rows = []
-    if rows:
-        yield list(map(_Column, zip(*rows)))
+        values = []
+        for field in CSV_FIELDS:
+            value = row.get(field)
+            if field == "city":
+                value = value or None
+            if field not in _RAW_FIELDS and value is not None:
+                value = str(value)
+            values.append(value)
+        yield values
 
 
 def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestReport]:
@@ -703,18 +705,12 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestRep
     """
     if fmt not in ("csv", "jsonl"):
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
-    text = io.TextIOWrapper(source, encoding="utf-8")
     report = IngestReport()
     accepted = _AcceptedRows(report)
-    try:
-        for columns in (_csv_columns(source, report) if fmt == "csv"
-                        else _jsonl_columns(text, report)):
-            accepted.add(columns)
-            del columns  # freed before the next block is read
-    except UnicodeDecodeError as exc:  # jsonl: the csv path names the line
-        raise DataError(f"input is not valid UTF-8: {exc}") from exc
-    finally:
-        text.detach()  # a collected wrapper would close the caller's stream
+    for columns in (_csv_columns(source, report) if fmt == "csv" else _row_columns(
+            _jsonl_rows(source, report), range(len(CSV_FIELDS)), report)):
+        accepted.add(columns)
+        del columns  # freed before the next block is read
     if report.total_lines > 0 and report.rejected > report.total_lines / 2:
         raise DataError(
             f"{report.rejected} of {report.total_lines} lines rejected "
@@ -770,12 +766,8 @@ def write_checkins(table: CheckinTable, sink, fmt: str = "csv") -> None:
 
 def ingest_index_table(source: BinaryIO, index_name: str = "INDEX") -> IndexTable:
     """Parse a two-column country,value CSV into an IndexTable."""
-    text = io.TextIOWrapper(source, encoding="utf-8")
-    try:
-        with csv_reader(text) as lines:
-            reader = iter(list(lines))
-    finally:
-        text.detach()  # a collected wrapper would close the caller's stream
+    with csv_reader(source) as lines:
+        reader = iter(list(lines))
     header = next(reader, None)
     if header is None:
         raise DataError("index table is empty")

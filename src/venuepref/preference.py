@@ -117,6 +117,7 @@ def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
 
 
 def read_vectors_csv(source) -> dict[str, PreferenceVector]:
+    """The preference vectors of a ``vectors.csv`` byte stream, by region."""
     with csv_reader(source) as reader:
         rows = [(reader.line_num, row) for row in reader]
     if not rows or rows[0][1][:1] != ["region"]:

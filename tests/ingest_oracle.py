@@ -111,16 +111,16 @@ def _record_from_mapping(row, report, venue_subcats):
         timestamp=ts)
 
 
-def _utf8_error(data):
-    """The DataError of the first byte of a csv file that is not UTF-8: its
-    line counts the LF, CRLF and lone CR line ends before it, and its offset
-    counts from the start of the file."""
+def _utf8_error(data, fmt):
+    """The DataError of the first byte of a csv or jsonl file that is not
+    UTF-8: its line counts the LF, CRLF and lone CR line ends before it, and
+    its offset counts from the start of the file."""
     try:
         data.decode()
     except UnicodeDecodeError as exc:
         before = data[:exc.start]
         line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        return DataError(f"csv line {line}: input is not valid UTF-8: byte "
+        return DataError(f"{fmt} line {line}: input is not valid UTF-8: byte "
                          f"0x{data[exc.start]:02x} at offset {exc.start} of the file "
                          f"({exc.reason})")
 
@@ -160,9 +160,7 @@ def ingest(source, fmt):
                 records.append(rec)
                 report.accepted += 1
     except UnicodeDecodeError as exc:
-        if fmt == "csv":
-            raise _utf8_error(data) from exc
-        raise DataError(f"input is not valid UTF-8: {exc}") from exc
+        raise _utf8_error(data, fmt) from exc
     except csv.Error as exc:  # a field past the csv module's size limit
         raise DataError(f"csv line {reader.reader.line_num}: {exc}") from exc
     finally:

@@ -4,13 +4,16 @@ import io
 import json
 import random
 from dataclasses import replace
+from functools import partial
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from venuepref import models
 from venuepref.cli import main
-from venuepref.models import CSV_FIELDS, write_checkins
+from venuepref.models import (CSV_FIELDS, DataError, ingest_checkins, ingest_index_table,
+                              write_checkins)
+from venuepref.preference import read_vectors_csv
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from checkin_records import to_records, to_table
@@ -694,6 +697,40 @@ def test_bad_compare_input_is_runtime_error(vectors_text, index_text, anchor, me
     index.write_text(index_text)
     argv = ["compare", "--vectors", str(vectors), "--index", str(index),
             "--anchor", anchor, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["jsonl", "index", "vectors"])
+def test_a_byte_that_is_not_utf8_is_named_in_every_text_input(kind, tmp_path, capsys):
+    """A 0xff on line 4 of a jsonl check-in file, an index table (with CRLF
+    line ends) or a vectors.csv: the library and the command name that line
+    and the byte's offset in the file, and the command exits 1 with that one
+    line on stderr."""
+    vectors = write_vectors(tmp_path / "vectors.csv", FIVE_VECTORS)
+    index = tmp_path / "index.csv"
+    index.write_bytes(FIVE_INDEX.replace("\n", "\r\n").encode())
+    argv = ["compare", "--vectors", str(vectors), "--index", str(index),
+            "--all-anchors", "--out-dir", str(tmp_path / "out")]
+    if kind == "jsonl":
+        path = tmp_path / "data.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_checkins(generate(SynthSpec(**SPEC_JSON)), fh, fmt="jsonl")
+        argv = ["ingest-check", "--input", str(path), "--format", "jsonl"]
+        read = partial(ingest_checkins, fmt="jsonl")
+    else:
+        path, read = (index, ingest_index_table) if kind == "index" \
+            else (vectors, read_vectors_csv)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3][:2] + b"\xff" + lines[3][2:]
+    path.write_bytes(data := b"".join(lines))
+    offset = data.index(b"\xff")
+    message = (f"{'jsonl' if kind == 'jsonl' else 'csv'} line 4: input is not valid "
+               f"UTF-8: byte 0xff at offset {offset} of the file (invalid start byte)")
+    with pytest.raises(DataError) as exc:
+        read(io.BytesIO(data))
+    assert str(exc.value) == message
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()

@@ -389,19 +389,24 @@ def csv_files(draw):
         writer.writerow(row[:len(row) + cut] if cut <= 0 else row + ["x"] * cut)
     text = buf.getvalue()
     data = (text[:-len(end)] if draw(st.booleans()) else text).encode()
-    if odd is not None:
-        lines = data.split(b"\n")
-        line = draw(st.sampled_from(range(len(lines))))
-        at = draw(st.integers(0, len(lines[line])))
-        lines[line] = lines[line][:at] + odd + lines[line][at:]
-        data = b"\n".join(lines)
-    return data
+    return data if odd is None else insert_odd_byte(draw, data, odd)
+
+
+def insert_odd_byte(draw, data, odd):
+    """``data`` with the byte ``odd`` drawn into one of its lines."""
+    lines = data.split(b"\n")
+    line = draw(st.sampled_from(range(len(lines))))
+    at = draw(st.integers(0, len(lines[line])))
+    lines[line] = lines[line][:at] + odd + lines[line][at:]
+    return b"\n".join(lines)
 
 
 @st.composite
 def jsonl_files(draw):
     """JSON lines: objects with values of every JSON type and fields that
-    may be absent, and lines that are blank, malformed or not objects."""
+    may be absent, and lines that are blank, malformed or not objects. At
+    most one line may hold one of ODD_BYTES."""
+    odd = draw(st.sampled_from([None] * 10 + ODD_BYTES))
     cells = {name: CELLS[name] + JSON_CELLS[name] for name in CSV_FIELDS}
     lines = []
     for _ in range(draw(st.integers(0, 12))):
@@ -412,7 +417,8 @@ def jsonl_files(draw):
         if draw(st.integers(0, 7)) == 0:
             del row[draw(st.sampled_from(CSV_FIELDS))]
         lines.append(json.dumps(row))
-    return "".join(line + "\n" for line in lines)
+    data = "".join(line + "\n" for line in lines).encode()
+    return data if odd is None else insert_odd_byte(draw, data, odd)
 
 
 def ingest_outcome(ingest, data, fmt):

@@ -15,7 +15,6 @@ from .popularity import (
     AnalysisMode,
     AnalysisUnit,
     PopularityPoint,
-    popularity,
     popularity_table,
 )
 from .nullmodel import (
@@ -23,7 +22,6 @@ from .nullmodel import (
     NullMethod,
     NullModelConfig,
     NullModelResult,
-    run_null_model,
     run_null_model_batch,
 )
 from .preference import PreferenceVector, build_preference_vector, collect_global_dims, gini

@@ -70,14 +70,27 @@ def _rank_rho(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     return np.where(np.abs(rho) >= 1.0 - 1e-12, np.sign(rho), rho)
 
 
-def _check_spearman_input(x: np.ndarray) -> None:
-    """Refuse an input, or a matrix with any row, that rho is undefined for."""
-    if x.shape[-1] < 3:
-        raise DataError(f"spearman needs n >= 3, got {x.shape[-1]}")
-    if not np.isfinite(x).all():
-        raise DataError("spearman undefined for a non-finite input value")
-    if (x == x[..., :1]).all(axis=-1).any():
-        raise DataError("spearman undefined for a constant input list")
+def _spearman_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Spearman's rho of each row of ``a`` against ``b``, once every row of
+    ``a`` and then ``b`` is found to hold 3 or more finite values, not all
+    equal; ``b`` is ranked once for all rows."""
+    for x in (a, b):
+        if x.shape[-1] < 3:
+            raise DataError(f"spearman needs n >= 3, got {x.shape[-1]}")
+        if not np.isfinite(x).all():
+            raise DataError("spearman undefined for a non-finite input value")
+        if (x == x[..., :1]).all(axis=-1).any():
+            raise DataError("spearman undefined for a constant input list")
+    return _rank_rho(average_ranks(a), average_ranks(b))
+
+
+def _p_value(rho: float, n: int) -> float:
+    """Two-sided p-value of rho over n pairs by the t-approximation with n-2
+    degrees of freedom; 0 at |rho| = 1."""
+    if abs(rho) == 1.0:
+        return 0.0
+    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
+    return min(t_two_sided_p(abs(t), n - 2), 1.0)
 
 
 def spearman(a, b) -> tuple[float, float]:
@@ -87,14 +100,8 @@ def spearman(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be 1-d and of equal length")
-    _check_spearman_input(a)
-    _check_spearman_input(b)
-    rho = float(_rank_rho(average_ranks(a), average_ranks(b)))
-    if abs(rho) == 1.0:
-        return rho, 0.0
-    n = a.size
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    return rho, min(t_two_sided_p(abs(t), n - 2), 1.0)
+    rho = float(_spearman_rows(a[None], b)[0])
+    return rho, _p_value(rho, a.size)
 
 
 def t_two_sided_p(t: float, df: int) -> float:
@@ -190,8 +197,9 @@ def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
     The checks, the vector norms and the P permutations (one
     ``default_rng(seed)`` over the sorted regions) are shared, so every
     anchor scores the same draw, and a one-anchor call gives that anchor's
-    pair of an all-anchor call. Each anchor ranks and scores its own
-    distances and its (P, R-1) permutation rows."""
+    pair of an all-anchor call. The index values are row 0 above the
+    permutations, so each anchor ranks its (P+1, R-1) index distances in one
+    call, and their row 0 gives the observed rho."""
     if n_permutations < 2:
         raise DataError("random baseline needs n_permutations >= 2")
     regions = _check_regions(vectors, index, anchors)
@@ -205,23 +213,22 @@ def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
     if not norms.all():
         raise DataError("cosine distance undefined for a zero vector")
     rng = np.random.default_rng(seed)
-    shuffled = np.stack([rng.permutation(values) for _ in range(n_permutations)])
+    stacked = np.stack([values, *(rng.permutation(values)
+                                  for _ in range(n_permutations))])
 
     results = []
     for anchor in anchors:
         i = at[anchor]
-        d1 = np.abs(values[i] - np.delete(values, i))
+        d1 = np.abs(stacked[:, [i]] - np.delete(stacked, i, axis=1))
         d2 = 1.0 - (np.delete(rows @ m[i, :, None], i)
                     / (norms[i] * np.delete(norms, i)))
-        rho, p = spearman(d1, d2)
-        null_d1 = np.abs(shuffled[:, [i]] - np.delete(shuffled, i, axis=1))
-        _check_spearman_input(null_d1)
-        samples = _rank_rho(average_ranks(null_d1), average_ranks(d2))
+        rhos = _spearman_rows(d1, d2)  # row 0: the observed rho
+        rho, samples = float(rhos[0]), rhos[1:]
         mean = samples.mean()
         stderr = samples.std(ddof=1) / np.sqrt(n_permutations)
         results.append((
             RankComparison(anchor_region=anchor, index_name=index.index_name,
-                           rho=rho, p_value=p, n=len(regions) - 1),
+                           rho=rho, p_value=_p_value(rho, len(d2)), n=len(d2)),
             RandomBaseline(n_permutations=n_permutations, rho_samples=samples,
                            ci_low=float(mean - 2.576 * stderr),
                            ci_high=float(mean + 2.576 * stderr), seed=seed)))

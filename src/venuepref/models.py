@@ -672,7 +672,8 @@ def _jsonl_rows(source: BinaryIO, report: IngestReport):
     """The CSV_FIELDS values of each JSON object line of ``source``, in the
     form the csv reader gives them: a string field is made ``str`` unless
     it is None (a falsy city is None); coordinates and timestamp stay as
-    they are. A non-blank line that is not a JSON object, or nests too
+    they are, but a boolean becomes its JSON text, which is neither a number
+    nor a time. A non-blank line that is not a JSON object, or nests too
     deeply to parse, is counted as unparseable."""
     for line in _text_lines(source, "jsonl"):
         if not line.strip():
@@ -692,6 +693,8 @@ def _jsonl_rows(source: BinaryIO, report: IngestReport):
                 value = value or None
             if field not in _RAW_FIELDS and value is not None:
                 value = str(value)
+            elif isinstance(value, bool):  # float(True) is 1.0
+                value = json.dumps(value)
             values.append(value)
         yield values
 

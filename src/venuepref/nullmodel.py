@@ -24,14 +24,14 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
 from .models import CheckinTable, DataError
-from .popularity import (AnalysisMode, AnalysisUnit, ScopeIndex, find_unit,
-                         signed_difference)
+from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
 
@@ -86,11 +86,17 @@ class NullModelResult:
         }
 
 
-def _generative_counts(index: ScopeIndex, rng: np.random.Generator
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Male and female counts per unit of one generative replicate."""
+def _generative_cells(index: ScopeIndex) -> np.ndarray:
+    """The probabilities of a generative draw's 2 x n_units (gender, unit)
+    cells: the male units, then the female ones."""
     venues = np.bincount(index.venue_unit, minlength=index.n_units)
-    cells = np.tile(venues / (2 * venues.sum()), 2)  # male units, then female
+    return np.tile(venues / (2 * venues.sum()), 2)
+
+
+def _generative_counts(index: ScopeIndex, cells: np.ndarray,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Male and female counts per unit of one generative replicate, drawn
+    over ``_generative_cells(index)``."""
     for _ in range(_MAX_REDRAWS):
         male, female = rng.multinomial(index.c, cells).reshape(2, index.n_units)
         if male.any() and female.any():
@@ -110,11 +116,12 @@ def _null_matrix(index: ScopeIndex, config: NullModelConfig) -> np.ndarray:
     """k x n_units matrix of replicate differences. Replicate i draws from
     its own rng seeded by (rng_seed, i) so results do not depend on
     execution order."""
-    counts = (_generative_counts if config.method is NullMethod.GENERATIVE
-              else _shuffle_counts)
+    counts = (partial(_generative_counts, index, _generative_cells(index))
+              if config.method is NullMethod.GENERATIVE
+              else partial(_shuffle_counts, index))
     rows = np.empty((config.k, index.n_units))
     for i in range(config.k):
-        male, female = counts(index, np.random.default_rng([config.rng_seed, i]))
+        male, female = counts(np.random.default_rng([config.rng_seed, i]))
         rows[i] = signed_difference(male / male.sum(), female / female.sum())
     return rows
 
@@ -166,14 +173,6 @@ def run_null_model_batch(table: CheckinTable, mode: AnalysisMode, scope: str,
             for j, (d, lo, hi, sig, code) in enumerate(zip(
                 observed.tolist(), delta_min.tolist(), delta_max.tolist(),
                 significant.tolist(), direction.tolist()))]
-
-
-def run_null_model(table: CheckinTable, unit: AnalysisUnit,
-                   config: NullModelConfig) -> NullModelResult:
-    """Null-model verdict for one unit of a region's ``apply_filters`` output:
-    its row of the batch."""
-    return find_unit(run_null_model_batch(table, unit.mode, unit.scope, config,
-                                          unit.scope_subcategory), unit)
 
 
 def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:

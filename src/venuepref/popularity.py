@@ -29,18 +29,12 @@ class AnalysisMode(str, Enum):
 
 @dataclass(frozen=True)
 class AnalysisUnit:
+    """The label of one unit's result: its key, mode and scope."""
+
     mode: AnalysisMode
     key: str
     scope: str  # the region's name
     scope_subcategory: Optional[str] = None
-
-    def __post_init__(self):
-        if self.mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY:
-            if not self.scope_subcategory:
-                raise ValueError("venue_within_subcategory mode requires scope_subcategory")
-        elif self.scope_subcategory is not None:
-            raise ValueError(f"scope_subcategory only valid in "
-                             f"venue_within_subcategory mode, not {self.mode.value}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +55,10 @@ class ScopeIndex:
     """Integer-coded view of one scope, the input of every statistic.
 
     It counts all of ``table``, one region's ``apply_filters`` output;
-    ``scope`` is that region's name.
-    venue_within_subcategory mode narrows them to ``scope_subcategory``, as
-    that mode's units are defined. Venues and subcategories get codes in
+    ``scope`` is that region's name. venue_within_subcategory mode narrows
+    them to ``scope_subcategory``, as that mode's units are defined; that
+    mode needs a non-empty one and the other modes take None (else a
+    ValueError, before any counting). Venues and subcategories get codes in
     sorted key order, and each venue maps to its subcategory's code. The
     table's gender (1 = male) and unit codes give the per-unit male/female
     counts and the gender totals by ``np.bincount``. Counts are exact
@@ -73,9 +68,14 @@ class ScopeIndex:
 
     def __init__(self, table: CheckinTable, mode: AnalysisMode, scope: str,
                  scope_subcategory: Optional[str] = None):
-        if scope_subcategory is not None:
+        if mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY:
+            if not scope_subcategory:
+                raise ValueError("venue_within_subcategory mode requires scope_subcategory")
             table = table.take(rows_with(table.subcategory, table.subcategories,
                                          scope_subcategory))
+        elif scope_subcategory is not None:
+            raise ValueError(f"scope_subcategory only valid in "
+                             f"venue_within_subcategory mode, not {mode.value}")
         if not len(table):
             what = f" subcategory {scope_subcategory!r}" if scope_subcategory else ""
             raise DataError(f"scope {scope!r}{what} has no records to analyze")
@@ -127,20 +127,6 @@ class ScopeIndex:
         p_male = self.male / self.male_total
         p_female = self.female / self.female_total
         return p_male, p_female, signed_difference(p_male, p_female)
-
-
-def find_unit(results: list, unit: AnalysisUnit):
-    """The entry of ``results`` (points or verdicts) for ``unit``'s key."""
-    for result in results:
-        if result.unit.key == unit.key:
-            return result
-    raise DataError(f"unit {unit.key!r} not present in scope {unit.scope!r}")
-
-
-def popularity(table: CheckinTable, unit: AnalysisUnit) -> PopularityPoint:
-    """Popularity point of one unit in one region's ``apply_filters`` output."""
-    return find_unit(popularity_table(table, unit.mode, unit.scope,
-                                      unit.scope_subcategory), unit)
 
 
 def popularity_table(table: CheckinTable, mode: AnalysisMode, scope: str,

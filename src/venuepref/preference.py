@@ -110,6 +110,11 @@ def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
     for vec in vectors:
         if vec.dims != dims:
             raise ValueError("vectors have mismatched dims")
+    # a quoted CR reads back as LF, and csv.writer leaves a lone one unquoted
+    for what, names in (("dimension", dims), ("region", [v.region for v in vectors])):
+        for name in names:
+            if "\r" in name:
+                raise DataError(f"{what} {name!r} holds a CR, which vectors.csv does not read back")
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["region"] + dims)
     for vec in vectors:

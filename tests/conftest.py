@@ -29,6 +29,12 @@ def make_record(user="u1", gender="male", venue="v1", subcat="Café",
     )
 
 
+def by_key(results, key):
+    """The entry of a batch of popularity points or null-model verdicts for
+    one unit key."""
+    return {result.unit.key: result for result in results}[key]
+
+
 @pytest.fixture
 def mk():
     return make_record

@@ -16,6 +16,7 @@ from datetime import datetime, timedelta, timezone
 from checkin_records import CheckInRecord, Gender
 from venuepref.models import CSV_FIELDS, DataError, IngestReport
 
+_RAW_FIELDS = ("latitude", "longitude", "timestamp")
 _REQUIRED = ("user_id", "gender", "venue_id", "category", "subcategory",
              "latitude", "longitude", "country")
 
@@ -155,6 +156,9 @@ def ingest(source, fmt):
             if row is None:
                 report.unparseable += 1
                 continue
+            if fmt == "jsonl":  # a boolean coordinate or timestamp is its JSON text
+                row.update({key: json.dumps(row[key]) for key in _RAW_FIELDS
+                            if isinstance(row.get(key), bool)})
             rec = _record_from_mapping(row, report, venue_subcats)
             if rec is not None:
                 records.append(rec)

@@ -22,15 +22,14 @@ from venuepref.nullmodel import (
     Direction,
     NullMethod,
     NullModelConfig,
-    run_null_model,
     run_null_model_batch,
 )
-from venuepref.popularity import AnalysisMode, AnalysisUnit, signed_difference
+from venuepref.popularity import AnalysisMode, popularity_table, signed_difference
 from venuepref.preference import PreferenceVector, gini
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from checkin_records import to_records, to_table
-from conftest import make_record
+from conftest import by_key, make_record
 
 COUNTRY_ORDER = [
     "Brazil", "France", "Germany", "Japan", "Kuwait", "Malaysia", "Mexico",
@@ -130,7 +129,6 @@ def test_criterion_4_null_model_calibration():
 
 
 def test_criterion_5_null_model_power():
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION.name)
     detected = 0
     agree = 0
     planted_sizes = []
@@ -143,7 +141,8 @@ def test_criterion_5_null_model_power():
         for method in NullMethod:
             config = NullModelConfig(k=100, method=method,
                                      rng_seed=6000 + trial)
-            res = run_null_model(records, unit, config)
+            res = by_key(run_null_model_batch(records, AnalysisMode.SUBCATEGORY,
+                                              REGION.name, config), "S00")
             verdicts[method] = (res.significant, res.direction)
         gen = verdicts[NullMethod.GENERATIVE]
         if gen == (True, Direction.MALE):
@@ -168,11 +167,8 @@ def test_criterion_6_difference_metric_oracle():
                             subcat="FemSpot") for i in range(6)]
                + [make_record(user=f"m{i}", gender="male", venue="v2",
                               subcat="MaleSpot") for i in range(6)])
-    from venuepref.popularity import popularity
-    fem = popularity(to_table(records), AnalysisUnit(AnalysisMode.SUBCATEGORY,
-                                           "FemSpot", "BR"))
-    mal = popularity(to_table(records), AnalysisUnit(AnalysisMode.SUBCATEGORY,
-                                           "MaleSpot", "BR"))
+    points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, "BR")
+    fem, mal = by_key(points, "FemSpot"), by_key(points, "MaleSpot")
     ok = worst <= 1e-12 and fem.d < 0 < mal.d
     report(6, ok, f"max |d| deviation {worst:.2e}; signs "
                   f"fem={fem.d:.3f} male={mal.d:.3f}")
@@ -300,7 +296,7 @@ def test_criterion_9_determinism():
     ok &= same
     details.append(f"cap={same}")
 
-    # null model, both methods, batch vs single replicate seeding
+    # null model, both methods
     for method in NullMethod:
         nm_config = NullModelConfig(k=40, method=method, rng_seed=13)
         res_a = run_null_model_batch(records_a, AnalysisMode.SUBCATEGORY,
@@ -309,9 +305,6 @@ def test_criterion_9_determinism():
                                      region.name, nm_config)
         same = all(np.array_equal(x.null_distribution, y.null_distribution)
                    for x, y in zip(res_a, res_b))
-        single = run_null_model(records_a, res_a[0].unit, nm_config)
-        same = same and np.array_equal(single.null_distribution,
-                                       res_a[0].null_distribution)
         ok &= same
         details.append(f"null[{method.value}]={same}")
 

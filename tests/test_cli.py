@@ -167,6 +167,28 @@ def test_vectors_region_absent_from_input_is_runtime_error(regions, missing,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, old, what", [("country", "Land0", "region"),
+                                              ("subcategory", "S0", "dimension")])
+def test_vectors_refuses_a_name_holding_a_carriage_return(field, old, what,
+                                                          tmp_path, capsys):
+    # a quoted CR reads back from vectors.csv as LF, and a lone one unquoted
+    # ends the row; an LF round-trips
+    records = []
+    for i in range(4):
+        spec = SynthSpec(**{**SPEC_JSON, "region_name": f"Land{i}", "rng_seed": 11 + i})
+        records.extend(replace(r, **{field: "A\rB"}) if getattr(r, field) == old else r
+                       for r in to_records(generate(spec)))
+    path = tmp_path / "data.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_checkins(to_table(records), fh, fmt="jsonl")
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(path), "--format", "jsonl",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {what} 'A\\rB' holds a CR, which vectors.csv does not read back\n"
+    assert not (out / "vectors.csv").exists()
+
+
 def test_other_regions_do_not_change_a_regions_artifacts(tmp_path):
     # apply_filters selects the region; every later stage counts only what
     # it returns, so the other regions of an input change no artifact

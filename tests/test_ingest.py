@@ -199,6 +199,18 @@ def test_jsonl_timestamp_that_is_not_a_string_is_rejected():
     assert report.missing_field == 1
 
 
+def test_jsonl_boolean_is_no_coordinate_or_timestamp():
+    row = {"user_id": "u1", "gender": "male", "venue_id": "v1", "category": "Food",
+           "subcategory": "Café", "latitude": 1.0, "longitude": 2.0, "country": "BR"}
+    lines = "".join(json.dumps(line) + "\n" for line in [
+        {**row, "latitude": True}, {**row, "longitude": False},
+        {**row, "timestamp": False}, {**row, "timestamp": True},
+        row, row, row, row, row])
+    records, report = ingest_checkins(io.BytesIO(lines.encode()), "jsonl")
+    assert len(records) == 5
+    assert (report.bad_coordinates, report.missing_field) == (2, 2)
+
+
 def test_timestamp_without_offset_is_read_as_utc():
     records, _ = ingest_checkins(
         csv_stream("u1,male,v1,Food,Café,1.0,2.0,BR,,2014-04-25T12:00:00",
@@ -414,6 +426,9 @@ def jsonl_files(draw):
             lines.append(draw(st.sampled_from(NOT_OBJECTS)))
             continue
         row = draw_row(draw, cells)
+        if draw(st.integers(0, 3)) == 0:  # float(True) is 1.0, yet no coordinate
+            row[draw(st.sampled_from(["latitude", "longitude", "timestamp"]))] = \
+                draw(st.booleans())
         if draw(st.integers(0, 7)) == 0:
             del row[draw(st.sampled_from(CSV_FIELDS))]
         lines.append(json.dumps(row))

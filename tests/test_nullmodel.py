@@ -12,12 +12,13 @@ from venuepref.nullmodel import (
     NullMethod,
     NullModelConfig,
     _weibull_quantiles,
-    run_null_model,
     run_null_model_batch,
     write_null_distribution_csv,
 )
 from venuepref.popularity import AnalysisMode, AnalysisUnit
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
+
+from conftest import by_key
 
 REGION = "Synthland"
 
@@ -39,8 +40,8 @@ def synth_scope(skews, n_checkins=2000, seed=0, n_subcats=None):
 def test_k2_acceptance_range_is_min_max():
     records = synth_scope(0.0, n_checkins=400)
     config = NullModelConfig(k=2, rng_seed=1)
-    result = run_null_model(
-        records, AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION), config)
+    result = by_key(run_null_model_batch(records, AnalysisMode.SUBCATEGORY,
+                                         REGION, config), "S00")
     assert result.delta_min == min(result.null_distribution)
     assert result.delta_max == max(result.null_distribution)
 
@@ -49,8 +50,8 @@ def test_planted_female_bias_detected():
     # one subcategory receives ~90% of female, ~10% of male check-ins
     records = synth_scope([-0.8, 0, 0, 0, 0], n_checkins=4000, seed=3)
     config = NullModelConfig(k=100, rng_seed=7)
-    result = run_null_model(
-        records, AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION), config)
+    result = by_key(run_null_model_batch(records, AnalysisMode.SUBCATEGORY,
+                                         REGION, config), "S00")
     assert result.significant
     assert result.direction is Direction.FEMALE
 
@@ -60,28 +61,17 @@ def test_planted_female_bias_detected():
 def test_determinism_under_seed(method):
     records = synth_scope(0.0, n_checkins=500)
     config = NullModelConfig(k=20, method=method, rng_seed=11)
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S01", REGION)
-    first = run_null_model(records, unit, config)
-    second = run_null_model(records, unit, config)
+    first, second = (by_key(run_null_model_batch(
+        records, AnalysisMode.SUBCATEGORY, REGION, config), "S01") for _ in range(2))
     assert np.array_equal(first.null_distribution, second.null_distribution)
     assert first.delta_min == second.delta_min
-
-
-def test_batch_matches_single_unit():
-    records = synth_scope(0.0, n_checkins=500)
-    config = NullModelConfig(k=15, rng_seed=4)
-    batch = run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION, config)
-    for res in batch:
-        single = run_null_model(records, res.unit, config)
-        assert np.array_equal(single.null_distribution, res.null_distribution)
-        assert single.significant == res.significant
 
 
 def test_null_distribution_centered_near_zero():
     records = synth_scope(0.0, n_checkins=3000, seed=5)
     config = NullModelConfig(k=100, rng_seed=2)
-    result = run_null_model(
-        records, AnalysisUnit(AnalysisMode.SUBCATEGORY, "S02", REGION), config)
+    result = by_key(run_null_model_batch(records, AnalysisMode.SUBCATEGORY,
+                                         REGION, config), "S02")
     null = result.null_distribution
     stderr = null.std(ddof=1) / np.sqrt(null.size)
     assert abs(null.mean()) <= 3 * stderr
@@ -89,21 +79,20 @@ def test_null_distribution_centered_near_zero():
 
 def test_confidence_monotonicity():
     records = synth_scope(0.0, n_checkins=800)
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S03", REGION)
-    narrow = run_null_model(records, unit,
-                            NullModelConfig(k=50, confidence=0.8, rng_seed=6))
-    wide = run_null_model(records, unit,
-                          NullModelConfig(k=50, confidence=0.99, rng_seed=6))
+    narrow, wide = (by_key(run_null_model_batch(
+        records, AnalysisMode.SUBCATEGORY, REGION,
+        NullModelConfig(k=50, confidence=confidence, rng_seed=6)), "S03")
+        for confidence in (0.8, 0.99))
     assert wide.delta_min <= narrow.delta_min
     assert wide.delta_max >= narrow.delta_max
 
 
 def test_methods_agree_on_planted_bias():
     records = synth_scope([0.8, 0, 0, 0, 0], n_checkins=3000, seed=9)
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION)
     for method in NullMethod:
-        result = run_null_model(
-            records, unit, NullModelConfig(k=100, method=method, rng_seed=13))
+        result = by_key(run_null_model_batch(
+            records, AnalysisMode.SUBCATEGORY, REGION,
+            NullModelConfig(k=100, method=method, rng_seed=13)), "S00")
         assert result.significant, method
         assert result.direction is Direction.MALE, method
 
@@ -111,16 +100,9 @@ def test_methods_agree_on_planted_bias():
 def test_single_gender_scope_errors():
     table = synth_scope(0.0, n_checkins=300)
     male_only = table.take(table.gender == 1)
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "S00", REGION)
     with pytest.raises(DataError, match="one gender"):
-        run_null_model(male_only, unit, NullModelConfig(k=5, rng_seed=0))
-
-
-def test_unknown_unit_errors():
-    records = synth_scope(0.0, n_checkins=300)
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "Nonexistent", REGION)
-    with pytest.raises(DataError, match="not present"):
-        run_null_model(records, unit, NullModelConfig(k=5, rng_seed=0))
+        run_null_model_batch(male_only, AnalysisMode.SUBCATEGORY, REGION,
+                             NullModelConfig(k=5, rng_seed=0))
 
 
 def test_config_validation():

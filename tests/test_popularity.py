@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from venuepref.models import DataError
+from venuepref.nullmodel import NullModelConfig, run_null_model_batch
 from venuepref.popularity import (
     AnalysisMode,
-    AnalysisUnit,
-    popularity,
     popularity_table,
     signed_difference,
     write_popularity_csv,
 )
 
 from checkin_records import Gender, to_table
-from conftest import make_record
+from conftest import by_key, make_record
 
 BR = "BR"
 
@@ -53,8 +52,8 @@ def two_subcat_scope():
 def test_hand_counted_example():
     # 10 female check-ins (5 in Café), 10 male (2 in Café)
     records = two_subcat_scope()
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR)
-    point = popularity(to_table(records), unit)
+    point = by_key(popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR),
+                   "Café")
     assert point.p_female == 0.5
     assert point.p_male == 0.2
     assert point.d == pytest.approx((0.2 - 0.5) / math.sqrt(2))
@@ -67,16 +66,16 @@ def test_equal_popularity_on_diagonal():
                make_record(user="f1", gender="female", subcat="Café"),
                make_record(user="m2", gender="male", subcat="Bar", venue="v2"),
                make_record(user="f2", gender="female", subcat="Bar", venue="v2")]
-    point = popularity(to_table(records),
-                       AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
+    point = by_key(popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR),
+                   "Café")
     assert point.d == 0.0
 
 
 def test_female_only_unit_is_negative():
     records = [make_record(user="f1", gender="female", subcat="Café"),
                make_record(user="m1", gender="male", subcat="Bar", venue="v2")]
-    point = popularity(to_table(records),
-                       AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
+    point = by_key(popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR),
+                   "Café")
     assert point.p_male == 0.0
     assert point.d == pytest.approx(-point.p_female / math.sqrt(2))
     assert point.d < 0
@@ -85,8 +84,7 @@ def test_female_only_unit_is_negative():
 def test_single_gender_scope_errors():
     records = [make_record(user="m1", gender="male")]
     with pytest.raises(DataError, match="lacks check-ins"):
-        popularity(to_table(records),
-                   AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR))
+        popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
 
 
 def test_abs_d_matches_point_to_line_oracle():
@@ -105,9 +103,11 @@ def test_antisymmetry_under_gender_swap():
                        else Gender.MALE})
         for r in records
     ]
-    unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR)
-    assert popularity(to_table(records), unit).d == pytest.approx(
-        -popularity(to_table(swapped), unit).d)
+    def cafe_d(records):
+        return by_key(popularity_table(to_table(records), AnalysisMode.SUBCATEGORY,
+                                       BR), "Café").d
+
+    assert cafe_d(records) == pytest.approx(-cafe_d(swapped))
 
 
 def test_numerators_partition_scope_totals():
@@ -172,12 +172,6 @@ def test_planted_male_subcategory_has_largest_d():
     assert best.d > 0
 
 
-def test_unit_absent_from_scope_errors():
-    records = two_subcat_scope()
-    with pytest.raises(DataError, match="unit 'Zoo' not present in scope 'BR'"):
-        popularity(to_table(records), AnalysisUnit(AnalysisMode.SUBCATEGORY, "Zoo", BR))
-
-
 def test_venue_within_subcategory_scope_denominators():
     # denominators are the subcategory's per-gender totals, not the region's
     records = [
@@ -187,9 +181,9 @@ def test_venue_within_subcategory_scope_denominators():
         make_record(user="m2", gender="male", venue="c1", subcat="Café"),
         make_record(user="f3", gender="female", venue="c1", subcat="Café"),
     ]
-    unit = AnalysisUnit(AnalysisMode.VENUE_WITHIN_SUBCATEGORY, "n2", BR,
-                        scope_subcategory="Nightclub")
-    point = popularity(to_table(records), unit)
+    point = by_key(popularity_table(to_table(records),
+                                    AnalysisMode.VENUE_WITHIN_SUBCATEGORY, BR,
+                                    "Nightclub"), "n2")
     assert point.p_female == 0.5  # 1 of the 2 female Nightclub check-ins
     assert point.p_male == 0.0
 
@@ -213,8 +207,14 @@ def test_venue_with_two_subcategories_is_rejected():
 
 
 def test_unit_validation():
-    with pytest.raises(ValueError):
-        AnalysisUnit(AnalysisMode.VENUE_WITHIN_SUBCATEGORY, "v1", BR)
-    with pytest.raises(ValueError):
-        AnalysisUnit(AnalysisMode.SUBCATEGORY, "Café", BR,
-                     scope_subcategory="Café")
+    # venue_within_subcategory mode needs a non-empty subcategory, and the
+    # other modes take None; both statistics refuse a mismatch
+    table = to_table(two_subcat_scope())
+    for mode, subcat in [(AnalysisMode.VENUE_WITHIN_SUBCATEGORY, None),
+                         (AnalysisMode.VENUE_WITHIN_SUBCATEGORY, ""),
+                         (AnalysisMode.SUBCATEGORY, "Café"),
+                         (AnalysisMode.VENUE, "")]:
+        with pytest.raises(ValueError, match="scope_subcategory"):
+            popularity_table(table, mode, BR, subcat)
+        with pytest.raises(ValueError, match="scope_subcategory"):
+            run_null_model_batch(table, mode, BR, NullModelConfig(k=2), subcat)

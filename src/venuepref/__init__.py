@@ -10,7 +10,7 @@ from .models import (
     ingest_index_table,
     load_bundled_index,
 )
-from .filtering import FilterConfig, apply_filters
+from .filtering import FilterConfig, apply_filters, filter_regions
 from .popularity import (
     AnalysisMode,
     AnalysisUnit,
@@ -24,7 +24,13 @@ from .nullmodel import (
     NullModelResult,
     run_null_model_batch,
 )
-from .preference import PreferenceVector, build_preference_vector, collect_global_dims, gini
+from .preference import (
+    PreferenceVector,
+    build_preference_vector,
+    build_preference_vectors,
+    collect_global_dims,
+    gini,
+)
 from .clustering import ClusteringResult, cluster_regions
 from .comparison import (
     RandomBaseline,

@@ -32,7 +32,7 @@ from .models import (
     load_bundled_index,
     write_checkins,
 )
-from .filtering import FilterConfig, apply_filters, partition_by_region
+from .filtering import FilterConfig, apply_filters, filter_regions
 from .popularity import AnalysisMode, popularity_table, write_popularity_csv
 from .nullmodel import (
     NullMethod,
@@ -41,7 +41,7 @@ from .nullmodel import (
     write_null_distribution_csv,
 )
 from .preference import (
-    build_preference_vector,
+    build_preference_vectors,
     collect_global_dims,
     read_vectors_csv,
     write_vectors_csv,
@@ -254,31 +254,30 @@ def cmd_vectors(args, manifest: Manifest) -> None:
     manifest.add_seed("filter", args.seed)
 
     granularity = Granularity(args.granularity)
-    by_name = partition_by_region(table, granularity)
     if args.regions:
         # a repeated name is one region, in vectors.csv and in the manifest
         names = list(dict.fromkeys(n.strip() for n in args.regions.split(",")))
-    else:
-        names = sorted(set(by_name) - {None})
+    else:  # an ingested table's value tables hold the values its rows use
+        names = table.countries if granularity is Granularity.COUNTRY else table.cities
     if not names:
         raise DataError("no regions found in the input")
 
-    config = _filter_config(args)
-    # a name the input lacks matches none of its rows, and apply_filters says so
-    filtered = {name: apply_filters(by_name.get(name, table),
-                                    RegionSelector(granularity, name), config)[0]
-                for name in names}
+    # a name the input lacks matches none of its rows, and filter_regions says so
+    kept, region, reports = filter_regions(table, granularity, names,
+                                           _filter_config(args))
+    manifest.data["filter_reports"] = {name: report.stages
+                                       for name, report in zip(names, reports)}
 
-    dims = collect_global_dims(*filtered.values())
+    dims = collect_global_dims(kept)
     if not dims:
         raise DataError("no region keeps a check-in after filtering, so the "
                         "vectors would have no dimension")
-    empty = [name for name, recs in filtered.items() if not len(recs)]
+    empty = [name for name, report in zip(names, reports)
+             if not report.stages[-1]["out"]]
     if empty:  # cluster and compare refuse an all-zero vector
         raise DataError(f"regions left with no check-in after filtering, so "
                         f"their vectors would be all zero: {empty}")
-    vectors = [build_preference_vector(recs, name, dims)
-               for name, recs in filtered.items()]
+    vectors = build_preference_vectors(kept, region, names, dims)
 
     manifest.write_artifact("vectors.csv", partial(write_vectors_csv, vectors))
     manifest.write_artifact("vectors_manifest.json", {

@@ -9,9 +9,17 @@ from typing import Optional
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
-from .models import CheckinTable, DataError, Granularity, RegionSelector, rows_with
+from .models import (
+    CheckinTable,
+    DataError,
+    Granularity,
+    RegionSelector,
+    first_rows,
+    pair_codes,
+)
 
 DEFAULT_CATEGORIES = frozenset({"Arts", "Education", "Food", "Nightlife", "Work"})
+_NEVER = np.iinfo(np.int64).max  # after every timestamp
 
 
 @dataclass
@@ -51,110 +59,143 @@ def _region_column(t: CheckinTable, granularity: Granularity):
     return t.city, t.cities
 
 
-def _earliest_per_pair(t: CheckinTable, rows: np.ndarray) -> np.ndarray:
-    # Keep the earliest check-in per (user, venue); ties and missing
-    # timestamps fall back to input order.
-    order = np.lexsort((rows, t.ts[rows], t.ts_missing[rows],
-                        t.venue[rows], t.user[rows]))
-    user, venue = t.user[rows[order]], t.venue[rows[order]]
-    first = np.ones(len(order), bool)
-    first[1:] = (user[1:] != user[:-1]) | (venue[1:] != venue[:-1])
-    return np.sort(rows[order[first]])
+def _earliest_per_pair(t: CheckinTable, rows: np.ndarray, venue: np.ndarray,
+                       n_venues: int) -> np.ndarray:
+    # Keep the earliest check-in per (region, user, venue), ``venue`` coding
+    # the (region, venue) of each row; rows with a missing timestamp come
+    # last, and ties fall back to input order.
+    pairs, pair = pair_codes(venue, n_venues, t.user[rows], len(t.users))
+    ts, missing = t.ts[rows], t.ts_missing[rows]
+    earliest = np.full(len(pairs), _NEVER)
+    np.minimum.at(earliest, pair[~missing], ts[~missing])
+    # the rows at their pair's earliest time; in a pair with no time, all
+    at_earliest = np.flatnonzero(np.where(missing, earliest[pair] == _NEVER,
+                                          ts == earliest[pair]))
+    keep = np.zeros(len(rows), bool)
+    keep[at_earliest[first_rows(pair[at_earliest], len(pairs))]] = True
+    return keep
 
 
-def _venues_with_checkins(t: CheckinTable, rows: np.ndarray, minimum: int) -> np.ndarray:
-    counts = np.bincount(t.venue[rows], minlength=len(t.venues))
-    return rows[counts[t.venue[rows]] >= minimum]
+def _subcategories_with_venues(venue_subcat: np.ndarray, segment: np.ndarray,
+                               n_segments: int, minimum: int) -> np.ndarray:
+    # Whether each row's (region, subcategory) segment holds ``minimum``
+    # distinct venues; ``venue_subcat`` codes the (region, venue, subcategory)
+    # of each row and ``segment`` maps that code to its segment.
+    present = np.flatnonzero(np.bincount(venue_subcat, minlength=len(segment)))
+    venues = np.bincount(segment[present], minlength=n_segments)
+    return venues[segment[venue_subcat]] >= minimum
 
 
-def _subcategories_with_venues(t: CheckinTable, rows: np.ndarray,
-                               minimum: int) -> np.ndarray:
-    pairs = np.sort(t.subcategory[rows].astype(np.int64) * len(t.venues) + t.venue[rows])
-    pairs = pairs[np.diff(pairs, prepend=-1) > 0]  # each distinct pair once
-    venues = np.bincount(pairs // len(t.venues), minlength=len(t.subcategories))
-    return rows[venues[t.subcategory[rows]] >= minimum]
+def _cap_by_venue_sampling(venue: np.ndarray, venue_region: np.ndarray,
+                           region_rows: list[int], cap: int, seed: int
+                           ) -> np.ndarray:
+    # Down-sample each region over the cap by randomly keeping whole venues
+    # until the cap is met: its venues are visited in a seeded random order
+    # of their sorted ids and kept when they still fit in the remaining
+    # budget. ``venue`` codes the (region, venue) of each row, in region and
+    # then venue-id order, and ``venue_region`` is each code's region.
+    per_venue = np.bincount(venue, minlength=len(venue_region))
+    kept = np.ones(len(venue_region), bool)
+    bounds = np.searchsorted(venue_region, np.arange(len(region_rows) + 1))
+    for region, n in enumerate(region_rows):
+        if n <= cap:
+            continue
+        lo, hi = bounds[region], bounds[region + 1]
+        venues = lo + np.flatnonzero(per_venue[lo:hi])
+        visits = venues[np.random.default_rng(seed).permutation(len(venues))]
+        kept[lo:hi] = False
+        budget = cap
+        for code, size in zip(visits.tolist(), per_venue[visits].tolist()):
+            if size <= budget:
+                kept[code] = True
+                budget -= size
+    return kept[venue]
 
 
-def _cap_by_venue_sampling(t: CheckinTable, rows: np.ndarray, cap: int,
-                           seed: int) -> np.ndarray:
-    # Down-sample by randomly keeping whole venues until the cap is met:
-    # venues are visited in a seeded random order of their sorted ids and
-    # kept when they still fit in the remaining budget.
-    if len(rows) <= cap:
-        return rows
-    per_venue = np.bincount(t.venue[rows], minlength=len(t.venues))
-    venues = np.flatnonzero(per_venue)  # codes in venue-id order
-    visits = venues[np.random.default_rng(seed).permutation(len(venues))]
-    kept = np.zeros(len(t.venues), bool)
-    budget = cap
-    for venue, n in zip(visits.tolist(), per_venue[visits].tolist()):
-        if n <= budget:
-            kept[venue] = True
-            budget -= n
-    return rows[kept[t.venue[rows]]]
-
-
-def partition_by_region(table: CheckinTable, granularity: Granularity
-                        ) -> dict[Optional[str], CheckinTable]:
-    """The check-ins of ``table`` grouped by region name with one stable
-    sort; each group keeps input order, so filtering a group equals
-    filtering all check-ins for that region. Check-ins without a city are
-    grouped under None."""
-    codes, names = _region_column(table, granularity)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = np.flatnonzero(np.diff(sorted_codes, prepend=-2))
-    ends = [*starts[1:].tolist(), len(order)]
-    return {(names[code] if code >= 0 else None): table.take(order[start:end])
-            for code, start, end in zip(sorted_codes[starts].tolist(),
-                                        starts.tolist(), ends)}
-
-
-def apply_filters(table: CheckinTable, region: RegionSelector, config: FilterConfig
-                  ) -> tuple[CheckinTable, FilterReport]:
-    """Run the full filter protocol for one region over the check-ins of
-    ``table``; return the kept rows as a table.
+def filter_regions(table: CheckinTable, granularity: Granularity, names: list[str],
+                   config: FilterConfig
+                   ) -> tuple[CheckinTable, np.ndarray, list[FilterReport]]:
+    """Run the full filter protocol for each of the distinct region
+    ``names`` over the check-ins of ``table``, each stage once for all of
+    them. Return the kept rows of every region as one table, in input order;
+    the position in ``names`` of each kept row's region; and the report of
+    each region, as ``apply_filters`` gives it for that region.
 
     Stage order: region -> category -> dedupe -> venue threshold ->
     subcategory threshold -> cap. The subcategory threshold is re-checked
     after the cap so the output always satisfies every threshold.
     """
-    report = FilterReport()
+    if len(set(names)) != len(names):
+        raise ValueError("region names must be distinct")
+    codes, values = _region_column(table, granularity)
+    position = dict(zip(names, range(len(names))))
+    # each row's position in names, or -1; the last entry is for no city (-1)
+    region = np.array([position.get(v, -1) for v in values] + [-1])[codes]
+    rows = np.flatnonzero(region >= 0)
+    region = region[rows]
 
-    rows = rows_with(*_region_column(table, region.granularity), region.name)
-    report.add("region", len(table), len(rows))
-    if not len(rows):
-        raise DataError(f"region {region.name!r} ({region.granularity.value}) "
+    reports = [FilterReport() for _ in names]
+    region_rows = [len(table)] * len(names)
+
+    def stage(name: str, keep=None) -> None:
+        nonlocal rows, region, region_rows, venue, venue_subcat
+        if keep is not None:
+            rows, region = rows[keep], region[keep]
+            venue, venue_subcat = venue[keep], venue_subcat[keep]
+        n_in, region_rows = region_rows, np.bincount(
+            region, minlength=len(names)).tolist()
+        for report, n, out in zip(reports, n_in, region_rows):
+            report.add(name, n, out)
+
+    stage("region")
+    if 0 in region_rows:
+        name = names[region_rows.index(0)]
+        raise DataError(f"region {name!r} ({granularity.value}) "
                         "matches zero records")
 
-    n_in = len(rows)
     allowed = np.array([c in config.allowed_categories for c in table.categories],
                        bool)
-    rows = rows[allowed[table.category[rows]]]
-    report.add("category", n_in, len(rows))
+    keep = allowed[table.category[rows]]
+    rows, region = rows[keep], region[keep]
+    # (region, venue) codes, in region and then venue-id order, and (region,
+    # venue, subcategory) codes: a venue is counted once in each subcategory
+    # it is given within a region
+    venues, venue = pair_codes(region, len(names), table.venue[rows],
+                                          len(table.venues))
+    subcats, venue_subcat = pair_codes(
+        venue, len(venues), table.subcategory[rows], len(table.subcategories))
+    venue_region = venues // len(table.venues)
+    segments, segment = pair_codes(
+        venue_region[subcats // len(table.subcategories)], len(names),
+        subcats % len(table.subcategories), len(table.subcategories))
+    stage("category")
 
     if config.dedupe_user_venue:
-        n_in = len(rows)
-        rows = _earliest_per_pair(table, rows)
-        report.add("dedupe", n_in, len(rows))
+        stage("dedupe", _earliest_per_pair(table, rows, venue, len(venues)))
 
-    n_in = len(rows)
-    rows = _venues_with_checkins(table, rows, config.min_checkins_per_venue)
-    report.add("venue_threshold", n_in, len(rows))
+    per_venue = np.bincount(venue, minlength=len(venues))
+    stage("venue_threshold", per_venue[venue] >= config.min_checkins_per_venue)
 
-    n_in = len(rows)
-    rows = _subcategories_with_venues(table, rows, config.min_venues_per_subcategory)
-    report.add("subcategory_threshold", n_in, len(rows))
+    minimum = config.min_venues_per_subcategory
+    stage("subcategory_threshold", _subcategories_with_venues(
+        venue_subcat, segment, len(segments), minimum))
 
     if config.max_checkins_per_region is not None:
-        n_in = len(rows)
-        rows = _cap_by_venue_sampling(table, rows, config.max_checkins_per_region,
-                                      config.rng_seed)
-        report.add("region_cap", n_in, len(rows))
+        stage("region_cap", _cap_by_venue_sampling(
+            venue, venue_region, region_rows, config.max_checkins_per_region,
+            config.rng_seed))
         # removing whole venues can leave a subcategory below its threshold
-        n_in = len(rows)
-        rows = _subcategories_with_venues(table, rows,
-                                          config.min_venues_per_subcategory)
-        report.add("subcategory_threshold_recheck", n_in, len(rows))
+        stage("subcategory_threshold_recheck", _subcategories_with_venues(
+            venue_subcat, segment, len(segments), minimum))
 
-    return table.take(rows), report
+    return table.take(rows), region, reports
+
+
+def apply_filters(table: CheckinTable, region: RegionSelector, config: FilterConfig
+                  ) -> tuple[CheckinTable, FilterReport]:
+    """Run the full filter protocol for one region over the check-ins of
+    ``table``; return the kept rows as a table and the region's report
+    (``filter_regions`` for that region alone)."""
+    kept, _, (report,) = filter_regions(table, region.granularity, [region.name],
+                                        config)
+    return kept, report

@@ -124,6 +124,32 @@ def rows_with(codes: np.ndarray, names: list[str], name: str) -> np.ndarray:
     return np.flatnonzero(codes == i)
 
 
+def group_codes(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` (ints below ``size``) in ascending order and the
+    position of each key among them, as ``np.unique(keys,
+    return_inverse=True)`` gives them: by a lookup table where ``size`` is a
+    few entries per key, else by that sort."""
+    if size > 4 * len(keys):
+        return np.unique(keys, return_inverse=True)
+    used = np.bincount(keys, minlength=size) > 0
+    return np.flatnonzero(used), (np.cumsum(used) - 1)[keys]
+
+
+def pair_codes(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``group_codes`` of the pairs (a, b) of codes below ``a_size`` and
+    ``b_size``, numbered in (a, b) order; pair (a, b) is a * b_size + b."""
+    return group_codes(a.astype(np.int64) * b_size + b, a_size * b_size)
+
+
+def first_rows(codes: np.ndarray, size: int) -> np.ndarray:
+    """Per code below ``size``, the index of its first entry in ``codes``,
+    or ``len(codes)`` where it has none."""
+    first = np.full(size, len(codes), np.intp)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return first
+
+
 def _assemble(coded: dict, **columns) -> CheckinTable:
     """A table from ``{column: (codes, value table)}`` of every coded column
     and the other columns."""
@@ -409,9 +435,9 @@ class _AcceptedRows:
         venue, subcategory = codes["venue"][rows], codes["subcategory"][rows]
         grown = len(self.strings["venue"].code) - len(self.claims)
         self.claims = np.concatenate([self.claims, np.full(grown, -1, np.int32)])
-        venues, first = np.unique(venue, return_index=True)
-        unclaimed = self.claims[venues] == -1
-        self.claims[venues[unclaimed]] = subcategory[first[unclaimed]]
+        first = first_rows(venue, len(self.claims))
+        claim = (first < len(venue)) & (self.claims == -1)
+        self.claims[claim] = subcategory[first[claim]]
         conflict = self.claims[venue] != subcategory
         rows = rows[~conflict]
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckinTable, DataError, rows_with
+from .models import CheckinTable, DataError, first_rows, group_codes, rows_with
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,6 +49,23 @@ class PopularityPoint:
 def signed_difference(p_male, p_female):
     """d for scalars or, elementwise, for arrays of popularities."""
     return (p_male - p_female) / SQRT2
+
+
+def venue_subcategories(table: CheckinTable, venue: np.ndarray, n_venues: int
+                        ) -> np.ndarray:
+    """The subcategory code of each of the ``n_venues`` venue codes that
+    ``venue`` gives the rows of ``table``: that of the venue's first row. A
+    row of another subcategory than its venue's is a DataError (the first
+    such row is named)."""
+    venue_subcat = table.subcategory[first_rows(venue, n_venues)]
+    clash = np.flatnonzero(table.subcategory != venue_subcat[venue])
+    if clash.size:
+        row = clash[0]
+        raise DataError(
+            f"venue {table.venues[table.venue[row]]!r} has conflicting "
+            f"subcategories {table.subcategories[venue_subcat[venue[row]]]!r}"
+            f" and {table.subcategories[table.subcategory[row]]!r}")
+    return venue_subcat
 
 
 class ScopeIndex:
@@ -85,18 +102,10 @@ class ScopeIndex:
         self.c = len(table)
 
         # table codes are in sorted key order, so sorted codes give sorted keys
-        venues, first, record_venue = np.unique(table.venue, return_index=True,
-                                                return_inverse=True)
-        venue_subcat = table.subcategory[first]  # a venue's first subcategory
-        clash = np.flatnonzero(table.subcategory != venue_subcat[record_venue])
-        if clash.size:
-            row = clash[0]
-            raise DataError(
-                f"venue {table.venues[table.venue[row]]!r} has conflicting "
-                f"subcategories {table.subcategories[venue_subcat[record_venue[row]]]!r}"
-                f" and {table.subcategories[table.subcategory[row]]!r}")
+        venues, record_venue = group_codes(table.venue, len(table.venues))
+        venue_subcat = venue_subcategories(table, record_venue, len(venues))
         self.venue_ids = [table.venues[v] for v in venues.tolist()]
-        subcats, self.venue_subcat = np.unique(venue_subcat, return_inverse=True)
+        subcats, self.venue_subcat = group_codes(venue_subcat, len(table.subcategories))
         self.subcategories = [table.subcategories[s] for s in subcats.tolist()]
 
         if mode is AnalysisMode.SUBCATEGORY:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CheckinTable, DataError, csv_reader
-from .popularity import AnalysisMode, ScopeIndex, signed_difference
+from .models import CheckinTable, DataError, csv_reader, pair_codes
+from .popularity import signed_difference, venue_subcategories
 
 
 @dataclass
@@ -55,50 +55,66 @@ def gini(x) -> float:
     return min(max(0.0, g), 1.0 - 1.0 / n)  # the exact range, despite rounding
 
 
-def collect_global_dims(*tables: CheckinTable) -> list[str]:
-    """Lexicographic union of the subcategories of the given tables, such as
-    the ``apply_filters`` output of each region."""
-    dims = set()
-    for table in tables:
-        used = np.bincount(table.subcategory, minlength=len(table.subcategories))
-        dims.update(table.subcategories[s] for s in np.flatnonzero(used).tolist())
-    return sorted(dims)
+def collect_global_dims(table: CheckinTable) -> list[str]:
+    """The subcategories of ``table``, such as the ``filter_regions`` output
+    of all regions, in lexicographic order."""
+    used = np.bincount(table.subcategory, minlength=len(table.subcategories))
+    return [table.subcategories[s] for s in np.flatnonzero(used).tolist()]
+
+
+def build_preference_vectors(table: CheckinTable, region: np.ndarray,
+                             names: list[str], global_dims: list[str]
+                             ) -> list[PreferenceVector]:
+    """Gini-per-subcategory vector of each region, over the global dims.
+
+    ``table`` holds the kept rows of every region and ``region`` the
+    position in ``names`` of each row's region, as ``filter_regions``
+    returns them; a region without rows gets the zero vector. A (region,
+    subcategory) segment's venues are scored against that segment's gender
+    totals, as in venue_within_subcategory mode. A segment that lacks one
+    gender entirely has undefined venue-level differences; it is treated as
+    absent (value 0).
+    """
+    n_subcats = len(table.subcategories)
+    # (region, venue) codes, in region and then venue-id order
+    venues, venue = pair_codes(region, len(names), table.venue, len(table.venues))
+    venue_subcat = venue_subcategories(table, venue, len(venues))
+    total = np.bincount(venue, minlength=len(venues))
+    male = np.bincount(venue[table.gender == 1], minlength=len(venues))
+    female = total - male
+
+    segments, segment = pair_codes(venues // len(table.venues), len(names),
+                                   venue_subcat, n_subcats)
+    male_total = np.bincount(segment, male, len(segments)).astype(np.int64)
+    female_total = np.bincount(segment, female, len(segments)).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # one-gender segments
+        diffs = np.abs(signed_difference(male / male_total[segment],
+                                         female / female_total[segment]))
+
+    dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
+    dim = np.array([dim_pos.get(s, -1) for s in table.subcategories], np.intp)
+    segment_dim = dim[segments % n_subcats]
+    # a one-gender segment is absent, and all-zero differences are perfect
+    # equality: both keep 0, without the gini warning
+    scored = ((segment_dim >= 0) & (male_total > 0) & (female_total > 0)
+              & (np.bincount(segment, diffs > 0, len(segments)) > 0))
+    values = np.zeros((len(names), len(global_dims)))
+    order = np.argsort(segment, kind="stable")  # venues grouped by segment
+    bounds = np.searchsorted(segment[order], np.arange(len(segments) + 1))
+    for s in np.flatnonzero(scored).tolist():
+        values[segments[s] // n_subcats, segment_dim[s]] = gini(
+            diffs[order[bounds[s]:bounds[s + 1]]])
+    return [PreferenceVector(region=name, dims=list(global_dims), values=row)
+            for name, row in zip(names, values)]
 
 
 def build_preference_vector(table: CheckinTable, region: str,
                             global_dims: list[str]) -> PreferenceVector:
-    """Gini-per-subcategory vector for one region, over the global dims.
-
-    ``table`` is the region's ``apply_filters`` output (an empty one gives
-    the zero vector). One venue-mode index of
-    them gives every venue's counts; a
-    subcategory's venues are scored against that subcategory's gender
-    totals, as in venue_within_subcategory mode. A subcategory whose scope
-    lacks one gender entirely has undefined venue-level differences; it is
-    treated as absent (value 0).
-    """
-    values = np.zeros(len(global_dims))
-    if not len(table):
-        return PreferenceVector(region=region, dims=list(global_dims),
-                                values=values)
-    index = ScopeIndex(table, AnalysisMode.VENUE, region)
-    dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
-    # venues grouped by subcategory, each group in venue-key order
-    order = np.argsort(index.venue_subcat, kind="stable")
-    bounds = np.searchsorted(index.venue_subcat[order],
-                             np.arange(len(index.subcategories) + 1))
-    for s, subcat in enumerate(index.subcategories):
-        if subcat not in dim_pos:
-            continue
-        venues = order[bounds[s]:bounds[s + 1]]
-        male, female = index.male[venues], index.female[venues]
-        male_total, female_total = int(male.sum()), int(female.sum())
-        if male_total == 0 or female_total == 0:
-            continue
-        diffs = np.abs(signed_difference(male / male_total, female / female_total))
-        # all-zero differences are perfect equality; skip the gini warning
-        values[dim_pos[subcat]] = gini(diffs) if diffs.any() else 0.0
-    return PreferenceVector(region=region, dims=list(global_dims), values=values)
+    """Gini-per-subcategory vector for one region, over the global dims:
+    ``build_preference_vectors`` of that region's ``apply_filters`` output
+    alone (an empty one gives the zero vector)."""
+    return build_preference_vectors(table, np.zeros(len(table), np.intp), [region],
+                                    global_dims)[0]
 
 
 def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:

@@ -11,8 +11,9 @@ import pytest
 
 from venuepref import models
 from venuepref.cli import main
-from venuepref.models import (CSV_FIELDS, DataError, ingest_checkins, ingest_index_table,
-                              write_checkins)
+from venuepref.filtering import FilterConfig, apply_filters
+from venuepref.models import (CSV_FIELDS, DataError, Granularity, RegionSelector,
+                              ingest_checkins, ingest_index_table, write_checkins)
 from venuepref.preference import read_vectors_csv
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
@@ -151,6 +152,31 @@ def test_repeated_region_name_is_one_region(tmp_path):
     assert meta["regions"] == ["Land0", "Land1"]
     with open(out / "vectors.csv", newline="") as fh:
         assert [row["region"] for row in csv.DictReader(fh)] == meta["regions"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--regions", "Land2,Land0"],
+                                   ["--max-checkins-per-region", "1500", "--seed", "3"]],
+                         ids=["all", "some", "capped"])
+def test_vectors_manifest_holds_each_regions_filter_funnel(flags, tmp_path):
+    data = write_dataset(tmp_path / "multi.csv",
+                         countries=[f"Land{i}" for i in range(3)])
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(data), *flags, "--out-dir", str(out)]) == 0
+    funnels = json.loads((out / "run_manifest.json").read_text())["filter_reports"]
+    regions = json.loads((out / "vectors_manifest.json").read_text())["regions"]
+    assert list(funnels) == regions
+    with open(data, "rb") as fh:
+        table, _ = ingest_checkins(fh, "csv")
+    args = dict(zip(flags[::2], flags[1::2]))
+    config = FilterConfig(max_checkins_per_region=int(args.get("--max-checkins-per-region", 0))
+                          or None, rng_seed=int(args.get("--seed", 0)))
+    for name, stages in funnels.items():
+        report = apply_filters(table, RegionSelector(Granularity.COUNTRY, name), config)[1]
+        assert stages == report.stages
+    if "--max-checkins-per-region" in args:  # every region is over the cap
+        caps = [stages[-2] for stages in funnels.values()]
+        assert all(cap["stage"] == "region_cap" and cap["out"] <= 1500 < cap["in"]
+                   for cap in caps)
 
 
 @pytest.mark.parametrize("regions, missing", [("Land0,Nowhere", "Nowhere"),

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from venuepref.filtering import FilterConfig, apply_filters
-from venuepref.models import DataError, Granularity, RegionSelector
+from venuepref.filtering import FilterConfig, apply_filters, filter_regions
+from venuepref.models import DataError, Granularity, RegionSelector, group_codes
 
 import filter_oracle
 from checkin_records import to_records, to_table
@@ -231,9 +231,9 @@ OFFSETS = [timezone.utc, timezone(timedelta(hours=2)),
 START = datetime(2014, 4, 25, 12, tzinfo=UTC)
 
 
-def filter_outcome(filters, records, region, config):
+def filter_outcome(filters, *args):
     try:
-        return filters(records, region, config)
+        return filters(*args)
     except DataError as exc:
         return str(exc)
 
@@ -307,3 +307,103 @@ def test_dedupe_ties_on_one_instant_go_to_input_order():
         assert_same_filters(records, loose())
         out, _ = filtered(records[::-1], BR, loose())
         assert [r.latitude for r in out] == [1.0]
+
+
+# filter_regions filters every named region in one pass; each region's kept
+# rows and funnel must be those of the per-record oracle for that region.
+
+COUNTRIES = ["AR", "BR", "US"]
+CITIES = ["Lima", "Rio", None]
+
+
+@st.composite
+def multi_region_checkins(draw):
+    """20-60 check-ins at 8 venues by 5 users in three countries and
+    three cities (one of them no city), with timestamps that are missing,
+    tie, differ by 1 µs or name one instant with other offsets. Now and then
+    a check-in gives its venue a second subcategory, which the filters count
+    as one more venue of that subcategory."""
+    venue_subcat = draw(st.lists(st.sampled_from(["Bar", "Café", "Gym"]),
+                                 min_size=8, max_size=8))
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 4), st.integers(0, 7), st.booleans(),
+        st.sampled_from(COUNTRIES), st.sampled_from(CITIES),
+        st.sampled_from(["Food", "Food", "Food", "Shops"]),
+        st.none() | st.sampled_from([0, 1, 2, 3_600_000_000]),
+        st.sampled_from(OFFSETS), st.sampled_from([False] * 9 + [True])),
+        min_size=20, max_size=60))
+    return [make_record(user=f"u{user}", gender="male" if male else "female",
+                        venue=f"v{venue}", subcat="Zoo" if odd else venue_subcat[venue],
+                        category=category, country=country, city=city,
+                        lat=float(i),
+                        ts=None if micros is None else
+                        (START + timedelta(microseconds=micros)).astimezone(offset))
+            for i, (user, venue, male, country, city, category, micros, offset, odd)
+            in enumerate(rows)]
+
+
+@given(records=multi_region_checkins(), data=st.data(), config=st.builds(
+    FilterConfig, min_checkins_per_venue=st.integers(1, 3),
+    dedupe_user_venue=st.booleans(), min_venues_per_subcategory=st.integers(1, 3),
+    max_checkins_per_region=st.integers(1, 20) | st.none(),
+    rng_seed=st.integers(0, 3)))
+def test_filter_regions_equals_oracle_per_region(records, data, config):
+    granularity = data.draw(st.sampled_from(list(Granularity)))
+    known = COUNTRIES if granularity is Granularity.COUNTRY else CITIES[:2]
+    names = data.draw(st.permutations(known))[:data.draw(st.integers(1, len(known)))]
+    if data.draw(st.integers(0, 9)) == 0:  # now and then a region of no record
+        names.insert(data.draw(st.integers(0, len(names))), "Nowhere")
+    expected = [filter_outcome(filter_oracle.apply_filters, records,
+                               RegionSelector(granularity, name), config)
+                for name in names]
+    outcome = filter_outcome(filter_regions, to_table(records), granularity,
+                             names, config)
+    errors = [e for e in expected if isinstance(e, str)]
+    if errors:  # the first region that matches no record is named
+        assert outcome == errors[0]
+        return
+    kept, region, reports = outcome
+    assert len(region) == len(kept)
+    for i, (oracle_kept, stages) in enumerate(expected):
+        assert reports[i].stages == stages
+        assert kept.latitude[region == i].tolist() == [rec.latitude
+                                                       for rec in oracle_kept]
+    # one table in input order
+    assert kept.latitude.tolist() == sorted(kept.latitude.tolist())
+
+
+def test_filter_regions_caps_each_region_with_the_same_seed():
+    # the second region is over the cap, the first under it
+    records = [make_record(user=f"u{i}", venue=f"b{i % 3}", country="BR",
+                           lat=float(i)) for i in range(10)]
+    records += [make_record(user=f"u{i}", venue=f"a{i % 12}", country="AR",
+                            lat=float(10 + i)) for i in range(90)]
+    config = loose(max_checkins_per_region=40, rng_seed=5)
+    kept, region, reports = filter_regions(to_table(records), Granularity.COUNTRY,
+                                           ["BR", "AR"], config)
+    for i, name in enumerate(["BR", "AR"]):
+        oracle_kept, stages = filter_oracle.apply_filters(
+            records, RegionSelector(Granularity.COUNTRY, name), config)
+        assert reports[i].stages == stages
+        assert kept.latitude[region == i].tolist() == [r.latitude for r in oracle_kept]
+    caps = [{s["stage"]: s for s in report.stages}["region_cap"] for report in reports]
+    assert caps[0] == {"stage": "region_cap", "in": 10, "out": 10}
+    assert caps[1]["in"] == 90 and caps[1]["out"] <= 40
+
+
+def test_filter_regions_names_the_first_region_without_rows():
+    table = to_table([make_record(country="BR"), make_record(country="US")])
+    with pytest.raises(DataError, match=r"^region 'FR' \(country\) matches zero records$"):
+        filter_regions(table, Granularity.COUNTRY, ["BR", "FR", "DE"], loose())
+    with pytest.raises(ValueError, match="distinct"):
+        filter_regions(table, Granularity.COUNTRY, ["BR", "BR"], loose())
+
+
+@given(st.lists(st.integers(0, 50), max_size=40), st.integers(0, 400))
+def test_group_codes_equal_a_sort(keys, extra):
+    keys = np.array(keys, np.int64)
+    size = int(keys.max(initial=-1)) + 1 + extra  # both the lookup and the sort
+    values, codes = group_codes(keys, size)
+    expected_values, expected_codes = np.unique(keys, return_inverse=True)
+    assert values.tolist() == expected_values.tolist()
+    assert codes.tolist() == expected_codes.tolist()

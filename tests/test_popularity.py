@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from venuepref.models import DataError
+from venuepref.models import DataError, rows_with
 from venuepref.nullmodel import NullModelConfig, run_null_model_batch
 from venuepref.popularity import (
     AnalysisMode,
+    ScopeIndex,
     popularity_table,
     signed_difference,
     write_popularity_csv,
@@ -204,6 +205,39 @@ def test_venue_with_two_subcategories_is_rejected():
                make_record(user="f1", gender="female", venue="v1", subcat="Bar")]
     with pytest.raises(DataError, match="conflicting subcategories"):
         popularity_table(to_table(records), AnalysisMode.VENUE, BR)
+
+
+def scope_outcome(table, mode, subcat):
+    """What a ScopeIndex of BR's rows of ``table`` holds, or its error."""
+    try:
+        index = ScopeIndex(table.take(rows_with(table.country, table.countries, BR)),
+                           mode, BR, subcat)
+    except DataError as exc:
+        return str(exc)
+    return (index.venue_ids, index.subcategories, index.keys,
+            *(a.tolist() for a in (index.venue_subcat, index.venue_unit,
+                                   index.unit_total, index.male, index.female)))
+
+
+@pytest.mark.parametrize("conflict", [False, True])
+def test_scope_index_ignores_venues_absent_from_the_scope(conflict):
+    # BR's venues sit among 40 US venues, of other subcategories too; the
+    # scope's codes, counts and errors are those of BR's check-ins alone
+    scope = [make_record(user=f"u{i}", gender=("male", "female")[i % 2],
+                         venue=f"v{i % 3}", subcat=("Bar", "Café")[i % 3 > 0])
+             for i in range(7)]
+    if conflict:
+        scope.append(make_record(user="x", venue="v2", subcat="Bar"))
+    others = [make_record(user=f"w{v}", venue=f"{name}{v}", subcat=f"S{v % 4}",
+                          country="US")
+              for v in range(20) for name in ("a", "w")]
+    for mode, subcat in [(AnalysisMode.SUBCATEGORY, None), (AnalysisMode.VENUE, None),
+                         (AnalysisMode.VENUE_WITHIN_SUBCATEGORY, "Café")]:
+        alone = scope_outcome(to_table(scope), mode, subcat)
+        assert scope_outcome(to_table(others + scope), mode, subcat) == alone
+        assert scope_outcome(to_table(scope + others[::-1]), mode, subcat) == alone
+        if conflict and subcat is None:
+            assert alone == "venue 'v2' has conflicting subcategories 'Café' and 'Bar'"
 
 
 def test_unit_validation():

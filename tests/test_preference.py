@@ -3,11 +3,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from venuepref.filtering import FilterConfig, apply_filters, partition_by_region
-from venuepref.models import Granularity, RegionSelector
+from venuepref.filtering import FilterConfig, apply_filters, filter_regions
+from venuepref.models import DataError, Granularity, RegionSelector, rows_with
 from venuepref.preference import (
     PreferenceVector,
     build_preference_vector,
+    build_preference_vectors,
     collect_global_dims,
     gini,
 )
@@ -123,9 +124,10 @@ def two_region_records():
 
 
 def region_records(name):
-    """One country's share of two_region_records, as the vectors command
-    hands it to build_preference_vector."""
-    return partition_by_region(to_table(two_region_records()), Granularity.COUNTRY)[name]
+    """One country's share of two_region_records, unfiltered, sharing the
+    value tables of both countries."""
+    table = to_table(two_region_records())
+    return table.take(rows_with(table.country, table.countries, name))
 
 
 def test_global_dims_union_is_sorted():
@@ -200,13 +202,12 @@ def two_region_checkins(draw):
 
 
 def region_vectors(records, config):
-    """The vectors command's pipeline: filter each region, take the global
-    dims of all regions, build one vector per region."""
-    table = to_table(records)
-    filtered = [apply_filters(table, region, config)[0] for region in REGIONS]
-    dims = collect_global_dims(*filtered)
-    return [build_preference_vector(kept, region.name, dims)
-            for region, kept in zip(REGIONS, filtered)]
+    """The vectors command's pipeline: filter every region, take the global
+    dims of all of them, build one vector per region."""
+    names = [region.name for region in REGIONS]
+    kept, region, _ = filter_regions(to_table(records), Granularity.COUNTRY, names,
+                                     config)
+    return build_preference_vectors(kept, region, names, collect_global_dims(kept))
 
 
 @given(records=two_region_checkins(), data=st.data(), config=st.builds(
@@ -220,3 +221,53 @@ def test_vectors_do_not_depend_on_row_order(records, data, config):
                     region_vectors(shuffled, config)):
         assert a.region == b.region and a.dims == b.dims
         assert np.array_equal(a.values, b.values)
+
+
+def uniform_segments(country):
+    """Three subcategories of two venues each in ``country``: one with male
+    check-ins only, one whose venues all have |d| = 0 and one whose venues
+    all have the same |d| > 0."""
+    visits = {"Solo": [(2, 0), (2, 0)], "Even": [(1, 1), (1, 1)],
+              "Same": [(2, 0), (0, 2)]}
+    return [make_record(user=f"{country}-{subcat}-{v}-{gender}{i}", gender=gender,
+                        venue=f"{country}-{subcat}-{v}", subcat=subcat,
+                        country=country)
+            for subcat, venues in visits.items()
+            for v, (males, females) in enumerate(venues)
+            for gender, n in (("male", males), ("female", females))
+            for i in range(n)]
+
+
+@given(records=two_region_checkins(), config=st.builds(
+    FilterConfig, min_checkins_per_venue=st.integers(1, 2),
+    dedupe_user_venue=st.booleans(), min_venues_per_subcategory=st.integers(1, 2),
+    max_checkins_per_region=st.integers(20, 80) | st.none(),
+    rng_seed=st.integers(0, 3)))
+def test_grouped_vectors_equal_each_region_alone(records, config):
+    records += uniform_segments("BR") + uniform_segments("US")
+    table = to_table(records)
+    names = [region.name for region in REGIONS]
+    kept, region, _ = filter_regions(table, Granularity.COUNTRY, names, config)
+    dims = collect_global_dims(kept)
+    grouped = build_preference_vectors(kept, region, names, dims)
+    for selector, vec in zip(REGIONS, grouped):
+        alone = build_preference_vector(apply_filters(table, selector, config)[0],
+                                        selector.name, dims)
+        assert vec.region == alone.region and vec.dims == alone.dims
+        assert vec.values.view(np.int64).tolist() == alone.values.view(np.int64).tolist()
+
+
+def test_a_venue_has_one_subcategory_within_each_region():
+    # v1 is a Bar in US and a Café in BR; v2 is both within BR
+    records = [make_record(user=f"u{i}", venue=v, subcat=s, country=c)
+               for i, (v, s, c) in enumerate([
+                   ("v1", "Bar", "US"), ("v1", "Café", "BR"),
+                   ("v2", "Bar", "BR"), ("v2", "Gym", "BR"), ("v2", "Café", "BR")])]
+    table = to_table(records)
+    region = (table.country == table.countries.index("US")).astype(np.intp)
+    with pytest.raises(DataError, match="^venue 'v2' has conflicting "
+                                        "subcategories 'Bar' and 'Gym'$"):
+        build_preference_vectors(table, region, ["BR", "US"], ["Bar", "Café"])
+    vectors = build_preference_vectors(table.take(slice(2)), region[:2],
+                                       ["BR", "US"], ["Bar", "Café"])
+    assert [v.region for v in vectors] == ["BR", "US"]

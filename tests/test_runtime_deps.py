@@ -99,4 +99,16 @@ def test_analyze_and_vectors_load_no_masked_arrays(tmp_path):
     for mode in ("subcategory", "venue"):
         assert loads_masked_arrays("analyze", "--input", data, "--country", "Land0",
                                    "--mode", mode, "--k", "7") == "False"
+    # the grouped filters, with and without the per-region cap, by country
+    # and by three cities, each over the cap
     assert loads_masked_arrays("vectors", "--input", data) == "False"
+    assert loads_masked_arrays("vectors", "--input", data,
+                               "--max-checkins-per-region", "500") == "False"
+    city = tmp_path / "land0-city.csv"
+    with open(data, newline="") as src, open(city, "w", newline="") as out:
+        rows = list(csv.DictReader(src))
+        writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, "city": f"Town{i % 3}"} for i, row in enumerate(rows))
+    assert loads_masked_arrays("vectors", "--input", str(city), "--granularity",
+                               "city", "--max-checkins-per-region", "300") == "False"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import platform
@@ -51,17 +50,24 @@ from .comparison import compare_regions, write_comparison_csv
 from .synth import SynthSpec, generate
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Call ``write`` with a new text file, which then replaces ``path`` whole;
+    if ``write`` raises, the file is removed and ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_text(value, **options):
+    """A writer of ``value`` as indented JSON and a final newline."""
+    return lambda sink: sink.write(json.dumps(value, indent=2, **options) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -97,15 +103,10 @@ class Manifest:
 
     def write_artifact(self, name: str, content) -> None:
         """Write ``content`` atomically as artifact ``name``: a function that
-        writes text to a sink, or a JSON value (written indented)."""
-        if callable(content):
-            buf = io.StringIO()
-            content(buf)
-            text = buf.getvalue()
-        else:
-            text = json.dumps(content, indent=2) + "\n"
+        writes text to a sink, which it is handed the open file as, or a
+        JSON value (written indented)."""
         path = self.out_dir / name
-        _atomic_write_text(path, text)
+        _atomic_write(path, content if callable(content) else _json_text(content))
         self.data["artifacts"].append(str(path))
 
     def finish(self, error: Exception | None = None) -> None:
@@ -118,8 +119,8 @@ class Manifest:
         if error is not None:
             self.data["error"] = str(error)
         self.data["finished_at"] = datetime.now(timezone.utc).isoformat()
-        _atomic_write_text(self.out_dir / "run_manifest.json",
-                           json.dumps(self.data, indent=2, default=str) + "\n")
+        _atomic_write(self.out_dir / "run_manifest.json",
+                      _json_text(self.data, default=str))
 
 
 def _out_dir(args) -> Path:
@@ -275,8 +276,10 @@ def cmd_vectors(args, manifest: Manifest) -> None:
     empty = [name for name, report in zip(names, reports)
              if not report.stages[-1]["out"]]
     if empty:  # cluster and compare refuse an all-zero vector
-        raise DataError(f"regions left with no check-in after filtering, so "
-                        f"their vectors would be all zero: {empty}")
+        more = f" and {len(empty) - 5} more" if len(empty) > 5 else ""
+        raise DataError(f"{len(empty)} of {len(names)} regions are left with "
+                        f"no check-in after filtering, so their vectors would "
+                        f"be all zero: {empty[:5]}{more}")
     vectors = build_preference_vectors(kept, region, names, dims)
 
     manifest.write_artifact("vectors.csv", partial(write_vectors_csv, vectors))

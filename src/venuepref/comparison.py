@@ -5,6 +5,12 @@ distance of the scalar index values and by cosine distance of the
 preference vectors. Agreement between the two rankings is measured with
 Spearman's rho (tie-averaged ranks, two-sided t-approximation p-value),
 and judged against a random-permutation baseline.
+
+Every permutation of the index shuffles the same R values, so one R x R
+table of index-distance ranks, ranked once, serves every anchor and every
+permutation: a row's ranks are gathered from it, never sorted again. For A
+anchors and P permutations a comparison takes O(R^2 log R + A P R) time and
+O(R^2 + block P R) memory, anchors being scored a bounded block at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ class RandomBaseline:
     ci_low: float
     ci_high: float
     seed: int
+
+
+_NON_FINITE = "spearman undefined for a non-finite input value"
+_CONSTANT = "spearman undefined for a constant input list"
+# index distances that compare_regions ranks at once, and (anchor, row,
+# region) ranks it gathers and scores at once (one anchor's at least): up to
+# ~80 bytes each while in use, so a block stays near 1 MB
+_BLOCK_CELLS = 1 << 14
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
@@ -78,9 +92,9 @@ def _spearman_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if x.shape[-1] < 3:
             raise DataError(f"spearman needs n >= 3, got {x.shape[-1]}")
         if not np.isfinite(x).all():
-            raise DataError("spearman undefined for a non-finite input value")
+            raise DataError(_NON_FINITE)
         if (x == x[..., :1]).all(axis=-1).any():
-            raise DataError("spearman undefined for a constant input list")
+            raise DataError(_CONSTANT)
     return _rank_rho(average_ranks(a), average_ranks(b))
 
 
@@ -185,6 +199,25 @@ def _check_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
     return sorted(vectors)
 
 
+def _rank_table(values: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The R x R table whose row k holds the average ranks of |v_k - v_j|
+    over j != k (its diagonal is unused), and for each row whether those
+    distances are not all finite, and whether they are all equal. Rows are
+    ranked ``_BLOCK_CELLS`` distances at a time."""
+    n = len(values)
+    table = np.zeros((n, n))
+    non_finite, constant = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    step = max(1, _BLOCK_CELLS // (n - 1))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        off = np.arange(n) != np.arange(n)[rows, None]
+        d1 = np.abs(values[rows, None] - values)[off].reshape(-1, n - 1)
+        non_finite[rows] = ~np.isfinite(d1).all(axis=1)
+        constant[rows] = (d1 == d1[:, :1]).all(axis=1)
+        table[rows][off] = average_ranks(d1).ravel()
+    return table, (non_finite, constant)
+
+
 def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
                     anchors: list[str], n_permutations: int = 100,
                     seed: int = 0) -> list[tuple[RankComparison, RandomBaseline]]:
@@ -198,11 +231,17 @@ def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
     ``default_rng(seed)`` over the sorted regions) are shared, so every
     anchor scores the same draw, and a one-anchor call gives that anchor's
     pair of an all-anchor call. The index values are row 0 above the
-    permutations, so each anchor ranks its (P+1, R-1) index distances in one
-    call, and their row 0 gives the observed rho."""
+    permutations, and row 0's rho is the observed one. Every row is a
+    permutation of the same R values, so the ranks of the index distances
+    around an anchor depend only on the value the row gives it: one R x R
+    table of ranks (``_rank_table``) serves every anchor and row, and a
+    row's ranks are a gather from it. Anchors are scored in blocks of about
+    ``_BLOCK_CELLS`` (anchor, row, region) cells; a block ranks its cosine
+    rows in one call and scores all its rows in another."""
     if n_permutations < 2:
         raise DataError("random baseline needs n_permutations >= 2")
     regions = _check_regions(vectors, index, anchors)
+    n = len(regions)
     at = {r: i for i, r in enumerate(regions)}
     values = np.array([index.entries[r] for r in regions])
     m = np.stack([vectors[r].values for r in regions])
@@ -213,25 +252,47 @@ def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
     if not norms.all():
         raise DataError("cosine distance undefined for a zero vector")
     rng = np.random.default_rng(seed)
-    stacked = np.stack([values, *(rng.permutation(values)
-                                  for _ in range(n_permutations))])
+    # values[rng.permutation(n)] is rng.permutation(values): the same draw
+    perms = np.stack([np.arange(n), *(rng.permutation(n)
+                                      for _ in range(n_permutations))])
+    table, value_checks = _rank_table(values)
 
+    at_anchors = np.array([at[a] for a in anchors], dtype=np.intp)
+    others = np.arange(n - 1)
+    row_at = np.arange(n_permutations + 1)[:, None]
+    step = max(1, _BLOCK_CELLS // ((n_permutations + 1) * (n - 1)))
     results = []
-    for anchor in anchors:
-        i = at[anchor]
-        d1 = np.abs(stacked[:, [i]] - np.delete(stacked, i, axis=1))
-        d2 = 1.0 - (np.delete(rows @ m[i, :, None], i)
-                    / (norms[i] * np.delete(norms, i)))
-        rhos = _spearman_rows(d1, d2)  # row 0: the observed rho
-        rho, samples = float(rhos[0]), rhos[1:]
-        mean = samples.mean()
-        stderr = samples.std(ddof=1) / np.sqrt(n_permutations)
-        results.append((
-            RankComparison(anchor_region=anchor, index_name=index.index_name,
-                           rho=rho, p_value=_p_value(rho, len(d2)), n=len(d2)),
-            RandomBaseline(n_permutations=n_permutations, rho_samples=samples,
-                           ci_low=float(mean - 2.576 * stderr),
-                           ci_high=float(mean + 2.576 * stderr), seed=seed)))
+    for start in range(0, len(anchors), step):
+        block = at_anchors[start:start + step]
+        cols = others + (others >= block[:, None])  # each anchor's others
+        dots = (rows @ m[block, :, None][:, None])[..., 0, 0]
+        d2 = np.take_along_axis(1.0 - dots / (norms[block, None] * norms),
+                                cols, axis=1)
+        held = perms[:, block].T  # the value index each row gives each anchor
+        failed = np.stack([*(check[held].any(axis=1)
+                             for check in value_checks),
+                           ~np.isfinite(d2).all(axis=1),
+                           (d2 == d2[:, :1]).all(axis=1)])
+        if failed.any():  # the first anchor's first failed check
+            check = failed[:, failed.any(axis=0).argmax()].argmax()
+            raise DataError((_NON_FINITE, _CONSTANT)[check % 2])
+        ranks = table[held[:, :, None], perms[row_at, cols[:, None, :]]]
+        rhos = _rank_rho(ranks, average_ranks(d2)[:, None, :])
+        samples = rhos[:, 1:]
+        # row by row, the floats of one anchor's samples.mean() and .std()
+        mean = samples.mean(axis=1)
+        stderr = samples.std(axis=1, ddof=1) / np.sqrt(n_permutations)
+        half = 2.576 * stderr
+        for anchor, rho, rho_samples, low, high in zip(
+                anchors[start:start + step], rhos[:, 0].tolist(), samples,
+                (mean - half).tolist(), (mean + half).tolist()):
+            results.append((
+                RankComparison(anchor_region=anchor,
+                               index_name=index.index_name, rho=rho,
+                               p_value=_p_value(rho, n - 1), n=n - 1),
+                RandomBaseline(n_permutations=n_permutations,
+                               rho_samples=rho_samples, ci_low=low,
+                               ci_high=high, seed=seed)))
     return results
 
 

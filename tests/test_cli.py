@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+from argparse import Namespace
 from dataclasses import replace
 from functools import partial
 from datetime import datetime, timedelta, timezone
@@ -10,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from venuepref import models
-from venuepref.cli import main
+from venuepref.cli import Manifest, main
 from venuepref.filtering import FilterConfig, apply_filters
 from venuepref.models import (CSV_FIELDS, DataError, Granularity, RegionSelector,
                               ingest_checkins, ingest_index_table, write_checkins)
@@ -395,9 +396,48 @@ def test_vectors_of_a_region_left_empty_by_filtering_is_runtime_error(
     assert main(["vectors", "--input", str(data), "--categories", "Food",
                  "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: regions left with no check-in after filtering, so their "
-        "vectors would be all zero: ['Land1', 'Land2']\n")
+        "error: 2 of 3 regions are left with no check-in after filtering, so "
+        "their vectors would be all zero: ['Land1', 'Land2']\n")
     assert not out.exists()
+
+
+def test_many_regions_left_empty_are_counted_in_one_error_line(tmp_path, capsys):
+    # Land1-Land7 hold only Arts check-ins, which --categories drops; the
+    # line names the first 5 in --regions order and counts the rest
+    lands = [f"Land{i}" for i in range(8)]
+    data = write_dataset(tmp_path / "multi.csv", countries=lands)
+    data.write_text("\n".join(line.replace(",Food,", ",Arts,")
+                              if ",Land0," not in line else line
+                              for line in data.read_text().split("\n")))
+    out = tmp_path / "v"
+    assert main(["vectors", "--input", str(data), "--categories", "Food",
+                 "--regions", ",".join(reversed(lands)),
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 7 of 8 regions are left with no check-in after filtering, so "
+        "their vectors would be all zero: ['Land7', 'Land6', 'Land5', "
+        "'Land4', 'Land3'] and 2 more\n")
+    assert not out.exists()
+
+
+def test_a_writer_that_fails_partway_leaves_no_artifact(tmp_path):
+    out = tmp_path / "o"
+    manifest = Manifest(Namespace(subcommand="synth"), out)
+    manifest.write_artifact("kept.csv", lambda sink: sink.write("a,b\n"))
+
+    def write(sink):
+        sink.write("c,d\n")
+        sink.flush()
+        # the writer streams into a temporary file beside the artifact
+        assert sorted(p.read_text() for p in out.iterdir()) == ["a,b\n", "c,d\n"]
+        raise RuntimeError("writer failed")
+
+    for name in ("kept.csv", "failed.csv"):
+        with pytest.raises(RuntimeError, match="writer failed"):
+            manifest.write_artifact(name, write)
+    assert [p.name for p in out.iterdir()] == ["kept.csv"]
+    assert (out / "kept.csv").read_text() == "a,b\n"
+    assert manifest.data["artifacts"] == [str(out / "kept.csv")]
 
 
 def test_config_file_supplies_defaults(dataset, tmp_path, capsys):

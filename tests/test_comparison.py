@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import comparison_oracle as oracle
+from venuepref import comparison
 from venuepref.comparison import (
     average_ranks,
     compare_regions,
@@ -340,10 +341,15 @@ def tied_worlds(draw):
     return vectors, index
 
 
-@given(tied_worlds(), st.integers(0, 2 ** 32 - 1))
-def test_comparison_equals_per_pair_version(world, seed):
+# 1: every block holds one anchor, and the rank table is ranked a row at a time
+@pytest.mark.parametrize("cells", [comparison._BLOCK_CELLS, 1],
+                         ids=["default-blocks", "one-anchor-blocks"])
+@given(world=tied_worlds(), seed=st.integers(0, 2 ** 32 - 1))
+def test_comparison_equals_per_pair_version(cells, world, seed):
     vectors, index = world
-    got = outcome(compare_regions, vectors, index, sorted(vectors), 10, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comparison, "_BLOCK_CELLS", cells)
+        got = outcome(compare_regions, vectors, index, sorted(vectors), 10, seed)
     expected = oracle_rows(vectors, index, 10, seed)
     if isinstance(expected, str):
         assert got == expected
@@ -353,3 +359,83 @@ def test_comparison_equals_per_pair_version(world, seed):
         assert comp.p_value == pytest.approx(p, rel=1e-12, abs=0.0)
         assert f"{comp.p_value:.6g}" == f"{p:.6g}"
         assert np.array_equal(base.rho_samples, samples)
+        # the 99% CI of one anchor's samples, as a per-anchor loop takes it
+        mean, stderr = samples.mean(), samples.std(ddof=1) / np.sqrt(10)
+        assert (base.ci_low, base.ci_high) == (mean - 2.576 * stderr,
+                                               mean + 2.576 * stderr)
+
+
+def pairs_equal(a, b):
+    (comp_a, base_a), (comp_b, base_b) = a, b
+    return (comp_a == comp_b
+            and np.array_equal(base_a.rho_samples, base_b.rho_samples)
+            and (base_a.ci_low, base_a.ci_high) == (base_b.ci_low, base_b.ci_high))
+
+
+@pytest.mark.parametrize("cells", [comparison._BLOCK_CELLS, 2 * 11 * 8],
+                         ids=["one-block", "two-anchor-blocks"])
+def test_unsorted_and_repeated_anchors_get_their_all_anchor_pairs(cells,
+                                                                  monkeypatch):
+    vectors, _ = make_world(n=9, seed=3)
+    # three values, so index values and their distances tie
+    index = IndexTable("T", {r: (0.1, 0.4, 0.25)[i % 3]
+                             for i, r in enumerate(sorted(vectors))})
+    monkeypatch.setattr(comparison, "_BLOCK_CELLS", cells)
+    every = dict(zip(sorted(vectors),
+                     compare_regions(vectors, index, sorted(vectors), 10, 4)))
+    anchors = ["C5", "C1", "C5", "C8", "C0", "C1", "C7"]
+    got = compare_regions(vectors, index, anchors, 10, 4)
+    assert [comp.anchor_region for comp, _ in got] == anchors
+    assert all(pairs_equal(pair, every[anchor])
+               for anchor, pair in zip(anchors, got))
+
+
+def second_block_world(failure):
+    """Six regions whose index distances never all tie; C3 alone fails a
+    Spearman check on its cosine distances."""
+    names = [f"C{i}" for i in range(6)]
+    rows = [[1.0, 0.2 * i, 1.0] for i in range(6)]
+    if failure == "constant":  # every other region has one vector
+        rows = [[1.0, 2.0, 3.0]] * 6
+        rows[3] = [3.0, 1.0, 0.5]
+    else:  # C3 and C4 overflow: their pair's cosine is inf / inf
+        rows[3], rows[4] = [1e200, 1.0, 1.0], [2e200, 1.0, 1.0]
+    vectors = {r: pv(r, v) for r, v in zip(names, rows)}
+    return vectors, IndexTable("T", {r: 0.1 * (i + 1) for i, r in enumerate(names)})
+
+
+@pytest.mark.parametrize("failure", ["constant", "non-finite"])
+def test_a_failing_anchor_in_the_second_block_raises_the_oracles_message(
+        failure, monkeypatch):
+    vectors, index = second_block_world(failure)
+    monkeypatch.setattr(comparison, "_BLOCK_CELLS", 2 * 6 * 5)  # 2 anchors
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(compare_regions, vectors, index, sorted(vectors), 5, 0)
+        if failure == "constant":
+            expected = oracle_rows(vectors, index, 5, 0)
+        else:  # the oracle ranks a NaN; the library refuses it as spearman does
+            expected = outcome(spearman, [1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+    assert got == expected
+    assert expected.startswith(f"spearman undefined for a {failure} input")
+
+
+def test_ranking_calls_do_not_grow_with_the_anchors(monkeypatch):
+    vectors, index = make_world(n=8, seed=1)
+    default = comparison._BLOCK_CELLS
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return average_ranks(x)
+
+    def ranking_calls(anchors, cells):
+        calls.clear()
+        monkeypatch.setattr(comparison, "_BLOCK_CELLS", cells)
+        compare_regions(vectors, index, anchors, 10, 0)
+        return len(calls)
+
+    monkeypatch.setattr(comparison, "average_ranks", counted)
+    # (10 + 1) rows x 7 other regions: one anchor per block, and one table call
+    assert ranking_calls(sorted(vectors), 11 * 7) <= 1 + 2 * 8
+    assert ranking_calls(sorted(vectors), default) \
+        == ranking_calls(["C4"], default) <= 1 + 2 * 1

@@ -38,6 +38,7 @@ from .nullmodel import (
     NullModelConfig,
     run_null_model_batch,
     write_null_distribution_csv,
+    write_significance_json,
 )
 from .preference import (
     build_preference_vectors,
@@ -244,7 +245,8 @@ def cmd_analyze(args, manifest: Manifest) -> None:
                              method=NullMethod(args.method), rng_seed=args.seed)
     results = run_null_model_batch(filtered, mode, region.name, config,
                                    args.subcategory)
-    manifest.write_artifact("significance.json", [r.as_dict() for r in results])
+    manifest.write_artifact("significance.json",
+                            partial(write_significance_json, results))
     manifest.write_artifact("null_distribution.csv",
                             partial(write_null_distribution_csv, results))
 
@@ -371,84 +373,76 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-checkins-per-region", type=_at_least(1), default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
+    """Every command's name and help, and the arguments of only the one that
+    ``argv`` names first (the top level takes no option but --help)."""
     parser = argparse.ArgumentParser(
         prog="venuepref",
         description="Cross-gender venue-preference analytics for check-in data")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    named = next((token for token in argv if not token.startswith("-")), None)
 
-    p = sub.add_parser("ingest-check", help="validate an input file and print "
-                                            "the ingest report")
-    _add_input(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest_check)
+    def command(name: str, help_line: str, func):
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=func)
+        return p if name == named else None
 
-    p = sub.add_parser("analyze", help="popularity table and null-model "
-                                       "significance for one region")
-    _add_input(p)
-    p.add_argument("--country")
-    p.add_argument("--city")
-    p.add_argument("--mode", choices=[m.value for m in AnalysisMode],
-                   default="subcategory")
-    p.add_argument("--subcategory", help="scope subcategory for "
-                                         "venue_within_subcategory mode")
-    p.add_argument("--k", type=_at_least(2), default=100,
-                   help="null-model replicates")
-    p.add_argument("--confidence", type=_probability, default=0.99)
-    p.add_argument("--method", choices=[m.value for m in NullMethod],
-                   default="generative")
-    _add_filter_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("vectors", help="build per-region preference vectors")
-    _add_input(p)
-    p.add_argument("--granularity", choices=["country", "city"],
-                   default="country")
-    p.add_argument("--regions", help="comma-separated region names "
-                                     "(default: all in the input)")
-    _add_filter_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_vectors)
-
-    p = sub.add_parser("cluster", help="spherical k-means over preference vectors")
-    p.add_argument("--vectors", required=True,
-                   help="vectors.csv or a directory containing it")
-    p.add_argument("--k", type=_at_least(1), required=True)
-    p.add_argument("--max-iter", type=_at_least(1), default=100)
-    p.add_argument("--restarts", type=_at_least(1), default=1,
-                   help="restarts; best inertia wins")
-    _add_common(p)
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("compare", help="rank comparison against a scalar index")
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--index", required=True,
-                   help="'GII', 'HDI' (bundled 2014 tables) or a "
-                        "country,value CSV path")
-    p.add_argument("--index-name", help="name for a custom index file")
-    p.add_argument("--anchor", help="anchor region")
-    p.add_argument("--all-anchors", action="store_true")
-    p.add_argument("--permutations", type=_at_least(2), default=100)
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("synth", help="generate a synthetic check-in dataset")
-    p.add_argument("--spec", required=True, help="SynthSpec JSON file")
-    p.add_argument("--out", help="output file name (within --out-dir)")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
+    if p := command("ingest-check", "validate an input file and print the "
+                                    "ingest report", cmd_ingest_check):
+        _add_input(p)
+    if p := command("analyze", "popularity table and null-model significance "
+                               "for one region", cmd_analyze):
+        _add_input(p)
+        p.add_argument("--country")
+        p.add_argument("--city")
+        p.add_argument("--mode", choices=[m.value for m in AnalysisMode],
+                       default="subcategory")
+        p.add_argument("--subcategory", help="scope subcategory for "
+                                             "venue_within_subcategory mode")
+        p.add_argument("--k", type=_at_least(2), default=100,
+                       help="null-model replicates")
+        p.add_argument("--confidence", type=_probability, default=0.99)
+        p.add_argument("--method", choices=[m.value for m in NullMethod],
+                       default="generative")
+        _add_filter_flags(p)
+    if p := command("vectors", "build per-region preference vectors", cmd_vectors):
+        _add_input(p)
+        p.add_argument("--granularity", choices=["country", "city"],
+                       default="country")
+        p.add_argument("--regions", help="comma-separated region names "
+                                         "(default: all in the input)")
+        _add_filter_flags(p)
+    if p := command("cluster", "spherical k-means over preference vectors", cmd_cluster):
+        p.add_argument("--vectors", required=True,
+                       help="vectors.csv or a directory containing it")
+        p.add_argument("--k", type=_at_least(1), required=True)
+        p.add_argument("--max-iter", type=_at_least(1), default=100)
+        p.add_argument("--restarts", type=_at_least(1), default=1,
+                       help="restarts; best inertia wins")
+    if p := command("compare", "rank comparison against a scalar index", cmd_compare):
+        p.add_argument("--vectors", required=True)
+        p.add_argument("--index", required=True,
+                       help="'GII', 'HDI' (bundled 2014 tables) or a "
+                            "country,value CSV path")
+        p.add_argument("--index-name", help="name for a custom index file")
+        p.add_argument("--anchor", help="anchor region")
+        p.add_argument("--all-anchors", action="store_true")
+        p.add_argument("--permutations", type=_at_least(2), default=100)
+    if p := command("synth", "generate a synthetic check-in dataset", cmd_synth):
+        p.add_argument("--spec", required=True, help="SynthSpec JSON file")
+        p.add_argument("--out", help="output file name (within --out-dir)")
+        p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    if named in sub.choices:  # every command's flags end with the common ones
+        _add_common(sub.choices[named])
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command: exit 0, 1 on a data or file error, 2 on a usage error."""
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     manifest = None
     try:

@@ -19,6 +19,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,6 +142,7 @@ def t_two_sided_p(t: float, df: int) -> float:
     return p if p >= sys.float_info.min else 0.0
 
 
+@lru_cache(maxsize=256)  # every anchor of a comparison has the same df
 def _half_gamma_ratio(df: int) -> float:
     """Gamma(a + 1/2) / Gamma(a) for a = df/2, by the recurrence
     r(a + 1) = r(a) (a + 1/2) / a: a math.lgamma difference instead puts

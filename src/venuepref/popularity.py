@@ -155,14 +155,16 @@ def popularity_table(table: CheckinTable, mode: AnalysisMode, scope: str,
 
 
 def write_popularity_csv(points: list[PopularityPoint], sink) -> None:
-    """The popularity table as csv. The normalized pair divides both axes by
-    the joint maximum popularity over the table, for plotting only; it never
-    feeds any statistic."""
+    """The popularity table as csv, a column at a time. The normalized pair
+    divides both axes by the joint maximum popularity over the table, for
+    plotting only; it never feeds any statistic."""
     p_max = max(max(p.p_male, p.p_female) for p in points)
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["unit_key", "mode", "p_male", "p_female",
                      "p_male_norm", "p_female_norm", "d_s", "n_checkins"])
-    for p in points:
-        writer.writerow([p.unit.key, p.unit.mode.value, f"{p.p_male:.10g}",
-                         f"{p.p_female:.10g}", f"{p.p_male / p_max:.10g}",
-                         f"{p.p_female / p_max:.10g}", f"{p.d:.10g}", p.n_checkins])
+    writer.writerows(zip(
+        [p.unit.key for p in points], [p.unit.mode.value for p in points],
+        [f"{p.p_male:.10g}" for p in points], [f"{p.p_female:.10g}" for p in points],
+        [f"{p.p_male / p_max:.10g}" for p in points],
+        [f"{p.p_female / p_max:.10g}" for p in points],
+        [f"{p.d:.10g}" for p in points], [p.n_checkins for p in points]))

@@ -3,10 +3,12 @@ import hashlib
 import io
 import json
 import random
+import re
 from argparse import Namespace
 from dataclasses import replace
 from functools import partial
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,35 @@ def test_missing_input_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])
     assert exc.value.code == 2
+
+
+def usage_cases():
+    """The cases of cli_help.txt: a command line, then all that it printed
+    and its exit status, as a parser with every command's arguments gave."""
+    text = (Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
+    for case in re.split(r"^\$ venuepref ?", text, flags=re.M)[1:]:
+        argv, _, rest = case.partition("\n")
+        output, code = re.fullmatch(r"(.*)\[exit (\d+)\]\n", rest, re.S).groups()
+        yield pytest.param(argv.split(), output, int(code), id=argv or "nothing")
+
+
+def without_version_wording(text):
+    # 3.10 heads the options "optional arguments:"; later versions list an
+    # invalid choice's alternatives without quotes
+    text = text.replace("optional arguments:", "options:")
+    return re.sub(r"\(choose from .*\)", lambda m: m[0].replace("'", ""), text)
+
+
+@pytest.mark.parametrize("argv, output, code", list(usage_cases()))
+def test_help_and_usage_errors_keep_their_text(argv, output, code, monkeypatch, capsys):
+    """Only the command argv names gets its arguments, yet every help text
+    and usage error reads as when every command had them."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == code
+    assert without_version_wording(out + err) == without_version_wording(output)
 
 
 def test_unreadable_input_is_runtime_error(tmp_path, capsys):

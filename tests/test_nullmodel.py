@@ -1,21 +1,31 @@
 import csv
 import io
+import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from venuepref import nullmodel
 from venuepref.models import DataError
 from venuepref.nullmodel import (
     Direction,
     NullMethod,
     NullModelConfig,
+    NullModelResult,
+    _generative_cells,
+    _generative_counts,
+    _null_matrix,
+    _shuffle_counts,
     _weibull_quantiles,
     run_null_model_batch,
     write_null_distribution_csv,
+    write_significance_json,
 )
-from venuepref.popularity import AnalysisMode, AnalysisUnit
+from venuepref.popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from conftest import by_key
@@ -201,3 +211,78 @@ def test_null_distribution_csv_of_one_replicate_or_none():
     write_null_distribution_csv(results, sink)
     assert sink.getvalue() == row_per_cell_csv(results)
     assert len(sink.getvalue().splitlines()) == 1 + 1 + 2
+
+
+def test_null_distribution_csv_at_venue_scale_is_written_in_bounded_blocks():
+    """~800 venue units x 100 replicates, with a unit of no replicate and one
+    of one among them, span many write blocks; the writer never holds as much
+    as the text it writes."""
+    subcats = [SubcategorySpec(name=f"S{i:02d}", category="Food", n_venues=40,
+                               base_weight=1.0, gender_skew=0.0) for i in range(20)]
+    records = generate(SynthSpec(n_users=1000, female_fraction=0.5, subcategories=subcats,
+                                 n_checkins=5000, region_name=REGION, rng_seed=1))
+    results = run_null_model_batch(records, AnalysisMode.VENUE, REGION,
+                                   NullModelConfig(k=100, rng_seed=1))
+    assert len(results) >= 700
+    results[3].null_distribution = results[3].null_distribution[:0]
+    results[400].null_distribution = results[400].null_distribution[:1]
+    sink = io.StringIO()
+    write_null_distribution_csv(results, sink)
+    text = sink.getvalue()
+    assert text == row_per_cell_csv(results)
+
+    writes = []  # (characters, lines) of each write
+    tracemalloc.start()
+    try:
+        write_null_distribution_csv(results, SimpleNamespace(
+            write=lambda block: writes.append((len(block), block.count("\n")))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(chars for chars, _ in writes) == len(text)
+    assert len(writes) > 5 and max(lines for _, lines in writes) <= nullmodel._BLOCK_CELLS
+    assert peak < len(text)
+
+
+@pytest.mark.parametrize("method", list(NullMethod))
+@pytest.mark.parametrize("mode", [AnalysisMode.SUBCATEGORY, AnalysisMode.VENUE])
+def test_null_matrix_is_a_per_replicate_loop_bit_for_bit(method, mode):
+    records = synth_scope([0.4, 0.0, -0.3, 0.1, 0.0, -0.6], n_checkins=800, seed=4)
+    index = ScopeIndex(records, mode, REGION)
+    config = NullModelConfig(k=60, method=method, rng_seed=9)
+    expected = np.empty((config.k, index.n_units))
+    for i in range(config.k):
+        rng = np.random.default_rng([config.rng_seed, i])
+        male, female = (_generative_counts(index, _generative_cells(index), rng)
+                        if method is NullMethod.GENERATIVE else _shuffle_counts(index, rng))
+        expected[i] = signed_difference(male / male.sum(), female / female.sum())
+    assert np.array_equal(_null_matrix(index, config).view(np.int64),
+                          expected.view(np.int64))
+
+
+# strings the encoder escapes, and the characters of a row's seam
+_json_strings = st.text(st.sampled_from(['"', "\\", "\n", "\r", "\u2028", "é", "\U0001f600",
+                                         "a", ",", " ", "{", "}", ":", "[", "]"]), max_size=8)
+_json_floats = st.sampled_from([0.0, -0.0, 1e-300, -2.5, 1 / 3, float("nan"),
+                                float("inf"), float("-inf")]) | st.floats()
+
+
+def _verdict(key, scope, scope_subcategory, mode, observed_d, delta_min, delta_max,
+             significant, direction):
+    return NullModelResult(AnalysisUnit(mode, key, scope, scope_subcategory),
+                           observed_d, np.empty(0), delta_min, delta_max,
+                           significant, direction)
+
+
+@given(st.lists(st.builds(_verdict, _json_strings, _json_strings,
+                          st.none() | _json_strings, st.sampled_from(list(AnalysisMode)),
+                          _json_floats, _json_floats, _json_floats, st.booleans(),
+                          st.sampled_from(list(Direction))), max_size=4))
+@example([])
+@example([_verdict("", "", None, AnalysisMode.VENUE, -0.0, float("nan"),
+                   float("inf"), True, Direction.MALE)])
+def test_significance_json_is_indented_json_dumps_bytes(results):
+    sink = io.StringIO()
+    write_significance_json(results, sink)
+    rows = [res.as_dict() for res in results]
+    assert sink.getvalue() == json.dumps(rows, indent=2) + "\n"

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,3 +253,29 @@ def test_unit_validation():
             popularity_table(table, mode, BR, subcat)
         with pytest.raises(ValueError, match="scope_subcategory"):
             run_null_model_batch(table, mode, BR, NullModelConfig(k=2), subcat)
+
+
+def test_popularity_csv_bytes_match_a_row_per_point_writer():
+    """The csv, written a column at a time, quotes awkward keys and formats
+    every float as a csv.writer row per point does."""
+    keys = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " padded ", "", "é"]
+    records = [make_record(user=f"{gender}{v}-{i}", gender=gender, venue=f"v{v}")
+               for v in range(len(keys))
+               for gender, n in (("male", v + 1), ("female", 2 * (len(keys) - v)))
+               for i in range(n)]
+    points = popularity_table(to_table(records), AnalysisMode.VENUE, BR)
+    points = [replace(p, unit=replace(p.unit, key=key)) for p, key in zip(points, keys, strict=True)]
+    sink = io.StringIO()
+    write_popularity_csv(points, sink)
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["unit_key", "mode", "p_male", "p_female",
+                     "p_male_norm", "p_female_norm", "d_s", "n_checkins"])
+    p_max = max(max(p.p_male, p.p_female) for p in points)
+    for p in points:
+        writer.writerow([p.unit.key, p.unit.mode.value, f"{p.p_male:.10g}",
+                         f"{p.p_female:.10g}", f"{p.p_male / p_max:.10g}",
+                         f"{p.p_female / p_max:.10g}", f"{p.d:.10g}", p.n_checkins])
+    assert sink.getvalue() == expected.getvalue()
+    assert '"a,b"' in sink.getvalue() and '"say ""hi"""' in sink.getvalue()

@@ -5,16 +5,16 @@ from .models import (
     DataError,
     Granularity,
     IndexTable,
-    RegionSelector,
     ingest_checkins,
     ingest_index_table,
     load_bundled_index,
 )
-from .filtering import FilterConfig, apply_filters, filter_regions
+from .filtering import FilterConfig, filter_regions
 from .popularity import (
     AnalysisMode,
     AnalysisUnit,
     PopularityPoint,
+    ScopeIndex,
     popularity_table,
 )
 from .nullmodel import (
@@ -22,11 +22,10 @@ from .nullmodel import (
     NullMethod,
     NullModelConfig,
     NullModelResult,
-    run_null_model_batch,
+    significance,
 )
 from .preference import (
     PreferenceVector,
-    build_preference_vector,
     build_preference_vectors,
     collect_global_dims,
     gini,

@@ -25,18 +25,17 @@ from . import __version__
 from .models import (
     DataError,
     Granularity,
-    RegionSelector,
     ingest_checkins,
     ingest_index_table,
     load_bundled_index,
     write_checkins,
 )
-from .filtering import FilterConfig, apply_filters, filter_regions
-from .popularity import AnalysisMode, popularity_table, write_popularity_csv
+from .filtering import FilterConfig, filter_regions
+from .popularity import AnalysisMode, ScopeIndex, popularity_table, write_popularity_csv
 from .nullmodel import (
     NullMethod,
     NullModelConfig,
-    run_null_model_batch,
+    significance,
     write_null_distribution_csv,
     write_significance_json,
 )
@@ -184,6 +183,15 @@ def _probability(text: str) -> float:
     return value
 
 
+def _file_name(text: str) -> str:
+    """argparse type: a file name with no directory part, other than the
+    run_manifest.json that every run writes beside its artifacts."""
+    if text in ("", ".", "..", "run_manifest.json") or os.path.basename(text) != text:
+        raise argparse.ArgumentTypeError(
+            f"must be a plain file name other than run_manifest.json, got {text!r}")
+    return text
+
+
 def _filter_config(args) -> FilterConfig:
     categories = frozenset(c.strip() for c in args.categories.split(",")) \
         if args.categories else FilterConfig().allowed_categories
@@ -197,13 +205,13 @@ def _filter_config(args) -> FilterConfig:
     )
 
 
-def _region_from_args(args) -> RegionSelector:
+def _region_from_args(args) -> tuple[Granularity, str]:
     if args.country and args.city:
         raise DataError("pass either --country or --city, not both")
     if args.country:
-        return RegionSelector(Granularity.COUNTRY, args.country)
+        return Granularity.COUNTRY, args.country
     if args.city:
-        return RegionSelector(Granularity.CITY, args.city)
+        return Granularity.CITY, args.city
     raise DataError("a region is required: pass --country or --city")
 
 
@@ -221,7 +229,7 @@ def cmd_ingest_check(args, manifest: Manifest) -> None:
 
 
 def cmd_analyze(args, manifest: Manifest) -> None:
-    region = _region_from_args(args)
+    granularity, name = _region_from_args(args)
     mode = AnalysisMode(args.mode)
     within = mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY
     if within and not args.subcategory:
@@ -235,16 +243,17 @@ def cmd_analyze(args, manifest: Manifest) -> None:
     manifest.add_seed("filter", args.seed)
     manifest.add_seed("null_model", args.seed)
 
-    filtered, filter_report = apply_filters(table, region, _filter_config(args))
+    filtered, _, (filter_report,) = filter_regions(table, granularity, [name],
+                                                   _filter_config(args))
     manifest.write_artifact("filter_report.json", filter_report.as_dict())
 
-    points = popularity_table(filtered, mode, region.name, args.subcategory)
+    index = ScopeIndex(filtered, mode, name, args.subcategory)
+    points = popularity_table(index)
     manifest.write_artifact("popularity.csv", partial(write_popularity_csv, points))
 
     config = NullModelConfig(k=args.k, confidence=args.confidence,
                              method=NullMethod(args.method), rng_seed=args.seed)
-    results = run_null_model_batch(filtered, mode, region.name, config,
-                                   args.subcategory)
+    results = significance(index, config)
     manifest.write_artifact("significance.json",
                             partial(write_significance_json, results))
     manifest.write_artifact("null_distribution.csv",
@@ -430,7 +439,8 @@ def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
         p.add_argument("--permutations", type=_at_least(2), default=100)
     if p := command("synth", "generate a synthetic check-in dataset", cmd_synth):
         p.add_argument("--spec", required=True, help="SynthSpec JSON file")
-        p.add_argument("--out", help="output file name (within --out-dir)")
+        p.add_argument("--out", type=_file_name,
+                       help="output file name (within --out-dir)")
         p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     if named in sub.choices:  # every command's flags end with the common ones
         _add_common(sub.choices[named])

@@ -13,7 +13,6 @@ from .models import (
     CheckinTable,
     DataError,
     Granularity,
-    RegionSelector,
     first_rows,
     pair_codes,
 )
@@ -119,7 +118,8 @@ def filter_regions(table: CheckinTable, granularity: Granularity, names: list[st
     ``names`` over the check-ins of ``table``, each stage once for all of
     them. Return the kept rows of every region as one table, in input order;
     the position in ``names`` of each kept row's region; and the report of
-    each region, as ``apply_filters`` gives it for that region.
+    each region. A region's kept rows and report are those it would get
+    alone, so one name filters one region.
 
     Stage order: region -> category -> dedupe -> venue threshold ->
     subcategory threshold -> cap. The subcategory threshold is re-checked
@@ -190,12 +190,3 @@ def filter_regions(table: CheckinTable, granularity: Granularity, names: list[st
 
     return table.take(rows), region, reports
 
-
-def apply_filters(table: CheckinTable, region: RegionSelector, config: FilterConfig
-                  ) -> tuple[CheckinTable, FilterReport]:
-    """Run the full filter protocol for one region over the check-ins of
-    ``table``; return the kept rows as a table and the region's report
-    (``filter_regions`` for that region alone)."""
-    kept, _, (report,) = filter_regions(table, region.granularity, [region.name],
-                                        config)
-    return kept, report

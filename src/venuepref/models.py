@@ -41,12 +41,6 @@ CSV_FIELDS = [
 ]
 
 
-@dataclass(frozen=True)
-class RegionSelector:
-    granularity: Granularity
-    name: str
-
-
 _TS_UNIT = timedelta(microseconds=1)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_DAY = _EPOCH.toordinal()

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
-from .models import CheckinTable, DataError
-from .popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
+from .models import DataError
+from .popularity import AnalysisUnit, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
 _BLOCK_CELLS = 1 << 12  # null csv lines joined per write: bounds the text held at once
@@ -151,13 +150,10 @@ def _weibull_quantiles(null: np.ndarray, qs: list[float]) -> list[np.ndarray]:
     return values
 
 
-def run_null_model_batch(table: CheckinTable, mode: AnalysisMode, scope: str,
-                         config: NullModelConfig,
-                         scope_subcategory: Optional[str] = None
-                         ) -> list[NullModelResult]:
-    """Null-model verdicts for every unit of one region's ``apply_filters``
-    output; the k replicates are drawn once and scored against all units."""
-    index = ScopeIndex(table, mode, scope, scope_subcategory)
+def significance(index: ScopeIndex, config: NullModelConfig
+                 ) -> list[NullModelResult]:
+    """Null-model verdicts for every unit of ``index``; the k replicates are
+    drawn once and scored against all units."""
     observed = index.popularity()[2]
     null = _null_matrix(index, config)
     alpha = 1.0 - config.confidence

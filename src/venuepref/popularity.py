@@ -69,18 +69,20 @@ def venue_subcategories(table: CheckinTable, venue: np.ndarray, n_venues: int
 
 
 class ScopeIndex:
-    """Integer-coded view of one scope, the input of every statistic.
+    """Integer-coded view of one scope, the input of every statistic:
+    ``popularity_table`` and ``nullmodel.significance`` read it and leave it
+    as it is, so one index serves both.
 
-    It counts all of ``table``, one region's ``apply_filters`` output;
-    ``scope`` is that region's name. venue_within_subcategory mode narrows
-    them to ``scope_subcategory``, as that mode's units are defined; that
-    mode needs a non-empty one and the other modes take None (else a
-    ValueError, before any counting). Venues and subcategories get codes in
-    sorted key order, and each venue maps to its subcategory's code. The
-    table's gender (1 = male) and unit codes give the per-unit male/female
-    counts and the gender totals by ``np.bincount``. Counts are exact
-    integers, so p = count / total and d are the same floats a per-record
-    count would give.
+    It counts all of ``table``, one region's kept rows as ``filter_regions``
+    gives them; ``scope`` is that region's name. venue_within_subcategory
+    mode narrows them to ``scope_subcategory``, as that mode's units are
+    defined; that mode needs a non-empty one and the other modes take None
+    (else a ValueError, before any counting). Venues and subcategories get
+    codes in sorted key order, and each venue maps to its subcategory's
+    code. The table's gender (1 = male) and unit codes give the per-unit
+    male/female counts and the gender totals by ``np.bincount``. Counts are
+    exact integers, so p = count / total and d are the same floats a
+    per-record count would give.
     """
 
     def __init__(self, table: CheckinTable, mode: AnalysisMode, scope: str,
@@ -138,13 +140,9 @@ class ScopeIndex:
         return p_male, p_female, signed_difference(p_male, p_female)
 
 
-def popularity_table(table: CheckinTable, mode: AnalysisMode, scope: str,
-                     scope_subcategory: Optional[str] = None
-                     ) -> list[PopularityPoint]:
-    """One PopularityPoint per unit of one region's ``apply_filters`` output,
-    sorted by |d| descending (ties by key ascending); ``scope`` is the
-    region's name."""
-    index = ScopeIndex(table, mode, scope, scope_subcategory)
+def popularity_table(index: ScopeIndex) -> list[PopularityPoint]:
+    """One PopularityPoint per unit of ``index``, sorted by |d| descending
+    (ties by key ascending)."""
     columns = [a.tolist() for a in index.popularity()]
     points = [PopularityPoint(unit=index.unit(j), p_male=pm, p_female=pf, d=d,
                               n_checkins=n)

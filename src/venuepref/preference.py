@@ -108,15 +108,6 @@ def build_preference_vectors(table: CheckinTable, region: np.ndarray,
             for name, row in zip(names, values)]
 
 
-def build_preference_vector(table: CheckinTable, region: str,
-                            global_dims: list[str]) -> PreferenceVector:
-    """Gini-per-subcategory vector for one region, over the global dims:
-    ``build_preference_vectors`` of that region's ``apply_filters`` output
-    alone (an empty one gives the zero vector)."""
-    return build_preference_vectors(table, np.zeros(len(table), np.intp), [region],
-                                    global_dims)[0]
-
-
 def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
     import csv
 

@@ -1,6 +1,6 @@
 """Per-record reference implementation of the filter protocol.
 
-These are the record loops ``venuepref.filtering.apply_filters`` replaced
+These are the record loops ``venuepref.filtering.filter_regions`` replaced
 with masks and group counts over a ``CheckinTable``. They are kept only so
 tests can require the columnar filters to give the same stage counts and
 keep the same rows.

@@ -10,11 +10,10 @@ import pytest
 
 from venuepref.clustering import cluster_regions
 from venuepref.comparison import compare_regions, spearman
-from venuepref.filtering import FilterConfig, apply_filters
+from venuepref.filtering import FilterConfig
 from venuepref.models import (
     Granularity,
     IndexTable,
-    RegionSelector,
     load_bundled_index,
     write_checkins,
 )
@@ -22,14 +21,19 @@ from venuepref.nullmodel import (
     Direction,
     NullMethod,
     NullModelConfig,
-    run_null_model_batch,
 )
-from venuepref.popularity import AnalysisMode, popularity_table, signed_difference
+from venuepref.popularity import AnalysisMode, signed_difference
 from venuepref.preference import PreferenceVector, gini
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from checkin_records import to_records, to_table
 from conftest import by_key, make_record
+from one_region import (
+    RegionSelector,
+    apply_filters,
+    popularity_table,
+    run_null_model_batch,
+)
 
 COUNTRY_ORDER = [
     "Brazil", "France", "Germany", "Japan", "Kuwait", "Malaysia", "Mexico",

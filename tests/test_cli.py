@@ -14,13 +14,15 @@ import pytest
 
 from venuepref import models
 from venuepref.cli import Manifest, main
-from venuepref.filtering import FilterConfig, apply_filters
-from venuepref.models import (CSV_FIELDS, DataError, Granularity, RegionSelector,
+from venuepref.filtering import FilterConfig
+from venuepref.models import (CSV_FIELDS, DataError, Granularity,
                               ingest_checkins, ingest_index_table, write_checkins)
+from venuepref.popularity import ScopeIndex
 from venuepref.preference import read_vectors_csv
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from checkin_records import to_records, to_table
+from one_region import RegionSelector, apply_filters
 
 SPEC_JSON = {
     "n_users": 300,
@@ -143,6 +145,26 @@ def test_analyze_venue_within_subcategory(dataset, tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows
     assert all(r["mode"] == "venue_within_subcategory" for r in rows)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "subcategory"],
+    ["--mode", "venue"],
+    ["--mode", "venue_within_subcategory", "--subcategory", "S0"],
+], ids=["subcategory", "venue", "venue_within_subcategory"])
+def test_analyze_codes_its_scope_once(flags, dataset, tmp_path, monkeypatch):
+    # the popularity table and the null model read one ScopeIndex
+    builds = []
+    init = ScopeIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScopeIndex, "__init__", counted)
+    assert main(["analyze", "--input", str(dataset), "--country", "Synthland",
+                 *flags, "--k", "5", "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(builds) == 1
 
 
 def test_vectors_cluster_compare_pipeline(tmp_path):
@@ -396,7 +418,26 @@ def test_synth_roundtrip(tmp_path):
     out = tmp_path / "s"
     assert main(["synth", "--spec", str(spec_path), "--out", "data.csv",
                  "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["artifacts"] == [str(out / "data.csv")]
     assert main(["ingest-check", "--input", str(out / "data.csv")]) == 0
+
+
+@pytest.mark.parametrize("name", ["absolute", "../x.csv", "sub/x.csv",
+                                  "run_manifest.json", ""],
+                         ids=["absolute", "parent", "subdirectory", "manifest", "empty"])
+def test_synth_out_is_a_file_name_within_the_out_dir(name, tmp_path, capsys):
+    # a path would write outside --out-dir, and the manifest's name would
+    # have the manifest overwrite the check-ins
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC_JSON))
+    if name == "absolute":
+        name = str(tmp_path / "x.csv")
+    assert_usage_error(["synth", "--spec", str(spec_path), "--out", name,
+                        "--out-dir", str(tmp_path / "s")], capsys,
+                       f"argument --out: must be a plain file name other than "
+                       f"run_manifest.json, got {name!r}")
+    assert [p.name for p in tmp_path.rglob("*")] == ["spec.json"]
 
 
 @pytest.mark.parametrize("flags", [["--categories", "Nope"],

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from venuepref.filtering import FilterConfig, apply_filters, filter_regions
-from venuepref.models import DataError, Granularity, RegionSelector, group_codes
+from venuepref.filtering import FilterConfig, filter_regions
+from venuepref.models import DataError, Granularity, group_codes
 
 import filter_oracle
 from checkin_records import to_records, to_table
 from conftest import make_record
+from one_region import RegionSelector, apply_filters
 
 BR = RegionSelector(Granularity.COUNTRY, "BR")
 

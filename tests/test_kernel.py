@@ -24,22 +24,25 @@ from hypothesis import strategies as st
 import popularity_oracle as oracle
 from checkin_records import Gender, to_table
 from conftest import make_record
-from venuepref.models import DataError, Granularity, RegionSelector
+from one_region import (
+    RegionSelector,
+    build_preference_vector,
+    popularity_table,
+    run_null_model_batch,
+)
+from venuepref.models import DataError, Granularity
 from venuepref.nullmodel import (
     NullMethod,
     NullModelConfig,
     _generative_cells,
     _generative_counts,
     _shuffle_counts,
-    run_null_model_batch,
 )
 from venuepref.popularity import (
     AnalysisMode,
     ScopeIndex,
-    popularity_table,
     write_popularity_csv,
 )
-from venuepref.preference import build_preference_vector
 
 SUBCATS = ["Bar", "Café", "Gym"]
 COUNTRIES = ["A", "B"]

@@ -1,7 +1,9 @@
+import copy
 import csv
 import io
 import json
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,14 +23,20 @@ from venuepref.nullmodel import (
     _null_matrix,
     _shuffle_counts,
     _weibull_quantiles,
-    run_null_model_batch,
     write_null_distribution_csv,
     write_significance_json,
 )
-from venuepref.popularity import AnalysisMode, AnalysisUnit, ScopeIndex, signed_difference
+from venuepref.popularity import (
+    AnalysisMode,
+    AnalysisUnit,
+    ScopeIndex,
+    popularity_table,
+    signed_difference,
+)
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from conftest import by_key
+from one_region import run_null_model_batch
 
 REGION = "Synthland"
 
@@ -258,6 +266,26 @@ def test_null_matrix_is_a_per_replicate_loop_bit_for_bit(method, mode):
         expected[i] = signed_difference(male / male.sum(), female / female.sum())
     assert np.array_equal(_null_matrix(index, config).view(np.int64),
                           expected.view(np.int64))
+
+
+@pytest.mark.parametrize("method", list(NullMethod))
+@pytest.mark.parametrize("mode", [AnalysisMode.SUBCATEGORY, AnalysisMode.VENUE])
+def test_both_statistics_leave_the_shared_index_as_it_was(method, mode):
+    # analyze hands one ScopeIndex to both, and a shuffle passes the index's
+    # own unit totals to numpy: neither call may change what the other reads
+    index = ScopeIndex(synth_scope([0.4, 0.0, -0.3], n_checkins=600, seed=2),
+                       mode, REGION)
+    before = copy.deepcopy(vars(index))
+    config = NullModelConfig(k=20, method=method, rng_seed=3)
+    for statistic in (popularity_table, partial(nullmodel.significance, config=config)):
+        statistic(index)
+        assert vars(index).keys() == before.keys()
+        for name, value in before.items():
+            now = vars(index)[name]
+            if isinstance(value, np.ndarray):
+                assert now.dtype == value.dtype and np.array_equal(now, value), name
+            else:
+                assert now == value, name
 
 
 # strings the encoder escapes, and the characters of a row's seam

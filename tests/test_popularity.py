@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from venuepref.models import DataError, rows_with
-from venuepref.nullmodel import NullModelConfig, run_null_model_batch
+from venuepref.nullmodel import NullModelConfig
 from venuepref.popularity import (
     AnalysisMode,
     ScopeIndex,
-    popularity_table,
     signed_difference,
     write_popularity_csv,
 )
 
 from checkin_records import Gender, to_table
 from conftest import by_key, make_record
+from one_region import popularity_table, run_null_model_batch
 
 BR = "BR"
 

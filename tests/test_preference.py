@@ -3,11 +3,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from venuepref.filtering import FilterConfig, apply_filters, filter_regions
-from venuepref.models import DataError, Granularity, RegionSelector, rows_with
+from venuepref.filtering import FilterConfig, filter_regions
+from venuepref.models import DataError, Granularity, rows_with
 from venuepref.preference import (
     PreferenceVector,
-    build_preference_vector,
     build_preference_vectors,
     collect_global_dims,
     gini,
@@ -16,6 +15,7 @@ from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from checkin_records import to_records, to_table
 from conftest import make_record
+from one_region import RegionSelector, apply_filters, build_preference_vector
 
 BR = RegionSelector(Granularity.COUNTRY, "BR")
 

@@ -360,7 +360,7 @@ def cmd_synth(args, manifest: Manifest) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_at_least(0), default=0,
                         help="seed for every stochastic stage")
     parser.add_argument("--config", help="JSON config file; flags win on conflict")
     parser.add_argument("--out-dir", default=None,

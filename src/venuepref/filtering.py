@@ -37,6 +37,8 @@ class FilterConfig:
             raise ValueError("min_venues_per_subcategory must be >= 1")
         if self.max_checkins_per_region is not None and self.max_checkins_per_region < 1:
             raise ValueError("max_checkins_per_region must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         self.allowed_categories = frozenset(self.allowed_categories)
 
 

@@ -189,6 +189,7 @@ _CHUNK_ROWS = 4096  # rows read by csv.reader or from jsonl, or written, at once
 # it is read (README, "Performance"); the file is never held whole
 _BLOCK_BYTES = 3 << 19
 _RAW_FIELDS = frozenset({"latitude", "longitude", "timestamp"})
+_VENUE_RUN = slice(2, 9)  # the CSV_FIELDS that describe a venue, venue_id to city
 _GENDERS = {"male": 1, "female": 0}
 
 
@@ -516,8 +517,9 @@ def _cut(chunk, end: int, min_fields: int):
 _WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
 _HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 # the bytes of a field read as words; past them, a field is hashed and
-# compared as bytes, so a long field costs no numpy pass per word
-_WORD_BYTES = 64
+# compared as bytes, so a long field costs no numpy pass per word. A span of
+# venue fields with a 24-hex venue id fits (README, "Performance")
+_WORD_BYTES = 96
 _ISO_WORDS = np.arange(0, len(_ISO_FORM), 8)  # byte offsets of the words of a timestamp
 
 
@@ -535,9 +537,12 @@ def _groups(chunk, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     The rows are sorted by a hash of all that, and a group is a run of rows
     with the same hash, length, words and rest."""
     def word(rows, k):
-        return words[starts[rows] + 8 * k] & _WORD_MASKS[np.minimum(lengths[rows] - 8 * k, 8)]
+        value = words[starts[rows] + 8 * k]
+        if shortest < 8 * k + 8:  # some field ends within it
+            value &= _WORD_MASKS[np.minimum(lengths[rows] - 8 * k, 8)]
+        return value
 
-    n = len(starts)
+    n, shortest = len(starts), lengths.min()
     head = word(slice(None), 0)
     keys = head.copy()  # a field of up to 8 bytes is its own key
     tail = []  # per word after the first: the rows that have it, and it
@@ -572,25 +577,45 @@ def _groups(chunk, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     return order[new], group
 
 
+def _cut_columns(spans, width: int, rows: np.ndarray):
+    """The ``_Column`` of each of the ``width`` comma-separated fields of
+    ``spans``, one at a time, each holding ``rows``; the fields are freed
+    once the last is taken."""
+    fields = list(itertools.chain.from_iterable(span.split(",") for span in spans))
+    for j in range(width):
+        yield _Column(fields[j::width], rows)
+
+
 def _byte_columns(chunk: bytearray, end: int, ends, line_ends, positions: list[int]):
     """The ``_Column``s at ``positions`` of the csv lines ``chunk[:end]``,
     one at a time, from their ``_cut`` (``ends``, ``line_ends``); the last
     word read ends 7 bytes past ``end``. A column holds a field's distinct
     values and each row's index among them, or, for timestamps as wide as
-    ``_ISO_FORM``, their byte matrix. None refers to ``chunk``."""
+    ``_ISO_FORM``, their byte matrix. Where the venue fields are side by
+    side, each line's span of them is grouped once, and each of their
+    columns holds its field of every distinct span. None refers to
+    ``chunk``."""
     words = np.ndarray((end,), "<u8", chunk, 0, (1,))  # unaligned, one per byte
     line_starts = np.concatenate([[0], line_ends[:-1] + 1])
-    for field, position in zip(CSV_FIELDS, positions):
+    fields = list(zip(CSV_FIELDS, positions, positions))  # a field, its first and last column
+    run = positions[_VENUE_RUN]
+    if run == list(range(run[0], run[0] + len(run))):
+        fields[_VENUE_RUN] = [("venue span", run[0], run[-1])]
+    for field, position, last in fields:
         start = ends[:, position - 1] + 1 if position else line_starts
-        lengths = ends[:, position] - start
+        lengths = ends[:, last] - start
         if field == "timestamp" and (lengths == len(_ISO_FORM)).all():
             # the words that cover each timestamp, as bytes
             chars = words[start[:, None] + _ISO_WORDS].view(np.uint8)[:, :len(_ISO_FORM)]
             yield _Column(None, chars=chars)
+            continue
+        first, rows = _groups(chunk, words, start, lengths)
+        values = (chunk[i:i + n].decode() for i, n
+                  in zip(start[first].tolist(), lengths[first].tolist()))
+        if last > position:  # a column per field of the span
+            yield from _cut_columns(values, last - position + 1, rows)
         else:
-            first, rows = _groups(chunk, words, start, lengths)
-            yield _Column([chunk[i:i + n].decode() for i, n
-                           in zip(start[first].tolist(), lengths[first].tolist())], rows)
+            yield _Column(list(values), rows)
 
 
 def _positions(header: list[str]) -> list[int]:

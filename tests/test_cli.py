@@ -681,6 +681,25 @@ def test_zero_region_cap_is_usage_error(dataset, tmp_path, capsys):
                        "--max-checkins-per-region")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "{missing}", "--country", "Synthland"],
+    ["vectors", "--input", "{missing}"],
+    ["cluster", "--vectors", "{missing}", "--k", "2"],
+    ["compare", "--vectors", "{missing}", "--index", "GII", "--all-anchors"],
+], ids=["analyze", "vectors", "cluster", "compare"])
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed=-5"], ["--config", "{config}"]],
+                         ids=["flag", "equals", "config"])
+def test_negative_seed_is_usage_error_before_any_input_is_read(argv, seed, tmp_path,
+                                                               capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"seed": -1}))
+    paths = {"missing": str(tmp_path / "nope"), "config": str(config)}
+    out = tmp_path / "o"
+    assert_usage_error([arg.format(**paths) for arg in [*argv, *seed]]
+                       + ["--out-dir", str(out)], capsys, "--seed: must be >= 0")
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_usage_error(dataset, tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"k": 5, "replicates": 9}))

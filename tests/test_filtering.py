@@ -176,6 +176,8 @@ def test_config_validation():
         FilterConfig(min_checkins_per_venue=0)
     with pytest.raises(ValueError):
         FilterConfig(max_checkins_per_region=0)
+    with pytest.raises(ValueError, match="rng_seed"):  # not numpy's, at the first draw
+        FilterConfig(rng_seed=-1)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import tracemalloc
@@ -372,18 +373,22 @@ ODD_BYTES = [b"\xff", b"\xc3", b'"', b"\0", b"\r"]
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, headers=None):
     """CSV bytes with a shuffled header that may repeat, add or miss
-    columns; rows that may be short, long, empty or quoted; empty lines;
-    LF, CRLF or CR line ends, and a last line that may have none. At most
-    one line may hold one of ODD_BYTES; a file with invalid UTF-8 has every
-    header column, as the first of two faults is the one reported."""
+    columns, or one drawn from ``headers``; rows that may be short, long,
+    empty or quoted; empty lines; LF, CRLF or CR line ends, and a last line
+    that may have none. At most one line may hold one of ODD_BYTES; a file
+    with invalid UTF-8 has every header column, as the first of two faults
+    is the one reported."""
     odd = draw(st.sampled_from([None] * 10 + ODD_BYTES))
-    header = list(draw(st.permutations(CSV_FIELDS)))
-    if odd not in (b"\xff", b"\xc3") and draw(st.integers(0, 15)) == 0:
-        header.remove(draw(st.sampled_from(CSV_FIELDS)))
-    for name in draw(st.lists(st.sampled_from([*CSV_FIELDS, "extra"]), max_size=3)):
-        header.insert(draw(st.integers(0, len(header))), name)
+    if headers is not None:
+        header = list(draw(headers))
+    else:
+        header = list(draw(st.permutations(CSV_FIELDS)))
+        if odd not in (b"\xff", b"\xc3") and draw(st.integers(0, 15)) == 0:
+            header.remove(draw(st.sampled_from(CSV_FIELDS)))
+        for name in draw(st.lists(st.sampled_from([*CSV_FIELDS, "extra"]), max_size=3)):
+            header.insert(draw(st.integers(0, len(header))), name)
     last = {name: i for i, name in enumerate(header)}
     end = draw(st.sampled_from(["\n"] * 4 + ["\r\n"] * 2 + ["\r"]))
     buf = io.StringIO()
@@ -546,23 +551,110 @@ def test_csv_ingest_equals_oracle(data, chunk_rows, field_limit, block_bytes):
         csv.field_size_limit(limit)
 
 
+# The venue fields, venue_id to city, side by side in schema order, are read
+# as one span per line; any other header reads them one column at a time.
+RUN = CSV_FIELDS[2:9]
+OTHERS = ["user_id", "gender", "timestamp"]
+SPAN_HEADERS = [
+    CSV_FIELDS,
+    ["extra", *CSV_FIELDS, "extra"],
+    [*RUN, *OTHERS],  # the span starts its line
+    [*OTHERS, *RUN],  # and ends it, before any CR
+    ["city", "category", *CSV_FIELDS],  # a repeated name reads its last column
+]
+SPLIT_HEADERS = [
+    [*CSV_FIELDS[:8], "timestamp", "city"],  # a moved city
+    [*CSV_FIELDS[:5], "extra", *CSV_FIELDS[5:]],  # a column inside the run
+    [*CSV_FIELDS, "country"],  # a repeated name read after the run
+    [*RUN[::-1], *OTHERS],  # the run reversed
+]
+
+
+@settings(max_examples=300)
+@given(csv_files(st.sampled_from(SPAN_HEADERS + SPLIT_HEADERS)), st.integers(1, 5),
+       st.integers(16, 320))
+def test_csv_ingest_of_a_venue_run_equals_oracle(data, chunk_rows, block_bytes):
+    with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(models, "_BLOCK_BYTES", block_bytes):
+        assert_same_ingest(data, "csv")
+
+
+@pytest.mark.parametrize("header, groupings", [
+    *((header, 3) for header in SPAN_HEADERS),  # user_id, gender and the span
+    *((header, 9) for header in SPLIT_HEADERS),
+])
+def test_a_venue_run_is_grouped_once_per_block(header, groupings, monkeypatch):
+    """Each block groups its rows once per column, or once for the whole
+    venue run where its fields are side by side; ISO timestamps of one
+    width are read as bytes, not grouped."""
+    spec = SynthSpec(n_users=40, female_fraction=0.5, n_checkins=300,
+                     region_name="Land0", rng_seed=5, city="Rio",
+                     subcategories=[SubcategorySpec(f"S{i}", "Food", 3, 1.0)
+                                    for i in range(3)])
+    buf = io.StringIO()
+    write_checkins(generate(spec), buf)
+    stamp = "2014-04-25T12:00:00+00:00"
+    rows = [{**row, "extra": "x", "timestamp": stamp}
+            for row in csv.DictReader(io.StringIO(buf.getvalue()))]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [header, *([row[name] for name in header] for row in rows)])
+    calls = []
+    groups = models._groups
+    monkeypatch.setattr(models, "_groups", lambda *args: calls.append(1) or groups(*args))
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 1 << 20)  # one block
+    table, report = ingest_checkins(io.BytesIO(out.getvalue().encode()), "csv")
+    assert len(calls) == groupings
+    assert report.accepted == len(table) == 300
+    assert_same_ingest(out.getvalue(), "csv")
+
+
+def test_a_span_of_hex_venue_ids_is_read_as_words():
+    """A real export's venue span, as CI's land0-hex.csv holds it (24-hex
+    venue ids, repr'd coordinates, a city past ASCII), fits in
+    _WORD_BYTES: no part of it is hashed by ``hash``."""
+    spec = SynthSpec(n_users=300, female_fraction=0.5, n_checkins=2000,
+                     region_name="Land0", rng_seed=11,
+                     subcategories=[SubcategorySpec(f"S{j}", "Food", 4, 1.0)
+                                    for j in range(4)])
+    buf = io.StringIO()
+    write_checkins(generate(spec), buf)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    for row in rows:
+        row["venue_id"] = hashlib.sha256(row["venue_id"].encode()).hexdigest()[:24]
+        row["city"] = "São Paulo"
+    spans = [",".join(row[name] for name in RUN).encode() for row in rows]
+    assert max(map(len, spans)) <= models._WORD_BYTES
+    out = io.StringIO()
+    writer = csv.DictWriter(out, CSV_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    with mock.patch.object(models, "hash", side_effect=AssertionError, create=True):
+        table, report = ingest_checkins(io.BytesIO(out.getvalue().encode()), "csv")
+    assert report.accepted == len(table) == 2000
+    assert table.cities == ["São Paulo"] and len(table.venues) == 16
+
+
 @pytest.mark.parametrize("factor", [0, 1])
 def test_fields_whose_hashes_collide_keep_their_values(factor, monkeypatch):
     """A factor of 0 hashes a field to its last 8-byte word, and 1 to the
-    sum of its words, and the bytes of a field past its first 64 are hashed
-    here by their count: the ids below then share hashes, and are still
-    read apart."""
+    sum of its words, and the bytes of a field past its first _WORD_BYTES
+    are hashed here by their count: the ids below then share hashes, and
+    so do the spans of venue fields (in schema order, one span from
+    venue_id to city) that hold them, and all are still read apart."""
     users = ["abcdefgh12345678", "12345678abcdefgh",  # one sum of words
-             "L" * 70 + "a", "L" * 70 + "b"]  # one first 64 bytes and length
-    rows = [f"{users[i % 4]},male,{HEX_IDS[i % 3]},Food,{'AAB'[i % 3]},1,2,BR,"
-            f"{users[i // 2 % 4]}," for i in range(24)]
+             "L" * 100 + "a", "L" * 100 + "b"]  # one first _WORD_BYTES and length
+    venues = [*HEX_IDS, *users[:2]]
+    rows = [f"{users[i % 4]},male,{venues[i % 5]},Food,{'AABAA'[i % 5]},1,2,BR,"
+            f"{users[i // 2 % 4]}," for i in range(30)]
+    assert len(users[2]) > models._WORD_BYTES
     monkeypatch.setattr(models, "_HASH_FACTOR", np.uint64(factor))
     monkeypatch.setattr(models, "hash", len, raising=False)
     monkeypatch.setattr(models, "_BLOCK_BYTES", 1024)  # 5 to 8 rows
     assert_same_ingest(csv_stream(*rows).getvalue(), "csv")
     table, _ = ingest_checkins(csv_stream(*rows), "csv")
     assert (table.users, table.venues, table.cities) == (
-        sorted(users), sorted(HEX_IDS), sorted(users))
+        sorted(users), sorted(venues), sorted(users))
 
 
 def test_quote_free_rows_skip_the_csv_reader(monkeypatch):

@@ -518,8 +518,9 @@ _WORD_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
 _HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 # the bytes of a field read as words; past them, a field is hashed and
 # compared as bytes, so a long field costs no numpy pass per word. A span of
-# venue fields with a 24-hex venue id fits (README, "Performance")
-_WORD_BYTES = 96
+# venue fields with a 24-hex venue id, full-precision coordinates and
+# Foursquare category names fits (README, "Performance")
+_WORD_BYTES = 160
 _ISO_WORDS = np.arange(0, len(_ISO_FORM), 8)  # byte offsets of the words of a timestamp
 
 
@@ -592,17 +593,24 @@ def _byte_columns(chunk: bytearray, end: int, ends, line_ends, positions: list[i
     word read ends 7 bytes past ``end``. A column holds a field's distinct
     values and each row's index among them, or, for timestamps as wide as
     ``_ISO_FORM``, their byte matrix. Where the venue fields are side by
-    side, each line's span of them is grouped once, and each of their
-    columns holds its field of every distinct span. None refers to
-    ``chunk``."""
+    side and every line's span of them fits in ``_WORD_BYTES``, each span
+    is grouped once, and each of their columns holds its field of every
+    distinct span. None refers to ``chunk``."""
     words = np.ndarray((end,), "<u8", chunk, 0, (1,))  # unaligned, one per byte
     line_starts = np.concatenate([[0], line_ends[:-1] + 1])
+
+    def starts(position):
+        return ends[:, position - 1] + 1 if position else line_starts
+
     fields = list(zip(CSV_FIELDS, positions, positions))  # a field, its first and last column
     run = positions[_VENUE_RUN]
-    if run == list(range(run[0], run[0] + len(run))):
+    # a longer span's rest is hashed and compared per row, which is slower
+    # than grouping its fields one at a time
+    if (run == list(range(run[0], run[0] + len(run)))
+            and (ends[:, run[-1]] - starts(run[0])).max() <= _WORD_BYTES):
         fields[_VENUE_RUN] = [("venue span", run[0], run[-1])]
     for field, position, last in fields:
-        start = ends[:, position - 1] + 1 if position else line_starts
+        start = starts(position)
         lengths = ends[:, last] - start
         if field == "timestamp" and (lengths == len(_ISO_FORM)).all():
             # the words that cover each timestamp, as bytes

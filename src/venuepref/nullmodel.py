@@ -34,12 +34,6 @@ from .popularity import AnalysisUnit, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
 _BLOCK_CELLS = 1 << 12  # null csv lines joined per write: bounds the text held at once
-# numpy's SeedSequence hash (random/bit_generator.pyx), all mod 2**32, and
-# its pool of 4 words; PCG64's 128-bit multiplier (random/src/pcg64/pcg64.h)
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_WORDS = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 class NullMethod(str, Enum):
@@ -120,73 +114,16 @@ def _shuffle_counts(index: ScopeIndex, rng: np.random.Generator
     return male, index.unit_total - male  # a shuffle keeps every unit's total
 
 
-def _hasher(constant: int, multiplier: int):
-    """SeedSequence's ``hashmix`` over uint32 arrays: each call mixes its
-    array with the hash constant, which then steps by ``multiplier``."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal constant
-        value = value ^ np.uint32(constant)
-        constant = constant * multiplier & 0xFFFFFFFF
-        value = value * np.uint32(constant)
-        return value ^ (value >> 16)
-    return hashmix
-
-
-def _pcg_states(seed: int, k: int) -> list[dict]:
-    """The PCG64 state of ``np.random.default_rng([seed, i])`` for each
-    i < k, derived as numpy derives it, but for every i in one pass:
-    ``SeedSequence([seed, i]).generate_state(4, np.uint64)`` from the 32-bit
-    words of ``seed`` and then of i (below 2**32, one word), and from those
-    PCG64's seeding."""
-    seed_words = []
-    while seed or not seed_words:  # 0 is one word
-        seed_words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-    entropy = [*(np.full(k, w, np.uint32) for w in seed_words), np.arange(k, dtype=np.uint32)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return result ^ (result >> 16)
-
-    pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros(k, np.uint32))
-            for j in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    output = _hasher(_INIT_B, _MULT_B)  # generate_state: 8 words, cycling the pool
-    state = [output(pool[j % _POOL_WORDS]).astype(np.uint64) for j in range(8)]
-    # the 4 little-endian uint64 words, then pcg64_set_seed's 128-bit
-    # (initstate, initseq) and two steps of state * _PCG_MULT + inc
-    words = [(state[2 * w] | state[2 * w + 1] << 32).tolist() for w in range(4)]
-    mask = (1 << 128) - 1
-    states = []
-    for high, low, seq_high, seq_low in zip(*words):
-        inc = (seq_high << 65 | seq_low << 1 | 1) & mask
-        states.append({"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                       "state": {"state": ((inc + (high << 64 | low)) * _PCG_MULT + inc) & mask,
-                                 "inc": inc}})
-    return states
-
-
 def _null_matrix(index: ScopeIndex, config: NullModelConfig) -> np.ndarray:
     """k x n_units matrix of replicate differences. Replicate i draws from
-    its own stream, that of ``np.random.default_rng([rng_seed, i])``, so
-    results do not depend on execution order; one generator is set to each
-    stream in turn."""
+    its own rng seeded by (rng_seed, i) so results do not depend on
+    execution order."""
     counts = (partial(_generative_counts, index, _generative_cells(index))
               if config.method is NullMethod.GENERATIVE
               else partial(_shuffle_counts, index))
     drawn = np.empty((2, config.k, index.n_units))  # male, female counts: exact as floats
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for i, state in enumerate(_pcg_states(config.rng_seed, config.k)):
-        bit_generator.state = state
-        drawn[0, i], drawn[1, i] = counts(rng)
+    for i in range(config.k):
+        drawn[0, i], drawn[1, i] = counts(np.random.default_rng([config.rng_seed, i]))
     drawn /= drawn.sum(axis=2, keepdims=True)  # in place: no k x n_units temporaries
     return signed_difference(*drawn)
 

@@ -315,8 +315,10 @@ HEX_IDS = ["4b058f29f964a520b1981fe3", "4b058f2af964a520b1981fe3",
            "4b058f29f964a520b1981fe4"]
 CELLS = {
     "user_id": ["u1", "u2", "Ünïcødé user 東京 😀", "", " ", " u1", "u1 ", "\t",
-                "user-with-a-name-past-16-bytes", "u" * 64 + "-past-64-bytes",
-                "u" * 64 + "-past-64-bytez", *QUOTED],
+                "user-with-a-name-past-16-bytes",
+                # past the bytes that are read as words: hashed by hash
+                "u" * models._WORD_BYTES + "-past-the-words",
+                "u" * models._WORD_BYTES + "-past-the-wordz", *QUOTED],
     "gender": ["male", "female", "MALE", " Female ", "mAlE", "other", ""],
     "venue_id": ["v1", HEX_IDS[0], HEX_IDS[1], "", HEX_IDS[2], "v1 "],
     "category": ["Food", "Arts & Entertainment", " Food", "", " ", "Café"],
@@ -325,7 +327,9 @@ CELLS = {
                  " 2 ", "0x1", "abc", ""],
     "longitude": ["2.5", "-180", " 1e2", "180.5", "-inf", "1e500", ""],
     "country": ["BR", "US", "BR ", "", "Brasil do Norte e do Sul"],
-    "city": ["", "Rio", " Rio ", " ", "São Paulo", "東京", *QUOTED],
+    # a city past _WORD_BYTES has its line's venue span past them too
+    "city": ["", "Rio", " Rio ", " ", "São Paulo", "東京",
+             "Rio" * (models._WORD_BYTES // 3 + 1), *QUOTED],
     "timestamp": ["", "2014-04-25T12:00:00", "2014-04-25T14:00:00+02:00",
                   "2014-04-25T08:29:59.999999-03:30",
                   "9999-12-31T23:59:59.999999+00:00",
@@ -579,14 +583,10 @@ def test_csv_ingest_of_a_venue_run_equals_oracle(data, chunk_rows, block_bytes):
         assert_same_ingest(data, "csv")
 
 
-@pytest.mark.parametrize("header, groupings", [
-    *((header, 3) for header in SPAN_HEADERS),  # user_id, gender and the span
-    *((header, 9) for header in SPLIT_HEADERS),
-])
-def test_a_venue_run_is_grouped_once_per_block(header, groupings, monkeypatch):
-    """Each block groups its rows once per column, or once for the whole
-    venue run where its fields are side by side; ISO timestamps of one
-    width are read as bytes, not grouped."""
+def count_groupings(header, monkeypatch, span_bytes=None):
+    """The ``_groups`` calls of ingesting one block of 300 synthetic rows
+    with ``header``, after checking the table against the oracle; with
+    ``span_bytes``, the city of one row makes its venue span that long."""
     spec = SynthSpec(n_users=40, female_fraction=0.5, n_checkins=300,
                      region_name="Land0", rng_seed=5, city="Rio",
                      subcategories=[SubcategorySpec(f"S{i}", "Food", 3, 1.0)
@@ -596,6 +596,9 @@ def test_a_venue_run_is_grouped_once_per_block(header, groupings, monkeypatch):
     stamp = "2014-04-25T12:00:00+00:00"
     rows = [{**row, "extra": "x", "timestamp": stamp}
             for row in csv.DictReader(io.StringIO(buf.getvalue()))]
+    if span_bytes is not None:
+        row = rows[150]
+        row["city"] = "R" * (span_bytes - len(",".join(row[name] for name in RUN[:-1])) - 1)
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
         [header, *([row[name] for name in header] for row in rows)])
@@ -604,15 +607,36 @@ def test_a_venue_run_is_grouped_once_per_block(header, groupings, monkeypatch):
     monkeypatch.setattr(models, "_groups", lambda *args: calls.append(1) or groups(*args))
     monkeypatch.setattr(models, "_BLOCK_BYTES", 1 << 20)  # one block
     table, report = ingest_checkins(io.BytesIO(out.getvalue().encode()), "csv")
-    assert len(calls) == groupings
     assert report.accepted == len(table) == 300
+    count = len(calls)
     assert_same_ingest(out.getvalue(), "csv")
+    return count
+
+
+@pytest.mark.parametrize("header, groupings", [
+    *((header, 3) for header in SPAN_HEADERS),  # user_id, gender and the span
+    *((header, 9) for header in SPLIT_HEADERS),
+])
+def test_a_venue_run_is_grouped_once_per_block(header, groupings, monkeypatch):
+    """Each block groups its rows once per column, or once for the whole
+    venue run where its fields are side by side; ISO timestamps of one
+    width are read as bytes, not grouped."""
+    assert count_groupings(header, monkeypatch) == groupings
+
+
+def test_a_venue_span_past_the_words_is_grouped_per_column(monkeypatch):
+    """One line whose venue span is longer than _WORD_BYTES has its whole
+    block group the venue fields one column at a time: a span's bytes past
+    them would be hashed and compared per row. A span of exactly
+    _WORD_BYTES is still grouped once."""
+    assert count_groupings(CSV_FIELDS, monkeypatch, models._WORD_BYTES + 1) == 9
+    assert count_groupings(CSV_FIELDS, monkeypatch, models._WORD_BYTES) == 3
 
 
 def test_a_span_of_hex_venue_ids_is_read_as_words():
-    """A real export's venue span, as CI's land0-hex.csv holds it (24-hex
-    venue ids, repr'd coordinates, a city past ASCII), fits in
-    _WORD_BYTES: no part of it is hashed by ``hash``."""
+    """A synthetic venue span as CI's land0-hex.csv holds it (24-hex venue
+    ids, repr'd coordinates, a city past ASCII) fits in _WORD_BYTES: no
+    part of it is hashed by ``hash``."""
     spec = SynthSpec(n_users=300, female_fraction=0.5, n_checkins=2000,
                      region_name="Land0", rng_seed=11,
                      subcategories=[SubcategorySpec(f"S{j}", "Food", 4, 1.0)
@@ -641,17 +665,29 @@ def test_fields_whose_hashes_collide_keep_their_values(factor, monkeypatch):
     sum of its words, and the bytes of a field past its first _WORD_BYTES
     are hashed here by their count: the ids below then share hashes, and
     so do the spans of venue fields (in schema order, one span from
-    venue_id to city) that hold them, and all are still read apart."""
+    venue_id to city) that hold them, and all are still read apart. The
+    first 30 rows' long cities have their blocks read per column; the last
+    30 rows' blocks are read as spans."""
     users = ["abcdefgh12345678", "12345678abcdefgh",  # one sum of words
-             "L" * 100 + "a", "L" * 100 + "b"]  # one first _WORD_BYTES and length
+             "L" * models._WORD_BYTES + "a",  # one first _WORD_BYTES and length
+             "L" * models._WORD_BYTES + "b"]
     venues = [*HEX_IDS, *users[:2]]
     rows = [f"{users[i % 4]},male,{venues[i % 5]},Food,{'AABAA'[i % 5]},1,2,BR,"
-            f"{users[i // 2 % 4]}," for i in range(30)]
-    assert len(users[2]) > models._WORD_BYTES
+            f"{users[i // 2 % (4 if i < 30 else 2)]}," for i in range(60)]
+    blocks = []  # the distinct spans of each block read as spans
+    cut = models._cut_columns
+
+    def cut_columns(spans, *args):
+        blocks.append(spans := list(spans))
+        return cut(spans, *args)
+
+    monkeypatch.setattr(models, "_cut_columns", cut_columns)
     monkeypatch.setattr(models, "_HASH_FACTOR", np.uint64(factor))
     monkeypatch.setattr(models, "hash", len, raising=False)
-    monkeypatch.setattr(models, "_BLOCK_BYTES", 1024)  # 5 to 8 rows
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 1024)  # 3 to 8 rows
     assert_same_ingest(csv_stream(*rows).getvalue(), "csv")
+    assert any({f"{venue},Food,A,1,2,BR,{city}" for venue in users[:2]} <= set(spans)
+               for spans in blocks for city in users[:2])
     table, _ = ingest_checkins(csv_stream(*rows), "csv")
     assert (table.users, table.venues, table.cities) == (
         sorted(users), sorted(venues), sorted(users))

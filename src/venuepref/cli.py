@@ -13,8 +13,8 @@ import hashlib
 import json
 import os
 import platform
+import secrets
 import sys
-import tempfile
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -54,14 +54,14 @@ def _atomic_write(path: Path, write) -> None:
     """Call ``write`` with a new text file, which then replaces ``path`` whole;
     if ``write`` raises, the file is removed and ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fh = open(tmp, "x", encoding="utf-8", newline="")  # new; mode 0o666 less the umask
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -354,9 +354,9 @@ def cmd_synth(args, manifest: Manifest) -> None:
     manifest.add_input(spec_path)
     spec = SynthSpec.from_json(spec_path.read_text(encoding="utf-8"))
     manifest.add_seed("synth", spec.rng_seed)
-    table = generate(spec)
+    table, coordinates = generate(spec)
     manifest.write_artifact(args.out or f"synth.{args.format}",
-                            partial(write_checkins, table, fmt=args.format))
+                            partial(write_checkins, table, coordinates, fmt=args.format))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

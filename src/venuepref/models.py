@@ -68,7 +68,7 @@ _CODED = {"user": ("users", "user_id"), "venue": ("venues", "venue_id"),
           "category": ("categories", "category"),
           "subcategory": ("subcategories", "subcategory"),
           "country": ("countries", "country"), "city": ("cities", "city")}
-_COLUMNS = (*_CODED, "gender", "latitude", "longitude", "ts", "ts_missing")
+_COLUMNS = (*_CODED, "gender", "ts", "ts_missing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +90,6 @@ class CheckinTable:
     country: np.ndarray
     city: np.ndarray
     gender: np.ndarray
-    latitude: np.ndarray
-    longitude: np.ndarray
     ts: np.ndarray
     ts_missing: np.ndarray
     users: list[str]
@@ -400,7 +398,7 @@ class _AcceptedRows:
         that order, each read before the next is taken: the string fields
         hold str or None, the coordinates and timestamp raw values."""
         coded = {field: column for column, (_, field) in _CODED.items()}
-        codes, floats = {}, []
+        codes, blank_coordinate, in_range = {}, False, True
         for field, column in zip(CSV_FIELDS, columns):
             if field in coded:
                 codes[coded[field]] = column.per_row(self.strings[coded[field]](column.values))
@@ -410,17 +408,17 @@ class _AcceptedRows:
             elif field == "timestamp":
                 ts, ts_missing, ts_bad = map(column.per_row,
                                              _timestamps(column.values, column.chars))
-            else:  # latitude, then longitude
-                floats += map(column.per_row, _floats(column.values))
-        latitude, lat_blank, longitude, lon_blank = floats
+            else:  # latitude, then longitude: checked per value, not kept
+                value, blank = _floats(column.values)
+                limit = 90.0 if field == "latitude" else 180.0  # nan is not in range
+                blank_coordinate = blank_coordinate | column.per_row(blank)
+                in_range = in_range & column.per_row((-limit <= value) & (value <= limit))
 
-        missing = lat_blank | lon_blank | (gender == -2)  # -2: a blank gender
+        missing = blank_coordinate | (gender == -2)  # -2: a blank gender
         for column in ("user", "venue", "category", "subcategory", "country"):
             missing |= self.strings[column].flags[codes[column]].astype(bool)
         bad_gender = ~missing & (gender == -1)  # neither male nor female
         ok = ~missing & ~bad_gender
-        in_range = ((-90.0 <= latitude) & (latitude <= 90.0)
-                    & (-180.0 <= longitude) & (longitude <= 180.0))
         bad_coordinates = ok & ~in_range
         ok &= in_range
         bad_ts = ok & ts_bad
@@ -442,16 +440,14 @@ class _AcceptedRows:
         report.bad_coordinates += int(bad_coordinates.sum())
         report.venue_conflict += int(conflict.sum())
         report.accepted += len(rows)
-        kept = dict(codes, gender=gender, latitude=latitude, longitude=longitude,
-                    ts=ts, ts_missing=ts_missing)
+        kept = dict(codes, gender=gender, ts=ts, ts_missing=ts_missing)
         for column, values in kept.items():
             self.parts[column].append(values[rows])
 
     def table(self) -> CheckinTable:
         """The accepted rows; each column's chunks are dropped once joined."""
         dtypes = dict.fromkeys(_CODED, np.int32)
-        dtypes.update(gender=np.int8, latitude=float, longitude=float,
-                      ts=np.int64, ts_missing=bool)
+        dtypes.update(gender=np.int8, ts=np.int64, ts_missing=bool)
         columns = {column: np.concatenate([np.empty(0, dtype), *self.parts.pop(column)])
                    for column, dtype in dtypes.items()}
         coded = {column: self.strings[column].finish(
@@ -801,12 +797,14 @@ def _reprs(values: np.ndarray) -> np.ndarray:
     return np.array([repr(value) for value in bits.view(float).tolist()], object)[index]
 
 
-def write_checkins(table: CheckinTable, sink, fmt: str = "csv") -> None:
-    """Write the check-ins of ``table`` in the ingest schema to a text sink,
+def write_checkins(table: CheckinTable, coordinates: tuple, sink, fmt: str = "csv") -> None:
+    """Write the check-ins of ``table`` and their ``coordinates`` (a float array
+    of latitudes and one of longitudes) in the ingest schema to a text sink,
     a chunk of rows at a time; a coordinate is the repr of its float."""
     if fmt not in ("csv", "jsonl"):
         raise DataError(f"unknown format {fmt!r}")
-    coordinates = (table.latitude, table.longitude)
+    if [len(values) for values in coordinates] != [len(table)] * 2:
+        raise ValueError("write_checkins needs one latitude and one longitude per row")
     if fmt == "csv":  # jsonl keeps the floats, which json.dumps would quote as str
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(CSV_FIELDS)

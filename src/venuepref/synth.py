@@ -127,10 +127,11 @@ def _coded_keys(keys: np.ndarray, name) -> tuple[np.ndarray, list[str]]:
     return codes[inverse], names
 
 
-def generate(spec: SynthSpec) -> CheckinTable:
+def generate(spec: SynthSpec) -> tuple[CheckinTable, tuple[np.ndarray, np.ndarray]]:
     """Draw n_checkins check-ins: user (fixed gender), then subcategory with
-    gender-skewed weights, then a uniform venue within it. Each venue has
-    fixed coordinates in the bbox; no check-in has a timestamp."""
+    gender-skewed weights, then a uniform venue within it. Return them and,
+    beside them, each one's latitude and longitude: its venue's fixed point
+    in the bbox. No check-in has a timestamp."""
     rng = np.random.default_rng(spec.rng_seed)
 
     n_female = int(round(spec.female_fraction * spec.n_users))
@@ -188,6 +189,6 @@ def generate(spec: SynthSpec) -> CheckinTable:
         "country": _coded_keys(region, lambda _: spec.region_name),
         "city": _coded_keys(region, lambda _: spec.city or None),  # "": no city
     }
-    return _assemble(coded, gender=is_male.astype(np.int8), latitude=lats[venue],
-                     longitude=lons[venue], ts=np.zeros(n, np.int64),
-                     ts_missing=np.ones(n, bool))
+    table = _assemble(coded, gender=is_male.astype(np.int8), ts=np.zeros(n, np.int64),
+                      ts_missing=np.ones(n, bool))
+    return table, (lats[venue], lons[venue])

@@ -3,17 +3,18 @@ hand, read them one by one, or feed the per-record oracles.
 
 The library takes and returns ``CheckinTable``s only. ``to_table`` and
 ``to_records`` convert between the two forms; a record's timestamp comes
-back from a table in UTC.
+back from a table in UTC. A table holds no coordinates, so a record's are
+not compared: they are what ``write_records`` writes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from venuepref.models import CheckinTable
+from venuepref.models import CheckinTable, write_checkins
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
@@ -31,11 +32,11 @@ class CheckInRecord:
     venue_id: str
     category: str
     subcategory: str
-    latitude: float
-    longitude: float
     country: str
     city: Optional[str] = None
     timestamp: Optional[datetime] = None
+    latitude: Optional[float] = field(default=None, compare=False)
+    longitude: Optional[float] = field(default=None, compare=False)
 
 
 # each coded column of a table, its value table, and the record field it holds
@@ -65,14 +66,14 @@ def to_table(records) -> CheckinTable:
     return CheckinTable(
         **columns,
         gender=np.array([rec.gender == Gender.MALE for rec in records], np.int8),
-        latitude=np.array([rec.latitude for rec in records], float),
-        longitude=np.array([rec.longitude for rec in records], float),
         ts=np.array([0 if ts is None else _micros(ts) for ts in stamps], np.int64),
         ts_missing=np.array([ts is None for ts in stamps], bool))
 
 
-def to_records(table: CheckinTable) -> list[CheckInRecord]:
-    """The rows of ``table`` as records, for comparing check-ins one by one."""
+def to_records(table: CheckinTable, coordinates=None) -> list[CheckInRecord]:
+    """The rows of ``table`` as records, for comparing check-ins one by one;
+    with ``coordinates`` (a latitude and a longitude array, as ``generate``
+    returns them beside its table), each record holds its row's."""
     def strings(codes, names):
         return [names[c] if c >= 0 else None for c in codes.tolist()]
 
@@ -80,7 +81,17 @@ def to_records(table: CheckinTable) -> list[CheckInRecord]:
                for column, names, field in CODED}
     columns.update(
         gender=[Gender.MALE if g == 1 else Gender.FEMALE for g in table.gender.tolist()],
-        latitude=table.latitude.tolist(), longitude=table.longitude.tolist(),
         timestamp=[None if missing else EPOCH + ts * MICROSECOND for ts, missing
                    in zip(table.ts.tolist(), table.ts_missing.tolist())])
+    if coordinates is not None:
+        columns.update(latitude=coordinates[0].tolist(), longitude=coordinates[1].tolist())
     return [CheckInRecord(**dict(zip(columns, row))) for row in zip(*columns.values())]
+
+
+def write_records(records, sink, fmt="csv") -> None:
+    """``write_checkins`` of the table of ``records`` and their own
+    coordinates."""
+    records = list(records)
+    write_checkins(to_table(records), tuple(
+        np.array([float(getattr(rec, name)) for rec in records])  # None: TypeError
+        for name in ("latitude", "longitude")), sink, fmt)

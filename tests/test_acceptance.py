@@ -118,7 +118,7 @@ def test_criterion_4_null_model_calibration():
     flagged = 0
     total = 0
     for ds in range(10):
-        records = synth_records([0.0] * 50, n_checkins=20000, seed=2000 + ds)
+        records, _ = synth_records([0.0] * 50, n_checkins=20000, seed=2000 + ds)
         results = run_null_model_batch(records, AnalysisMode.SUBCATEGORY,
                                        REGION.name,
                                        NullModelConfig(k=100, confidence=0.99,
@@ -137,8 +137,8 @@ def test_criterion_5_null_model_power():
     agree = 0
     planted_sizes = []
     for trial in range(100):
-        records = synth_records([0.8, 0, 0, 0, 0], n_checkins=2500,
-                                seed=5000 + trial)
+        records, _ = synth_records([0.8, 0, 0, 0, 0], n_checkins=2500,
+                                   seed=5000 + trial)
         planted_sizes.append(
             sum(1 for r in to_records(records) if r.subcategory == "S00"))
         verdicts = {}
@@ -280,11 +280,11 @@ def test_criterion_9_determinism():
     ok = True
 
     # synth + serialization
-    records_a = synth_records([0.0] * 5, 1500, seed=31)
-    records_b = synth_records([0.0] * 5, 1500, seed=31)
+    records_a, coordinates_a = synth_records([0.0] * 5, 1500, seed=31)
+    records_b, coordinates_b = synth_records([0.0] * 5, 1500, seed=31)
     buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_checkins(records_a, buf_a)
-    write_checkins(records_b, buf_b)
+    write_checkins(records_a, coordinates_a, buf_a)
+    write_checkins(records_b, coordinates_b, buf_b)
     same = buf_a.getvalue() == buf_b.getvalue()
     ok &= same
     details.append(f"synth={same}")

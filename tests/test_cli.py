@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import stat
 from argparse import Namespace
 from dataclasses import replace
 from functools import partial
@@ -21,7 +23,7 @@ from venuepref.popularity import ScopeIndex
 from venuepref.preference import read_vectors_csv
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
-from checkin_records import to_records, to_table
+from checkin_records import to_records, write_records
 from one_region import RegionSelector, apply_filters
 
 SPEC_JSON = {
@@ -43,9 +45,9 @@ def write_dataset(path, countries=("Synthland",), seed=11):
     for i, country in enumerate(countries):
         spec = SynthSpec(**{**SPEC_JSON, "region_name": country,
                             "rng_seed": seed + i})
-        records.extend(to_records(generate(spec)))
+        records.extend(to_records(*generate(spec)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_checkins(to_table(records), fh, fmt="csv")
+        write_records(records, fh, fmt="csv")
     return path
 
 
@@ -257,10 +259,10 @@ def test_vectors_refuses_a_name_holding_a_carriage_return(field, old, what,
     for i in range(4):
         spec = SynthSpec(**{**SPEC_JSON, "region_name": f"Land{i}", "rng_seed": 11 + i})
         records.extend(replace(r, **{field: "A\rB"}) if getattr(r, field) == old else r
-                       for r in to_records(generate(spec)))
+                       for r in to_records(*generate(spec)))
     path = tmp_path / "data.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
-        write_checkins(to_table(records), fh, fmt="jsonl")
+        write_records(records, fh, fmt="jsonl")
     out = tmp_path / "v"
     assert main(["vectors", "--input", str(path), "--format", "jsonl",
                  "--out-dir", str(out)]) == 1
@@ -512,6 +514,19 @@ def test_a_writer_that_fails_partway_leaves_no_artifact(tmp_path):
     assert manifest.data["artifacts"] == [str(out / "kept.csv")]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_artifacts_and_manifest_get_the_mode_of_a_plain_open(umask, mode, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC_JSON))
+    old = os.umask(umask)
+    try:
+        assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "s")]) == 0
+    finally:
+        os.umask(old)
+    for name in ("synth.csv", "run_manifest.json"):
+        assert stat.S_IMODE((tmp_path / "s" / name).stat().st_mode) == mode, name
+
+
 def test_config_file_supplies_defaults(dataset, tmp_path, capsys):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"k": 5, "seed": 9}))
@@ -600,10 +615,10 @@ def test_city_scope_is_the_city_name(tmp_path):
         spec = SynthSpec(**{**SPEC_JSON, "region_name": "Brazil", "city": city,
                             "rng_seed": 11 + i})
         records += [replace(r, venue_id=f"{city}-{r.venue_id}")
-                    for r in to_records(generate(spec))]
+                    for r in to_records(*generate(spec))]
     data = tmp_path / "cities.csv"
     with open(data, "w", encoding="utf-8", newline="") as fh:
-        write_checkins(to_table(records), fh, fmt="csv")
+        write_records(records, fh, fmt="csv")
 
     out = tmp_path / "a"
     assert main(["analyze", "--input", str(data), "--city", "Rio", "--k", "5",
@@ -793,10 +808,10 @@ def test_csv_reader_after_split_chunks_counts_lines_from_the_start(
 
 
 def test_deeply_nested_jsonl_line_is_unparseable(tmp_path, capsys):
-    records = generate(SynthSpec(**SPEC_JSON))
+    records, coordinates = generate(SynthSpec(**SPEC_JSON))
     path = tmp_path / "data.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
-        write_checkins(records, fh, fmt="jsonl")
+        write_checkins(records, coordinates, fh, fmt="jsonl")
         fh.write("[" * 100_000 + "\n")
     assert main(["ingest-check", "--input", str(path), "--format", "jsonl"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -895,7 +910,7 @@ def test_a_byte_that_is_not_utf8_is_named_in_every_text_input(kind, tmp_path, ca
     if kind == "jsonl":
         path = tmp_path / "data.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
-            write_checkins(generate(SynthSpec(**SPEC_JSON)), fh, fmt="jsonl")
+            write_checkins(*generate(SynthSpec(**SPEC_JSON)), fh, fmt="jsonl")
         argv = ["ingest-check", "--input", str(path), "--format", "jsonl"]
         read = partial(ingest_checkins, fmt="jsonl")
     else:

@@ -1,5 +1,7 @@
+import contextlib
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from venuepref.filtering import FilterConfig, filter_regions
-from venuepref.models import DataError, Granularity, group_codes
+from venuepref.models import CheckinTable, DataError, Granularity, group_codes
 
 import filter_oracle
 from checkin_records import to_records, to_table
@@ -225,8 +227,40 @@ def test_filters_are_idempotent_and_meet_every_threshold(records, config):
 
 
 # Differential tests: the columnar filters against the per-record oracle in
-# filter_oracle.py. Every record's latitude is its input position, so the
-# kept rows can be named.
+# filter_oracle.py. The rows the filters keep are named by the indices they
+# hand CheckinTable.take, the oracle's by its records' input positions.
+
+
+@contextlib.contextmanager
+def taken_rows():
+    """A list that gets the rows (as a list of indices) of each
+    ``CheckinTable.take`` call made inside the block."""
+    taken = []
+    take = CheckinTable.take
+
+    def spy(table, rows):
+        taken.append(np.arange(len(table))[rows].tolist())
+        return take(table, rows)
+
+    with mock.patch.object(CheckinTable, "take", spy):
+        yield taken
+
+
+def kept_rows(records, config, region=BR):
+    """The input positions of the records ``apply_filters`` keeps."""
+    with taken_rows() as taken:
+        kept, _ = apply_filters(to_table(records), region, config)
+    (rows,) = taken
+    assert len(rows) == len(kept)
+    return rows
+
+
+def positions(records, kept):
+    """The input positions of the records ``kept``, which are ``records``
+    themselves, told apart by identity."""
+    position = {id(rec): i for i, rec in enumerate(records)}
+    assert len(position) == len(records)
+    return [position[id(rec)] for rec in kept]
 
 UTC = timezone.utc
 OFFSETS = [timezone.utc, timezone(timedelta(hours=2)),
@@ -243,13 +277,15 @@ def filter_outcome(filters, *args):
 
 def assert_same_filters(records, config, region=BR):
     expected = filter_outcome(filter_oracle.apply_filters, records, region, config)
-    outcome = filter_outcome(apply_filters, to_table(records), region, config)
+    with taken_rows() as taken:
+        outcome = filter_outcome(apply_filters, to_table(records), region, config)
     if isinstance(expected, str):
         assert outcome == expected
         return
     (kept, report), (oracle_kept, stages) = outcome, expected
     assert report.stages == stages
-    assert kept.latitude.tolist() == [rec.latitude for rec in oracle_kept]
+    assert taken == [positions(records, oracle_kept)]
+    assert len(kept) == len(oracle_kept)
 
 
 @st.composite
@@ -265,11 +301,10 @@ def timed_checkins(draw):
         st.sampled_from(OFFSETS)), max_size=40))
     return [make_record(user=f"u{user}", gender="male" if male else "female",
                         venue=f"v{venue}", subcat=venue_subcat[venue],
-                        category=category, country=country, lat=float(i),
+                        category=category, country=country,
                         ts=None if micros is None else
                         (START + timedelta(microseconds=micros)).astimezone(offset))
-            for i, (user, venue, male, country, category, micros, offset)
-            in enumerate(rows)]
+            for user, venue, male, country, category, micros, offset in rows]
 
 
 @given(records=timed_checkins(), config=st.builds(
@@ -283,8 +318,6 @@ def test_filters_equal_oracle(records, config):
 
 @given(checkin_sets(), st.booleans(), st.integers(1, 30) | st.none())
 def test_loose_filters_equal_oracle(records, dedupe, cap):
-    records = [r.__class__(**{**r.__dict__, "latitude": float(i)})
-               for i, r in enumerate(records)]
     assert_same_filters(records, loose(dedupe_user_venue=dedupe,
                                        max_checkins_per_region=cap))
 
@@ -293,23 +326,18 @@ def test_dedupe_tells_apart_timestamps_one_microsecond_apart():
     # float epoch seconds cannot tell these apart: they would tie, and the
     # first row would win
     late = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC)
-    records = [make_record(lat=0.0, ts=late),
-               make_record(lat=1.0, ts=late - timedelta(microseconds=1))]
-    out, _ = filtered(records, BR, loose())
-    assert [r.latitude for r in out] == [1.0]
+    records = [make_record(ts=late), make_record(ts=late - timedelta(microseconds=1))]
+    assert kept_rows(records, loose()) == [1]
     assert_same_filters(records, loose())
 
 
 def test_dedupe_ties_on_one_instant_go_to_input_order():
     noon = datetime(2014, 4, 25, 12, tzinfo=UTC)
     for offset in OFFSETS[1:]:
-        records = [make_record(lat=0.0, ts=noon.astimezone(offset)),
-                   make_record(lat=1.0, ts=noon)]
-        out, _ = filtered(records, BR, loose())
-        assert [r.latitude for r in out] == [0.0]
+        records = [make_record(ts=noon.astimezone(offset)), make_record(ts=noon)]
+        assert kept_rows(records, loose()) == [0]
         assert_same_filters(records, loose())
-        out, _ = filtered(records[::-1], BR, loose())
-        assert [r.latitude for r in out] == [1.0]
+        assert kept_rows(records[::-1], loose()) == [0]
 
 
 # filter_regions filters every named region in one pass; each region's kept
@@ -338,11 +366,9 @@ def multi_region_checkins(draw):
     return [make_record(user=f"u{user}", gender="male" if male else "female",
                         venue=f"v{venue}", subcat="Zoo" if odd else venue_subcat[venue],
                         category=category, country=country, city=city,
-                        lat=float(i),
                         ts=None if micros is None else
                         (START + timedelta(microseconds=micros)).astimezone(offset))
-            for i, (user, venue, male, country, city, category, micros, offset, odd)
-            in enumerate(rows)]
+            for user, venue, male, country, city, category, micros, offset, odd in rows]
 
 
 @given(records=multi_region_checkins(), data=st.data(), config=st.builds(
@@ -359,36 +385,40 @@ def test_filter_regions_equals_oracle_per_region(records, data, config):
     expected = [filter_outcome(filter_oracle.apply_filters, records,
                                RegionSelector(granularity, name), config)
                 for name in names]
-    outcome = filter_outcome(filter_regions, to_table(records), granularity,
-                             names, config)
+    with taken_rows() as taken:
+        outcome = filter_outcome(filter_regions, to_table(records), granularity,
+                                 names, config)
     errors = [e for e in expected if isinstance(e, str)]
     if errors:  # the first region that matches no record is named
         assert outcome == errors[0]
         return
     kept, region, reports = outcome
-    assert len(region) == len(kept)
+    (rows,) = taken
+    rows = np.array(rows, np.intp)
+    assert len(region) == len(kept) == len(rows)
     for i, (oracle_kept, stages) in enumerate(expected):
         assert reports[i].stages == stages
-        assert kept.latitude[region == i].tolist() == [rec.latitude
-                                                       for rec in oracle_kept]
+        assert rows[region == i].tolist() == positions(records, oracle_kept)
     # one table in input order
-    assert kept.latitude.tolist() == sorted(kept.latitude.tolist())
+    assert (np.diff(rows) > 0).all()
 
 
 def test_filter_regions_caps_each_region_with_the_same_seed():
     # the second region is over the cap, the first under it
-    records = [make_record(user=f"u{i}", venue=f"b{i % 3}", country="BR",
-                           lat=float(i)) for i in range(10)]
-    records += [make_record(user=f"u{i}", venue=f"a{i % 12}", country="AR",
-                            lat=float(10 + i)) for i in range(90)]
+    records = [make_record(user=f"u{i}", venue=f"b{i % 3}", country="BR")
+               for i in range(10)]
+    records += [make_record(user=f"u{i}", venue=f"a{i % 12}", country="AR")
+                for i in range(90)]
     config = loose(max_checkins_per_region=40, rng_seed=5)
-    kept, region, reports = filter_regions(to_table(records), Granularity.COUNTRY,
-                                           ["BR", "AR"], config)
+    with taken_rows() as taken:
+        _, region, reports = filter_regions(to_table(records), Granularity.COUNTRY,
+                                            ["BR", "AR"], config)
+    (rows,) = taken
     for i, name in enumerate(["BR", "AR"]):
         oracle_kept, stages = filter_oracle.apply_filters(
             records, RegionSelector(Granularity.COUNTRY, name), config)
         assert reports[i].stages == stages
-        assert kept.latitude[region == i].tolist() == [r.latitude for r in oracle_kept]
+        assert np.array(rows)[region == i].tolist() == positions(records, oracle_kept)
     caps = [{s["stage"]: s for s in report.stages}["region_cap"] for report in reports]
     assert caps[0] == {"stage": "region_cap", "in": 10, "out": 10}
     assert caps[1]["in"] == 90 and caps[1]["out"] <= 40

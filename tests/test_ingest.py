@@ -247,12 +247,24 @@ def test_round_trip(fmt):
                         "u3,male,v3,Food,Bar,0.1,-0.2,BR,Rio,2014-04-25T17:30:00.000001+05:30",
                         "u4,female,v3,Food,Bar,0.1,-0.2,BR,,0999-12-31T23:59:59+00:00")
     records, _ = ingest_checkins(stream, "csv")
+    coordinates = [(1.25, 2.5), (-1.5, 3.0), (0.1, -0.2), (0.1, -0.2)]
     buf = io.StringIO()
-    write_checkins(records, buf, fmt=fmt)
+    write_checkins(records, tuple(np.array(c) for c in zip(*coordinates)), buf, fmt=fmt)
     again, report = ingest_checkins(io.BytesIO(buf.getvalue().encode()), fmt)
     assert to_records(again) == to_records(records)
     assert again.ts.tolist() == records.ts.tolist()
     assert report.rejected == 0
+    text = buf.getvalue()
+    rows = (csv.DictReader(io.StringIO(text)) if fmt == "csv"
+            else map(json.loads, text.splitlines()))
+    assert [(float(row["latitude"]), float(row["longitude"])) for row in rows] == coordinates
+
+
+def test_write_checkins_needs_one_coordinate_pair_per_row():
+    table, _ = ingest_checkins(csv_stream("u1,male,v1,Food,Café,1.25,2.5,BR,,"), "csv")
+    for coordinates in ((np.zeros(2), np.zeros(2)), (np.zeros(1),)):
+        with pytest.raises(ValueError, match="one latitude and one longitude per row"):
+            write_checkins(table, coordinates, io.StringIO())
 
 
 def test_index_table_parses():
@@ -469,8 +481,6 @@ def assert_same_ingest(data, fmt):
         assert table.venues[table.venue[i]] == rec.venue_id
         assert table.categories[table.category[i]] == rec.category
         assert table.subcategories[table.subcategory[i]] == rec.subcategory
-        assert repr(float(table.latitude[i])) == repr(rec.latitude)
-        assert repr(float(table.longitude[i])) == repr(rec.longitude)
         assert table.countries[table.country[i]] == rec.country
         assert (table.cities[city] if city >= 0 else None) == rec.city
         assert table.ts_missing[i] == (rec.timestamp is None)
@@ -592,7 +602,7 @@ def count_groupings(header, monkeypatch, span_bytes=None):
                      subcategories=[SubcategorySpec(f"S{i}", "Food", 3, 1.0)
                                     for i in range(3)])
     buf = io.StringIO()
-    write_checkins(generate(spec), buf)
+    write_checkins(*generate(spec), buf)
     stamp = "2014-04-25T12:00:00+00:00"
     rows = [{**row, "extra": "x", "timestamp": stamp}
             for row in csv.DictReader(io.StringIO(buf.getvalue()))]
@@ -642,7 +652,7 @@ def test_a_span_of_hex_venue_ids_is_read_as_words():
                      subcategories=[SubcategorySpec(f"S{j}", "Food", 4, 1.0)
                                     for j in range(4)])
     buf = io.StringIO()
-    write_checkins(generate(spec), buf)
+    write_checkins(*generate(spec), buf)
     rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
     for row in rows:
         row["venue_id"] = hashlib.sha256(row["venue_id"].encode()).hexdigest()[:24]
@@ -699,7 +709,7 @@ def test_quote_free_rows_skip_the_csv_reader(monkeypatch):
                      subcategories=[SubcategorySpec(f"S{i}", "Food", 3, 1.0)
                                     for i in range(3)])
     buf = io.StringIO()
-    write_checkins(generate(spec), buf)
+    write_checkins(*generate(spec), buf)
     lines = buf.getvalue().splitlines(keepends=True)
     assert '"' not in buf.getvalue()
     quoted = lines[:200] + [lines[200].replace(",Rio,", ',"Rio",')] + lines[201:]
@@ -766,7 +776,7 @@ def test_ingest_memory_is_bounded_by_the_block_not_the_file(monkeypatch):
                      subcategories=[SubcategorySpec(f"S{i}", "Food", 20, 1.0)
                                     for i in range(10)])
     buf = io.StringIO()
-    write_checkins(generate(spec), buf)
+    write_checkins(*generate(spec), buf)
     data = buf.getvalue().encode()
     assert len(data) >= 16 * block
     monkeypatch.setattr(models, "_BLOCK_BYTES", block)
@@ -779,6 +789,24 @@ def test_ingest_memory_is_bounded_by_the_block_not_the_file(monkeypatch):
     kept = sum(getattr(table, column).nbytes for column in models._COLUMNS)
     assert peak < len(data)
     assert peak - kept < 4 * block
+
+
+def test_table_keeps_no_coordinates_and_34_bytes_per_row():
+    """Six int32 codes, int8 gender, int64 microseconds and a bool mask per
+    row; ingest checks coordinates and keeps none."""
+    assert [f.name for f in fields(CheckinTable)] == [
+        "user", "venue", "category", "subcategory", "country", "city", "gender",
+        "ts", "ts_missing", "users", "venues", "categories", "subcategories",
+        "countries", "cities"]
+    spec = SynthSpec(n_users=40, female_fraction=0.5, n_checkins=500,
+                     region_name="Land0", rng_seed=5, city="Rio",
+                     subcategories=[SubcategorySpec(f"S{i}", "Food", 3, 1.0)
+                                    for i in range(3)])
+    buf = io.StringIO()
+    write_checkins(*generate(spec), buf)
+    table, _ = ingest_checkins(io.BytesIO(buf.getvalue().encode()), "csv")
+    assert len(table) == 500
+    assert sum(getattr(table, c).nbytes for c in models._COLUMNS) / len(table) == 34
 
 
 @settings(max_examples=200)

@@ -52,7 +52,7 @@ def synth_scope(skews, n_checkins=2000, seed=0, n_subcats=None):
     spec = SynthSpec(n_users=max(50, n_checkins // 4), female_fraction=0.5,
                      subcategories=subcats, n_checkins=n_checkins,
                      region_name="Synthland", rng_seed=seed)
-    return generate(spec)
+    return generate(spec)[0]
 
 
 def test_k2_acceptance_range_is_min_max():
@@ -229,8 +229,8 @@ def test_null_distribution_csv_at_venue_scale_is_written_in_bounded_blocks():
     as the text it writes."""
     subcats = [SubcategorySpec(name=f"S{i:02d}", category="Food", n_venues=40,
                                base_weight=1.0, gender_skew=0.0) for i in range(20)]
-    records = generate(SynthSpec(n_users=1000, female_fraction=0.5, subcategories=subcats,
-                                 n_checkins=5000, region_name=REGION, rng_seed=1))
+    records, _ = generate(SynthSpec(n_users=1000, female_fraction=0.5, subcategories=subcats,
+                                    n_checkins=5000, region_name=REGION, rng_seed=1))
     results = run_null_model_batch(records, AnalysisMode.VENUE, REGION,
                                    NullModelConfig(k=100, rng_seed=1))
     assert len(results) >= 700

@@ -194,7 +194,7 @@ def two_region_checkins(draw):
                                    n_venues=draw(st.integers(1, 4)), base_weight=1.0,
                                    gender_skew=draw(st.floats(-0.9, 0.9)))
                    for name in ("Bar", "Café", "Gym")]
-        records += to_records(generate(SynthSpec(
+        records += to_records(*generate(SynthSpec(
             n_users=draw(st.integers(1, 20)), female_fraction=0.5,
             subcategories=subcats, n_checkins=draw(st.integers(1, 80)),
             region_name=region.name, rng_seed=draw(st.integers(0, 2**16)))))

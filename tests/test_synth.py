@@ -14,7 +14,7 @@ from checkin_records import Gender, to_records
 
 
 def records_of(s):
-    return to_records(generate(s))
+    return to_records(*generate(s))
 
 
 def spec(skews=(0.0, 0.0, 0.0), n_checkins=3000, n_users=500,
@@ -34,7 +34,11 @@ def test_record_count_and_region():
 
 
 def test_same_seed_identical_output():
-    assert records_of(spec(seed=5)) == records_of(spec(seed=5))
+    first, second = records_of(spec(seed=5)), records_of(spec(seed=5))
+    assert first == second
+    # a record's coordinates take no part in its equality
+    assert [(r.latitude, r.longitude) for r in first] == \
+        [(r.latitude, r.longitude) for r in second]
 
 
 def test_different_seed_differs():
@@ -43,7 +47,7 @@ def test_different_seed_differs():
 
 def test_output_passes_ingest_validation():
     buf = io.StringIO()
-    write_checkins(generate(spec(n_checkins=200)), buf, fmt="csv")
+    write_checkins(*generate(spec(n_checkins=200)), buf, fmt="csv")
     again, report = ingest_checkins(io.BytesIO(buf.getvalue().encode()), "csv")
     assert report.rejected == 0
     assert len(again) == 200
@@ -176,10 +180,11 @@ def test_blank_name_names_the_field(field, value, tmp_path, capsys):
 def test_bbox_and_city_are_written_out():
     s = SynthSpec.from_json(json.dumps({**SPEC_JSON, "city": "Rio",
                                         "bbox": [-10, 10.5, 170, 180]}))
-    records = records_of(s)
-    assert all(r.city == "Rio" for r in records)
-    assert all(-10 <= r.latitude <= 10.5 and 170 <= r.longitude <= 180
-               for r in records)
+    table, (latitude, longitude) = generate(s)
+    assert all(r.city == "Rio" for r in to_records(table))
+    assert len(latitude) == len(longitude) == len(table)
+    assert ((-10 <= latitude) & (latitude <= 10.5)).all()
+    assert ((170 <= longitude) & (longitude <= 180)).all()
 
 
 def _awkward_spec(seed):
@@ -205,7 +210,7 @@ def _wide_spec(seed):
 
 def _synth_bytes(s, fmt):
     buf = io.StringIO()
-    write_checkins(generate(s), buf, fmt=fmt)
+    write_checkins(*generate(s), buf, fmt=fmt)
     return buf.getvalue().encode()
 
 
@@ -250,10 +255,10 @@ def test_generated_table_is_the_table_ingest_reads_back():
                        SubcategorySpec("Bar", "Food", 2, 1.0),
                        SubcategorySpec("Zoo", "Arts", 3, 1.0)])
     # "u-1000000" sorts before "u-999999", "v-000-10000" before "v-000-9999"
-    drawn = generate(wide)
+    drawn, _ = generate(wide)
     assert "u-1000000" in drawn.users and "v-000-10000" in drawn.venues
     for s in (wide, repeated):
-        table = generate(s)
+        table, _ = generate(s)
         again, _ = ingest_checkins(io.BytesIO(_synth_bytes(s, "csv")), "csv")
         for column in fields(CheckinTable):
             assert np.array_equal(getattr(table, column.name),

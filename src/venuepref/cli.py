@@ -79,7 +79,7 @@ def _sha256(path: Path) -> str:
 
 
 class Manifest:
-    def __init__(self, args: argparse.Namespace, out_dir: Path):
+    def __init__(self, args: argparse.Namespace, out_dir: Path | None):
         self.out_dir = out_dir
         self.data = {
             "command": args.subcommand,
@@ -123,11 +123,12 @@ class Manifest:
                       _json_text(self.data, default=str))
 
 
-def _out_dir(args) -> Path:
-    if args.out_dir:
-        return Path(args.out_dir)
-    env = os.environ.get("VENUEPREF_OUT_DIR")
-    return Path(env) if env else Path(".")
+def _out_dir(args) -> Path | None:
+    """--out-dir, else $VENUEPREF_OUT_DIR, else the current directory; None
+    for ingest-check, which writes no artifact."""
+    if "out_dir" in vars(args):
+        return Path(args.out_dir or os.environ.get("VENUEPREF_OUT_DIR") or ".")
+    return None
 
 
 def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
@@ -321,13 +322,16 @@ def cmd_cluster(args, manifest: Manifest) -> None:
     manifest.write_artifact("clusters.json", result.as_dict())
 
 
-def _load_index(args):
+def _load_index(args, manifest: Manifest):
+    """The bundled index named, or the index file, recorded as an input."""
     if args.index in ("GII", "HDI"):
         return load_bundled_index(args.index)
     path = Path(args.index)
     name = args.index_name or path.stem.upper()
     with open(path, "rb") as fh:
-        return ingest_index_table(fh, index_name=name)
+        index = ingest_index_table(fh, index_name=name)
+    manifest.add_input(path)
+    return index
 
 
 def cmd_compare(args, manifest: Manifest) -> None:
@@ -342,7 +346,7 @@ def cmd_compare(args, manifest: Manifest) -> None:
     path, vectors = _load_vectors(args.vectors)
     manifest.add_input(path)
     manifest.add_seed("baseline", args.seed)
-    index = _load_index(args)
+    index = _load_index(args, manifest)
     anchors = sorted(vectors) if args.all_anchors else [args.anchor]
     rows = compare_regions(vectors, index, anchors,
                            n_permutations=args.permutations, seed=args.seed)
@@ -359,12 +363,15 @@ def cmd_synth(args, manifest: Manifest) -> None:
                             partial(write_checkins, table, coordinates, fmt=args.format))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_at_least(0), default=0,
-                        help="seed for every stochastic stage")
+def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
+    """--seed if the command draws random numbers, --config, --out-dir if it writes files."""
+    if command not in ("ingest-check", "synth"):
+        parser.add_argument("--seed", type=_at_least(0), default=0,
+                            help="seed for every stochastic stage")
     parser.add_argument("--config", help="JSON config file; flags win on conflict")
-    parser.add_argument("--out-dir", default=None,
-                        help="output directory (default: $VENUEPREF_OUT_DIR or .)")
+    if command != "ingest-check":
+        parser.add_argument("--out-dir", default=None,
+                            help="output directory (default: $VENUEPREF_OUT_DIR or .)")
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -443,7 +450,7 @@ def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
                        help="output file name (within --out-dir)")
         p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     if named in sub.choices:  # every command's flags end with the common ones
-        _add_common(sub.choices[named])
+        _add_common(sub.choices[named], named)
     return parser
 
 

@@ -77,14 +77,14 @@ def _earliest_per_pair(t: CheckinTable, rows: np.ndarray, venue: np.ndarray,
     return keep
 
 
-def _subcategories_with_venues(venue_subcat: np.ndarray, segment: np.ndarray,
+def _subcategories_with_venues(venue: np.ndarray, segment: np.ndarray,
                                n_segments: int, minimum: int) -> np.ndarray:
     # Whether each row's (region, subcategory) segment holds ``minimum``
-    # distinct venues; ``venue_subcat`` codes the (region, venue, subcategory)
-    # of each row and ``segment`` maps that code to its segment.
-    present = np.flatnonzero(np.bincount(venue_subcat, minlength=len(segment)))
+    # distinct venues; ``venue`` codes the (region, venue) of each row and
+    # ``segment`` maps that code to its segment.
+    present = np.flatnonzero(np.bincount(venue, minlength=len(segment)))
     venues = np.bincount(segment[present], minlength=n_segments)
-    return venues[segment[venue_subcat]] >= minimum
+    return venues[segment[venue]] >= minimum
 
 
 def _cap_by_venue_sampling(venue: np.ndarray, venue_region: np.ndarray,
@@ -140,10 +140,9 @@ def filter_regions(table: CheckinTable, granularity: Granularity, names: list[st
     region_rows = [len(table)] * len(names)
 
     def stage(name: str, keep=None) -> None:
-        nonlocal rows, region, region_rows, venue, venue_subcat
+        nonlocal rows, region, region_rows, venue
         if keep is not None:
-            rows, region = rows[keep], region[keep]
-            venue, venue_subcat = venue[keep], venue_subcat[keep]
+            rows, region, venue = rows[keep], region[keep], venue[keep]
         n_in, region_rows = region_rows, np.bincount(
             region, minlength=len(names)).tolist()
         for report, n, out in zip(reports, n_in, region_rows):
@@ -159,17 +158,13 @@ def filter_regions(table: CheckinTable, granularity: Granularity, names: list[st
                        bool)
     keep = allowed[table.category[rows]]
     rows, region = rows[keep], region[keep]
-    # (region, venue) codes, in region and then venue-id order, and (region,
-    # venue, subcategory) codes: a venue is counted once in each subcategory
-    # it is given within a region
-    venues, venue = pair_codes(region, len(names), table.venue[rows],
-                                          len(table.venues))
-    subcats, venue_subcat = pair_codes(
-        venue, len(venues), table.subcategory[rows], len(table.subcategories))
+    # (region, venue) codes, in region and then venue-id order, and the
+    # (region, subcategory) segment of each
+    venues, venue = pair_codes(region, len(names), table.venue[rows], len(table.venues))
     venue_region = venues // len(table.venues)
     segments, segment = pair_codes(
-        venue_region[subcats // len(table.subcategories)], len(names),
-        subcats % len(table.subcategories), len(table.subcategories))
+        venue_region, len(names), table.venue_subcategory[venues % len(table.venues)],
+        len(table.subcategories))
     stage("category")
 
     if config.dedupe_user_venue:
@@ -180,7 +175,7 @@ def filter_regions(table: CheckinTable, granularity: Granularity, names: list[st
 
     minimum = config.min_venues_per_subcategory
     stage("subcategory_threshold", _subcategories_with_venues(
-        venue_subcat, segment, len(segments), minimum))
+        venue, segment, len(segments), minimum))
 
     if config.max_checkins_per_region is not None:
         stage("region_cap", _cap_by_venue_sampling(
@@ -188,7 +183,7 @@ def filter_regions(table: CheckinTable, granularity: Granularity, names: list[st
             config.rng_seed))
         # removing whole venues can leave a subcategory below its threshold
         stage("subcategory_threshold_recheck", _subcategories_with_venues(
-            venue_subcat, segment, len(segments), minimum))
+            venue, segment, len(segments), minimum))
 
     return table.take(rows), region, reports
 

@@ -62,13 +62,14 @@ def _micros(stamps: list[datetime]) -> np.ndarray:
             - field(offset_micros.__getitem__, offsets))
 
 
-# coded string columns, the name of each one's value table, and the
+# coded string fields, the name of each one's value table, and the
 # CSV_FIELDS field it holds
 _CODED = {"user": ("users", "user_id"), "venue": ("venues", "venue_id"),
           "category": ("categories", "category"),
-          "subcategory": ("subcategories", "subcategory"),
+          "venue_subcategory": ("subcategories", "subcategory"),
           "country": ("countries", "country"), "city": ("cities", "city")}
-_COLUMNS = (*_CODED, "gender", "ts", "ts_missing")
+# the fields with one entry per row
+_COLUMNS = ("user", "venue", "category", "country", "city", "gender", "ts", "ts_missing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +79,17 @@ class CheckinTable:
     Each string field is an int32 code into a sorted table of its distinct
     values (``users``, ``venues``, ``categories``, ``subcategories``,
     ``countries``, ``cities``), so code order is string order; a missing
-    city is -1. ``gender`` is int8, 1 = male and 0 = female. ``ts`` is the
-    timestamp in microseconds since the epoch, unless ``ts_missing``. A
-    subset (``take``) shares the string tables of its table.
+    city is -1. A venue has one subcategory, whose code is its entry of
+    ``venue_subcategory``. ``gender`` is int8, 1 = male and 0 = female.
+    ``ts`` is the timestamp in microseconds since the epoch, unless
+    ``ts_missing``. A subset (``take``) shares the value tables and
+    ``venue_subcategory`` of its table.
     """
 
     user: np.ndarray
     venue: np.ndarray
     category: np.ndarray
-    subcategory: np.ndarray
+    venue_subcategory: np.ndarray
     country: np.ndarray
     city: np.ndarray
     gender: np.ndarray
@@ -228,21 +231,14 @@ class _Strings:
         return np.fromiter(map(code.__getitem__, values), np.int32, len(values))
 
     def finish(self, codes: np.ndarray, key=None) -> tuple[np.ndarray, list[str]]:
-        """``codes`` recoded into the sorted table of the values they use,
-        after ``key`` if given; a value that is or becomes None gets -1."""
+        """The sorted table of the values that ``codes`` use, after ``key``
+        if given, and the position in it of each value's code: -1 for a
+        value unused, or that is or becomes None."""
         values = list(self.code) if key is None else list(map(key, self.code))
         used = np.flatnonzero(np.bincount(codes, minlength=len(values)))
         names = sorted({values[c] for c in used.tolist()} - {None})
         position = {name: i for i, name in enumerate(names)}
-        recode = np.array([position.get(v, -1) for v in values], np.int32)
-        return recode[codes], names
-
-
-def _coded(values) -> tuple[np.ndarray, list[str]]:
-    """Codes of ``values`` (each a str or None) into the sorted table of
-    their distinct strings; None gets -1."""
-    strings = _Strings()
-    return strings.finish(strings(values))
+        return np.array([position.get(v, -1) for v in values], np.int32), names
 
 
 def _or_none(parse, value):
@@ -415,7 +411,7 @@ class _AcceptedRows:
                 in_range = in_range & column.per_row((-limit <= value) & (value <= limit))
 
         missing = blank_coordinate | (gender == -2)  # -2: a blank gender
-        for column in ("user", "venue", "category", "subcategory", "country"):
+        for column in ("user", "venue", "category", "venue_subcategory", "country"):
             missing |= self.strings[column].flags[codes[column]].astype(bool)
         bad_gender = ~missing & (gender == -1)  # neither male nor female
         ok = ~missing & ~bad_gender
@@ -425,7 +421,7 @@ class _AcceptedRows:
         ok &= ~ts_bad
 
         rows = np.flatnonzero(ok)
-        venue, subcategory = codes["venue"][rows], codes["subcategory"][rows]
+        venue, subcategory = codes["venue"][rows], codes.pop("venue_subcategory")[rows]
         grown = len(self.strings["venue"].code) - len(self.claims)
         self.claims = np.concatenate([self.claims, np.full(grown, -1, np.int32)])
         first = first_rows(venue, len(self.claims))
@@ -445,14 +441,23 @@ class _AcceptedRows:
             self.parts[column].append(values[rows])
 
     def table(self) -> CheckinTable:
-        """The accepted rows; each column's chunks are dropped once joined."""
-        dtypes = dict.fromkeys(_CODED, np.int32)
+        """The accepted rows; each column's chunks are dropped once joined.
+        Each venue gets the subcategory that its first accepted row claimed."""
+        dtypes = dict.fromkeys(_COLUMNS, np.int32)
         dtypes.update(gender=np.int8, ts=np.int64, ts_missing=bool)
         columns = {column: np.concatenate([np.empty(0, dtype), *self.parts.pop(column)])
                    for column, dtype in dtypes.items()}
-        coded = {column: self.strings[column].finish(
-                     columns.pop(column), _city if column == "city" else None)
-                 for column in _CODED}
+        recoded = {column: self.strings[column].finish(
+                       columns[column], _city if column == "city" else None)
+                   for column in _CODED if column in columns}
+        coded = {column: (recode[columns.pop(column)], names)
+                 for column, (recode, names) in recoded.items()}
+        venue = recoded["venue"][0]  # per interned venue: its code, or -1 if unused
+        claims, venue = self.claims[venue >= 0], venue[venue >= 0]
+        recode, names = self.strings["venue_subcategory"].finish(claims)
+        venue_subcategory = np.empty(len(venue), np.int32)
+        venue_subcategory[venue] = recode[claims]
+        coded["venue_subcategory"] = venue_subcategory, names
         return _assemble(coded, **columns)
 
 
@@ -777,16 +782,18 @@ def _field_values(table: CheckinTable, rows: slice, coordinates: tuple) -> list[
     longitude column) at its row; a missing city or timestamp is empty and a
     timestamp is ISO 8601 in UTC."""
     def strings(codes, names):
-        return list(map(names.__getitem__, codes[rows].tolist()))
+        return list(map(names.__getitem__, codes.tolist()))
 
+    venue = table.venue[rows]
     stamps = ["" if missing else (_EPOCH + ts * _TS_UNIT).isoformat() for ts, missing
               in zip(table.ts[rows].tolist(), table.ts_missing[rows].tolist())]
-    return [strings(table.user, table.users), strings(table.gender, ("female", "male")),
-            strings(table.venue, table.venues), strings(table.category, table.categories),
-            strings(table.subcategory, table.subcategories),
+    return [strings(table.user[rows], table.users),
+            strings(table.gender[rows], ("female", "male")),
+            strings(venue, table.venues), strings(table.category[rows], table.categories),
+            strings(table.venue_subcategory[venue], table.subcategories),
             coordinates[0][rows].tolist(), coordinates[1][rows].tolist(),
-            strings(table.country, table.countries),
-            strings(table.city, [*table.cities, ""]),  # code -1, no city, reads ""
+            strings(table.country[rows], table.countries),
+            strings(table.city[rows], [*table.cities, ""]),  # code -1, no city, reads ""
             stamps]
 
 

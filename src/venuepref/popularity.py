@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckinTable, DataError, first_rows, group_codes, rows_with
+from .models import CheckinTable, DataError, group_codes, rows_with
 
 SQRT2 = math.sqrt(2.0)
 
@@ -51,23 +51,6 @@ def signed_difference(p_male, p_female):
     return (p_male - p_female) / SQRT2
 
 
-def venue_subcategories(table: CheckinTable, venue: np.ndarray, n_venues: int
-                        ) -> np.ndarray:
-    """The subcategory code of each of the ``n_venues`` venue codes that
-    ``venue`` gives the rows of ``table``: that of the venue's first row. A
-    row of another subcategory than its venue's is a DataError (the first
-    such row is named)."""
-    venue_subcat = table.subcategory[first_rows(venue, n_venues)]
-    clash = np.flatnonzero(table.subcategory != venue_subcat[venue])
-    if clash.size:
-        row = clash[0]
-        raise DataError(
-            f"venue {table.venues[table.venue[row]]!r} has conflicting "
-            f"subcategories {table.subcategories[venue_subcat[venue[row]]]!r}"
-            f" and {table.subcategories[table.subcategory[row]]!r}")
-    return venue_subcat
-
-
 class ScopeIndex:
     """Integer-coded view of one scope, the input of every statistic:
     ``popularity_table`` and ``nullmodel.significance`` read it and leave it
@@ -90,8 +73,8 @@ class ScopeIndex:
         if mode is AnalysisMode.VENUE_WITHIN_SUBCATEGORY:
             if not scope_subcategory:
                 raise ValueError("venue_within_subcategory mode requires scope_subcategory")
-            table = table.take(rows_with(table.subcategory, table.subcategories,
-                                         scope_subcategory))
+            table = table.take(rows_with(table.venue_subcategory[table.venue],
+                                         table.subcategories, scope_subcategory))
         elif scope_subcategory is not None:
             raise ValueError(f"scope_subcategory only valid in "
                              f"venue_within_subcategory mode, not {mode.value}")
@@ -105,9 +88,9 @@ class ScopeIndex:
 
         # table codes are in sorted key order, so sorted codes give sorted keys
         venues, record_venue = group_codes(table.venue, len(table.venues))
-        venue_subcat = venue_subcategories(table, record_venue, len(venues))
         self.venue_ids = [table.venues[v] for v in venues.tolist()]
-        subcats, self.venue_subcat = group_codes(venue_subcat, len(table.subcategories))
+        subcats, self.venue_subcat = group_codes(table.venue_subcategory[venues],
+                                                 len(table.subcategories))
         self.subcategories = [table.subcategories[s] for s in subcats.tolist()]
 
         if mode is AnalysisMode.SUBCATEGORY:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CheckinTable, DataError, csv_reader, pair_codes
-from .popularity import signed_difference, venue_subcategories
+from .popularity import signed_difference
 
 
 @dataclass
@@ -58,7 +58,7 @@ def gini(x) -> float:
 def collect_global_dims(table: CheckinTable) -> list[str]:
     """The subcategories of ``table``, such as the ``filter_regions`` output
     of all regions, in lexicographic order."""
-    used = np.bincount(table.subcategory, minlength=len(table.subcategories))
+    used = np.bincount(table.venue_subcategory[table.venue], minlength=len(table.subcategories))
     return [table.subcategories[s] for s in np.flatnonzero(used).tolist()]
 
 
@@ -78,7 +78,7 @@ def build_preference_vectors(table: CheckinTable, region: np.ndarray,
     n_subcats = len(table.subcategories)
     # (region, venue) codes, in region and then venue-id order
     venues, venue = pair_codes(region, len(names), table.venue, len(table.venues))
-    venue_subcat = venue_subcategories(table, venue, len(venues))
+    venue_subcat = table.venue_subcategory[venues % len(table.venues)]
     total = np.bincount(venue, minlength=len(venues))
     male = np.bincount(venue[table.gender == 1], minlength=len(venues))
     female = total - male

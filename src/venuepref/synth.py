@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckinTable, _assemble, _coded
+from .models import CheckinTable, _assemble
 
 
 def _check_types(spec, types: dict) -> None:
@@ -119,12 +119,15 @@ def _gender_weights(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coded_keys(keys: np.ndarray, name) -> tuple[np.ndarray, list[str]]:
-    """``_coded`` of the names ``name(key)`` of integer ``keys``, naming
-    each distinct key once: two keys may share a name, and names need not
-    sort as their keys do."""
+    """The code of the name ``name(key)`` of each integer key into the
+    sorted table of those names, which it returns, naming each distinct key
+    once: two keys may share a name, and names need not sort as their keys
+    do. A key named None gets -1."""
     distinct, inverse = np.unique(keys, return_inverse=True)
-    codes, names = _coded([name(key) for key in distinct.tolist()])
-    return codes[inverse], names
+    values = [name(key) for key in distinct.tolist()]
+    names = sorted(set(values) - {None})
+    position = {value: i for i, value in enumerate(names)}
+    return np.array([position.get(v, -1) for v in values], np.int32)[inverse], names
 
 
 def generate(spec: SynthSpec) -> tuple[CheckinTable, tuple[np.ndarray, np.ndarray]]:
@@ -179,13 +182,17 @@ def generate(spec: SynthSpec) -> tuple[CheckinTable, tuple[np.ndarray, np.ndarra
     venue = (np.cumsum(n_venues_arr) - n_venues_arr)[si_arr] + vi_arr  # into lats, lons
     width = int(n_venues_arr.max())  # one key per (subcategory, venue)
     subs = spec.subcategories
+    venue_codes, venues = _coded_keys(
+        si_arr * width + vi_arr, lambda key: "v-{:03d}-{:04d}".format(*divmod(key, width)))
+    subcategory, subcategories = _coded_keys(si_arr, lambda si: subs[si].name)
+    venue_subcategory = np.empty(len(venues), np.int32)
+    venue_subcategory[venue_codes] = subcategory
     region = np.zeros(n, np.int64)  # one key: every check-in is in the spec's region
     coded = {
         "user": _coded_keys(user_ids, "u-{:06d}".format),
-        "venue": _coded_keys(si_arr * width + vi_arr,
-                             lambda key: "v-{:03d}-{:04d}".format(*divmod(key, width))),
+        "venue": (venue_codes, venues),
         "category": _coded_keys(si_arr, lambda si: subs[si].category),
-        "subcategory": _coded_keys(si_arr, lambda si: subs[si].name),
+        "venue_subcategory": (venue_subcategory, subcategories),
         "country": _coded_keys(region, lambda _: spec.region_name),
         "city": _coded_keys(region, lambda _: spec.city or None),  # "": no city
     }

@@ -39,10 +39,10 @@ class CheckInRecord:
     longitude: Optional[float] = field(default=None, compare=False)
 
 
-# each coded column of a table, its value table, and the record field it holds
+# each coded column of a table, its value table, and the record field it
+# holds; a venue's subcategory is coded per venue, in venue_subcategory
 CODED = [("user", "users", "user_id"), ("venue", "venues", "venue_id"),
          ("category", "categories", "category"),
-         ("subcategory", "subcategories", "subcategory"),
          ("country", "countries", "country"), ("city", "cities", "city")]
 
 
@@ -53,15 +53,29 @@ def _micros(ts: datetime) -> int:
     return (ts - EPOCH) // MICROSECOND
 
 
+def _codes(values):
+    """The sorted table of the distinct ``values`` but None, and the code of
+    each value in it (-1 for None)."""
+    names = sorted(set(values) - {None})
+    position = {value: i for i, value in enumerate(names)}
+    return names, np.array([position.get(v, -1) for v in values], np.int32)
+
+
 def to_table(records) -> CheckinTable:
-    """The CheckinTable of ``records``, row by row in their order."""
+    """The CheckinTable of ``records``, row by row in their order; a
+    ValueError if two records give one venue two subcategories."""
     records = list(records)
     columns = {}
     for column, names, field in CODED:
-        values = [getattr(rec, field) for rec in records]
-        columns[names] = sorted(set(values) - {None})
-        position = {value: i for i, value in enumerate(columns[names])}
-        columns[column] = np.array([position.get(v, -1) for v in values], np.int32)
+        columns[names], columns[column] = _codes([getattr(rec, field) for rec in records])
+    venue_subcategory = {}
+    for rec in records:
+        known = venue_subcategory.setdefault(rec.venue_id, rec.subcategory)
+        if known != rec.subcategory:
+            raise ValueError(f"venue {rec.venue_id!r} has two subcategories, "
+                             f"{known!r} and {rec.subcategory!r}")
+    columns["subcategories"], columns["venue_subcategory"] = _codes(
+        [venue_subcategory[venue] for venue in columns["venues"]])
     stamps = [rec.timestamp for rec in records]
     return CheckinTable(
         **columns,
@@ -79,6 +93,7 @@ def to_records(table: CheckinTable, coordinates=None) -> list[CheckInRecord]:
 
     columns = {field: strings(getattr(table, column), getattr(table, names))
                for column, names, field in CODED}
+    columns["subcategory"] = strings(table.venue_subcategory[table.venue], table.subcategories)
     columns.update(
         gender=[Gender.MALE if g == 1 else Gender.FEMALE for g in table.gender.tolist()],
         timestamp=[None if missing else EPOCH + ts * MICROSECOND for ts, missing

@@ -732,6 +732,52 @@ def test_out_of_range_config_value_is_usage_error(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
+    (["synth", "--spec", "{spec}", "--out-dir", "{out}"], "--seed"),
+    (["ingest-check", "--input", "{data}"], "--seed"),
+    (["ingest-check", "--input", "{data}"], "--out-dir"),
+], ids=["synth-seed", "ingest-check-seed", "ingest-check-out-dir"])
+def test_a_flag_of_no_effect_is_a_usage_error(argv, flag, dataset, tmp_path, capsys):
+    # synth takes its seed from the spec, and ingest-check writes no artifact
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC_JSON))
+    paths = {"spec": str(spec), "out": str(tmp_path / "s"), "data": str(dataset)}
+    assert_usage_error([arg.format(**paths) for arg in argv] + [flag, "5"], capsys,
+                       f"unrecognized arguments: {flag} 5")
+    assert not (tmp_path / "s").exists() and not (tmp_path / "5").exists()
+
+
+def test_config_key_of_a_removed_flag_is_usage_error(tmp_path, capsys):
+    spec, config = tmp_path / "spec.json", tmp_path / "conf.json"
+    spec.write_text(json.dumps(SPEC_JSON))
+    config.write_text(json.dumps({"seed": 5}))
+    assert_usage_error(["synth", "--spec", str(spec), "--config", str(config),
+                        "--out-dir", str(tmp_path / "s")], capsys,
+                       f"unknown key 'seed' in config file {config} for synth")
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("custom", [True, False], ids=["file", "bundled"])
+def test_compare_records_an_index_file_as_an_input(custom, tmp_path):
+    vectors = write_vectors(tmp_path / "vectors.csv",
+                            [f"{c},{i + 1},{5 - i}" for i, c in enumerate(
+                                ["Brazil", "France", "Germany", "Japan", "Kuwait"])])
+    index = tmp_path / "idx.csv"
+    index.write_text("country,value\n" + "".join(
+        f"{c},0.{i + 1}\n" for i, c in enumerate(
+            ["Brazil", "France", "Germany", "Japan", "Kuwait"])))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--vectors", str(vectors), "--index",
+                 str(index) if custom else "GII", "--anchor", "Brazil",
+                 "--permutations", "10", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    expected = {str(vectors): hashlib.sha256(vectors.read_bytes()).hexdigest()}
+    if custom:
+        expected[str(index)] = hashlib.sha256(index.read_bytes()).hexdigest()
+    assert manifest["inputs"] == expected
+    assert manifest["config"]["index"] == (str(index) if custom else "GII")
+
+
+@pytest.mark.parametrize("argv, flag", [
     (["cluster", "--vectors", "v", "--k", "0"], "--k"),
     (["cluster", "--vectors", "v", "--k", "2", "--restarts", "0"], "--restarts"),
     (["compare", "--vectors", "v", "--index", "GII", "--permutations", "1"],

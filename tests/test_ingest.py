@@ -371,11 +371,14 @@ NOT_OBJECTS = ["[1, 2]", "3", '"s"', "null", "not json", "{", "", "   "]
 
 def draw_row(draw, cells):
     """A mostly valid row, a dict by field name: every field valid, and each
-    venue in one subcategory, but for up to two fields drawn from all of
-    ``cells``."""
+    venue in one subcategory, but now and then the other one (a venue
+    conflict if an earlier row claimed the venue) and for up to two fields
+    drawn from all of ``cells``."""
     row = {name: draw(st.sampled_from(values[:VALID]))
            for name, values in CELLS.items()}
     row["subcategory"] = dict(zip(CELLS["venue_id"], "AAB"))[row["venue_id"]]
+    if draw(st.integers(0, 3)) == 0:
+        row["subcategory"] = "AB".replace(row["subcategory"], "")
     for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
         name = draw(st.sampled_from(CSV_FIELDS))
         row[name] = draw(st.sampled_from(cells[name]))
@@ -480,7 +483,7 @@ def assert_same_ingest(data, fmt):
         assert table.gender[i] == (rec.gender is Gender.MALE)
         assert table.venues[table.venue[i]] == rec.venue_id
         assert table.categories[table.category[i]] == rec.category
-        assert table.subcategories[table.subcategory[i]] == rec.subcategory
+        assert table.subcategories[table.venue_subcategory[table.venue[i]]] == rec.subcategory
         assert table.countries[table.country[i]] == rec.country
         assert (table.cities[city] if city >= 0 else None) == rec.city
         assert table.ts_missing[i] == (rec.timestamp is None)
@@ -489,6 +492,10 @@ def assert_same_ingest(data, fmt):
     for names in (table.users, table.venues, table.categories,
                   table.subcategories, table.countries, table.cities):
         assert names == sorted(set(names))
+    # one subcategory per venue of an accepted row, each used by a venue
+    assert table.venues == sorted({rec.venue_id for rec in records})
+    assert table.subcategories == sorted({rec.subcategory for rec in records})
+    assert len(table.venue_subcategory) == len(table.venues)
 
 
 # a line of 27 bytes, and one with 2-byte UTF-8 sequences at its bytes 14 and 27
@@ -791,11 +798,12 @@ def test_ingest_memory_is_bounded_by_the_block_not_the_file(monkeypatch):
     assert peak - kept < 4 * block
 
 
-def test_table_keeps_no_coordinates_and_34_bytes_per_row():
-    """Six int32 codes, int8 gender, int64 microseconds and a bool mask per
-    row; ingest checks coordinates and keeps none."""
+def test_table_keeps_no_coordinates_and_30_bytes_per_row():
+    """Five int32 codes, int8 gender, int64 microseconds and a bool mask per
+    row, and an int32 subcategory code per venue, which a subset shares;
+    ingest checks coordinates and keeps none."""
     assert [f.name for f in fields(CheckinTable)] == [
-        "user", "venue", "category", "subcategory", "country", "city", "gender",
+        "user", "venue", "category", "venue_subcategory", "country", "city", "gender",
         "ts", "ts_missing", "users", "venues", "categories", "subcategories",
         "countries", "cities"]
     spec = SynthSpec(n_users=40, female_fraction=0.5, n_checkins=500,
@@ -806,11 +814,27 @@ def test_table_keeps_no_coordinates_and_34_bytes_per_row():
     write_checkins(*generate(spec), buf)
     table, _ = ingest_checkins(io.BytesIO(buf.getvalue().encode()), "csv")
     assert len(table) == 500
-    assert sum(getattr(table, c).nbytes for c in models._COLUMNS) / len(table) == 34
+    assert sum(getattr(table, c).nbytes for c in models._COLUMNS) / len(table) == 30
+    assert table.venue_subcategory.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert table.take([0]).venue_subcategory is table.venue_subcategory
+
+
+# a venue claimed by its first accepted line, not by a rejected one before
+# it, and lines of another subcategory after the claim, in chunks of 1 or 2
+CLAIMS = "".join(json.dumps({"user_id": user, "gender": gender, "venue_id": venue,
+                             "category": "Food", "subcategory": subcategory,
+                             "latitude": 1.0, "longitude": 2.0, "country": "BR"}) + "\n"
+                 for user, gender, venue, subcategory in [
+                     ("u1", "other", "v1", "B"), ("u2", "male", "v1", "A"),
+                     ("u3", "female", "v1", "B"), ("u4", "female", "v2", "B"),
+                     ("u5", "male", "v2", "A"), ("u6", "male", "v1", "A"),
+                     ("u7", "female", "v2", "B")])
 
 
 @settings(max_examples=200)
 @given(jsonl_files(), st.integers(1, 5))
+@example(CLAIMS, 1)
+@example(CLAIMS, 2)
 def test_jsonl_ingest_equals_oracle(data, chunk_rows):
     with mock.patch.object(models, "_CHUNK_ROWS", chunk_rows):
         assert_same_ingest(data, "jsonl")

@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from venuepref.filtering import FilterConfig, filter_regions
-from venuepref.models import DataError, Granularity, rows_with
+from venuepref.models import Granularity, rows_with
 from venuepref.preference import (
     PreferenceVector,
     build_preference_vectors,
@@ -135,6 +135,12 @@ def test_global_dims_union_is_sorted():
     assert dims == ["Bar", "Café"]
 
 
+def test_global_dims_of_a_subset_are_those_of_its_rows():
+    # US's rows share the venue subcategories of BR's Café venues, and use none
+    assert collect_global_dims(region_records("US")) == ["Bar"]
+    assert collect_global_dims(region_records("BR")) == ["Bar", "Café"]
+
+
 def test_identical_venue_differences_give_zero():
     records = region_records("BR")
     vec = build_preference_vector(records, BR.name, ["Bar", "Café"])
@@ -258,16 +264,23 @@ def test_grouped_vectors_equal_each_region_alone(records, config):
 
 
 def test_a_venue_has_one_subcategory_within_each_region():
-    # v1 is a Bar in US and a Café in BR; v2 is both within BR
-    records = [make_record(user=f"u{i}", venue=v, subcat=s, country=c)
-               for i, (v, s, c) in enumerate([
-                   ("v1", "Bar", "US"), ("v1", "Café", "BR"),
-                   ("v2", "Bar", "BR"), ("v2", "Gym", "BR"), ("v2", "Café", "BR")])]
+    # a table gives a venue one subcategory in every region: v1 is a Bar in
+    # US and in BR, and a record that makes it a Café is refused
+    records = [make_record(user=f"u{i}", gender=g, venue=v, subcat=s, country=c)
+               for i, (g, v, s, c) in enumerate([
+                   ("male", "v1", "Bar", "US"), ("female", "v1", "Bar", "US"),
+                   ("male", "v1", "Bar", "BR"), ("female", "v2", "Bar", "BR"),
+                   ("male", "v2", "Bar", "BR"), ("female", "v4", "Bar", "BR"),
+                   ("female", "v4", "Bar", "BR"), ("female", "v3", "Gym", "BR")])]
+    with pytest.raises(ValueError, match="^venue 'v1' has two subcategories, "
+                                         "'Bar' and 'Café'$"):
+        to_table(records + [make_record(venue="v1", subcat="Café", country="BR")])
     table = to_table(records)
     region = (table.country == table.countries.index("US")).astype(np.intp)
-    with pytest.raises(DataError, match="^venue 'v2' has conflicting "
-                                        "subcategories 'Bar' and 'Gym'$"):
-        build_preference_vectors(table, region, ["BR", "US"], ["Bar", "Café"])
-    vectors = build_preference_vectors(table.take(slice(2)), region[:2],
-                                       ["BR", "US"], ["Bar", "Café"])
+    vectors = build_preference_vectors(table, region, ["BR", "US"], ["Bar", "Gym"])
     assert [v.region for v in vectors] == ["BR", "US"]
+    # BR's Bar venues v1, v2 and v4 have |d| of 1/2, 1/6 and 2/3 (over
+    # sqrt 2); its Gym lacks a male check-in, so it is absent. US's one
+    # venue has d = 0.
+    assert vectors[0].values.tolist() == [pytest.approx(gini([3, 1, 4])), 0.0]
+    assert vectors[1].values.tolist() == [0.0, 0.0]

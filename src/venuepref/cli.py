@@ -124,10 +124,10 @@ class Manifest:
 
 
 def _out_dir(args) -> Path | None:
-    """--out-dir, else $VENUEPREF_OUT_DIR, else the current directory; None
-    for ingest-check, which writes no artifact."""
+    """--out-dir, else the current directory; None for ingest-check, which
+    writes no artifact."""
     if "out_dir" in vars(args):
-        return Path(args.out_dir or os.environ.get("VENUEPREF_OUT_DIR") or ".")
+        return Path(args.out_dir or ".")
     return None
 
 
@@ -371,7 +371,7 @@ def _add_common(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", help="JSON config file; flags win on conflict")
     if command != "ingest-check":
         parser.add_argument("--out-dir", default=None,
-                            help="output directory (default: $VENUEPREF_OUT_DIR or .)")
+                            help="output directory (default: the current directory)")
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:

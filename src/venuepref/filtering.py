@@ -10,6 +10,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
 from .models import (
+    NO_TIME,
     CheckinTable,
     DataError,
     Granularity,
@@ -18,7 +19,6 @@ from .models import (
 )
 
 DEFAULT_CATEGORIES = frozenset({"Arts", "Education", "Food", "Nightlife", "Work"})
-_NEVER = np.iinfo(np.int64).max  # after every timestamp
 
 
 @dataclass
@@ -63,15 +63,13 @@ def _region_column(t: CheckinTable, granularity: Granularity):
 def _earliest_per_pair(t: CheckinTable, rows: np.ndarray, venue: np.ndarray,
                        n_venues: int) -> np.ndarray:
     # Keep the earliest check-in per (region, user, venue), ``venue`` coding
-    # the (region, venue) of each row; rows with a missing timestamp come
+    # the (region, venue) of each row; a missing timestamp, NO_TIME, comes
     # last, and ties fall back to input order.
     pairs, pair = pair_codes(venue, n_venues, t.user[rows], len(t.users))
-    ts, missing = t.ts[rows], t.ts_missing[rows]
-    earliest = np.full(len(pairs), _NEVER)
-    np.minimum.at(earliest, pair[~missing], ts[~missing])
-    # the rows at their pair's earliest time; in a pair with no time, all
-    at_earliest = np.flatnonzero(np.where(missing, earliest[pair] == _NEVER,
-                                          ts == earliest[pair]))
+    ts = t.ts[rows]
+    earliest = np.full(len(pairs), NO_TIME)
+    np.minimum.at(earliest, pair, ts)
+    at_earliest = np.flatnonzero(ts == earliest[pair])
     keep = np.zeros(len(rows), bool)
     keep[at_earliest[first_rows(pair[at_earliest], len(pairs))]] = True
     return keep

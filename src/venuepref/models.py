@@ -8,7 +8,6 @@ import csv
 import io
 import itertools
 import json
-import operator
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -43,23 +42,7 @@ CSV_FIELDS = [
 
 _TS_UNIT = timedelta(microseconds=1)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_EPOCH_DAY = _EPOCH.toordinal()
-
-
-def _micros(stamps: list[datetime]) -> np.ndarray:
-    """Microseconds since the epoch of each datetime, exact at any date
-    (float seconds are not); a naive datetime is read as UTC."""
-    def field(get, values=stamps):
-        return np.fromiter(map(get, values), np.int64, len(values))
-
-    offsets = list(map(datetime.utcoffset, stamps))
-    offset_micros = {offset: 0 if offset is None else offset // _TS_UNIT
-                     for offset in set(offsets)}
-    seconds = ((field(datetime.toordinal) - _EPOCH_DAY) * 86400
-               + field(operator.attrgetter("hour")) * 3600
-               + field(operator.attrgetter("minute")) * 60 + field(operator.attrgetter("second")))
-    return (seconds * 1_000_000 + field(operator.attrgetter("microsecond"))
-            - field(offset_micros.__getitem__, offsets))
+NO_TIME = np.iinfo(np.int64).max  # the ts of a check-in with no timestamp: after every time
 
 
 # coded string fields, the name of each one's value table, and the
@@ -69,7 +52,7 @@ _CODED = {"user": ("users", "user_id"), "venue": ("venues", "venue_id"),
           "venue_subcategory": ("subcategories", "subcategory"),
           "country": ("countries", "country"), "city": ("cities", "city")}
 # the fields with one entry per row
-_COLUMNS = ("user", "venue", "category", "country", "city", "gender", "ts", "ts_missing")
+_COLUMNS = ("user", "venue", "category", "country", "city", "gender", "ts")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +64,8 @@ class CheckinTable:
     ``countries``, ``cities``), so code order is string order; a missing
     city is -1. A venue has one subcategory, whose code is its entry of
     ``venue_subcategory``. ``gender`` is int8, 1 = male and 0 = female.
-    ``ts`` is the timestamp in microseconds since the epoch, unless
-    ``ts_missing``. A subset (``take``) shares the value tables and
+    ``ts`` is the timestamp in microseconds since the epoch, or ``NO_TIME``
+    where there is none. A subset (``take``) shares the value tables and
     ``venue_subcategory`` of its table.
     """
 
@@ -94,7 +77,6 @@ class CheckinTable:
     city: np.ndarray
     gender: np.ndarray
     ts: np.ndarray
-    ts_missing: np.ndarray
     users: list[str]
     venues: list[str]
     categories: list[str]
@@ -302,10 +284,10 @@ def _fixed_width_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seconds * 1_000_000, fits
 
 
-def _timestamps(values, chars=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Microseconds since the epoch of a column of ISO 8601 timestamps (0
-    where there is none), the mask of missing (falsy) values and the mask
-    of values that do not parse.
+def _timestamps(values, chars=None) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the epoch of a column of ISO 8601 timestamps,
+    ``NO_TIME`` where there is none (None or "") or it does not parse, and
+    the mask of the values that do not parse.
 
     A column of ASCII strings all as wide as ``_ISO_FORM`` is read as one
     byte matrix, ``chars`` if given (then ``values`` is not read); its rows
@@ -323,9 +305,9 @@ def _timestamps(values, chars=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bad = np.zeros(len(chars), bool)
     rows = np.flatnonzero(~fits)
     if len(rows):
-        micros[rows], _, bad[rows] = _parsed_timestamps(
+        micros[rows], bad[rows] = _parsed_timestamps(
             [row.tobytes().decode() for row in chars[rows]])
-    return micros, np.zeros(len(chars), bool), bad
+    return micros, bad
 
 
 def _fromisoformat(value: str) -> datetime:
@@ -346,17 +328,15 @@ def _fromisoformat(value: str) -> datetime:
     return datetime.fromisoformat(value)
 
 
-def _parsed_timestamps(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_timestamps``, each value parsed by ``_fromisoformat``."""
-    try:
-        stamps = [_fromisoformat(v) if v else None for v in values]
-    except (TypeError, ValueError):
-        stamps = [_or_none(_fromisoformat, v) if v else None for v in values]
-    missing = np.fromiter(map(operator.not_, values), bool, len(values))
-    parsed = np.fromiter((ts is not None for ts in stamps), bool, len(stamps))
-    micros = np.zeros(len(values), np.int64)
-    micros[parsed] = _micros([ts for ts in stamps if ts is not None])
-    return micros, missing, ~missing & ~parsed
+def _parsed_timestamps(values) -> tuple[np.ndarray, np.ndarray]:
+    """``_timestamps``, each value parsed by ``_fromisoformat``; a naive
+    time is read as UTC."""
+    stamps = [_or_none(_fromisoformat, v) for v in values]
+    micros = [NO_TIME if ts is None else
+              ((ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)) - _EPOCH) // _TS_UNIT
+              for ts in stamps]
+    bad = [ts is None and v is not None and v != "" for ts, v in zip(stamps, values)]
+    return np.array(micros, np.int64), np.array(bad, bool)
 
 
 class _Column(NamedTuple):
@@ -402,8 +382,7 @@ class _AcceptedRows:
                 gender = column.per_row(self.gender(column.values))
                 gender = self.gender.flags[gender]  # interned first: flags grow with it
             elif field == "timestamp":
-                ts, ts_missing, ts_bad = map(column.per_row,
-                                             _timestamps(column.values, column.chars))
+                ts, ts_bad = map(column.per_row, _timestamps(column.values, column.chars))
             else:  # latitude, then longitude: checked per value, not kept
                 value, blank = _floats(column.values)
                 limit = 90.0 if field == "latitude" else 180.0  # nan is not in range
@@ -436,7 +415,7 @@ class _AcceptedRows:
         report.bad_coordinates += int(bad_coordinates.sum())
         report.venue_conflict += int(conflict.sum())
         report.accepted += len(rows)
-        kept = dict(codes, gender=gender, ts=ts, ts_missing=ts_missing)
+        kept = dict(codes, gender=gender, ts=ts)
         for column, values in kept.items():
             self.parts[column].append(values[rows])
 
@@ -444,7 +423,7 @@ class _AcceptedRows:
         """The accepted rows; each column's chunks are dropped once joined.
         Each venue gets the subcategory that its first accepted row claimed."""
         dtypes = dict.fromkeys(_COLUMNS, np.int32)
-        dtypes.update(gender=np.int8, ts=np.int64, ts_missing=bool)
+        dtypes.update(gender=np.int8, ts=np.int64)
         columns = {column: np.concatenate([np.empty(0, dtype), *self.parts.pop(column)])
                    for column, dtype in dtypes.items()}
         recoded = {column: self.strings[column].finish(
@@ -785,8 +764,8 @@ def _field_values(table: CheckinTable, rows: slice, coordinates: tuple) -> list[
         return list(map(names.__getitem__, codes.tolist()))
 
     venue = table.venue[rows]
-    stamps = ["" if missing else (_EPOCH + ts * _TS_UNIT).isoformat() for ts, missing
-              in zip(table.ts[rows].tolist(), table.ts_missing[rows].tolist())]
+    stamps = ["" if ts == NO_TIME else (_EPOCH + ts * _TS_UNIT).isoformat()
+              for ts in table.ts[rows].tolist()]
     return [strings(table.user[rows], table.users),
             strings(table.gender[rows], ("female", "male")),
             strings(venue, table.venues), strings(table.category[rows], table.categories),

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import CheckinTable, _assemble
+from .models import NO_TIME, CheckinTable, _assemble
 
 
 def _check_types(spec, types: dict) -> None:
@@ -196,6 +196,5 @@ def generate(spec: SynthSpec) -> tuple[CheckinTable, tuple[np.ndarray, np.ndarra
         "country": _coded_keys(region, lambda _: spec.region_name),
         "city": _coded_keys(region, lambda _: spec.city or None),  # "": no city
     }
-    table = _assemble(coded, gender=is_male.astype(np.int8), ts=np.zeros(n, np.int64),
-                      ts_missing=np.ones(n, bool))
+    table = _assemble(coded, gender=is_male.astype(np.int8), ts=np.full(n, NO_TIME, np.int64))
     return table, (lats[venue], lons[venue])

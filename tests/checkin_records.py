@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from venuepref.models import CheckinTable, write_checkins
+from venuepref.models import NO_TIME, CheckinTable, write_checkins
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
@@ -76,12 +76,11 @@ def to_table(records) -> CheckinTable:
                              f"{known!r} and {rec.subcategory!r}")
     columns["subcategories"], columns["venue_subcategory"] = _codes(
         [venue_subcategory[venue] for venue in columns["venues"]])
-    stamps = [rec.timestamp for rec in records]
     return CheckinTable(
         **columns,
         gender=np.array([rec.gender == Gender.MALE for rec in records], np.int8),
-        ts=np.array([0 if ts is None else _micros(ts) for ts in stamps], np.int64),
-        ts_missing=np.array([ts is None for ts in stamps], bool))
+        ts=np.array([NO_TIME if rec.timestamp is None else _micros(rec.timestamp)
+                     for rec in records], np.int64))
 
 
 def to_records(table: CheckinTable, coordinates=None) -> list[CheckInRecord]:
@@ -96,8 +95,8 @@ def to_records(table: CheckinTable, coordinates=None) -> list[CheckInRecord]:
     columns["subcategory"] = strings(table.venue_subcategory[table.venue], table.subcategories)
     columns.update(
         gender=[Gender.MALE if g == 1 else Gender.FEMALE for g in table.gender.tolist()],
-        timestamp=[None if missing else EPOCH + ts * MICROSECOND for ts, missing
-                   in zip(table.ts.tolist(), table.ts_missing.tolist())])
+        timestamp=[None if ts == NO_TIME else EPOCH + ts * MICROSECOND
+                   for ts in table.ts.tolist()])
     if coordinates is not None:
         columns.update(latitude=coordinates[0].tolist(), longitude=coordinates[1].tolist())
     return [CheckInRecord(**dict(zip(columns, row))) for row in zip(*columns.values())]

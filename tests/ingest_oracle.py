@@ -39,10 +39,11 @@ _TIMESTAMP = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([^+\-Z]*)"
 
 
 def parse_timestamp(raw):
-    """The datetime of an ISO timestamp, in UTC if it has no offset; a
-    ValueError if it is longer than a date and not of the one form above,
-    or if fromisoformat refuses its date and time."""
-    if not raw:
+    """The datetime of an ISO timestamp, in UTC if it has no offset, or
+    None for no timestamp (None or ""); a ValueError if it is longer than a
+    date and not of the one form above, or if fromisoformat refuses its
+    date and time, and a TypeError if it is no str."""
+    if raw is None or raw == "":
         return None
     if len(raw) <= 10:
         ts = datetime.fromisoformat(raw)
@@ -90,7 +91,7 @@ def _record_from_mapping(row, report, venue_subcats):
         report.bad_coordinates += 1
         return None
     try:
-        ts = parse_timestamp(row.get("timestamp") or None)
+        ts = parse_timestamp(row.get("timestamp"))
     except (TypeError, ValueError):
         report.missing_field += 1
         return None

@@ -342,6 +342,31 @@ def test_mixed_naive_and_aware_timestamps(tmp_path):
     assert {"stage": "dedupe", "in": 30, "out": 28} in stages
 
 
+def test_dedupe_keeps_the_earliest_instant_of_mixed_timestamp_forms(tmp_path):
+    # one (user, venue) pair checked in with no time, a naive (UTC) time, a
+    # +02:00 time and a Z time: the +02:00 one is the earliest instant,
+    # though its clock reads latest, and the only female one; so the pair
+    # gives the artifacts of that one check-in alone
+    rows = [f"u{i},{'male' if i % 2 else 'female'},v{v},Food,S{v // 2},"
+            f"1.0,2.0,Synthland,,2014-04-2{i}T10:00:00+00:00"
+            for v in range(4) for i in range(7)]
+    pair = "u7,{},v0,Food,S0,1.0,2.0,Synthland,,{}".format
+    mixed = [pair("male", ""), pair("male", "2014-04-19T12:00:00"),
+             pair("female", "2014-04-19T12:30:00+02:00"), pair("male", "2014-04-19T11:00:00Z")]
+    artifacts = []
+    for name, pair_rows in (("mixed", mixed), ("earliest", mixed[2:3])):
+        data = tmp_path / f"{name}.csv"
+        data.write_text(",".join(CSV_FIELDS) + "\n" + "\n".join(rows + pair_rows) + "\n")
+        out = tmp_path / name
+        assert main(["analyze", "--input", str(data), "--country", "Synthland",
+                     "--k", "10", "--out-dir", str(out)]) == 0
+        artifacts.append([(out / artifact).read_bytes() for artifact in (
+            "popularity.csv", "significance.json", "null_distribution.csv")])
+    stages = json.loads((tmp_path / "mixed" / "filter_report.json").read_text())["stages"]
+    assert {"stage": "dedupe", "in": 32, "out": 29} in stages
+    assert artifacts[0] == artifacts[1]
+
+
 def test_timestamps_read_as_an_array_or_one_by_one_give_the_same_artifacts(
         tmp_path, capsys):
     # the "T" form is read as a byte array, the space form by fromisoformat;
@@ -372,7 +397,7 @@ def test_timestamps_read_as_an_array_or_one_by_one_give_the_same_artifacts(
                      "--seed", "3", "--k", "10", "--out-dir", str(path.with_suffix(""))]) == 0
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["accepted"] == 2000
-    assert not tables[0].ts_missing.any()
+    assert (tables[0].ts != models.NO_TIME).all()
     assert tables[0].ts.tolist() == tables[1].ts.tolist()
     stages = json.loads((tmp_path / "array" / "filter_report.json").read_text())["stages"]
     assert any(s["stage"] == "dedupe" and s["out"] < s["in"] for s in stages)
@@ -423,6 +448,16 @@ def test_synth_roundtrip(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["artifacts"] == [str(out / "data.csv")]
     assert main(["ingest-check", "--input", str(out / "data.csv")]) == 0
+
+
+def test_out_dir_defaults_to_the_current_directory(tmp_path, monkeypatch):
+    # an environment variable does not stand in for --out-dir
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC_JSON))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("VENUEPREF_OUT_DIR", str(tmp_path / "env"))
+    assert main(["synth", "--spec", "spec.json", "--out", "data.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.csv", "run_manifest.json", "spec.json"]
 
 
 @pytest.mark.parametrize("name", ["absolute", "../x.csv", "sub/x.csv",

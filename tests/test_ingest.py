@@ -13,11 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import checkin_records
 import ingest_oracle
 from checkin_records import Gender, to_records, to_table
 from venuepref import models
 from venuepref.models import (
     CSV_FIELDS,
+    NO_TIME,
     CheckinTable,
     DataError,
     ingest_checkins,
@@ -131,12 +133,10 @@ def test_timestamp_has_one_outcome_on_every_python(stamp, utc):
     expected = None if utc is None else int(
         (datetime.fromisoformat(utc).replace(tzinfo=timezone.utc) - EPOCH)
         // timedelta(microseconds=1))
+    micros = NO_TIME if utc is None else expected
     for values in ([stamp], [stamp, "2014-04-25T12:00:00+00:00"]):
-        micros, missing, bad = models._timestamps(values)
-        assert (bad[0], missing[0]) == (utc is None, False)
-        assert utc is None or micros[0] == expected
-    assert timestamps_one_by_one([stamp]) == (
-        [expected or 0], [False], [utc is None])
+        assert [a[0] for a in models._timestamps(values)] == [micros, utc is None]
+    assert timestamps_one_by_one([stamp]) == ([micros], [utc is None])
     twin = models._timestamps([stamp.replace("Z", "+00:00")])
     assert [a.tolist() for a in twin] == [a.tolist() for a in models._timestamps([stamp])]
 
@@ -198,6 +198,21 @@ def test_jsonl_timestamp_that_is_not_a_string_is_rejected():
     records, report = ingest_checkins(io.BytesIO(lines.encode()), "jsonl")
     assert len(records) == 1
     assert report.missing_field == 1
+
+
+@pytest.mark.parametrize("timestamp", [0, 0.0, [], {}], ids=["0", "0.0", "list", "object"])
+def test_a_falsy_jsonl_timestamp_is_a_missing_field(timestamp):
+    """Only an absent key, null or "" is no timestamp; any other value that
+    is not a time is a missing field, as 12, [1] and false are."""
+    row = {"user_id": "u1", "gender": "male", "venue_id": "v1", "category": "Food",
+           "subcategory": "Café", "latitude": 1.0, "longitude": 2.0, "country": "BR"}
+    data = "".join(json.dumps(line) + "\n" for line in [
+        {**row, "timestamp": timestamp}, row, {**row, "user_id": "u2", "timestamp": None},
+        {**row, "user_id": "u3", "timestamp": ""}])
+    table, report = ingest_checkins(io.BytesIO(data.encode()), "jsonl")
+    assert (report.accepted, report.missing_field) == (3, 1)
+    assert table.ts.tolist() == [NO_TIME] * 3
+    assert_same_ingest(data, "jsonl")
 
 
 def test_jsonl_boolean_is_no_coordinate_or_timestamp():
@@ -369,17 +384,17 @@ JSON_CELLS = {
 NOT_OBJECTS = ["[1, 2]", "3", '"s"', "null", "not json", "{", "", "   "]
 
 
-def draw_row(draw, cells):
+def draw_row(draw, cells, changed=(0, 1, 1, 2)):
     """A mostly valid row, a dict by field name: every field valid, and each
     venue in one subcategory, but now and then the other one (a venue
-    conflict if an earlier row claimed the venue) and for up to two fields
-    drawn from all of ``cells``."""
+    conflict if an earlier row claimed the venue), and as many fields as
+    drawn from ``changed`` hold a value drawn from all of ``cells``."""
     row = {name: draw(st.sampled_from(values[:VALID]))
            for name, values in CELLS.items()}
     row["subcategory"] = dict(zip(CELLS["venue_id"], "AAB"))[row["venue_id"]]
     if draw(st.integers(0, 3)) == 0:
         row["subcategory"] = "AB".replace(row["subcategory"], "")
-    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+    for _ in range(draw(st.sampled_from(changed))):
         name = draw(st.sampled_from(CSV_FIELDS))
         row[name] = draw(st.sampled_from(cells[name]))
     return row
@@ -441,19 +456,20 @@ def insert_odd_byte(draw, data, odd):
 def jsonl_files(draw):
     """JSON lines: objects with values of every JSON type and fields that
     may be absent, and lines that are blank, malformed or not objects. At
-    most one line may hold one of ODD_BYTES."""
+    most one line may hold one of ODD_BYTES. Each fault is rare enough per
+    line that most files keep more than half of their lines."""
     odd = draw(st.sampled_from([None] * 10 + ODD_BYTES))
     cells = {name: CELLS[name] + JSON_CELLS[name] for name in CSV_FIELDS}
     lines = []
     for _ in range(draw(st.integers(0, 12))):
-        if draw(st.integers(0, 7)) == 0:
+        if draw(st.integers(0, 15)) == 0:
             lines.append(draw(st.sampled_from(NOT_OBJECTS)))
             continue
-        row = draw_row(draw, cells)
-        if draw(st.integers(0, 3)) == 0:  # float(True) is 1.0, yet no coordinate
+        row = draw_row(draw, cells, (0, 0, 1))
+        if draw(st.integers(0, 7)) == 0:  # float(True) is 1.0, yet no coordinate
             row[draw(st.sampled_from(["latitude", "longitude", "timestamp"]))] = \
                 draw(st.booleans())
-        if draw(st.integers(0, 7)) == 0:
+        if draw(st.integers(0, 15)) == 0:
             del row[draw(st.sampled_from(CSV_FIELDS))]
         lines.append(json.dumps(row))
     data = "".join(line + "\n" for line in lines).encode()
@@ -486,9 +502,8 @@ def assert_same_ingest(data, fmt):
         assert table.subcategories[table.venue_subcategory[table.venue[i]]] == rec.subcategory
         assert table.countries[table.country[i]] == rec.country
         assert (table.cities[city] if city >= 0 else None) == rec.city
-        assert table.ts_missing[i] == (rec.timestamp is None)
-        if rec.timestamp is not None:
-            assert table.ts[i] == (rec.timestamp - EPOCH) // timedelta(microseconds=1)
+        assert table.ts[i] == (NO_TIME if rec.timestamp is None
+                               else (rec.timestamp - EPOCH) // timedelta(microseconds=1))
     for names in (table.users, table.venues, table.categories,
                   table.subcategories, table.countries, table.cities):
         assert names == sorted(set(names))
@@ -798,25 +813,29 @@ def test_ingest_memory_is_bounded_by_the_block_not_the_file(monkeypatch):
     assert peak - kept < 4 * block
 
 
-def test_table_keeps_no_coordinates_and_30_bytes_per_row():
-    """Five int32 codes, int8 gender, int64 microseconds and a bool mask per
-    row, and an int32 subcategory code per venue, which a subset shares;
-    ingest checks coordinates and keeps none."""
+def test_table_keeps_no_coordinates_and_29_bytes_per_row():
+    """Five int32 codes, int8 gender and int64 microseconds per row, NO_TIME
+    for no timestamp, and an int32 subcategory code per venue, which a
+    subset shares; ingest checks coordinates and keeps none."""
     assert [f.name for f in fields(CheckinTable)] == [
         "user", "venue", "category", "venue_subcategory", "country", "city", "gender",
-        "ts", "ts_missing", "users", "venues", "categories", "subcategories",
-        "countries", "cities"]
+        "ts", "users", "venues", "categories", "subcategories", "countries", "cities"]
     spec = SynthSpec(n_users=40, female_fraction=0.5, n_checkins=500,
                      region_name="Land0", rng_seed=5, city="Rio",
                      subcategories=[SubcategorySpec(f"S{i}", "Food", 3, 1.0)
                                     for i in range(3)])
+    synthetic, coordinates = generate(spec)
+    assert (synthetic.ts == NO_TIME).all()
     buf = io.StringIO()
-    write_checkins(*generate(spec), buf)
+    write_checkins(synthetic, coordinates, buf)  # with no timestamps
     table, _ = ingest_checkins(io.BytesIO(buf.getvalue().encode()), "csv")
     assert len(table) == 500
-    assert sum(getattr(table, c).nbytes for c in models._COLUMNS) / len(table) == 30
+    assert sum(getattr(table, c).nbytes for c in models._COLUMNS) / len(table) == 29
+    assert (table.ts == NO_TIME).all()
     assert table.venue_subcategory.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-    assert table.take([0]).venue_subcategory is table.venue_subcategory
+    subset = table.take([0])
+    assert subset.venue_subcategory is table.venue_subcategory
+    assert subset.ts.tolist() == [NO_TIME]
 
 
 # a venue claimed by its first accepted line, not by a rejected one before
@@ -859,8 +878,8 @@ def test_records_round_trip_through_the_table():
         assert np.array_equal(getattr(again, column.name), getattr(table, column.name))
 
 
-# Fixed-width timestamps: the byte-matrix path of _timestamps against
-# fromisoformat and _micros, value by value.
+# Fixed-width timestamps: the byte-matrix path of _timestamps against the
+# ingest oracle, value by value.
 
 def two_digits(low, high):
     return st.integers(low, high).map("{:02d}".format)
@@ -884,18 +903,19 @@ def fixed_width_stamps(draw):
 
 
 def timestamps_one_by_one(values):
-    """The _timestamps masks and integers, each value parsed alone by the
-    ingest oracle."""
-    micros, missing, bad = [], [], []
+    """The _timestamps integers and mask of values that do not parse, each
+    value parsed alone by the ingest oracle."""
+    micros, bad = [], []
     for value in values:
         try:
             stamp = ingest_oracle.parse_timestamp(value)
         except ValueError:
             stamp = None
-        micros.append(0 if stamp is None else int(models._micros([stamp])[0]))
-        missing.append(not value)
-        bad.append(bool(value) and stamp is None)
-    return micros, missing, bad
+            bad.append(True)
+        else:
+            bad.append(False)
+        micros.append(NO_TIME if stamp is None else checkin_records._micros(stamp))
+    return micros, bad
 
 
 @settings(max_examples=300)
@@ -919,9 +939,8 @@ def test_fixed_width_timestamps_equal_fromisoformat(stamps, other):
     is parsed whole by fromisoformat; else rows that fit are read as an
     array and the rest one by one."""
     values = stamps if other is None else [*stamps, other]
-    micros, missing, bad = models._timestamps(values)
-    assert (micros.tolist(), missing.tolist(), bad.tolist()) \
-        == timestamps_one_by_one(values)
+    micros, bad = models._timestamps(values)
+    assert (micros.tolist(), bad.tolist()) == timestamps_one_by_one(values)
 
 
 def test_fixed_width_timestamps_parse_only_the_rows_that_do_not_fit(monkeypatch):

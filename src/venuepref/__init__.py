@@ -12,8 +12,7 @@ from .models import (
 from .filtering import FilterConfig, filter_regions
 from .popularity import (
     AnalysisMode,
-    AnalysisUnit,
-    PopularityPoint,
+    PopularityTable,
     ScopeIndex,
     popularity_table,
 )
@@ -21,7 +20,7 @@ from .nullmodel import (
     Direction,
     NullMethod,
     NullModelConfig,
-    NullModelResult,
+    Significance,
     significance,
 )
 from .preference import (

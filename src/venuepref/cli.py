@@ -249,16 +249,16 @@ def cmd_analyze(args, manifest: Manifest) -> None:
     manifest.write_artifact("filter_report.json", filter_report.as_dict())
 
     index = ScopeIndex(filtered, mode, name, args.subcategory)
-    points = popularity_table(index)
-    manifest.write_artifact("popularity.csv", partial(write_popularity_csv, points))
+    manifest.write_artifact("popularity.csv",
+                            partial(write_popularity_csv, popularity_table(index)))
 
     config = NullModelConfig(k=args.k, confidence=args.confidence,
                              method=NullMethod(args.method), rng_seed=args.seed)
-    results = significance(index, config)
+    verdicts = significance(index, config)
     manifest.write_artifact("significance.json",
-                            partial(write_significance_json, results))
+                            partial(write_significance_json, verdicts))
     manifest.write_artifact("null_distribution.csv",
-                            partial(write_null_distribution_csv, results))
+                            partial(write_null_distribution_csv, verdicts))
 
 
 def cmd_vectors(args, manifest: Manifest) -> None:
@@ -455,7 +455,8 @@ def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command: exit 0, 1 on a data or file error, 2 on a usage error."""
+    """Run one command: exit 0, 1 on a data, file or memory error, 2 on a
+    usage error."""
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
         manifest = Manifest(args, _out_dir(args))
         args.func(args, manifest)
         manifest.finish()
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if manifest is not None:
             try:

@@ -24,13 +24,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import repeat
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not mid-run
 
 from .models import DataError
-from .popularity import AnalysisUnit, ScopeIndex, signed_difference
+from .popularity import AnalysisMode, ScopeIndex, signed_difference
 
 _MAX_REDRAWS = 100
 _BLOCK_CELLS = 1 << 12  # null csv lines joined per write: bounds the text held at once
@@ -64,28 +66,29 @@ class Direction(str, Enum):
     NONE = "none"
 
 
-@dataclass
-class NullModelResult:
-    unit: AnalysisUnit
-    observed_d: float
-    null_distribution: np.ndarray
-    delta_min: float
-    delta_max: float
-    significant: bool
-    direction: Direction
+DIRECTIONS = (Direction.MALE, Direction.FEMALE, Direction.NONE)
 
-    def as_dict(self) -> dict:
-        return {
-            "unit_key": self.unit.key,
-            "mode": self.unit.mode.value,
-            "scope": self.unit.scope,
-            "scope_subcategory": self.unit.scope_subcategory,
-            "observed_d": self.observed_d,
-            "delta_min": self.delta_min,
-            "delta_max": self.delta_max,
-            "significant": self.significant,
-            "direction": self.direction.value,
-        }
+
+@dataclass(frozen=True)
+class Significance:
+    """The null-model verdicts of every unit of one scope, one column a
+    field, in the index's key order: unit j is ``keys[j]``, its direction is
+    ``DIRECTIONS[direction[j]]`` and its null distribution is ``null[:, j]``,
+    a column of the k x units matrix of replicate differences."""
+
+    keys: list[str]
+    mode: AnalysisMode
+    scope: str
+    scope_subcategory: Optional[str]
+    observed_d: np.ndarray
+    delta_min: np.ndarray
+    delta_max: np.ndarray
+    significant: np.ndarray
+    direction: np.ndarray
+    null: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def _generative_cells(index: ScopeIndex) -> np.ndarray:
@@ -152,8 +155,7 @@ def _weibull_quantiles(null: np.ndarray, qs: list[float]) -> list[np.ndarray]:
     return values
 
 
-def significance(index: ScopeIndex, config: NullModelConfig
-                 ) -> list[NullModelResult]:
+def significance(index: ScopeIndex, config: NullModelConfig) -> Significance:
     """Null-model verdicts for every unit of ``index``; the k replicates are
     drawn once and scored against all units."""
     observed = index.popularity()[2]
@@ -162,38 +164,42 @@ def significance(index: ScopeIndex, config: NullModelConfig
     delta_min, delta_max = _weibull_quantiles(null, [alpha / 2, 1.0 - alpha / 2])
     above = observed > delta_max
     significant = above | (observed < delta_min)
-    directions = (Direction.MALE, Direction.FEMALE, Direction.NONE)
-    direction = np.where(above, 0, np.where(significant, 1, 2))
-    columns = null.T.copy()  # one contiguous null distribution per unit
-    return [NullModelResult(unit=index.unit(j), observed_d=d,
-                            null_distribution=columns[j], delta_min=lo,
-                            delta_max=hi, significant=sig,
-                            direction=directions[code])
-            for j, (d, lo, hi, sig, code) in enumerate(zip(
-                observed.tolist(), delta_min.tolist(), delta_max.tolist(),
-                significant.tolist(), direction.tolist()))]
+    return Significance(index.keys, index.mode, index.scope, index.scope_subcategory,
+                        observed, delta_min, delta_max, significant,
+                        np.where(above, 0, np.where(significant, 1, 2)), null)
 
 
-def write_significance_json(results: list[NullModelResult], sink) -> None:
-    """significance.json: the ``as_dict`` rows as ``json.dumps(rows, indent=2)``
-    and a newline give them, encoded by the C encoder (CPython's only without
-    an indent) with an indented field's separator. Strings hold no raw newline
-    and the rows are flat, so '},<newline>    {' only ever joins two rows."""
-    text = json.dumps([res.as_dict() for res in results], separators=(",\n    ", ": "))
-    if results:
-        text = "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
-    sink.write(text + "\n")
+_VERDICT = "  {\n    " + ",\n    ".join(f'"{name}": %s' for name in (
+    "unit_key", "mode", "scope", "scope_subcategory", "observed_d", "delta_min",
+    "delta_max", "significant", "direction")) + "\n  }"
 
 
-def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:
-    """One line per unit and replicate: unit key, replicate, d. Each key is
-    quoted and each distinct d (by its bits) formatted once, and the lines are
-    gathered from those texts in blocks of ``_BLOCK_CELLS``, one write each,
-    holding ~20 bytes a cell beside the texts (np.unique alone takes 41)."""
+def write_significance_json(sig: Significance, sink) -> None:
+    """significance.json: a row per unit, as ``json.dumps(rows, indent=2)``
+    and a newline give them. Each float and bool column is encoded by one
+    ``json.dumps`` of its list (the C encoder, whose tokens are those of an
+    indented dump), and each string by ``json.dumps``."""
+    def tokens(column):  # a float's or bool's token holds no ", "
+        return json.dumps(column.tolist())[1:-1].split(", ")
+
+    labels = [json.dumps(direction.value) for direction in DIRECTIONS]
+    rows = ",\n".join([_VERDICT % row for row in zip(
+        [json.dumps(key) for key in sig.keys], repeat(json.dumps(sig.mode.value)),
+        repeat(json.dumps(sig.scope)), repeat(json.dumps(sig.scope_subcategory)),
+        tokens(sig.observed_d), tokens(sig.delta_min), tokens(sig.delta_max),
+        tokens(sig.significant), [labels[code] for code in sig.direction.tolist()])])
+    sink.write(f"[\n{rows}\n]\n" if rows else "[]\n")
+
+
+def write_null_distribution_csv(sig: Significance, sink) -> None:
+    """One line per unit and replicate: unit key, replicate, d, unit by unit.
+    Each key is quoted and each distinct d (by its bits) formatted once, and
+    the lines are gathered from those texts in blocks of ``_BLOCK_CELLS``,
+    one write each, holding ~20 bytes a cell beside the texts (np.unique
+    alone takes 41)."""
     sink.write("unit_key,replicate,d\n")
-    null = [res.null_distribution for res in results]
-    sizes = np.array([len(values) for values in null], dtype=np.int32)
-    values = np.concatenate([np.empty(0), *null]).view(np.int64)
+    k = len(sig.null)
+    values = sig.null.T.flatten().view(np.int64)  # unit-major; a copy, sorted below
     order = values.argsort().astype(np.int32)  # 2**31 cells would be 60+ GB of csv
     values.sort()  # a run of equal bits per distinct d
     first = np.ones(len(values), dtype=bool)
@@ -205,13 +211,11 @@ def write_null_distribution_csv(results: list[NullModelResult], sink) -> None:
     del order, first
     lines = []  # the csv writer quotes each key; the empty field leaves "key,"
     csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n"
-               ).writerows([res.unit.key, ""] for res in results)
+               ).writerows([key, ""] for key in sig.keys)
     prefixes = np.array([line[:-1] for line in lines], dtype=object)
-    labels = np.array([f"{i}," for i in range(sizes.max(initial=0))], dtype=object)
-    unit = np.repeat(np.arange(len(null), dtype=np.int32), sizes)
-    replicate = np.arange(len(unit), dtype=np.int32) - np.repeat(
-        np.cumsum(sizes, dtype=np.int32) - sizes, sizes)
-    for start in range(0, len(unit), _BLOCK_CELLS):
-        cells = slice(start, start + _BLOCK_CELLS)
-        parts = (prefixes[unit[cells]], labels[replicate[cells]], texts[value[cells]])
+    labels = np.array([f"{i}," for i in range(k)], dtype=object)
+    for start in range(0, len(value), _BLOCK_CELLS):
+        cells = np.arange(start, min(start + _BLOCK_CELLS, len(value)))
+        unit, replicate = np.divmod(cells, k)
+        parts = (prefixes[unit], labels[replicate], texts[value[cells]])
         sink.write("".join(np.stack(parts, axis=1).ravel().tolist()))

@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -28,22 +29,19 @@ class AnalysisMode(str, Enum):
 
 
 @dataclass(frozen=True)
-class AnalysisUnit:
-    """The label of one unit's result: its key, mode and scope."""
+class PopularityTable:
+    """Every unit's popularity, one column a field, in table order: |d|
+    descending, ties by key ascending. Row i is ``keys[i]``'s."""
 
     mode: AnalysisMode
-    key: str
-    scope: str  # the region's name
-    scope_subcategory: Optional[str] = None
+    keys: list[str]
+    p_male: np.ndarray
+    p_female: np.ndarray
+    d: np.ndarray
+    n_checkins: np.ndarray
 
-
-@dataclass(frozen=True)
-class PopularityPoint:
-    unit: AnalysisUnit
-    p_male: float
-    p_female: float
-    d: float
-    n_checkins: int
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def signed_difference(p_male, p_female):
@@ -107,10 +105,6 @@ class ScopeIndex:
         self.male_total = int(self.male.sum())
         self.female_total = self.c - self.male_total
 
-    def unit(self, j: int) -> AnalysisUnit:
-        return AnalysisUnit(mode=self.mode, key=self.keys[j], scope=self.scope,
-                            scope_subcategory=self.scope_subcategory)
-
     def popularity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """p_male, p_female and d of every unit."""
         if self.male_total == 0 or self.female_total == 0:
@@ -123,29 +117,29 @@ class ScopeIndex:
         return p_male, p_female, signed_difference(p_male, p_female)
 
 
-def popularity_table(index: ScopeIndex) -> list[PopularityPoint]:
-    """One PopularityPoint per unit of ``index``, sorted by |d| descending
-    (ties by key ascending)."""
-    columns = [a.tolist() for a in index.popularity()]
-    points = [PopularityPoint(unit=index.unit(j), p_male=pm, p_female=pf, d=d,
-                              n_checkins=n)
-              for j, (pm, pf, d, n) in enumerate(
-                  zip(*columns, index.unit_total.tolist()))]
-    points.sort(key=lambda p: (-abs(p.d), p.unit.key))
-    return points
+def popularity_table(index: ScopeIndex) -> PopularityTable:
+    """The popularity of every unit of ``index``, in table order. The index's
+    keys are sorted and -0.0 == 0.0, so a stable sort by -|d| breaks ties by
+    key."""
+    p_male, p_female, d = index.popularity()
+    order = np.argsort(-np.abs(d), kind="stable")
+    return PopularityTable(index.mode, [index.keys[j] for j in order.tolist()],
+                           p_male[order], p_female[order], d[order],
+                           index.unit_total[order])
 
 
-def write_popularity_csv(points: list[PopularityPoint], sink) -> None:
+def write_popularity_csv(table: PopularityTable, sink) -> None:
     """The popularity table as csv, a column at a time. The normalized pair
     divides both axes by the joint maximum popularity over the table, for
     plotting only; it never feeds any statistic."""
-    p_max = max(max(p.p_male, p.p_female) for p in points)
+    def text(column):
+        return [f"{v:.10g}" for v in column.tolist()]
+
+    p_max = max(table.p_male.max(), table.p_female.max())
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["unit_key", "mode", "p_male", "p_female",
                      "p_male_norm", "p_female_norm", "d_s", "n_checkins"])
     writer.writerows(zip(
-        [p.unit.key for p in points], [p.unit.mode.value for p in points],
-        [f"{p.p_male:.10g}" for p in points], [f"{p.p_female:.10g}" for p in points],
-        [f"{p.p_male / p_max:.10g}" for p in points],
-        [f"{p.p_female / p_max:.10g}" for p in points],
-        [f"{p.d:.10g}" for p in points], [p.n_checkins for p in points]))
+        table.keys, repeat(table.mode.value), text(table.p_male), text(table.p_female),
+        text(table.p_male / p_max), text(table.p_female / p_max), text(table.d),
+        table.n_checkins.tolist()))

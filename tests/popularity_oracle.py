@@ -5,26 +5,43 @@ This is the straightforward counting loop the integer-coded kernel in
 slow (units x records) and kept only so tests can require the fast paths
 to give the very same floats. It selects each scope's records itself, by
 the ``RegionSelector`` it is given, so it takes records of any number of
-regions; the units it builds carry the region's name, as the library's do.
+regions; each point it builds is labelled by its own ``AnalysisUnit``,
+which carries the region's name.
 
 The null-model samplers here draw one value per check-in, as the library
 did before it drew per-unit counts; tests compare the two in distribution.
 """
 
 from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from filter_oracle import region_name
 from checkin_records import Gender
 from venuepref.models import DataError
-from venuepref.popularity import (
-    AnalysisMode,
-    AnalysisUnit,
-    PopularityPoint,
-    signed_difference,
-)
+from venuepref.popularity import AnalysisMode, signed_difference
 from venuepref.preference import gini
+
+
+@dataclass(frozen=True)
+class AnalysisUnit:
+    """The label of one unit: its key, mode and scope."""
+
+    mode: AnalysisMode
+    key: str
+    scope: str  # the region's name
+    scope_subcategory: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class PopularityPoint:
+    unit: AnalysisUnit
+    p_male: float
+    p_female: float
+    d: float
+    n_checkins: int
 
 
 def scope_records(records, scope, scope_subcategory=None):

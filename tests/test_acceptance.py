@@ -123,7 +123,7 @@ def test_criterion_4_null_model_calibration():
                                        REGION.name,
                                        NullModelConfig(k=100, confidence=0.99,
                                                        rng_seed=1000 + ds))
-        flagged += sum(1 for r in results if r.significant)
+        flagged += int(results.significant.sum())
         total += len(results)
     elapsed = time.perf_counter() - start
     rate = flagged / total
@@ -307,8 +307,7 @@ def test_criterion_9_determinism():
                                      region.name, nm_config)
         res_b = run_null_model_batch(records_b, AnalysisMode.SUBCATEGORY,
                                      region.name, nm_config)
-        same = all(np.array_equal(x.null_distribution, y.null_distribution)
-                   for x, y in zip(res_a, res_b))
+        same = np.array_equal(res_a.null, res_b.null)
         ok &= same
         details.append(f"null[{method.value}]={same}")
 

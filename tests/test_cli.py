@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from venuepref import models
+from venuepref import models, nullmodel
 from venuepref.cli import Manifest, main
 from venuepref.filtering import FilterConfig
 from venuepref.models import (CSV_FIELDS, DataError, Granularity,
@@ -323,6 +323,25 @@ def test_failed_run_rewrites_the_manifest_of_its_artifacts(dataset, tmp_path,
     assert manifest["error"] and f"error: {manifest['error']}" in err
     assert manifest["seeds"]["null_model"] == 5
     assert manifest["artifacts"] == [str(out / "filter_report.json")]
+
+
+def test_a_null_matrix_too_large_for_memory_is_runtime_error(dataset, tmp_path,
+                                                              capsys, monkeypatch):
+    # a huge --k asks numpy for more memory than the machine has; the matrix
+    # is never allocated here, as under overcommit the allocation can succeed
+    def refuse(index, config):
+        raise MemoryError(f"Unable to allocate the {config.k} x {index.n_units} null matrix")
+
+    monkeypatch.setattr(nullmodel, "_null_matrix", refuse)
+    out = tmp_path / "o"
+    assert main(["analyze", "--input", str(dataset), "--country", "Synthland",
+                 "--k", "1000000000", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: Unable to allocate the 1000000000 x 4 null matrix"]
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["artifacts"] == [str(out / name)
+                                     for name in ("filter_report.json", "popularity.csv")]
 
 
 def test_mixed_naive_and_aware_timestamps(tmp_path):

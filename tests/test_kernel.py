@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import popularity_oracle as oracle
 from checkin_records import Gender, to_table
-from conftest import make_record
+from conftest import make_record, units
 from one_region import (
     RegionSelector,
     build_preference_vector,
@@ -100,9 +100,9 @@ def rows_as_tuples(points):
     write_popularity_csv(points, sink)
     norms = [(row["p_male_norm"], row["p_female_norm"])
              for row in csv.DictReader(io.StringIO(sink.getvalue()))]
-    return [(p.unit.key, p.p_male, p.p_female, male_norm, female_norm, p.d,
+    return [(p.key, p.p_male, p.p_female, male_norm, female_norm, p.d,
              p.n_checkins)
-            for p, (male_norm, female_norm) in zip(points, norms, strict=True)]
+            for p, (male_norm, female_norm) in zip(units(points), norms, strict=True)]
 
 
 @given(checkins(), scopes())
@@ -124,7 +124,7 @@ def test_observed_d_equals_oracle(records, scope):
     if fast is DataError:
         assert expected is DataError or expected == []
     else:
-        assert [(r.unit.key, r.observed_d) for r in fast] == \
+        assert [(r.key, r.observed_d) for r in units(fast)] == \
             [(p.unit.key, p.d) for p in expected]
 
 
@@ -223,9 +223,8 @@ def test_null_distribution_matches_the_per_record_oracle(method, mode):
               else oracle.shuffle_replicates)
     expected = replay(records, mode, REGION, None, k, 2)
     critical = np.sqrt(-np.log(1e-5 / 2) / 2) * np.sqrt(2 / k)
-    for result, reference in zip(fast, expected, strict=True):
-        assert ks_distance(result.null_distribution, reference) < critical, \
-            result.unit.key
+    for result, reference in zip(units(fast), expected, strict=True):
+        assert ks_distance(result.null_distribution, reference) < critical, result.key
 
 
 @given(checkins(), st.sampled_from(COUNTRIES))
@@ -242,10 +241,10 @@ def test_gender_swap_negates_d(records, scope):
     mode, region, subcat = scope
     points = outcome(popularity_table, to_table(records), mode, region.name, subcat)
     assume(points is not DataError)
-    swapped = {p.unit.key: p for p in popularity_table(
-        to_table(swap_genders(records)), mode, region.name, subcat)}
-    for point in points:
-        other = swapped[point.unit.key]
+    swapped = {p.key: p for p in units(popularity_table(
+        to_table(swap_genders(records)), mode, region.name, subcat))}
+    for point in units(points):
+        other = swapped[point.key]
         assert other.d == -point.d
         assert (other.p_male, other.p_female) == (point.p_female, point.p_male)
 
@@ -255,5 +254,5 @@ def test_popularity_sums_to_one_per_gender(records, country):
     points = outcome(popularity_table, to_table(records), AnalysisMode.SUBCATEGORY,
                      country)
     assume(points is not DataError)
-    assert math.fsum(p.p_male for p in points) == pytest.approx(1.0, abs=1e-12)
-    assert math.fsum(p.p_female for p in points) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(points.p_male.tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(points.p_female.tolist()) == pytest.approx(1.0, abs=1e-12)

@@ -1,14 +1,14 @@
 import copy
 import csv
 import io
-import json
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from venuepref import nullmodel
@@ -17,7 +17,6 @@ from venuepref.nullmodel import (
     Direction,
     NullMethod,
     NullModelConfig,
-    NullModelResult,
     _generative_cells,
     _generative_counts,
     _null_matrix,
@@ -28,14 +27,13 @@ from venuepref.nullmodel import (
 )
 from venuepref.popularity import (
     AnalysisMode,
-    AnalysisUnit,
     ScopeIndex,
     popularity_table,
     signed_difference,
 )
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
-from conftest import by_key
+from conftest import by_key, units
 from one_region import run_null_model_batch
 
 REGION = "Synthland"
@@ -137,7 +135,7 @@ def test_venue_mode_null_model():
     config = NullModelConfig(k=30, rng_seed=8)
     results = run_null_model_batch(records, AnalysisMode.VENUE, REGION, config)
     assert len(results) == len(np.unique(records.venue))
-    assert all(res.delta_min <= res.delta_max for res in results)
+    assert (results.delta_min <= results.delta_max).all()
 
 
 def test_null_distribution_csv_bytes_match_a_row_per_cell_writer():
@@ -145,9 +143,9 @@ def test_null_distribution_csv_bytes_match_a_row_per_cell_writer():
     results = run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION,
                                    NullModelConfig(k=4, rng_seed=3))
     keys = ["plain", "a,b", 'say "hi"', "two\nlines", " padded ", ""]
-    for res, key in zip(results, keys, strict=True):
-        res.unit = AnalysisUnit(AnalysisMode.SUBCATEGORY, key, REGION)
-    results[0].null_distribution[:3] = [0.0, -0.0, 1e-300]
+    assert len(results) == len(keys)
+    results = replace(results, keys=keys)
+    results.null[:3, 0] = [0.0, -0.0, 1e-300]
     sink = io.StringIO()
     write_null_distribution_csv(results, sink)
     assert sink.getvalue() == row_per_cell_csv(results)
@@ -159,7 +157,7 @@ def test_null_distribution_csv_of_a_venue_batch_matches_a_row_per_cell_writer():
     records = synth_scope(0.0, n_checkins=200, n_subcats=6)
     results = run_null_model_batch(records, AnalysisMode.VENUE, REGION,
                                    NullModelConfig(k=50, rng_seed=3))
-    cells = np.concatenate([res.null_distribution for res in results])
+    cells = results.null.ravel()
     assert len(results) == 24
     assert len(np.unique(cells)) < len(cells) * 0.6
     sink = io.StringIO()
@@ -172,9 +170,9 @@ def row_per_cell_csv(results):
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["unit_key", "replicate", "d"])
-    for res in results:
+    for res in units(results):
         for i, value in enumerate(res.null_distribution):
-            writer.writerow([res.unit.key, i, f"{value:.10g}"])
+            writer.writerow([res.key, i, f"{value:.10g}"])
     return expected.getvalue()
 
 
@@ -189,8 +187,8 @@ def test_batch_acceptance_range_is_each_units_quantile(k, n_subcats, confidence,
     config = NullModelConfig(k=k, confidence=confidence, method=method,
                              rng_seed=seed)
     alpha = 1.0 - confidence
-    for res in run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION,
-                                    config):
+    for res in units(run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION,
+                                          config)):
         delta_min, delta_max = np.quantile(
             res.null_distribution, [alpha / 2, 1.0 - alpha / 2], method="weibull")
         assert (res.delta_min, res.delta_max) == (delta_min, delta_max)
@@ -209,24 +207,27 @@ def test_weibull_quantiles_are_numpys_bit_for_bit(rows, qs):
                           expected.view(np.int64))
 
 
-def test_null_distribution_csv_of_one_replicate_or_none():
-    """A unit of one replicate is one line (one index, which itemgetter
-    would not give as a tuple); a unit of none writes no line."""
-    records = synth_scope(0.0, n_checkins=300, n_subcats=3)
-    results = run_null_model_batch(records, AnalysisMode.SUBCATEGORY, REGION,
-                                   NullModelConfig(k=4, rng_seed=3))
-    for res, size in zip(results, [1, 0, 2], strict=True):
-        res.null_distribution = res.null_distribution[:size]
-    sink = io.StringIO()
-    write_null_distribution_csv(results, sink)
-    assert sink.getvalue() == row_per_cell_csv(results)
-    assert len(sink.getvalue().splitlines()) == 1 + 1 + 2
+def test_null_distribution_csv_of_two_replicates_and_one_unit():
+    """The fewest replicates a config allows, over three units and over a
+    scope of one unit, whose k x 1 matrix is laid out as its transpose: a
+    line per replicate, and the writer leaves the matrix as it was."""
+    for n_subcats in (3, 1):
+        results = run_null_model_batch(synth_scope(0.0, n_checkins=300, n_subcats=n_subcats),
+                                       AnalysisMode.SUBCATEGORY, REGION,
+                                       NullModelConfig(k=2, rng_seed=3))
+        assert results.null.shape == (2, n_subcats)
+        results.null[:, 0] = [0.25, -0.0]
+        before = results.null.copy()
+        sink = io.StringIO()
+        write_null_distribution_csv(results, sink)
+        assert sink.getvalue() == row_per_cell_csv(results)
+        assert len(sink.getvalue().splitlines()) == 1 + 2 * n_subcats
+        assert np.array_equal(results.null.view(np.int64), before.view(np.int64))
 
 
 def test_null_distribution_csv_at_venue_scale_is_written_in_bounded_blocks():
-    """~800 venue units x 100 replicates, with a unit of no replicate and one
-    of one among them, span many write blocks; the writer never holds as much
-    as the text it writes."""
+    """~800 venue units x 100 replicates span many write blocks; the writer
+    never holds as much as the text it writes."""
     subcats = [SubcategorySpec(name=f"S{i:02d}", category="Food", n_venues=40,
                                base_weight=1.0, gender_skew=0.0) for i in range(20)]
     records, _ = generate(SynthSpec(n_users=1000, female_fraction=0.5, subcategories=subcats,
@@ -234,8 +235,6 @@ def test_null_distribution_csv_at_venue_scale_is_written_in_bounded_blocks():
     results = run_null_model_batch(records, AnalysisMode.VENUE, REGION,
                                    NullModelConfig(k=100, rng_seed=1))
     assert len(results) >= 700
-    results[3].null_distribution = results[3].null_distribution[:0]
-    results[400].null_distribution = results[400].null_distribution[:1]
     sink = io.StringIO()
     write_null_distribution_csv(results, sink)
     text = sink.getvalue()
@@ -288,31 +287,3 @@ def test_both_statistics_leave_the_shared_index_as_it_was(method, mode):
                 assert now.dtype == value.dtype and np.array_equal(now, value), name
             else:
                 assert now == value, name
-
-
-# strings the encoder escapes, and the characters of a row's seam
-_json_strings = st.text(st.sampled_from(['"', "\\", "\n", "\r", "\u2028", "é", "\U0001f600",
-                                         "a", ",", " ", "{", "}", ":", "[", "]"]), max_size=8)
-_json_floats = st.sampled_from([0.0, -0.0, 1e-300, -2.5, 1 / 3, float("nan"),
-                                float("inf"), float("-inf")]) | st.floats()
-
-
-def _verdict(key, scope, scope_subcategory, mode, observed_d, delta_min, delta_max,
-             significant, direction):
-    return NullModelResult(AnalysisUnit(mode, key, scope, scope_subcategory),
-                           observed_d, np.empty(0), delta_min, delta_max,
-                           significant, direction)
-
-
-@given(st.lists(st.builds(_verdict, _json_strings, _json_strings,
-                          st.none() | _json_strings, st.sampled_from(list(AnalysisMode)),
-                          _json_floats, _json_floats, _json_floats, st.booleans(),
-                          st.sampled_from(list(Direction))), max_size=4))
-@example([])
-@example([_verdict("", "", None, AnalysisMode.VENUE, -0.0, float("nan"),
-                   float("inf"), True, Direction.MALE)])
-def test_significance_json_is_indented_json_dumps_bytes(results):
-    sink = io.StringIO()
-    write_significance_json(results, sink)
-    rows = [res.as_dict() for res in results]
-    assert sink.getvalue() == json.dumps(rows, indent=2) + "\n"

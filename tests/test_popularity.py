@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from venuepref import popularity
 from venuepref.models import DataError, rows_with
 from venuepref.nullmodel import NullModelConfig
 from venuepref.popularity import (
@@ -16,7 +17,7 @@ from venuepref.popularity import (
 )
 
 from checkin_records import Gender, to_table
-from conftest import by_key, make_record
+from conftest import by_key, make_record, units
 from one_region import popularity_table, run_null_model_batch
 
 BR = "BR"
@@ -115,15 +116,15 @@ def test_antisymmetry_under_gender_swap():
 def test_numerators_partition_scope_totals():
     records = two_subcat_scope()
     points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    assert sum(p.p_male for p in points) == pytest.approx(1.0)
-    assert sum(p.p_female for p in points) == pytest.approx(1.0)
-    assert sum(p.n_checkins for p in points) == len(records)
+    assert sum(p.p_male for p in units(points)) == pytest.approx(1.0)
+    assert sum(p.p_female for p in units(points)) == pytest.approx(1.0)
+    assert sum(p.n_checkins for p in units(points)) == len(records)
 
 
 def test_table_sorted_by_abs_d_then_key():
     records = two_subcat_scope()
     points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    mags = [abs(p.d) for p in points]
+    mags = [abs(p.d) for p in units(points)]
     assert mags == sorted(mags, reverse=True)
 
 
@@ -135,7 +136,7 @@ def test_tie_sorted_by_key():
         make_record(user="f2", gender="female", subcat="Alpha", venue="a"),
     ]
     points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    assert [p.unit.key for p in points] == ["Alpha", "Beta"]
+    assert points.keys == ["Alpha", "Beta"]
 
 
 def test_normalization_max_is_one_and_preserves_order():
@@ -144,9 +145,9 @@ def test_normalization_max_is_one_and_preserves_order():
     rows = csv_rows(points)
     top = max(max(float(r["p_male_norm"]), float(r["p_female_norm"])) for r in rows)
     assert top == pytest.approx(1.0)
-    raw_order = sorted(points, key=lambda p: p.p_male)
+    raw_order = sorted(units(points), key=lambda p: p.p_male)
     norm_order = sorted(rows, key=lambda r: float(r["p_male_norm"]))
-    assert [p.unit.key for p in raw_order] == [r["unit_key"] for r in norm_order]
+    assert [p.key for p in raw_order] == [r["unit_key"] for r in norm_order]
 
 
 def test_single_unit_table():
@@ -155,6 +156,14 @@ def test_single_unit_table():
     points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
     assert len(points) == 1
     assert csv_rows(points)[0]["p_male_norm"] == "1"
+
+
+@pytest.mark.parametrize("mode", [AnalysisMode.SUBCATEGORY, AnalysisMode.VENUE])
+def test_table_length_is_the_index_unit_count(mode):
+    # the benchmark's tracer counts a table's units by its len()
+    index = ScopeIndex(to_table(two_subcat_scope()), mode, BR)
+    table = popularity.popularity_table(index)
+    assert len(table) == index.n_units == len(table.keys) == len(table.d)
 
 
 def test_planted_male_subcategory_has_largest_d():
@@ -169,8 +178,8 @@ def test_planted_male_subcategory_has_largest_d():
         records.append(make_record(user=f"p{i}", gender="male",
                                    venue=f"Planted-v{i % 3}", subcat="Planted"))
     points = popularity_table(to_table(records), AnalysisMode.SUBCATEGORY, BR)
-    best = max(points, key=lambda p: p.d)
-    assert best.unit.key == "Planted"
+    best = max(units(points), key=lambda p: p.d)
+    assert best.key == "Planted"
     assert best.d > 0
 
 
@@ -254,7 +263,8 @@ def test_popularity_csv_bytes_match_a_row_per_point_writer():
                for gender, n in (("male", v + 1), ("female", 2 * (len(keys) - v)))
                for i in range(n)]
     points = popularity_table(to_table(records), AnalysisMode.VENUE, BR)
-    points = [replace(p, unit=replace(p.unit, key=key)) for p, key in zip(points, keys, strict=True)]
+    assert len(points) == len(keys)
+    points = replace(points, keys=keys)
     sink = io.StringIO()
     write_popularity_csv(points, sink)
 
@@ -262,9 +272,9 @@ def test_popularity_csv_bytes_match_a_row_per_point_writer():
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["unit_key", "mode", "p_male", "p_female",
                      "p_male_norm", "p_female_norm", "d_s", "n_checkins"])
-    p_max = max(max(p.p_male, p.p_female) for p in points)
-    for p in points:
-        writer.writerow([p.unit.key, p.unit.mode.value, f"{p.p_male:.10g}",
+    p_max = max(max(p.p_male, p.p_female) for p in units(points))
+    for p in units(points):
+        writer.writerow([p.key, points.mode.value, f"{p.p_male:.10g}",
                          f"{p.p_female:.10g}", f"{p.p_male / p_max:.10g}",
                          f"{p.p_female / p_max:.10g}", f"{p.d:.10g}", p.n_checkins])
     assert sink.getvalue() == expected.getvalue()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -65,17 +66,30 @@ def _atomic_write(path: Path, write) -> None:
         raise
 
 
+class _HashedFile(io.FileIO):
+    """A file opened for reading whose bytes go to one sha256 as they are
+    read, whatever buffered reader is put on it."""
+
+    def __init__(self, path: Path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def hexdigest(self) -> str:
+        """The sha256 of the bytes read and then of the rest of the file."""
+        buffer = bytearray(1 << 16)
+        while self.readinto(buffer):
+            pass
+        return self.sha256.hexdigest()
+
+
 def _json_text(value, **options):
     """A writer of ``value`` as indented JSON and a final newline."""
     return lambda sink: sink.write(json.dumps(value, indent=2, **options) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 class Manifest:
@@ -93,9 +107,13 @@ class Manifest:
             "started_at": datetime.now(timezone.utc).isoformat(),
         }
 
-    def add_input(self, path: Path) -> str:
-        """Record an input file by its sha256, which it returns."""
-        digest = self.data["inputs"][str(path)] = _sha256(path)
+    def add_input(self, path: Path, digest: str | None = None) -> str:
+        """Record an input file by its sha256, ``digest`` if given, which it
+        returns."""
+        if digest is None:
+            with _HashedFile(path) as fh:
+                digest = fh.hexdigest()
+        self.data["inputs"][str(path)] = digest
         return digest
 
     def add_seed(self, stage: str, seed: int) -> None:
@@ -216,15 +234,18 @@ def _region_from_args(args) -> tuple[Granularity, str]:
     raise DataError("a region is required: pass --country or --city")
 
 
-def _read_input(args):
+def _read_input(args, manifest: Manifest | None = None):
+    """The table and report of --input and, given a ``manifest``, the sha256
+    that records the input in it, taken from ingest's own reads so that the
+    file is read once."""
     path = Path(args.input)
-    with open(path, "rb") as fh:
+    with io.BufferedReader((io.FileIO if manifest is None else _HashedFile)(path)) as fh:
         table, report = ingest_checkins(fh, args.format)
-    return path, table, report
+        return table, report, manifest and manifest.add_input(path, fh.raw.hexdigest())
 
 
 def cmd_ingest_check(args, manifest: Manifest) -> None:
-    _, _, report = _read_input(args)
+    _, report, _ = _read_input(args)
     json.dump(report.as_dict(), sys.stdout, indent=2)
     print()
 
@@ -239,8 +260,7 @@ def cmd_analyze(args, manifest: Manifest) -> None:
         raise DataError(f"--subcategory is only valid for mode "
                         f"venue_within_subcategory, not {mode.value}")
 
-    path, table, _ = _read_input(args)
-    manifest.add_input(path)
+    table, _, _ = _read_input(args, manifest)
     manifest.add_seed("filter", args.seed)
     manifest.add_seed("null_model", args.seed)
 
@@ -262,8 +282,7 @@ def cmd_analyze(args, manifest: Manifest) -> None:
 
 
 def cmd_vectors(args, manifest: Manifest) -> None:
-    path, table, _ = _read_input(args)
-    source_sha256 = manifest.add_input(path)
+    table, _, source_sha256 = _read_input(args, manifest)
     manifest.add_seed("filter", args.seed)
 
     granularity = Granularity(args.granularity)
@@ -299,7 +318,7 @@ def cmd_vectors(args, manifest: Manifest) -> None:
         "granularity": granularity.value,
         "regions": names,
         "dims": dims,
-        "source": str(path),
+        "source": str(Path(args.input)),
         "source_sha256": source_sha256,
         "filter_seed": args.seed,
     })
@@ -389,19 +408,25 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-checkins-per-region", type=_at_least(1), default=None)
 
 
+_COMMANDS = ("ingest-check", "analyze", "vectors", "cluster", "compare", "synth")
+
+
 def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
-    """Every command's name and help, and the arguments of only the one that
-    ``argv`` names first (the top level takes no option but --help)."""
+    """The command that ``argv`` starts with, or else every command's name
+    and help, with the arguments of only the one that ``argv`` names first
+    (the top level takes no option but --help)."""
     parser = argparse.ArgumentParser(
         prog="venuepref",
         description="Cross-gender venue-preference analytics for check-in data")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    sub = parser.add_subparsers(dest="subcommand", required=True,  # usage names all
+                                metavar=only and "{%s}" % ",".join(_COMMANDS))
     named = next((token for token in argv if not token.startswith("-")), None)
 
     def command(name: str, help_line: str, func):
-        p = sub.add_parser(name, help=help_line)
-        p.set_defaults(func=func)
-        return p if name == named else None
+        if only in (None, name):
+            sub.add_parser(name, help=help_line).set_defaults(func=func)
+        return sub.choices[name] if name == named else None
 
     if p := command("ingest-check", "validate an input file and print the "
                                     "ingest report", cmd_ingest_check):

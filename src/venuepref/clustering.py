@@ -69,20 +69,20 @@ def _update_centroids(unit: np.ndarray, labels: np.ndarray, dists: np.ndarray,
                       old: np.ndarray) -> np.ndarray:
     """The renormalized member means of the ``old`` centroids; ``dists`` are
     the distances from ``old`` that drew ``labels``."""
-    centroids = old.copy()
+    counts = np.bincount(labels, minlength=len(old))
+    sums = np.zeros_like(old)  # the member sums from 0 in row order, as mean(axis=0)
+    np.add.at(sums, labels, unit)
+    with np.errstate(divide="ignore", invalid="ignore"):  # an empty or zero mean
+        means = sums / counts[:, None]
+        # stacked 1xD @ Dx1 products give the floats of np.linalg.norm(mean)
+        norms = np.sqrt(means[:, None, :] @ means[:, :, None])[:, :, 0]
+        centroids = np.where(norms > 0, means / norms, old)
     point_dist = dists[np.arange(unit.shape[0]), labels]
-    for j in range(len(old)):
-        members = unit[labels == j]
-        if members.shape[0] == 0:
-            # reseed with the point currently worst served
-            far = int(np.argmax(point_dist))
-            centroids[j] = unit[far]
-            point_dist[far] = -1.0
-            continue
-        mean = members.mean(axis=0)
-        norm = np.linalg.norm(mean)
-        if norm > 0:
-            centroids[j] = mean / norm
+    for j in np.flatnonzero(counts == 0).tolist():
+        # reseed with the point currently worst served
+        far = int(np.argmax(point_dist))
+        centroids[j] = unit[far]
+        point_dist[far] = -1.0
     return centroids
 
 

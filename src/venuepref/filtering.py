@@ -96,12 +96,15 @@ def _cap_by_venue_sampling(venue: np.ndarray, venue_region: np.ndarray,
     per_venue = np.bincount(venue, minlength=len(venue_region))
     kept = np.ones(len(venue_region), bool)
     bounds = np.searchsorted(venue_region, np.arange(len(region_rows) + 1))
+    orders = {}  # venue count -> visiting order: every region draws with one seed
     for region, n in enumerate(region_rows):
         if n <= cap:
             continue
         lo, hi = bounds[region], bounds[region + 1]
         venues = lo + np.flatnonzero(per_venue[lo:hi])
-        visits = venues[np.random.default_rng(seed).permutation(len(venues))]
+        if len(venues) not in orders:
+            orders[len(venues)] = np.random.default_rng(seed).permutation(len(venues))
+        visits = venues[orders[len(venues)]]
         kept[lo:hi] = False
         budget = cap
         for code, size in zip(visits.tolist(), per_venue[visits].tolist()):

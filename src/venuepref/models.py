@@ -558,13 +558,18 @@ def _groups(chunk, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     return order[new], group
 
 
-def _cut_columns(spans, width: int, rows: np.ndarray):
-    """The ``_Column`` of each of the ``width`` comma-separated fields of
-    ``spans``, one at a time, each holding ``rows``; the fields are freed
-    once the last is taken."""
-    fields = list(itertools.chain.from_iterable(span.split(",") for span in spans))
-    for j in range(width):
-        yield _Column(fields[j::width], rows)
+def _decoded(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> str:
+    """The fields ``data[start:start + length]`` of the csv bytes ``data``,
+    decoded at once, each followed by a comma in place of its delimiter."""
+    ends = np.cumsum(lengths + 1, dtype=np.int32)  # past each field's delimiter
+    # the offset in data of each byte taken: steps of 1, and a jump to each field
+    index = np.ones(ends[-1], np.int32)
+    index[0] = starts[0]
+    index[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1]
+    buffer = data[np.cumsum(index, dtype=np.int32, out=index)]
+    del index
+    buffer[ends - 1] = ord(",")
+    return str(buffer.data, "utf-8")
 
 
 def _byte_columns(chunk: bytearray, end: int, ends, line_ends, positions: list[int]):
@@ -577,6 +582,7 @@ def _byte_columns(chunk: bytearray, end: int, ends, line_ends, positions: list[i
     is grouped once, and each of their columns holds its field of every
     distinct span. None refers to ``chunk``."""
     words = np.ndarray((end,), "<u8", chunk, 0, (1,))  # unaligned, one per byte
+    data = np.frombuffer(chunk, np.uint8, end)
     line_starts = np.concatenate([[0], line_ends[:-1] + 1])
 
     def starts(position):
@@ -598,12 +604,13 @@ def _byte_columns(chunk: bytearray, end: int, ends, line_ends, positions: list[i
             yield _Column(None, chars=chars)
             continue
         first, rows = _groups(chunk, words, start, lengths)
-        values = (chunk[i:i + n].decode() for i, n
-                  in zip(start[first].tolist(), lengths[first].tolist()))
-        if last > position:  # a column per field of the span
-            yield from _cut_columns(values, last - position + 1, rows)
-        else:
-            yield _Column(list(values), rows)
+        # no field holds a comma, so a span's text splits into its fields too
+        values = _decoded(data, start[first], lengths[first]).split(",")
+        values.pop()  # the empty rest after the last comma
+        width = last - position + 1  # a column per field of a span
+        for j in range(width):
+            yield _Column(values[j::width] if width > 1 else values, rows)
+        del values  # freed before the next field is grouped
 
 
 def _positions(header: list[str]) -> list[int]:

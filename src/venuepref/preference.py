@@ -37,21 +37,24 @@ def gini(x) -> float:
     [0, 1 - 1/n]. An all-zero input is perfect equality; it returns 0 with a
     warning (the sum in the denominator would vanish).
     """
-    arr = np.sort(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise ValueError("gini of an empty sequence is undefined")
     if np.any(arr < 0):
         raise ValueError("gini requires non-negative values")
-    n = arr.size
-    total = arr.sum()
-    if total == 0:
+    if not arr.any():
         warnings.warn("gini of all-zero values: returning 0 (perfect equality)",
                       stacklevel=2)
         return 0.0
-    if arr[0] == arr[-1]:
-        return 0.0  # equal values; the formula would round to about ±2e-16
+    # equal values give 0, which the formula would round to about ±2e-16
+    return 0.0 if arr.min() == arr.max() else _lorenz_gini(arr)
+
+
+def _lorenz_gini(x: np.ndarray) -> float:
+    """``gini`` of non-negative floats that are not all equal."""
+    arr, n = np.sort(x), len(x)
     weights = np.arange(n, 0, -1)  # n+1-i for i = 1..n
-    g = float((n + 1) / n - 2.0 * np.dot(weights, arr) / (n * total))
+    g = float((n + 1) / n - 2.0 * np.dot(weights, arr) / (n * arr.sum()))
     return min(max(0.0, g), 1.0 - 1.0 / n)  # the exact range, despite rounding
 
 
@@ -94,16 +97,19 @@ def build_preference_vectors(table: CheckinTable, region: np.ndarray,
     dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
     dim = np.array([dim_pos.get(s, -1) for s in table.subcategories], np.intp)
     segment_dim = dim[segments % n_subcats]
-    # a one-gender segment is absent, and all-zero differences are perfect
-    # equality: both keep 0, without the gini warning
-    scored = ((segment_dim >= 0) & (male_total > 0) & (female_total > 0)
-              & (np.bincount(segment, diffs > 0, len(segments)) > 0))
-    values = np.zeros((len(names), len(global_dims)))
     order = np.argsort(segment, kind="stable")  # venues grouped by segment
+    grouped = diffs[order]
     bounds = np.searchsorted(segment[order], np.arange(len(segments) + 1))
-    for s in np.flatnonzero(scored).tolist():
-        values[segments[s] // n_subcats, segment_dim[s]] = gini(
-            diffs[order[bounds[s]:bounds[s + 1]]])
+    # a one-gender segment is absent, and equal differences (all zero among
+    # them) are perfect equality: both keep 0, without the gini warning
+    starts = bounds[:-1]
+    low, high = np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)
+    scored = np.flatnonzero((segment_dim >= 0) & (male_total > 0) & (female_total > 0)
+                            & (low != high))
+    values = np.zeros((len(names), len(global_dims)))
+    values[segments[scored] // n_subcats, segment_dim[scored]] = [
+        _lorenz_gini(grouped[lo:hi])
+        for lo, hi in zip(bounds[scored].tolist(), bounds[scored + 1].tolist())]
     return [PreferenceVector(region=name, dims=list(global_dims), values=row)
             for name, row in zip(names, values)]
 
@@ -135,12 +141,18 @@ def read_vectors_csv(source) -> dict[str, PreferenceVector]:
     if not rows or rows[0][1][:1] != ["region"]:
         raise DataError("vectors csv must start with a 'region' header column")
     dims = rows[0][1][1:]
+    for i, dim in enumerate(dims):
+        if not dim.strip() or dim in dims[:i]:
+            raise DataError(f"vectors csv line {rows[0][0]}: dimension {dim!r} is "
+                            + ("blank" if not dim.strip() else "repeated"))
     out: dict[str, PreferenceVector] = {}
     for line, row in rows[1:]:
         if not row:
             continue
         name = row[0]
         where = f"vectors csv line {line}: region {name!r}"
+        if not name.strip():
+            raise DataError(f"{where} has a blank name")
         if len(row) != len(dims) + 1:
             raise DataError(f"{where} has {len(row) - 1} value(s) for {len(dims)} dims")
         try:

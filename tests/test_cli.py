@@ -968,6 +968,28 @@ def test_malformed_vectors_row_names_its_line(row, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: vectors csv line 3: {message}\n"
 
 
+@pytest.mark.parametrize("header, row, message", [
+    ("region,a,a", FIVE_VECTORS[1], "vectors csv line 1: dimension 'a' is repeated"),
+    ("region,,b", FIVE_VECTORS[1], "vectors csv line 1: dimension '' is blank"),
+    ("region, ,b", FIVE_VECTORS[1], "vectors csv line 1: dimension ' ' is blank"),
+    ("region,a,b", ",2,4", "vectors csv line 3: region '' has a blank name"),
+], ids=["repeated-dimension", "blank-dimension", "space-dimension", "blank-region"])
+@pytest.mark.parametrize("command", ["cluster", "compare"])
+def test_repeated_or_blank_vectors_name_is_runtime_error(command, header, row, message,
+                                                         tmp_path, capsys):
+    vectors = tmp_path / "vectors.csv"
+    vectors.write_text("".join(f"{line}\n" for line in [
+        header, FIVE_VECTORS[0], row, *FIVE_VECTORS[2:]]))
+    index = tmp_path / "index.csv"
+    index.write_text(FIVE_INDEX)
+    argv = {"cluster": ["cluster", "--vectors", str(vectors), "--k", "2"],
+            "compare": ["compare", "--vectors", str(vectors), "--index",
+                        str(index), "--all-anchors"]}[command]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("vectors_text, index_text, anchor, message", [
     ("region,a,b\n", FIVE_INDEX.replace("R2,0.3", "R2"), "R0",
      "index row has fewer than two columns: ['R2']"),

@@ -706,14 +706,16 @@ def test_fields_whose_hashes_collide_keep_their_values(factor, monkeypatch):
     venues = [*HEX_IDS, *users[:2]]
     rows = [f"{users[i % 4]},male,{venues[i % 5]},Food,{'AABAA'[i % 5]},1,2,BR,"
             f"{users[i // 2 % (4 if i < 30 else 2)]}," for i in range(60)]
-    blocks = []  # the distinct spans of each block read as spans
-    cut = models._cut_columns
+    blocks = []  # per decoded column of a block, its text read as spans
+    decoded = models._decoded
 
-    def cut_columns(spans, *args):
-        blocks.append(spans := list(spans))
-        return cut(spans, *args)
+    def decode(*args):
+        text = decoded(*args)
+        fields = text.split(",")[:-1]
+        blocks.append([",".join(fields[i:i + 7]) for i in range(0, len(fields), 7)])
+        return text
 
-    monkeypatch.setattr(models, "_cut_columns", cut_columns)
+    monkeypatch.setattr(models, "_decoded", decode)
     monkeypatch.setattr(models, "_HASH_FACTOR", np.uint64(factor))
     monkeypatch.setattr(models, "hash", len, raising=False)
     monkeypatch.setattr(models, "_BLOCK_BYTES", 1024)  # 3 to 8 rows

@@ -70,7 +70,7 @@ class _HashedFile(io.FileIO):
     """A file opened for reading whose bytes go to one sha256 as they are
     read, whatever buffered reader is put on it."""
 
-    def __init__(self, path: Path):
+    def __init__(self, path: str):
         super().__init__(path)
         self.sha256 = hashlib.sha256()
 
@@ -79,11 +79,14 @@ class _HashedFile(io.FileIO):
         self.sha256.update(memoryview(buffer)[:n])
         return n
 
+    def readall(self) -> bytes:  # what a buffered reader's read() calls
+        data = super().readall()
+        self.sha256.update(data)
+        return data
+
     def hexdigest(self) -> str:
         """The sha256 of the bytes read and then of the rest of the file."""
-        buffer = bytearray(1 << 16)
-        while self.readinto(buffer):
-            pass
+        self.readall()
         return self.sha256.hexdigest()
 
 
@@ -107,14 +110,13 @@ class Manifest:
             "started_at": datetime.now(timezone.utc).isoformat(),
         }
 
-    def add_input(self, path: Path, digest: str | None = None) -> str:
-        """Record an input file by its sha256, ``digest`` if given, which it
-        returns."""
-        if digest is None:
-            with _HashedFile(path) as fh:
-                digest = fh.hexdigest()
-        self.data["inputs"][str(path)] = digest
-        return digest
+    def read_input(self, path: str, parse):
+        """``parse`` of input file ``path`` as a binary stream, with the file
+        recorded by the sha256 of those reads and of any bytes left unread."""
+        with io.BufferedReader(_HashedFile(path)) as fh:
+            value = parse(fh)
+            self.data["inputs"][str(Path(path))] = fh.raw.hexdigest()
+        return value
 
     def add_seed(self, stage: str, seed: int) -> None:
         self.data["seeds"][stage] = seed
@@ -149,10 +151,22 @@ def _out_dir(args) -> Path | None:
     return None
 
 
-def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                 argv: list[str]) -> list[str]:
-    """argv with the --config file's settings put in front of the flags, so
-    the same parser converts and checks them and the flags win."""
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """The arguments of argv, with the --config file's settings put in front
+    of the flags, so the same parser converts and checks them and the flags
+    win. A config key may give a required flag, so the flags are all
+    optional while argv is first read, to find the config file."""
+    required = [action for command in next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)).choices.values()
+        for action in command._actions if action.required]
+    for action in required:
+        action.required = False
+    args, _ = parser.parse_known_args(argv)
+    for action in required:
+        action.required = True
+    if not args.config:
+        return parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -175,7 +189,7 @@ def _config_argv(parser: argparse.ArgumentParser, args: argparse.Namespace,
             tokens.append(flag)
         elif value is not False and value is not None:
             tokens.append(f"{flag}={value}")
-    return [argv[0], *tokens, *argv[1:]]
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def _at_least(minimum: int):
@@ -234,18 +248,16 @@ def _region_from_args(args) -> tuple[Granularity, str]:
     raise DataError("a region is required: pass --country or --city")
 
 
-def _read_input(args, manifest: Manifest | None = None):
-    """The table and report of --input and, given a ``manifest``, the sha256
-    that records the input in it, taken from ingest's own reads so that the
-    file is read once."""
-    path = Path(args.input)
-    with io.BufferedReader((io.FileIO if manifest is None else _HashedFile)(path)) as fh:
-        table, report = ingest_checkins(fh, args.format)
-        return table, report, manifest and manifest.add_input(path, fh.raw.hexdigest())
+def _read_input(args, manifest: Manifest):
+    """The table, report and sha256 of --input, recorded in ``manifest``."""
+    table, report = manifest.read_input(args.input,
+                                        partial(ingest_checkins, fmt=args.format))
+    return table, report, manifest.data["inputs"][str(Path(args.input))]
 
 
 def cmd_ingest_check(args, manifest: Manifest) -> None:
-    _, report, _ = _read_input(args)
+    with open(args.input, "rb") as fh:
+        _, report = ingest_checkins(fh, args.format)
     json.dump(report.as_dict(), sys.stdout, indent=2)
     print()
 
@@ -324,33 +336,19 @@ def cmd_vectors(args, manifest: Manifest) -> None:
     })
 
 
-def _load_vectors(path_arg: str):
-    path = Path(path_arg)
-    if path.is_dir():
-        path = path / "vectors.csv"
-    with open(path, "rb") as fh:
-        return path, read_vectors_csv(fh)
+def _load_vectors(args, manifest: Manifest):
+    """The vectors of --vectors, a vectors.csv or a directory holding one."""
+    path = Path(args.vectors)
+    return manifest.read_input(str(path / "vectors.csv" if path.is_dir() else path),
+                               read_vectors_csv)
 
 
 def cmd_cluster(args, manifest: Manifest) -> None:
-    path, vectors = _load_vectors(args.vectors)
-    manifest.add_input(path)
+    vectors = _load_vectors(args, manifest)
     manifest.add_seed("kmeans", args.seed)
     result = cluster_regions(list(vectors.values()), k=args.k, seed=args.seed,
                              max_iter=args.max_iter, restarts=args.restarts)
     manifest.write_artifact("clusters.json", result.as_dict())
-
-
-def _load_index(args, manifest: Manifest):
-    """The bundled index named, or the index file, recorded as an input."""
-    if args.index in ("GII", "HDI"):
-        return load_bundled_index(args.index)
-    path = Path(args.index)
-    name = args.index_name or path.stem.upper()
-    with open(path, "rb") as fh:
-        index = ingest_index_table(fh, index_name=name)
-    manifest.add_input(path)
-    return index
 
 
 def cmd_compare(args, manifest: Manifest) -> None:
@@ -362,10 +360,11 @@ def cmd_compare(args, manifest: Manifest) -> None:
         raise DataError(f"--index-name is only valid for an index file, "
                         f"not the bundled {args.index}")
 
-    path, vectors = _load_vectors(args.vectors)
-    manifest.add_input(path)
+    vectors = _load_vectors(args, manifest)
     manifest.add_seed("baseline", args.seed)
-    index = _load_index(args, manifest)
+    index = load_bundled_index(args.index) if args.index in ("GII", "HDI") else \
+        manifest.read_input(args.index, partial(
+            ingest_index_table, index_name=args.index_name or Path(args.index).stem.upper()))
     anchors = sorted(vectors) if args.all_anchors else [args.anchor]
     rows = compare_regions(vectors, index, anchors,
                            n_permutations=args.permutations, seed=args.seed)
@@ -373,9 +372,8 @@ def cmd_compare(args, manifest: Manifest) -> None:
 
 
 def cmd_synth(args, manifest: Manifest) -> None:
-    spec_path = Path(args.spec)
-    manifest.add_input(spec_path)
-    spec = SynthSpec.from_json(spec_path.read_text(encoding="utf-8"))
+    spec = manifest.read_input(
+        args.spec, lambda fh: SynthSpec.from_json(fh.read().decode("utf-8")))
     manifest.add_seed("synth", spec.rng_seed)
     table, coordinates = generate(spec)
     manifest.write_artifact(args.out or f"synth.{args.format}",
@@ -474,8 +472,10 @@ def build_parser(argv: list[str] = ()) -> argparse.ArgumentParser:
         p.add_argument("--out", type=_file_name,
                        help="output file name (within --out-dir)")
         p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    if named in sub.choices:  # every command's flags end with the common ones
-        _add_common(sub.choices[named], named)
+    if p := sub.choices.get(named):  # every command's flags end with the common ones
+        _add_common(p, named)
+        # the usage line marks the required flags, which _parse_args can make optional
+        p.usage = p.format_usage().split(" ", 1)[1].rstrip("\n")
     return parser
 
 
@@ -486,11 +486,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     argv = list(argv)
     parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     manifest = None
     try:
-        if args.config:
-            args = parser.parse_args(_config_argv(parser, args, argv))
         manifest = Manifest(args, _out_dir(args))
         args.func(args, manifest)
         manifest.finish()

@@ -5,8 +5,11 @@ import json
 import os
 import random
 import re
+import shutil
 import stat
+import sys
 from argparse import Namespace
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from datetime import datetime, timedelta, timezone
@@ -98,11 +101,26 @@ def test_help_and_usage_errors_keep_their_text(argv, output, code, monkeypatch, 
     assert without_version_wording(out + err) == without_version_wording(output)
 
 
-def test_unreadable_input_is_runtime_error(tmp_path, capsys):
-    code = main(["analyze", "--input", str(tmp_path / "nope.csv"),
-                 "--country", "Synthland", "--out-dir", str(tmp_path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["ingest-check", "--input", "{missing}"],
+    ["analyze", "--input", "{missing}", "--country", "Synthland", "--out-dir", "{out}"],
+    ["vectors", "--input", "{missing}", "--out-dir", "{out}"],
+    ["cluster", "--vectors", "{missing}", "--k", "2", "--out-dir", "{out}"],
+    ["compare", "--vectors", "{missing}", "--index", "GII", "--all-anchors",
+     "--out-dir", "{out}"],
+    ["compare", "--vectors", "{vectors}", "--index", "{missing}", "--all-anchors",
+     "--out-dir", "{out}"],
+    ["synth", "--spec", "{missing}", "--out-dir", "{out}"],
+], ids=["ingest-check", "analyze", "vectors", "cluster", "compare-vectors",
+        "compare-index", "synth"])
+def test_unreadable_input_is_runtime_error(argv, tmp_path, capsys):
+    """A missing input file is one error line naming the path as it was given."""
+    paths = {"missing": str(tmp_path / "nope.csv"), "out": str(tmp_path / "out"),
+             "vectors": str(write_vectors(tmp_path / "vectors.csv", FIVE_VECTORS))}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno 2] No such file or directory: '{paths['missing']}'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_writes_artifacts(dataset, tmp_path):
@@ -1113,3 +1131,127 @@ def test_one_anchor_run_writes_its_row_of_the_all_anchor_run(tmp_path):
         anchor = row.split(",")[0]
         one = compare_tied_world(tmp_path, anchor, "--anchor", anchor)
         assert one.decode() == header + row
+
+
+def command_inputs(tmp_path):
+    """The input files of every command, in ``tmp_path``: a check-in file of
+    five countries, a vectors.csv, an index file and a synth spec."""
+    write_dataset(tmp_path / "data.csv", countries=[f"R{i}" for i in range(5)])
+    write_vectors(tmp_path / "vectors.csv", FIVE_VECTORS)
+    (tmp_path / "index.csv").write_text(FIVE_INDEX)
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC_JSON))
+
+
+# each command's flags, by config key; the first is a required one
+COMMAND_FLAGS = {
+    "ingest-check": {"input": "data.csv"},
+    "analyze": {"input": "data.csv", "country": "R0", "k": 5},
+    "vectors": {"input": "data.csv", "max_checkins_per_region": 900},
+    "cluster": {"vectors": "vectors.csv", "k": 2, "restarts": 2},
+    "compare": {"vectors": "vectors.csv", "index": "index.csv", "all_anchors": True,
+                "permutations": 10},
+    "synth": {"spec": "spec.json", "out": "data.csv"},
+}
+
+
+def flag_argv(flags):
+    """The command-line flags of config keys and values."""
+    argv = []
+    for key, value in flags.items():
+        argv += [f"--{key.replace('_', '-')}"] + ([] if value is True else [str(value)])
+    return argv
+
+
+def run_command(argv, capsys):
+    """The exit status of a run, what it printed, and the files it wrote to
+    --out-dir, by name, which it then removes; the manifest without its
+    times and the config file's name."""
+    code = main(argv)
+    out = Path(argv[argv.index("--out-dir") + 1]) if "--out-dir" in argv else None
+    files = {path.name: path.read_bytes() for path in out.iterdir()} if out else {}
+    if out:
+        shutil.rmtree(out)
+    manifest = json.loads(files.pop("run_manifest.json", b"{}"))
+    for key in ("started_at", "finished_at"):
+        manifest.pop(key, None)
+    manifest.get("config", {}).pop("config", None)
+    return code, capsys.readouterr().out, files, manifest
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_a_config_file_may_give_every_flag(command, tmp_path, capsys, monkeypatch):
+    """A run from a config file alone, required flags and all, is the run of
+    the same flags; and a flag on the command line beats a config value, a
+    required one too."""
+    monkeypatch.chdir(tmp_path)
+    command_inputs(tmp_path)
+    flags = COMMAND_FLAGS[command]
+    first = next(iter(flags))
+    Path("all.json").write_text(json.dumps(flags))
+    Path("wrong.json").write_text(json.dumps({**flags, first: "nope"}))
+    out = [] if command == "ingest-check" else ["--out-dir", "out"]
+    by_flags = run_command([command, *flag_argv(flags), *out], capsys)
+    assert by_flags[0] == 0
+    assert by_flags[1] or by_flags[2]
+    assert run_command([command, "--config", "all.json", *out], capsys) == by_flags
+    assert run_command([command, "--config", "wrong.json",
+                        *flag_argv({first: flags[first]}), *out], capsys) == by_flags
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["analyze", "--input", "data.csv", "--country", "R0", "--k", "5"], ["data.csv"]),
+    (["vectors", "--input", "data.csv"], ["data.csv"]),
+    (["cluster", "--vectors", ".", "--k", "2"], ["vectors.csv"]),
+    (["compare", "--vectors", "vectors.csv", "--index", "index.csv", "--all-anchors",
+      "--permutations", "10"], ["vectors.csv", "index.csv"]),
+    (["synth", "--spec", "spec.json"], ["spec.json"]),
+], ids=["analyze", "vectors", "cluster", "compare", "synth"])
+def test_every_input_file_is_opened_once_and_recorded_by_its_sha256(
+        argv, inputs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    command_inputs(tmp_path)
+    with recording_opens() as opened:
+        assert main([*argv, "--out-dir", "out"]) == 0
+    assert {name: opened.count(str(tmp_path / name)) for name in inputs} \
+        == dict.fromkeys(inputs, 1)
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["inputs"] == {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in inputs}
+
+
+@pytest.mark.parametrize("parse", [
+    lambda fh: fh.read(), lambda fh: fh.read(10), lambda fh: fh.readline(),
+    lambda fh: list(fh), lambda fh: None,
+], ids=["read-all", "read-some", "one-line", "every-line", "nothing"])
+def test_an_input_is_recorded_by_the_sha256_of_the_whole_file(parse, tmp_path):
+    """Whatever ``parse`` reads, and however, the digest covers every byte."""
+    path = tmp_path / "input"
+    path.write_bytes(b"".join(b"line %d\n" % i for i in range(20000)))
+    manifest = Manifest(Namespace(subcommand="synth"), None)
+    manifest.read_input(str(path), parse)
+    assert manifest.data["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+_open_logs: list[list[str]] = []  # those of the recording_opens now running
+
+
+def _log_open(event, args):
+    if event == "open" and _open_logs and isinstance(args[0], (str, bytes, os.PathLike)):
+        _open_logs[-1].append(os.path.abspath(os.fsdecode(args[0])))
+
+
+@contextmanager
+def recording_opens():
+    """A list of the absolute path of every file opened in the block, taken
+    from the interpreter's "open" audit event: it sees every way of opening a
+    file. An audit hook cannot be removed, so one hook serves every block."""
+    if not hasattr(_log_open, "installed"):
+        sys.addaudithook(_log_open)
+        _log_open.installed = True
+    _open_logs.append(opened := [])
+    try:
+        yield opened
+    finally:
+        _open_logs.remove(opened)

@@ -156,10 +156,10 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     of the flags, so the same parser converts and checks them and the flags
     win. A config key may give a required flag, so the flags are all
     optional while argv is first read, to find the config file."""
-    required = [action for command in next(
-        action for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)).choices.values()
-        for action in command._actions if action.required]
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    required = [action for command in commands.values()
+                for action in command._actions if action.required]
     for action in required:
         action.required = False
     args, _ = parser.parse_known_args(argv)
@@ -177,18 +177,19 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     if not isinstance(config, dict):
         parser.error(f"config file {args.config} must hold a JSON object")
     tokens = []
+    actions = {action.dest: action for action in commands[args.subcommand]._actions}
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if attr in ("func", "subcommand", "config") or not hasattr(args, attr):
+        if attr in ("help", "config") or attr not in actions:
             parser.error(f"unknown key {key!r} in config file {args.config} "
                          f"for {args.subcommand}")
         if isinstance(value, (list, dict)):
             parser.error(f"config key {key!r} must be a string, number or boolean")
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            tokens.append(flag)
-        elif value is not False and value is not None:
-            tokens.append(f"{flag}={value}")
+        if isinstance(value, bool) and actions[attr].nargs != 0:
+            parser.error(f"config key {key!r} takes a value, not {str(value).lower()}")
+        if value is not False and value is not None:  # false: a store_true flag off
+            flag = actions[attr].option_strings[0]
+            tokens.append(flag if value is True else f"{flag}={value}")
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 

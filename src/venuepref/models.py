@@ -213,14 +213,17 @@ class _Strings:
         return np.fromiter(map(code.__getitem__, values), np.int32, len(values))
 
     def finish(self, codes: np.ndarray, key=None) -> tuple[np.ndarray, list[str]]:
-        """The sorted table of the values that ``codes`` use, after ``key``
-        if given, and the position in it of each value's code: -1 for a
-        value unused, or that is or becomes None."""
+        """``_value_table`` of the values that ``codes`` use, after ``key`` if
+        given: -1 for a value unused, or that is or becomes None."""
         values = list(self.code) if key is None else list(map(key, self.code))
-        used = np.flatnonzero(np.bincount(codes, minlength=len(values)))
-        names = sorted({values[c] for c in used.tolist()} - {None})
-        position = {name: i for i, name in enumerate(names)}
-        return np.array([position.get(v, -1) for v in values], np.int32), names
+        used = np.bincount(codes, minlength=len(values)).tolist()
+        return _value_table([v if n else None for v, n in zip(values, used)])
+
+
+def _value_table(values: list) -> tuple[np.ndarray, list[str]]:
+    """Positions of ``values`` in their sorted table without None (-1 for None), and the table."""
+    position = {name: i for i, name in enumerate(sorted(set(values) - {None}))}
+    return np.array([position.get(v, -1) for v in values], np.int32), list(position)
 
 
 def _or_none(parse, value):

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import NO_TIME, CheckinTable, _assemble
+from .models import NO_TIME, CheckinTable, _assemble, _value_table
 
 
 def _check_types(spec, types: dict) -> None:
@@ -119,15 +119,11 @@ def _gender_weights(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coded_keys(keys: np.ndarray, name) -> tuple[np.ndarray, list[str]]:
-    """The code of the name ``name(key)`` of each integer key into the
-    sorted table of those names, which it returns, naming each distinct key
-    once: two keys may share a name, and names need not sort as their keys
-    do. A key named None gets -1."""
+    """``_value_table`` of ``name(key)`` per integer key, naming each distinct key
+    once: two keys may share a name, and names need not sort as their keys do."""
     distinct, inverse = np.unique(keys, return_inverse=True)
-    values = [name(key) for key in distinct.tolist()]
-    names = sorted(set(values) - {None})
-    position = {value: i for i, value in enumerate(names)}
-    return np.array([position.get(v, -1) for v in values], np.int32)[inverse], names
+    codes, names = _value_table([name(key) for key in distinct.tolist()])
+    return codes[inverse], names
 
 
 def generate(spec: SynthSpec) -> tuple[CheckinTable, tuple[np.ndarray, np.ndarray]]:

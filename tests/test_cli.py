@@ -1198,6 +1198,39 @@ def test_a_config_file_may_give_every_flag(command, tmp_path, capsys, monkeypatc
                         *flag_argv({first: flags[first]}), *out], capsys) == by_flags
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("analyze", "k", False), ("analyze", "country", False), ("analyze", "k", True),
+    ("vectors", "max_checkins_per_region", False), ("compare", "index", False),
+    ("synth", "out", True),
+], ids=["k-false", "country-false", "k-true", "cap-false", "index-false", "out-true"])
+def test_a_config_boolean_for_a_flag_with_a_value_is_usage_error(
+        command, key, value, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    command_inputs(tmp_path)
+    Path("conf.json").write_text(json.dumps({key: value}))
+    flags = {k: v for k, v in COMMAND_FLAGS[command].items() if k != key}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag_argv(flags), "--config", "conf.json", "--out-dir", "out"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and [line for line in err.splitlines() if "error:" in line] == [
+        f"venuepref: error: config key {key!r} takes a value, not "
+        f"{json.dumps(value)}"]
+    assert not Path("out").exists()
+
+
+def test_a_config_false_or_null_is_a_flag_left_off(tmp_path, capsys, monkeypatch):
+    """false for a store_true flag leaves it off, and null leaves any flag
+    as it is: the run is that of the command line alone."""
+    monkeypatch.chdir(tmp_path)
+    command_inputs(tmp_path)
+    Path("conf.json").write_text(json.dumps({"no_dedupe": False, "k": None, "city": None}))
+    argv = [*flag_argv(COMMAND_FLAGS["analyze"]), "--out-dir", "out"]
+    alone = run_command(["analyze", *argv], capsys)
+    assert alone[0] == 0
+    assert run_command(["analyze", "--config", "conf.json", *argv], capsys) == alone
+
+
 @pytest.mark.parametrize("argv, inputs", [
     (["analyze", "--input", "data.csv", "--country", "R0", "--k", "5"], ["data.csv"]),
     (["vectors", "--input", "data.csv"], ["data.csv"]),

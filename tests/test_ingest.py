@@ -666,9 +666,9 @@ def test_a_venue_span_past_the_words_is_grouped_per_column(monkeypatch):
 
 
 def test_a_span_of_hex_venue_ids_is_read_as_words():
-    """A synthetic venue span as CI's land0-hex.csv holds it (24-hex venue
-    ids, repr'd coordinates, a city past ASCII) fits in _WORD_BYTES: no
-    part of it is hashed by ``hash``."""
+    """A synthetic venue span as tests/e2e_cli.py's land0-hex.csv holds it
+    (24-hex venue ids, repr'd coordinates, a city past ASCII) fits in
+    _WORD_BYTES: no part of it is hashed by ``hash``."""
     spec = SynthSpec(n_users=300, female_fraction=0.5, n_checkins=2000,
                      region_name="Land0", rng_seed=11,
                      subcategories=[SubcategorySpec(f"S{j}", "Food", 4, 1.0)

@@ -85,8 +85,11 @@ class _HashedFile(io.FileIO):
         return data
 
     def hexdigest(self) -> str:
-        """The sha256 of the bytes read and then of the rest of the file."""
-        self.readall()
+        """The sha256 of the bytes read and then of the rest of the file,
+        read a piece at a time."""
+        piece = bytearray(1 << 16)
+        while self.readinto(piece):
+            pass
         return self.sha256.hexdigest()
 
 

@@ -8,6 +8,10 @@ import csv
 import io
 import itertools
 import json
+import os
+import pickle
+import stat
+import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -372,10 +376,22 @@ class _AcceptedRows:
         self.claims = np.zeros(0, np.int32)  # per venue code: subcategory code, or -1
         self.parts = {column: [] for column in _COLUMNS}
 
-    def add(self, columns) -> None:
-        """Validate one chunk, given as a ``_Column`` per CSV_FIELDS field in
+    def add(self, chunk) -> None:
+        """Keep the rows of one chunk that break no rule: what ``validate``
+        reads, or a worker's ``_RangeRows``, claimed a block at a time."""
+        if isinstance(chunk, _RangeRows):
+            blocks = self.merge(chunk)
+            while blocks:  # popped: a copy without its conflicts replaces a block
+                self.claim(blocks.pop(0))
+        else:
+            self.claim(self.validate(chunk))
+
+    def validate(self, columns) -> dict:
+        """Check one chunk, given as a ``_Column`` per CSV_FIELDS field in
         that order, each read before the next is taken: the string fields
-        hold str or None, the coordinates and timestamp raw values."""
+        hold str or None, the coordinates and timestamp raw values. Counts
+        the rows that break a rule other than the venue's subcategory, and
+        returns the columns of codes, gender and ts of the other rows."""
         coded = {field: column for column, (_, field) in _CODED.items()}
         codes, blank_coordinate, in_range = {}, False, True
         for field, column in zip(CSV_FIELDS, columns):
@@ -402,25 +418,44 @@ class _AcceptedRows:
         bad_ts = ok & ts_bad
         ok &= ~ts_bad
 
+        report = self.report
+        report.missing_field += int(missing.sum() + bad_ts.sum())
+        report.rejected_gender += int(bad_gender.sum())
+        report.bad_coordinates += int(bad_coordinates.sum())
         rows = np.flatnonzero(ok)
-        venue, subcategory = codes["venue"][rows], codes.pop("venue_subcategory")[rows]
+        return {column: values[rows]
+                for column, values in dict(codes, gender=gender, ts=ts).items()}
+
+    def merge(self, chunk: "_RangeRows") -> list[dict]:
+        """The ``validate`` columns of each block of a range that a worker
+        checked: its counts are added, and its codes become, in place, codes
+        of this file's values."""
+        for field in fields(chunk.report):
+            setattr(self.report, field.name,
+                    getattr(self.report, field.name) + getattr(chunk.report, field.name))
+        for column, values in chunk.values.items():
+            recode = self.strings[column](values)
+            for kept in chunk.blocks:
+                np.take(recode, kept[column], out=kept[column])
+        return chunk.blocks
+
+    def claim(self, kept: dict) -> None:
+        """Keep the rows of the columns ``kept`` whose subcategory is that
+        of their venue; a venue's first such row, in file order, claims it."""
+        venue, subcategory = kept["venue"], kept["venue_subcategory"]
         grown = len(self.strings["venue"].code) - len(self.claims)
         self.claims = np.concatenate([self.claims, np.full(grown, -1, np.int32)])
         first = first_rows(venue, len(self.claims))
         claim = (first < len(venue)) & (self.claims == -1)
         self.claims[claim] = subcategory[first[claim]]
         conflict = self.claims[venue] != subcategory
-        rows = rows[~conflict]
+        if conflict.any():
+            kept = {column: values[~conflict] for column, values in kept.items()}
 
-        report = self.report
-        report.missing_field += int(missing.sum() + bad_ts.sum())
-        report.rejected_gender += int(bad_gender.sum())
-        report.bad_coordinates += int(bad_coordinates.sum())
-        report.venue_conflict += int(conflict.sum())
-        report.accepted += len(rows)
-        kept = dict(codes, gender=gender, ts=ts)
-        for column, values in kept.items():
-            self.parts[column].append(values[rows])
+        self.report.venue_conflict += int(conflict.sum())
+        self.report.accepted += len(kept["venue"])
+        for column in _COLUMNS:
+            self.parts[column].append(kept[column])
 
     def table(self) -> CheckinTable:
         """The accepted rows; each column's chunks are dropped once joined.
@@ -639,40 +674,28 @@ def _row_columns(rows, positions, report: IngestReport):
         del chunk, columns  # freed before the next chunk is read
 
 
-def _csv_columns(source: BinaryIO, report: IngestReport):
-    """The CSV_FIELDS columns of successive chunks of csv rows, read as
-    ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
-    name reads its last column, and a short row reads None past its end.
-
-    The header line, then blocks of whole lines of up to ``_BLOCK_BYTES``
-    (read into one buffer once the last block's columns are freed), are cut
-    at commas until the first that cannot be, say one line longer than a
-    block; it and the rest of the file go through ``csv_reader``."""
-    head = source.readline()
-    if not head:
-        return
-    # rest: csv_reader's first bytes, the lines before them and their offset
-    if _cut(line := head.rstrip(b"\n") + b"\n", len(line), 1) is None:
-        rest, positions = (head, 0, 0), None
-    else:
-        rest, positions = None, _positions(head.decode().rstrip("\r\n").split(","))
+def _blocks(readinto, positions: list[int], report: IngestReport, lines_read: int,
+            offset: int):
+    """The ``_byte_columns`` of successive blocks of whole csv lines of up to
+    ``_BLOCK_BYTES``, read by ``readinto`` into one buffer once the last
+    block's columns are freed; the first starts at byte ``offset`` of the
+    file, after ``lines_read`` lines. Returns None when the bytes run out,
+    or at the first block that cannot be cut, say one line longer than a
+    block, csv_reader's first bytes, the lines before them and their offset."""
     block = bytearray(_BLOCK_BYTES + 8)  # the last word read may pass a full block
-    # bytes in the block; the file offset of its first, and the lines before it
-    filled, offset, lines_read = 0, len(head), 1
-    while rest is None:
-        while filled < _BLOCK_BYTES and (
-                n := source.readinto(memoryview(block)[filled:_BLOCK_BYTES])):
+    filled = 0  # bytes in the block
+    while True:
+        while filled < _BLOCK_BYTES and (n := readinto(memoryview(block)[filled:_BLOCK_BYTES])):
             filled += n
         if not filled:
-            return
+            return None
         end = block.rfind(b"\n", 0, filled) + 1
         if filled < _BLOCK_BYTES and end < filled:  # the file's last line has no line end
             block[filled] = ord("\n")
             end = filled + 1
         cut = _cut(block, end, max(positions) + 1) if end else None
         if cut is None:
-            rest = (block[:filled], lines_read, offset)
-            break
+            return block[:filled], lines_read, offset
         lines_read += len(cut[1])
         report.total_lines += len(cut[1])
         yield _byte_columns(block, end, *cut, positions)
@@ -681,6 +704,202 @@ def _csv_columns(source: BinaryIO, report: IngestReport):
         block[:filled - end] = block[end:filled]  # the start of a line, for the next block
         filled -= end
         offset += end
+
+
+def _limited(readinto, size: int):
+    """``readinto`` that reads at most ``size`` bytes in all."""
+    def read(view) -> int:
+        nonlocal size
+        n = readinto(view[:size])
+        size -= n
+        return n
+    return read
+
+
+def _pread_from(fd: int, offset: int):
+    """A ``readinto`` of the file ``fd`` from byte ``offset`` on, by
+    ``os.preadv``, which leaves the file's position as it is."""
+    def read(view) -> int:
+        nonlocal offset
+        n = os.preadv(fd, [view], offset)
+        offset += n
+        return n
+    return read
+
+
+# the bytes each of the two ranges of a split file holds at least: one
+# block as set here, whatever _BLOCK_BYTES is set to later
+_RANGE_BYTES = _BLOCK_BYTES
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs this process may run on but the one the calling thread runs
+    on; all of them where /proc does not say which. A forked process starts
+    on its parent's CPU, and the kernel may leave it there while another
+    CPU idles (README, "Performance")."""
+    usable = os.sched_getaffinity(0)
+    with contextlib.suppress(OSError), open("/proc/thread-self/stat", "rb") as stat_file:
+        usable.discard(int(stat_file.read().rsplit(b")", 1)[1].split()[36]))  # field 39
+    return usable
+
+
+def _split(source: BinaryIO) -> Optional[int]:
+    """The line start that splits the rest of ``source`` into two ranges of
+    at least ``_RANGE_BYTES``: the first for the stream, the second for a
+    worker. None where ``source`` is no regular file of a Linux process
+    that can fork and may run on two CPUs, or the rest is shorter."""
+    if not (sys.platform.startswith("linux") and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")):
+        return None
+    try:
+        fd = source.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation: in memory
+        return None
+    info, start = os.fstat(fd), source.tell()
+    if (not stat.S_ISREG(info.st_mode) or info.st_size - start < 2 * _RANGE_BYTES
+            or _usable_cpus() < 2):
+        return None
+    at = start + (info.st_size - start) // 2
+    # the first line start at or past ``at``: the byte after a newline
+    while (chunk := os.pread(fd, 1 << 16, at - 1)) and (newline := chunk.find(b"\n")) < 0:
+        at += len(chunk)
+    return at + newline if chunk and at + newline < info.st_size else None
+
+
+class _RangeRows(NamedTuple):
+    """What a worker sends of its range: its report (the lines read and the
+    rows rejected by ``validate``), the ``validate`` columns of the rows of
+    each block that pass, and per coded column its interned values in code
+    order."""
+
+    report: IngestReport
+    blocks: list
+    values: dict
+
+
+def _range_rows(fd: int, start: int, positions: list[int]) -> Optional[_RangeRows]:
+    """The rows of the csv lines of the file ``fd`` from byte ``start`` on,
+    or None if a block of them cannot be cut at commas."""
+    accepted = _AcceptedRows(IngestReport())
+    blocks = _blocks(_pread_from(fd, start), positions, accepted.report, 0, start)
+    kept = []
+    try:
+        while True:
+            kept.append(accepted.validate(next(blocks)))
+    except StopIteration as end:
+        if end.value is not None:
+            return None
+    return _RangeRows(accepted.report, kept,
+                      {column: list(strings.code) for column, strings in accepted.strings.items()})
+
+
+class _Worker(NamedTuple):
+    pid: int
+    pipe: BinaryIO  # the read end of the pipe it sends its rows through
+
+
+def _fork(fd: int, start: int, positions: list[int]) -> _Worker:
+    """A forked process, on the usable CPUs but the caller's, that sends the
+    pickled ``_range_rows`` of the file ``fd`` from byte ``start`` on. It
+    runs the block functions only, never BLAS, and leaves by ``os._exit``:
+    it never unwinds into the caller nor flushes the stdio it inherits."""
+    import fcntl
+
+    cpus = _other_cpus()
+    read, write = os.pipe()
+    with contextlib.suppress(OSError):  # a pipe that holds the rows spares round trips
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if not pid:
+        status = 1
+        try:
+            import gc
+
+            gc.disable()  # no finalizer of an object of the parent runs here
+            os.close(read)
+            with open(write, "wb") as sink:
+                pickle.dump(_range_rows(fd, start, positions), sink, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    with contextlib.suppress(OSError):  # before it first runs, as a rule; one CPU: no set
+        os.sched_setaffinity(pid, cpus)
+    return _Worker(pid, open(read, "rb"))
+
+
+def _collect(worker: _Worker) -> Optional[_RangeRows]:
+    """The rows of ``worker``, read to the end of its pipe, once it is
+    reaped; None if it failed or its range needs csv.reader."""
+    with worker.pipe:
+        try:
+            rows = pickle.load(worker.pipe)
+        except (EOFError, pickle.UnpicklingError):  # it ended before it sent all
+            rows = None
+        worker.pipe.read()
+    status = os.waitpid(worker.pid, 0)[1]
+    return rows if status == 0 else None
+
+
+def _end(worker: _Worker) -> None:
+    """Kill and reap ``worker``."""
+    import signal
+
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.pipe.close()
+    os.waitpid(worker.pid, 0)
+
+
+def _csv_columns(source: BinaryIO, report: IngestReport):
+    """The CSV_FIELDS columns of successive chunks of csv rows, read as
+    ``csv.DictReader`` reads them: empty rows are skipped, a repeated header
+    name reads its last column, and a short row reads None past its end.
+
+    The header line, then ``_blocks`` of the lines after it, are cut at
+    commas until the first block that cannot be; it and the rest of the file
+    go through ``csv_reader``. Where ``_split`` splits the file, the stream
+    reads the first range and a forked worker reads and validates the
+    second: its ``_RangeRows`` follow the stream's columns. Where the worker
+    fails or its range needs csv.reader, the stream reads that range too, as
+    it reads the rest of an unsplit file."""
+    head = source.readline()
+    if not head:
+        return
+    # rest: csv_reader's first bytes, the lines before them and their offset
+    if _cut(line := head.rstrip(b"\n") + b"\n", len(line), 1) is None:
+        rest, positions = (head, 0, 0), None
+    else:
+        positions = _positions(head.decode().rstrip("\r\n").split(","))
+        split, worker, read = _split(source), None, source.readinto
+        try:
+            if split is not None:
+                with contextlib.suppress(OSError):  # say, no process left: one reads all
+                    worker = _fork(source.fileno(), split, positions)
+                    read = _limited(read, split - source.tell())
+            rest = yield from _blocks(read, positions, report, 1, len(head))
+            if worker is not None and rest is None:
+                rows, worker = _collect(worker), None
+                if rows is not None:
+                    yield rows
+                    return
+                # the stream is at the split, after every line the report counts
+                rest = yield from _blocks(source.readinto, positions, report,
+                                          1 + report.total_lines, split)
+        finally:
+            if worker is not None:  # its rows are not read
+                _end(worker)
+        if rest is None:
+            return
     with csv_reader(source, *rest) as reader:
         if positions is None:
             positions = _positions(next(reader, []))
@@ -753,10 +972,12 @@ def ingest_checkins(source: BinaryIO, fmt: str) -> tuple[CheckinTable, IngestRep
         raise DataError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
     report = IngestReport()
     accepted = _AcceptedRows(report)
-    for columns in (_csv_columns(source, report) if fmt == "csv" else _row_columns(
-            _jsonl_rows(source, report), range(len(CSV_FIELDS)), report)):
-        accepted.add(columns)
-        del columns  # freed before the next block is read
+    chunks = (_csv_columns(source, report) if fmt == "csv" else _row_columns(
+        _jsonl_rows(source, report), range(len(CSV_FIELDS)), report))
+    with contextlib.closing(chunks):  # which ends any worker left
+        for chunk in chunks:
+            accepted.add(chunk)
+            del chunk  # freed before the next block is read
     if report.total_lines > 0 and report.rejected > report.total_lines / 2:
         raise DataError(
             f"{report.rejected} of {report.total_lines} lines rejected "

@@ -187,8 +187,10 @@ def checks():
     analyze("land0-split.csv", "an-split", "--method", "gender_shuffle")
     same_artifacts("an-gender_shuffle", "an-split")
 
-    # a file of several of the byte path's blocks (cut at their last newline)
-    # and its quoted CRLF copy, which csv.reader reads: one report, same artifacts
+    # a file of several of the byte path's blocks (cut at their last newline),
+    # whose second half a forked worker reads where two CPUs are usable, and
+    # its quoted CRLF copy, which csv.reader reads in one process: one
+    # report, the same analyze artifacts and the same vectors
     write_spec("spec-big.json", "Big0", 5, 3000, 80000, 40, [0.1 * j for j in range(10)])
     run("synth", "--spec", "spec-big.json", "--out", "big.csv", "--out-dir", "synth")
     block = int(subprocess.run([sys.executable, "-c", "from venuepref.models import "
@@ -200,7 +202,10 @@ def checks():
     same_reports(report("synth/big.csv"), "synth/big.csv", "big-quoted.csv")
     for path, out in (("synth/big.csv", "an-big"), ("big-quoted.csv", "an-big-quoted")):
         analyze(path, out, "--method", "gender_shuffle", country="Big0")
+        run("vectors", "--input", path, "--out-dir", out.replace("an-", "vec-"))
     same_artifacts("an-big", "an-big-quoted")
+    check(read("vec-big/vectors.csv") == read("vec-big-quoted/vectors.csv"),
+          "vec-big-quoted/vectors.csv equals vec-big/vectors.csv")
 
     # 24-hex venue ids and a city past ASCII, as real exports have: the byte
     # path and csv.reader (on a fully quoted copy) read them alike
@@ -254,8 +259,8 @@ def checks():
     # and bool column's tokens from one C-encoder dump of its list
     paths = glob.glob("*/*.json")
     significance = sum(path.endswith("significance.json") for path in paths)
-    check(len(paths) == 45 and significance == 13,
-          "the runs wrote 45 JSON artifacts, 13 of them significance.json", sorted(paths))
+    check(len(paths) == 49 and significance == 13,
+          "the runs wrote 49 JSON artifacts, 13 of them significance.json", sorted(paths))
     for path in paths:
         text = read(path).decode("utf-8")
         check(text == json.dumps(json.loads(text), indent=2) + "\n", f"{path} is indented JSON")

@@ -7,6 +7,7 @@ import random
 import re
 import shutil
 import stat
+import subprocess
 import sys
 from argparse import Namespace
 from contextlib import contextmanager
@@ -1288,3 +1289,42 @@ def recording_opens():
         yield opened
     finally:
         _open_logs.remove(opened)
+
+
+USABLE_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+@pytest.mark.skipif(len(USABLE_CPUS) < 2, reason="needs two usable CPUs")
+def test_one_cpu_and_every_cpu_write_the_same_bytes(tmp_path):
+    """An input of more than two ranges is split in two, the second read by
+    a forked worker, where the command may use every CPU, and read by one
+    process where it is pinned to one: the artifacts and the input's sha256
+    are the same."""
+    spec = SynthSpec(n_users=3000, female_fraction=0.5, n_checkins=50_000,
+                     region_name="Land0", rng_seed=5, city="Rio",
+                     subcategories=[SubcategorySpec(f"S{i}", "Food", 20, 1.0, 0.1 * i)
+                                    for i in range(10)])
+    data = tmp_path / "big.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        write_checkins(*generate(spec), fh)
+    assert data.stat().st_size > 2 * models._RANGE_BYTES
+    env = {**os.environ, "PYTHONPATH": str(Path(models.__file__).parents[1])}
+    one_cpu = min(USABLE_CPUS)
+    for argv in (["analyze", "--country", "Land0", "--method", "gender_shuffle", "--k", "20"],
+                 ["vectors"]):
+        outs = []
+        for pin in (True, False):
+            out = tmp_path / f"{argv[0]}-{'one' if pin else 'all'}"
+            result = subprocess.run(
+                [sys.executable, "-m", "venuepref.cli", *argv, "--input", str(data),
+                 "--out-dir", str(out)], env=env, capture_output=True, text=True,
+                preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu})) if pin else None)
+            assert (result.returncode, result.stderr) == (0, "")
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            if name != "run_manifest.json":
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        inputs = [json.loads((out / "run_manifest.json").read_text())["inputs"] for out in outs]
+        assert inputs[0] == inputs[1] == {str(data): hashlib.sha256(data.read_bytes()).hexdigest()}

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import tracemalloc
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
@@ -964,3 +965,204 @@ def test_fixed_width_timestamps_parse_only_the_rows_that_do_not_fit(monkeypatch)
     assert parsed == [["2015-02-29T00:00:00+00:00", "2014-04-25 12:00:00+02:00"]]
     models._timestamps([*fits, ""])  # another width: the chunk is parsed whole
     assert parsed[-1] == [*fits, ""]
+
+
+# A csv file split in two: the second range is parsed and validated in a
+# forked worker, and the parent merges it after the first. Small ranges and
+# blocks force the split on small files.
+
+def row_line(user="u1", gender="male", venue="v1", subcategory="A", latitude="1.0",
+             timestamp="2014-04-25T12:00:00+00:00", end="\n"):
+    return f"{user},{gender},{venue},Food,{subcategory},{latitude},2.0,BR,Rio,{timestamp}{end}"
+
+
+GROUP = 11  # the lines of ``every_reason``, of which 6 are accepted
+
+
+def every_reason(i, end="\n"):
+    """The GROUP lines of user ``i``: one of each reject reason, more
+    accepted, and a venue of its own that its first line claims."""
+    return "".join(row_line(*fields, end=end) for fields in [
+        (f"u{i}", "male", f"v{i}", "A"), (f"u{i}", "female", f"v{i % 7}", "A"),
+        (f"u{i}", "", f"v{i}", "A"),  # a missing field
+        (f"u{i}", "other", f"v{i}", "A"),  # a rejected gender
+        (f"u{i}", "male", f"v{i}", "A", "91.0"),  # a bad coordinate
+        (f"u{i}", "male", f"v{i}", "A", "1.0", "not-a-time"),  # a missing field
+        (f"u{i}", "female", f"v{i}", "B"),  # a venue conflict
+        (f"w{i}", "female", f"v{i}", "A"), (f"w{i}", "male", "vp", "A"),
+        (f"w{i}", "male", f"v{i}", "A"), (f"u{i}", "female", "vp", "A")])
+
+
+def ingest_file(path):
+    """(table, report), or the DataError's message, of a csv file on disk."""
+    with open(path, "rb") as fh:
+        try:
+            return ingest_checkins(fh, "csv")
+        except DataError as exc:
+            return str(exc)
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_equal_outcomes(outcome, expected):
+    """``ingest_file`` outcomes with equal messages, or equal reports and
+    tables, column by column."""
+    if isinstance(expected, str):
+        assert outcome == expected
+        return
+    (table, report), (want_table, want_report) = outcome, expected
+    assert report == want_report
+    for field in fields(CheckinTable):
+        value, want = getattr(table, field.name), getattr(want_table, field.name)
+        if isinstance(want, np.ndarray):
+            assert value.dtype == want.dtype and np.array_equal(value, want), field.name
+        else:
+            assert value == want, field.name
+
+
+def small_ranges(monkeypatch):
+    monkeypatch.setattr(models, "_BLOCK_BYTES", 256)
+    monkeypatch.setattr(models, "_RANGE_BYTES", 512)
+
+
+def split_ingest(path, monkeypatch):
+    """The ingest of ``path`` in two ranges of at least 512 bytes, which
+    must equal that of one process; the second range's start, and whether
+    per reading of the worker's rows whether it sent them."""
+    small_ranges(monkeypatch)
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
+    serial = ingest_file(path)
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    sent, collect = [], models._collect
+    monkeypatch.setattr(models, "_collect", lambda worker: sent.append(
+        rows := collect(worker)) or rows)
+    split = ingest_file(path)
+    assert_no_worker_left()
+    with open(path, "rb") as fh:
+        fh.readline()
+        start = models._split(fh)
+    assert start is not None
+    assert_equal_outcomes(split, serial)
+    return split, start, [rows is not None for rows in sent]
+
+
+def range_of(data: bytes, start: int, text: str) -> int:
+    """The range, 0 or 1, of the csv bytes ``data`` that holds ``text``."""
+    return int(data.index(text.encode()) >= start)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_split_ingest_equals_one_process(end, tmp_path, monkeypatch):
+    """Every reject reason in each range; a venue claimed in the parent's
+    range that conflicts in the worker's ("vp"), and venues first seen in
+    the worker's range, which claim there ("vx"; "vy", in two blocks)."""
+    lines = [every_reason(i, end) for i in range(30)]
+    lines[20] += row_line("x1", "male", "vx", "B", end=end) + row_line("x2", "male", "vx", "A", end=end)
+    lines[25] += row_line("y1", "male", "vy", "A", end=end)
+    lines[28] += row_line("y2", "female", "vp", "B", end=end) + row_line("y3", "male", "vy", "B", end=end)
+    path = tmp_path / "checkins.csv"
+    path.write_bytes((HEADER.replace("\n", end) + "".join(lines)).encode())
+    (table, report), start, sent = split_ingest(path, monkeypatch)
+    data = path.read_bytes()
+    assert sent == [True]
+    assert [range_of(data, start, f"u{i},") for i in (0, 10, 20, 29)] == [0, 0, 1, 1]
+    assert (range_of(data, start, "x1,"), range_of(data, start, "y2,")) == (1, 1)
+    assert report.as_dict() == {"total_lines": 30 * GROUP + 5, "accepted": 30 * 6 + 2,
+                                "rejected": 30 * 5 + 3, "rejected_gender": 30,
+                                "bad_coordinates": 30, "missing_field": 60,
+                                "venue_conflict": 33, "unparseable": 0}
+    venues = dict(zip(table.venues, table.venue_subcategory.tolist()))
+    assert [table.subcategories[venues[v]] for v in ("vp", "vx", "vy")] == ["A", "B", "A"]
+
+
+@pytest.mark.parametrize("quoted", [3, 20], ids=["parent-range", "worker-range"])
+def test_a_quoted_line_in_a_range_hands_the_rest_to_one_process(quoted, tmp_path,
+                                                                monkeypatch):
+    lines = [every_reason(i) for i in range(30)]
+    lines[quoted] = lines[quoted].replace(f"u{quoted},male,v{quoted},",
+                                          f'"u{quoted}",male,v{quoted},', 1)
+    path = tmp_path / "checkins.csv"
+    path.write_bytes((HEADER + "".join(lines)).encode())
+    (table, report), start, sent = split_ingest(path, monkeypatch)
+    assert (range_of(path.read_bytes(), start, f'"u{quoted}"'), sent) == ((0, []) if quoted == 3 else (1, [False]))
+    assert report.accepted == 30 * 6
+
+
+def test_a_split_file_with_no_final_newline(tmp_path, monkeypatch):
+    path = tmp_path / "checkins.csv"
+    path.write_bytes((HEADER + "".join(every_reason(i) for i in range(30))).encode()[:-1])
+    (_, report), _, sent = split_ingest(path, monkeypatch)
+    assert (report.total_lines, sent) == (30 * GROUP, [True])
+
+
+def test_a_worker_that_fails_leaves_its_range_to_the_parent(tmp_path, monkeypatch):
+    def fail(*args):
+        raise MemoryError
+
+    path = tmp_path / "checkins.csv"
+    path.write_bytes((HEADER + "".join(every_reason(i) for i in range(30))).encode())
+    monkeypatch.setattr(models, "_range_rows", fail)  # in the worker
+    (_, report), _, sent = split_ingest(path, monkeypatch)
+    assert (report.accepted, sent) == (30 * 6, [False])
+
+
+@pytest.mark.parametrize("fault", ["nul", "rejected"])
+def test_no_worker_outlives_a_split_ingest_that_fails(fault, tmp_path, monkeypatch):
+    """A NUL line in the parent's range is the DataError naming it; more
+    than half rejected is the DataError of the whole file's counts."""
+    lines = [every_reason(i) for i in range(30)]
+    if fault == "nul":
+        lines[2] = lines[2].replace("u2,male", "u\0,male", 1)
+    else:
+        lines = [line.replace(",male,", ",other,") for line in lines]
+    path = tmp_path / "checkins.csv"
+    path.write_bytes((HEADER + "".join(lines)).encode())
+    outcome, start, _ = split_ingest(path, monkeypatch)
+    if fault == "nul":
+        assert outcome == f"csv line {2 + 2 * GROUP}: line contains NUL"
+        assert range_of(path.read_bytes(), start, "u\0") == 0
+    else:
+        assert "lines rejected (>50%)" in outcome
+
+
+@pytest.mark.parametrize("platform", ["no-sched_getaffinity", "darwin"])
+def test_a_platform_that_cannot_split_reads_in_one_process(platform, tmp_path, monkeypatch):
+    """Without os.sched_getaffinity (as on macOS and Windows), or off
+    Linux, a file of two ranges is read by one process that forks none."""
+    def fork():
+        raise AssertionError("forked")
+
+    path = tmp_path / "checkins.csv"
+    path.write_bytes((HEADER + "".join(every_reason(i) for i in range(30))).encode())
+    small_ranges(monkeypatch)
+    usable_cpus = models._usable_cpus
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
+    serial = ingest_file(path)
+    if platform == "darwin":
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(models.sys, "platform", "darwin")
+    else:
+        monkeypatch.setattr(models, "_usable_cpus", usable_cpus)
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", fork)
+    assert_equal_outcomes(ingest_file(path), serial)
+
+
+def test_a_split_input_is_recorded_by_the_sha256_of_the_file(tmp_path, monkeypatch):
+    from argparse import Namespace
+    from functools import partial
+
+    from venuepref.cli import Manifest
+
+    path = tmp_path / "checkins.csv"
+    path.write_bytes((HEADER + "".join(every_reason(i) for i in range(30))).encode())
+    small_ranges(monkeypatch)
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    manifest = Manifest(Namespace(subcommand="analyze"), None)
+    _, report = manifest.read_input(str(path), partial(ingest_checkins, fmt="csv"))
+    assert report.accepted == 30 * 6
+    assert manifest.data["inputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert_no_worker_left()

@@ -23,19 +23,9 @@ from .nullmodel import (
     Significance,
     significance,
 )
-from .preference import (
-    PreferenceVector,
-    build_preference_vectors,
-    collect_global_dims,
-    gini,
-)
+from .preference import PreferenceVectors, build_preference_vectors, gini
 from .clustering import ClusteringResult, cluster_regions
-from .comparison import (
-    RandomBaseline,
-    RankComparison,
-    compare_regions,
-    spearman,
-)
+from .comparison import Comparison, compare_regions, spearman
 from .synth import SubcategorySpec, SynthSpec, generate
 
 __version__ = "0.1.0"

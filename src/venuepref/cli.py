@@ -31,7 +31,7 @@ from .models import (
     load_bundled_index,
     write_checkins,
 )
-from .filtering import FilterConfig, filter_regions
+from .filtering import FilterConfig, filter_regions, region_column
 from .popularity import AnalysisMode, ScopeIndex, popularity_table, write_popularity_csv
 from .nullmodel import (
     NullMethod,
@@ -42,7 +42,6 @@ from .nullmodel import (
 )
 from .preference import (
     build_preference_vectors,
-    collect_global_dims,
     read_vectors_csv,
     write_vectors_csv,
 )
@@ -305,8 +304,8 @@ def cmd_vectors(args, manifest: Manifest) -> None:
     if args.regions:
         # a repeated name is one region, in vectors.csv and in the manifest
         names = list(dict.fromkeys(n.strip() for n in args.regions.split(",")))
-    else:  # an ingested table's value tables hold the values its rows use
-        names = table.countries if granularity is Granularity.COUNTRY else table.cities
+    else:
+        names = region_column(table, granularity)[1]
     if not names:
         raise DataError("no regions found in the input")
 
@@ -316,8 +315,7 @@ def cmd_vectors(args, manifest: Manifest) -> None:
     manifest.data["filter_reports"] = {name: report.stages
                                        for name, report in zip(names, reports)}
 
-    dims = collect_global_dims(kept)
-    if not dims:
+    if not len(kept):
         raise DataError("no region keeps a check-in after filtering, so the "
                         "vectors would have no dimension")
     empty = [name for name, report in zip(names, reports)
@@ -327,13 +325,13 @@ def cmd_vectors(args, manifest: Manifest) -> None:
         raise DataError(f"{len(empty)} of {len(names)} regions are left with "
                         f"no check-in after filtering, so their vectors would "
                         f"be all zero: {empty[:5]}{more}")
-    vectors = build_preference_vectors(kept, region, names, dims)
+    vectors = build_preference_vectors(kept, region, names)
 
     manifest.write_artifact("vectors.csv", partial(write_vectors_csv, vectors))
     manifest.write_artifact("vectors_manifest.json", {
         "granularity": granularity.value,
         "regions": names,
-        "dims": dims,
+        "dims": vectors.dims,
         "source": str(Path(args.input)),
         "source_sha256": source_sha256,
         "filter_seed": args.seed,
@@ -350,7 +348,7 @@ def _load_vectors(args, manifest: Manifest):
 def cmd_cluster(args, manifest: Manifest) -> None:
     vectors = _load_vectors(args, manifest)
     manifest.add_seed("kmeans", args.seed)
-    result = cluster_regions(list(vectors.values()), k=args.k, seed=args.seed,
+    result = cluster_regions(vectors, k=args.k, seed=args.seed,
                              max_iter=args.max_iter, restarts=args.restarts)
     manifest.write_artifact("clusters.json", result.as_dict())
 
@@ -369,10 +367,10 @@ def cmd_compare(args, manifest: Manifest) -> None:
     index = load_bundled_index(args.index) if args.index in ("GII", "HDI") else \
         manifest.read_input(args.index, partial(
             ingest_index_table, index_name=args.index_name or Path(args.index).stem.upper()))
-    anchors = sorted(vectors) if args.all_anchors else [args.anchor]
-    rows = compare_regions(vectors, index, anchors,
-                           n_permutations=args.permutations, seed=args.seed)
-    manifest.write_artifact("comparison.csv", partial(write_comparison_csv, rows))
+    anchors = sorted(vectors.regions) if args.all_anchors else [args.anchor]
+    comparison = compare_regions(vectors, index, anchors,
+                                 n_permutations=args.permutations, seed=args.seed)
+    manifest.write_artifact("comparison.csv", partial(write_comparison_csv, comparison))
 
 
 def cmd_synth(args, manifest: Manifest) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DataError
-from .preference import PreferenceVector
+from .preference import PreferenceVectors
 
 
 @dataclass
@@ -114,23 +114,17 @@ def cluster_vectors(matrix: np.ndarray, names: list[str], k: int, seed: int,
                             inertia=inertia, iterations=iterations, seed=seed)
 
 
-def cluster_regions(vectors: list[PreferenceVector], k: int, seed: int,
+def cluster_regions(vectors: PreferenceVectors, k: int, seed: int,
                     max_iter: int = 100, restarts: int = 1) -> ClusteringResult:
     """Cluster regions by their preference vectors; with restarts > 1 the
     best-inertia run wins (restart r uses seed derived from (seed, r))."""
-    if not vectors:
+    if not vectors.regions:
         raise DataError("no vectors to cluster")
-    dims = vectors[0].dims
-    for vec in vectors:
-        if vec.dims != dims:
-            raise DataError("vectors have mismatched dims")
-    names = [vec.region for vec in vectors]
-    matrix = np.vstack([vec.values for vec in vectors])
     best = None
     for r in range(restarts):
         sub_seed = seed if restarts == 1 else int(
             np.random.SeedSequence([seed, r]).generate_state(1)[0])
-        result = cluster_vectors(matrix, names, k, sub_seed, max_iter)
+        result = cluster_vectors(vectors.values, vectors.regions, k, sub_seed, max_iter)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

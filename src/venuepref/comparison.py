@@ -10,7 +10,8 @@ Every permutation of the index shuffles the same R values, so one R x R
 table of index-distance ranks, ranked once, serves every anchor and every
 permutation: a row's ranks are gathered from it, never sorted again. For A
 anchors and P permutations a comparison takes O(R^2 log R + A P R) time and
-O(R^2 + block P R) memory, anchors being scored a bounded block at a time.
+O(R^2 + A P + block P R) memory, anchors being scored a bounded block at a
+time.
 """
 
 from __future__ import annotations
@@ -20,29 +21,29 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from .models import DataError, IndexTable
-from .preference import PreferenceVector
+from .preference import PreferenceVectors
 
 
-@dataclass
-class RankComparison:
-    anchor_region: str
+@dataclass(frozen=True)
+class Comparison:
+    """``compare_regions``' result, one column a field: entry i is
+    ``anchors[i]``'s, ranked against the ``n`` other regions. Its baseline's
+    rho samples are row i of the anchors x permutations ``rho_samples``,
+    and ``ci_low`` and ``ci_high`` bound their 99% CI."""
+
     index_name: str
-    rho: float
-    p_value: float
+    anchors: list[str]
     n: int
-
-
-@dataclass
-class RandomBaseline:
-    n_permutations: int
+    rho: np.ndarray
+    p_value: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
     rho_samples: np.ndarray
-    ci_low: float
-    ci_high: float
-    seed: int
 
 
 _NON_FINITE = "spearman undefined for a non-finite input value"
@@ -181,24 +182,25 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
                           f"(a={a}, b={b}, x={x})")
 
 
-def _check_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
+def _check_regions(vectors: PreferenceVectors, index: IndexTable,
                    anchors: list[str]) -> list[str]:
     """The sorted regions, once every anchor has a vector, the first anchor
     and then every region has an index value, and there are at least 4. (An
     anchor past the first that has no value is among the missing regions.)"""
+    regions = set(vectors.regions)
     for anchor in anchors:
-        if anchor not in vectors:
+        if anchor not in regions:
             raise DataError(f"anchor {anchor!r} has no preference vector")
     if anchors and anchors[0] not in index.entries:
         raise DataError(f"anchor {anchors[0]!r} missing from index "
                         f"{index.index_name!r}")
-    missing = sorted(set(vectors) - set(index.entries))
+    missing = sorted(regions - set(index.entries))
     if missing:
         raise DataError(f"regions missing from index {index.index_name!r}: "
                         f"{missing}")
-    if len(vectors) < 4:
-        raise DataError(f"need at least 4 regions, got {len(vectors)}")
-    return sorted(vectors)
+    if len(regions) < 4:
+        raise DataError(f"need at least 4 regions, got {len(regions)}")
+    return sorted(regions)
 
 
 def _rank_table(values: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -220,9 +222,9 @@ def _rank_table(values: np.ndarray) -> tuple[np.ndarray, tuple]:
     return table, (non_finite, constant)
 
 
-def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
+def compare_regions(vectors: PreferenceVectors, index: IndexTable,
                     anchors: list[str], n_permutations: int = 100,
-                    seed: int = 0) -> list[tuple[RankComparison, RandomBaseline]]:
+                    seed: int = 0) -> Comparison:
     """For each anchor, in order: the Spearman agreement between the
     index-distance and vector-distance rankings of the other regions, and
     its permutation baseline, which shuffles the index's values across the
@@ -232,21 +234,23 @@ def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
     The checks, the vector norms and the P permutations (one
     ``default_rng(seed)`` over the sorted regions) are shared, so every
     anchor scores the same draw, and a one-anchor call gives that anchor's
-    pair of an all-anchor call. The index values are row 0 above the
+    row of an all-anchor call. The index values are row 0 above the
     permutations, and row 0's rho is the observed one. Every row is a
     permutation of the same R values, so the ranks of the index distances
     around an anchor depend only on the value the row gives it: one R x R
     table of ranks (``_rank_table``) serves every anchor and row, and a
     row's ranks are a gather from it. Anchors are scored in blocks of about
     ``_BLOCK_CELLS`` (anchor, row, region) cells; a block ranks its cosine
-    rows in one call and scores all its rows in another."""
+    rows in one call and scores all its rows in another, into its rows of
+    one anchors x (P+1) rho matrix."""
     if n_permutations < 2:
         raise DataError("random baseline needs n_permutations >= 2")
     regions = _check_regions(vectors, index, anchors)
     n = len(regions)
     at = {r: i for i, r in enumerate(regions)}
     values = np.array([index.entries[r] for r in regions])
-    m = np.stack([vectors[r].values for r in regions])
+    row_of = dict(zip(vectors.regions, range(n)))
+    m = vectors.values[[row_of[r] for r in regions]]
     # stacked 1xD @ Dx1 products give the floats of a per-pair np.dot and
     # np.linalg.norm; m @ m[i] and np.linalg.norm(m, axis=1) sum otherwise
     rows = m[:, None, :]
@@ -263,7 +267,7 @@ def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
     others = np.arange(n - 1)
     row_at = np.arange(n_permutations + 1)[:, None]
     step = max(1, _BLOCK_CELLS // ((n_permutations + 1) * (n - 1)))
-    results = []
+    rho = np.empty((len(anchors), n_permutations + 1))
     for start in range(0, len(anchors), step):
         block = at_anchors[start:start + step]
         cols = others + (others >= block[:, None])  # each anchor's others
@@ -279,31 +283,27 @@ def compare_regions(vectors: dict[str, PreferenceVector], index: IndexTable,
             check = failed[:, failed.any(axis=0).argmax()].argmax()
             raise DataError((_NON_FINITE, _CONSTANT)[check % 2])
         ranks = table[held[:, :, None], perms[row_at, cols[:, None, :]]]
-        rhos = _rank_rho(ranks, average_ranks(d2)[:, None, :])
-        samples = rhos[:, 1:]
-        # row by row, the floats of one anchor's samples.mean() and .std()
-        mean = samples.mean(axis=1)
-        stderr = samples.std(axis=1, ddof=1) / np.sqrt(n_permutations)
-        half = 2.576 * stderr
-        for anchor, rho, rho_samples, low, high in zip(
-                anchors[start:start + step], rhos[:, 0].tolist(), samples,
-                (mean - half).tolist(), (mean + half).tolist()):
-            results.append((
-                RankComparison(anchor_region=anchor,
-                               index_name=index.index_name, rho=rho,
-                               p_value=_p_value(rho, n - 1), n=n - 1),
-                RandomBaseline(n_permutations=n_permutations,
-                               rho_samples=rho_samples, ci_low=low,
-                               ci_high=high, seed=seed)))
-    return results
+        rho[start:start + step] = _rank_rho(ranks, average_ranks(d2)[:, None, :])
+    samples = rho[:, 1:]
+    # row by row, the floats of one anchor's samples.mean() and .std()
+    mean = samples.mean(axis=1)
+    stderr = samples.std(axis=1, ddof=1) / np.sqrt(n_permutations)
+    half = 2.576 * stderr
+    return Comparison(
+        index_name=index.index_name, anchors=list(anchors), n=n - 1,
+        rho=rho[:, 0], p_value=np.array([_p_value(r, n - 1) for r in rho[:, 0].tolist()]),
+        ci_low=mean - half, ci_high=mean + half, rho_samples=samples)
 
 
-def write_comparison_csv(rows: list[tuple[RankComparison, RandomBaseline]],
-                         sink) -> None:
+def write_comparison_csv(comparison: Comparison, sink) -> None:
+    """comparison.csv, a row per anchor, written a column at a time."""
+    def text(column):
+        return [f"{v:.6g}" for v in column.tolist()]
+
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["country", "index", "rho", "p_value",
                      "baseline_ci_low", "baseline_ci_high", "n"])
-    for comp, base in rows:
-        writer.writerow([comp.anchor_region, comp.index_name,
-                         f"{comp.rho:.6g}", f"{comp.p_value:.6g}",
-                         f"{base.ci_low:.6g}", f"{base.ci_high:.6g}", comp.n])
+    writer.writerows(zip(
+        comparison.anchors, repeat(comparison.index_name), text(comparison.rho),
+        text(comparison.p_value), text(comparison.ci_low), text(comparison.ci_high),
+        repeat(comparison.n)))

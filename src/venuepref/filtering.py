@@ -53,8 +53,9 @@ class FilterReport:
         return {"stages": self.stages}
 
 
-def _region_column(t: CheckinTable, granularity: Granularity):
-    """Codes and value table of the country or the city column."""
+def region_column(t: CheckinTable, granularity: Granularity):
+    """Codes and value table of the country or the city column: the value
+    table of an ingested table holds the regions its rows use."""
     if granularity is Granularity.COUNTRY:
         return t.country, t.countries
     return t.city, t.cities
@@ -130,7 +131,7 @@ def filter_regions(table: CheckinTable, granularity: Granularity, names: list[st
     """
     if len(set(names)) != len(names):
         raise ValueError("region names must be distinct")
-    codes, values = _region_column(table, granularity)
+    codes, values = region_column(table, granularity)
     position = dict(zip(names, range(len(names))))
     # each row's position in names, or -1; the last entry is for no city (-1)
     region = np.array([position.get(v, -1) for v in values] + [-1])[codes]

@@ -1,9 +1,9 @@
 """Gini coefficient of venue-level differences and regional preference vectors.
 
-Each region is summarized by a vector with one dimension per subcategory in
-a fixed global ordering; the value is the Gini coefficient of the absolute
-venue-level cross-gender differences within that subcategory (0 when the
-subcategory is absent from the region).
+Each region is summarized by a vector with one dimension per subcategory
+that the regions' rows use, in sorted order; the value is the Gini
+coefficient of the absolute venue-level cross-gender differences within
+that subcategory (0 when the subcategory is absent from the region).
 """
 
 from __future__ import annotations
@@ -13,20 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CheckinTable, DataError, csv_reader, pair_codes
+from .models import CheckinTable, DataError, csv_reader, group_codes, pair_codes
 from .popularity import signed_difference
 
 
-@dataclass
-class PreferenceVector:
-    region: str  # the region's name
+@dataclass(frozen=True)
+class PreferenceVectors:
+    """The preference vectors of distinct regions, one matrix: row i of
+    ``values`` is ``regions[i]``'s vector over ``dims``."""
+
+    regions: list[str]
     dims: list[str]
-    values: np.ndarray
+    values: np.ndarray  # regions x dims
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if len(self.dims) != self.values.size:
-            raise ValueError("dims and values must have the same length")
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (len(self.regions), len(self.dims)):
+            raise ValueError(f"values must be {len(self.regions)} regions x "
+                             f"{len(self.dims)} dims, not of shape {values.shape}")
+        if len(set(self.regions)) != len(self.regions):
+            raise ValueError("region names must be distinct")
+        object.__setattr__(self, "values", values)
 
 
 def gini(x) -> float:
@@ -58,17 +65,11 @@ def _lorenz_gini(x: np.ndarray) -> float:
     return min(max(0.0, g), 1.0 - 1.0 / n)  # the exact range, despite rounding
 
 
-def collect_global_dims(table: CheckinTable) -> list[str]:
-    """The subcategories of ``table``, such as the ``filter_regions`` output
-    of all regions, in lexicographic order."""
-    used = np.bincount(table.venue_subcategory[table.venue], minlength=len(table.subcategories))
-    return [table.subcategories[s] for s in np.flatnonzero(used).tolist()]
-
-
 def build_preference_vectors(table: CheckinTable, region: np.ndarray,
-                             names: list[str], global_dims: list[str]
-                             ) -> list[PreferenceVector]:
-    """Gini-per-subcategory vector of each region, over the global dims.
+                             names: list[str]) -> PreferenceVectors:
+    """Gini-per-subcategory vector of each region, over the dims of the
+    whole call: a dim per subcategory that the rows use, in the order of
+    the table's sorted value table.
 
     ``table`` holds the kept rows of every region and ``region`` the
     position in ``names`` of each row's region, as ``filter_regions``
@@ -94,9 +95,7 @@ def build_preference_vectors(table: CheckinTable, region: np.ndarray,
         diffs = np.abs(signed_difference(male / male_total[segment],
                                          female / female_total[segment]))
 
-    dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
-    dim = np.array([dim_pos.get(s, -1) for s in table.subcategories], np.intp)
-    segment_dim = dim[segments % n_subcats]
+    used, segment_dim = group_codes(segments % n_subcats, n_subcats)
     order = np.argsort(segment, kind="stable")  # venues grouped by segment
     grouped = diffs[order]
     bounds = np.searchsorted(segment[order], np.arange(len(segments) + 1))
@@ -104,38 +103,33 @@ def build_preference_vectors(table: CheckinTable, region: np.ndarray,
     # them) are perfect equality: both keep 0, without the gini warning
     starts = bounds[:-1]
     low, high = np.minimum.reduceat(grouped, starts), np.maximum.reduceat(grouped, starts)
-    scored = np.flatnonzero((segment_dim >= 0) & (male_total > 0) & (female_total > 0)
-                            & (low != high))
-    values = np.zeros((len(names), len(global_dims)))
+    scored = np.flatnonzero((male_total > 0) & (female_total > 0) & (low != high))
+    values = np.zeros((len(names), len(used)))
     values[segments[scored] // n_subcats, segment_dim[scored]] = [
         _lorenz_gini(grouped[lo:hi])
         for lo, hi in zip(bounds[scored].tolist(), bounds[scored + 1].tolist())]
-    return [PreferenceVector(region=name, dims=list(global_dims), values=row)
-            for name, row in zip(names, values)]
+    return PreferenceVectors(list(names), [table.subcategories[s] for s in used.tolist()],
+                             values)
 
 
-def write_vectors_csv(vectors: list[PreferenceVector], sink) -> None:
+def write_vectors_csv(vectors: PreferenceVectors, sink) -> None:
     import csv
 
-    if not vectors:
+    if not vectors.regions:
         raise ValueError("no vectors to write")
-    dims = vectors[0].dims
-    for vec in vectors:
-        if vec.dims != dims:
-            raise ValueError("vectors have mismatched dims")
     # a quoted CR reads back as LF, and csv.writer leaves a lone one unquoted
-    for what, names in (("dimension", dims), ("region", [v.region for v in vectors])):
+    for what, names in (("dimension", vectors.dims), ("region", vectors.regions)):
         for name in names:
             if "\r" in name:
                 raise DataError(f"{what} {name!r} holds a CR, which vectors.csv does not read back")
     writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["region"] + dims)
-    for vec in vectors:
-        writer.writerow([vec.region] + [f"{v:.12g}" for v in vec.values])
+    writer.writerow(["region", *vectors.dims])
+    writer.writerows([name, *(f"{v:.12g}" for v in row)]
+                     for name, row in zip(vectors.regions, vectors.values.tolist()))
 
 
-def read_vectors_csv(source) -> dict[str, PreferenceVector]:
-    """The preference vectors of a ``vectors.csv`` byte stream, by region."""
+def read_vectors_csv(source) -> PreferenceVectors:
+    """The preference vectors of a ``vectors.csv`` byte stream, in file order."""
     with csv_reader(source) as reader:
         rows = [(reader.line_num, row) for row in reader]
     if not rows or rows[0][1][:1] != ["region"]:
@@ -145,7 +139,7 @@ def read_vectors_csv(source) -> dict[str, PreferenceVector]:
         if not dim.strip() or dim in dims[:i]:
             raise DataError(f"vectors csv line {rows[0][0]}: dimension {dim!r} is "
                             + ("blank" if not dim.strip() else "repeated"))
-    out: dict[str, PreferenceVector] = {}
+    out: dict[str, np.ndarray] = {}
     for line, row in rows[1:]:
         if not row:
             continue
@@ -163,7 +157,7 @@ def read_vectors_csv(source) -> dict[str, PreferenceVector]:
             raise DataError(f"vectors csv repeats region {name!r}")
         if not np.isfinite(values).all():
             raise DataError(f"vectors csv has a non-finite value for region {name!r}")
-        out[name] = PreferenceVector(region=name, dims=dims, values=values)
+        out[name] = values
     if not out:
         raise DataError("vectors csv has no region rows")
-    return out
+    return PreferenceVectors(list(out), dims, np.array(list(out.values())))

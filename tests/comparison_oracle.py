@@ -53,9 +53,9 @@ def cosine_distance(u, v):
 def distances(vectors, values, anchor, others):
     """region -> |index difference| and region -> cosine distance to the
     anchor, one pair at a time."""
-    anchor_vec = vectors[anchor].values
+    rows = dict(zip(vectors.regions, vectors.values))
     d1 = {r: abs(values[anchor] - values[r]) for r in others}
-    d2 = {r: cosine_distance(anchor_vec, vectors[r].values) for r in others}
+    d2 = {r: cosine_distance(rows[anchor], rows[r]) for r in others}
     return d1, d2
 
 
@@ -71,7 +71,7 @@ def baseline_samples(vectors, index, anchor, n_permutations, seed):
     """The rho samples of one anchor's baseline, one full ``spearman`` call
     (p-value included) per permutation."""
     others = _check_regions(vectors, index, anchor)
-    regions = sorted(vectors)
+    regions = sorted(vectors.regions)
     base_values = np.array([index.entries[r] for r in regions])
     _, d2 = distances(vectors, index.entries, anchor, others)
     d2_list = [d2[r] for r in others]

@@ -30,9 +30,10 @@ def gini(x) -> float:
     return min(max(0.0, g), 1.0 - 1.0 / n)
 
 
-def preference_values(table, region, names, global_dims) -> np.ndarray:
-    """The (regions, dims) values of ``build_preference_vectors``, one
-    ``gini`` call per scored segment."""
+def preference_values(table, region, names) -> tuple[list[str], np.ndarray]:
+    """The dims and the (regions, dims) values of ``build_preference_vectors``:
+    the sorted subcategories of the rows, and one ``gini`` call per scored
+    segment."""
     n_subcats = len(table.subcategories)
     venues, venue = pair_codes(region, len(names), table.venue, len(table.venues))
     venue_subcat = table.venue_subcategory[venues % len(table.venues)]
@@ -46,18 +47,19 @@ def preference_values(table, region, names, global_dims) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         diffs = np.abs(signed_difference(male / male_total[segment],
                                          female / female_total[segment]))
-    dim_pos = {subcat: i for i, subcat in enumerate(global_dims)}
-    dim = np.array([dim_pos.get(s, -1) for s in table.subcategories], np.intp)
-    segment_dim = dim[segments % n_subcats]
-    scored = ((segment_dim >= 0) & (male_total > 0) & (female_total > 0)
+    dims = sorted({table.subcategories[table.venue_subcategory[v]]
+                   for v in table.venue.tolist()})
+    dim_pos = {subcat: i for i, subcat in enumerate(dims)}
+    segment_dim = [dim_pos[table.subcategories[s % n_subcats]] for s in segments.tolist()]
+    scored = ((male_total > 0) & (female_total > 0)
               & (np.bincount(segment, diffs > 0, len(segments)) > 0))
-    values = np.zeros((len(names), len(global_dims)))
+    values = np.zeros((len(names), len(dims)))
     order = np.argsort(segment, kind="stable")
     bounds = np.searchsorted(segment[order], np.arange(len(segments) + 1))
     for s in np.flatnonzero(scored).tolist():
         values[segments[s] // n_subcats, segment_dim[s]] = gini(
             diffs[order[bounds[s]:bounds[s + 1]]])
-    return values
+    return dims, values
 
 
 def cap_by_venue_sampling(venue, venue_region, region_rows, cap, seed) -> np.ndarray:

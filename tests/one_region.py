@@ -30,12 +30,12 @@ def apply_filters(table: CheckinTable, region: RegionSelector,
     return kept, report
 
 
-def build_preference_vector(table: CheckinTable, region: str,
-                            global_dims: list[str]) -> preference.PreferenceVector:
-    """``build_preference_vectors`` of one region's kept rows alone (an empty
-    table gives the zero vector)."""
+def build_preference_vector(table: CheckinTable,
+                            region: str) -> preference.PreferenceVectors:
+    """``build_preference_vectors`` of one region's kept rows alone, over
+    the dims its rows use (an empty table gives a vector of no dims)."""
     return preference.build_preference_vectors(
-        table, np.zeros(len(table), np.intp), [region], global_dims)[0]
+        table, np.zeros(len(table), np.intp), [region])
 
 
 def popularity_table(table: CheckinTable, mode: popularity.AnalysisMode,

@@ -23,7 +23,7 @@ from venuepref.nullmodel import (
     NullModelConfig,
 )
 from venuepref.popularity import AnalysisMode, signed_difference
-from venuepref.preference import PreferenceVector, gini
+from venuepref.preference import PreferenceVectors, gini
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
 from checkin_records import to_records, to_table
@@ -201,21 +201,16 @@ def adjusted_rand_index(labels_a, labels_b):
 
 def test_criterion_7_clustering_recovery():
     rng = np.random.default_rng(2024)
-    vectors = []
+    rows = []
     truth = []
-    for i in range(6):
-        values = np.concatenate([[1.0], rng.random(5) * 0.05])
-        vectors.append(PreferenceVector(
-            region=f"A{i}",
-            dims=[f"d{j}" for j in range(6)], values=values))
+    for _ in range(6):
+        rows.append(np.concatenate([[1.0], rng.random(5) * 0.05]))
         truth.append(0)
-    for i in range(6):
-        values = np.concatenate([[0.02, 1.0], rng.random(4) * 0.05])
-        vectors.append(PreferenceVector(
-            region=f"B{i}",
-            dims=[f"d{j}" for j in range(6)], values=values))
+    for _ in range(6):
+        rows.append(np.concatenate([[0.02, 1.0], rng.random(4) * 0.05]))
         truth.append(1)
-    names = [v.region for v in vectors]
+    names = [f"A{i}" for i in range(6)] + [f"B{i}" for i in range(6)]
+    vectors = PreferenceVectors(names, [f"d{j}" for j in range(6)], np.array(rows))
     all_ari_one = True
     scale_ok = True
     for seed in range(20):
@@ -223,10 +218,9 @@ def test_criterion_7_clustering_recovery():
         labels = [result.assignments[n] for n in names]
         if adjusted_rand_index(labels, truth) != 1.0:
             all_ari_one = False
-        scales = np.random.default_rng(seed).uniform(0.5, 20.0, len(vectors))
-        scaled = [PreferenceVector(region=v.region, dims=v.dims,
-                                   values=v.values * s)
-                  for v, s in zip(vectors, scales)]
+        scales = np.random.default_rng(seed).uniform(0.5, 20.0, len(names))
+        scaled = PreferenceVectors(names, vectors.dims,
+                                   vectors.values * scales[:, None])
         if cluster_regions(scaled, k=2, seed=seed).assignments != \
                 result.assignments:
             scale_ok = False
@@ -313,10 +307,9 @@ def test_criterion_9_determinism():
 
     # clustering
     rng = np.random.default_rng(3)
-    vectors = [PreferenceVector(
-        region=f"r{i}",
-        dims=[f"d{j}" for j in range(4)], values=rng.random(4) + 0.01)
-        for i in range(10)]
+    vectors = PreferenceVectors(
+        [f"r{i}" for i in range(10)], [f"d{j}" for j in range(4)],
+        np.array([rng.random(4) + 0.01 for _ in range(10)]))
     cl_a = cluster_regions(vectors, k=3, seed=21)
     cl_b = cluster_regions(vectors, k=3, seed=21)
     same = (cl_a.assignments == cl_b.assignments
@@ -326,11 +319,8 @@ def test_criterion_9_determinism():
 
     # baseline permutations
     index = IndexTable("T", {f"r{i}": (i + 1) / 12 for i in range(10)})
-    vec_map = {v.region: v for v in vectors}
-    [(_, base_a)] = compare_regions(vec_map, index, ["r0"], n_permutations=60,
-                                    seed=5)
-    [(_, base_b)] = compare_regions(vec_map, index, ["r0"], n_permutations=60,
-                                    seed=5)
+    base_a = compare_regions(vectors, index, ["r0"], n_permutations=60, seed=5)
+    base_b = compare_regions(vectors, index, ["r0"], n_permutations=60, seed=5)
     same = np.array_equal(base_a.rho_samples, base_b.rho_samples)
     ok &= same
     details.append(f"baseline={same}")

@@ -89,16 +89,16 @@ def segment_tables(draw):
         users=["u"], venues=[f"v{i:04d}" for i in range(n_subcats * POOL)],
         categories=["Food"], subcategories=subcategories, countries=["C"], cities=[])
     names = [f"R{r}" for r in range(n_regions + draw(st.integers(0, 1)))]
-    dims = draw(st.lists(st.sampled_from([*subcategories, "Z"]), min_size=1, unique=True))
-    return table, region[order], names, dims
+    return table, region[order], names
 
 
 @settings(max_examples=200)
 @given(segment_tables())
 def test_segment_gini_equals_one_gini_call_per_segment(case):
-    table, region, names, dims = case
-    vectors = build_preference_vectors(table, region, names, dims)
-    assert same_bits([v.values for v in vectors], oracle.preference_values(*case))
+    vectors = build_preference_vectors(*case)
+    dims, values = oracle.preference_values(*case)
+    assert vectors.regions == case[2] and vectors.dims == dims
+    assert same_bits(vectors.values, values)
 
 
 @settings(max_examples=200)

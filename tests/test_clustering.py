@@ -5,13 +5,13 @@ import pytest
 
 from venuepref.clustering import cluster_regions, cluster_vectors
 from venuepref.models import DataError
-from venuepref.preference import PreferenceVector
+from venuepref.preference import PreferenceVectors
 
 
-def vec(name, values):
-    return PreferenceVector(region=name,
-                            dims=[f"d{i}" for i in range(len(values))],
-                            values=np.asarray(values, dtype=float))
+def vecs(rows: dict) -> PreferenceVectors:
+    """The vectors of ``{region: values}``, over dims d0, d1, ..."""
+    values = np.array(list(rows.values()), dtype=float)
+    return PreferenceVectors(list(rows), [f"d{i}" for i in range(values.shape[1])], values)
 
 
 def brute_force_best_2partition(matrix):
@@ -37,22 +37,19 @@ def brute_force_best_2partition(matrix):
 
 
 def test_orthogonal_axes_recovered():
-    vectors = [vec("a1", [1, 0]), vec("a2", [2, 0]),
-               vec("b1", [0, 1]), vec("b2", [0, 3])]
+    vectors = vecs({"a1": [1, 0], "a2": [2, 0], "b1": [0, 1], "b2": [0, 3]})
     result = cluster_regions(vectors, k=2, seed=0)
     assert result.assignments["a1"] == result.assignments["a2"]
     assert result.assignments["b1"] == result.assignments["b2"]
     assert result.assignments["a1"] != result.assignments["b1"]
-    matrix = np.vstack([v.values for v in vectors])
-    best_inertia, best_parts = brute_force_best_2partition(matrix)
+    best_inertia, best_parts = brute_force_best_2partition(vectors.values)
     assert result.inertia == pytest.approx(best_inertia, abs=1e-12)
     assert sorted(map(sorted, best_parts)) == [[0, 1], [2, 3]]
 
 
 def test_duplicates_always_co_clustered():
-    vectors = [vec("x1", [1, 2, 3]), vec("x2", [1, 2, 3]),
-               vec("y1", [3, 0, 1]), vec("y2", [3, 0, 1]),
-               vec("z", [0, 5, 0])]
+    vectors = vecs({"x1": [1, 2, 3], "x2": [1, 2, 3], "y1": [3, 0, 1], "y2": [3, 0, 1],
+                    "z": [0, 5, 0]})
     for seed in range(5):
         result = cluster_regions(vectors, k=3, seed=seed)
         assert result.assignments["x1"] == result.assignments["x2"]
@@ -60,7 +57,7 @@ def test_duplicates_always_co_clustered():
 
 
 def test_k_equals_n_singletons():
-    vectors = [vec("a", [1, 0, 0]), vec("b", [0, 1, 0]), vec("c", [0, 0, 1])]
+    vectors = vecs({"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]})
     result = cluster_regions(vectors, k=3, seed=1)
     assert len(set(result.assignments.values())) == 3
     assert result.inertia == pytest.approx(0.0, abs=1e-12)
@@ -68,17 +65,17 @@ def test_k_equals_n_singletons():
 
 def test_scale_invariance_of_assignments():
     rng = np.random.default_rng(17)
-    vectors = [vec(f"r{i}", rng.random(6) + 0.01) for i in range(10)]
+    vectors = vecs({f"r{i}": rng.random(6) + 0.01 for i in range(10)})
     result = cluster_regions(vectors, k=3, seed=5)
-    scaled = [vec(v.region, v.values * s)
-              for v, s in zip(vectors, rng.uniform(0.1, 50.0, size=10))]
+    scaled = PreferenceVectors(vectors.regions, vectors.dims,
+                               vectors.values * rng.uniform(0.1, 50.0, size=10)[:, None])
     result_scaled = cluster_regions(scaled, k=3, seed=5)
     assert result.assignments == result_scaled.assignments
 
 
 def test_fixed_seed_reproducible():
     rng = np.random.default_rng(3)
-    vectors = [vec(f"r{i}", rng.random(4) + 0.01) for i in range(12)]
+    vectors = vecs({f"r{i}": rng.random(4) + 0.01 for i in range(12)})
     a = cluster_regions(vectors, k=4, seed=42)
     b = cluster_regions(vectors, k=4, seed=42)
     assert a.assignments == b.assignments
@@ -86,7 +83,7 @@ def test_fixed_seed_reproducible():
 
 
 def test_k1_centroid_is_normalized_mean_direction():
-    vectors = [vec("a", [1, 0]), vec("b", [0, 1])]
+    vectors = vecs({"a": [1, 0], "b": [0, 1]})
     result = cluster_regions(vectors, k=1, seed=0)
     expected = np.array([1, 1]) / np.sqrt(2)
     assert np.allclose(result.centroids[0], expected)
@@ -94,20 +91,19 @@ def test_k1_centroid_is_normalized_mean_direction():
 
 def test_centroids_unit_norm():
     rng = np.random.default_rng(8)
-    vectors = [vec(f"r{i}", rng.random(5) + 0.01) for i in range(9)]
+    vectors = vecs({f"r{i}": rng.random(5) + 0.01 for i in range(9)})
     result = cluster_regions(vectors, k=3, seed=2)
     assert np.allclose(np.linalg.norm(result.centroids, axis=1), 1.0)
 
 
 def test_zero_vector_rejected_with_region_name():
-    vectors = [vec("good", [1, 0]), vec("empty", [0, 0]), vec("g2", [0, 1]),
-               vec("g3", [1, 1])]
+    vectors = vecs({"good": [1, 0], "empty": [0, 0], "g2": [0, 1], "g3": [1, 1]})
     with pytest.raises(DataError, match="empty"):
         cluster_regions(vectors, k=2, seed=0)
 
 
 def test_k_out_of_range():
-    vectors = [vec("a", [1, 0]), vec("b", [0, 1])]
+    vectors = vecs({"a": [1, 0], "b": [0, 1]})
     with pytest.raises(DataError):
         cluster_regions(vectors, k=3, seed=0)
     with pytest.raises(DataError):
@@ -115,7 +111,7 @@ def test_k_out_of_range():
 
 
 def test_result_json_shape():
-    vectors = [vec("a", [1, 0]), vec("b", [1, 0.1]), vec("c", [0, 1])]
+    vectors = vecs({"a": [1, 0], "b": [1, 0.1], "c": [0, 1]})
     result = cluster_regions(vectors, k=2, seed=0)
     payload = result.as_dict()
     assert payload["k"] == 2
@@ -126,7 +122,7 @@ def test_result_json_shape():
 
 def test_restarts_pick_best_inertia():
     rng = np.random.default_rng(23)
-    vectors = [vec(f"r{i}", rng.random(8) + 0.01) for i in range(20)]
+    vectors = vecs({f"r{i}": rng.random(8) + 0.01 for i in range(20)})
     single = cluster_regions(vectors, k=5, seed=1)
     multi = cluster_regions(vectors, k=5, seed=1, restarts=8)
     assert multi.inertia <= single.inertia + 1e-12

@@ -20,7 +20,7 @@ from venuepref.models import (
     IndexTable,
     load_bundled_index,
 )
-from venuepref.preference import PreferenceVector
+from venuepref.preference import PreferenceVectors
 
 COUNTRY_ORDER = [
     "Brazil", "France", "Germany", "Japan", "Kuwait", "Malaysia", "Mexico",
@@ -33,10 +33,14 @@ D2_BRAZIL = [0, 0.754, 0.757, 0.414, 0.556, 0.328, 0.249, 0.563, 0.795,
              0.73, 0.324, 0.379, 0.795, 0.601, 0.378]
 
 
-def pv(name, values):
-    return PreferenceVector(region=name,
-                            dims=[f"d{i}" for i in range(len(values))],
-                            values=np.asarray(values, dtype=float))
+def vectors_of(rows: dict) -> PreferenceVectors:
+    """The vectors of ``{region: values}``, over dims d0, d1, ..."""
+    values = np.array(list(rows.values()), dtype=float)
+    return PreferenceVectors(list(rows), [f"d{i}" for i in range(values.shape[1])], values)
+
+
+def row(vectors, region):
+    return vectors.values[vectors.regions.index(region)]
 
 
 def test_identity_gives_rho_one():
@@ -96,48 +100,49 @@ def make_world(n=6, seed=0):
     and vectors differ only in that dimension."""
     rng = np.random.default_rng(seed)
     base = rng.random(4) + 0.5
-    vectors = {}
+    rows = {}
     entries = {}
     for i in range(n):
         values = base.copy()
         values[0] = 0.05 + 0.9 * i / (n - 1)
         name = f"C{i}"
-        vectors[name] = pv(name, values)
+        rows[name] = values
         entries[name] = values[0]
-    return vectors, IndexTable("TEST", entries)
+    return vectors_of(rows), IndexTable("TEST", entries)
 
 
 def compare_one(vectors, index, anchor, n_permutations=100, seed=0):
-    """The comparison and the baseline of one anchor."""
-    [(comp, base)] = compare_regions(vectors, index, [anchor], n_permutations,
-                                     seed)
-    return comp, base
+    """The comparison of one anchor, and its columns' single entries:
+    rho, the p-value and the baseline's CI."""
+    comp = compare_regions(vectors, index, [anchor], n_permutations, seed)
+    assert comp.anchors == [anchor] and comp.rho_samples.shape == (1, n_permutations)
+    return comp, (comp.rho[0], comp.p_value[0], comp.ci_low[0], comp.ci_high[0])
 
 
 def test_appendix_style_distance():
     vectors, _ = make_world()
     gii = [0.457, 0.088, 0.3, 0.2, 0.5, 0.6]
     index = IndexTable("GII", {f"C{i}": v for i, v in enumerate(gii)})
-    comp, _ = compare_one(vectors, index, "C0")
+    comp, (rho, p, _, _) = compare_one(vectors, index, "C0")
     # the appendix's index distance |GII(C0) - GII(C)|, 0.369 for C1
     d1 = [abs(gii[0] - g) for g in gii[1:]]
     assert d1[0] == pytest.approx(0.369)
-    u = vectors["C0"].values
+    u = row(vectors, "C0")
     d2 = [1.0 - sum(u * v) / math.sqrt(sum(u * u) * sum(v * v))
-          for v in (vectors[f"C{i}"].values for i in range(1, 6))]
-    assert (comp.rho, comp.p_value) == pytest.approx(spearman(d1, d2))
-    assert comp.n == 5
+          for v in (row(vectors, f"C{i}") for i in range(1, 6))]
+    assert (rho, p) == pytest.approx(spearman(d1, d2))
+    assert comp.n == 5 and comp.index_name == "GII"
 
 
 def test_monotone_world_gives_rho_one():
     vectors, index = make_world()
-    comp, _ = compare_one(vectors, index, "C0")
-    assert comp.rho == pytest.approx(1.0)
+    _, (rho, _, _, _) = compare_one(vectors, index, "C0")
+    assert rho == pytest.approx(1.0)
 
 
 def test_identical_vectors_degenerate():
     values = [1.0, 2.0, 3.0]
-    vectors = {f"C{i}": pv(f"C{i}", values) for i in range(5)}
+    vectors = vectors_of({f"C{i}": values for i in range(5)})
     index = IndexTable("X", {f"C{i}": 0.1 * (i + 1) for i in range(5)})
     with pytest.raises(DataError, match="constant"):
         compare_one(vectors, index, "C0")
@@ -152,21 +157,22 @@ def test_missing_region_reported():
 
 def test_affine_rescaling_invariance():
     vectors, index = make_world()
-    comp, _ = compare_one(vectors, index, "C2")
+    _, (rho, _, _, _) = compare_one(vectors, index, "C2")
     # slope 0.25 is a power of two, so tied distances stay exactly tied
     rescaled = IndexTable("T2", {c: 0.25 * v
                                  for c, v in index.entries.items()})
-    comp2, _ = compare_one(vectors, rescaled, "C2")
-    assert comp2.rho == pytest.approx(comp.rho)
+    _, (rho2, _, _, _) = compare_one(vectors, rescaled, "C2")
+    assert rho2 == pytest.approx(rho)
 
 
 def test_baseline_near_zero_and_deterministic():
     vectors, index = make_world(n=10, seed=2)
-    _, base = compare_one(vectors, index, "C0", n_permutations=100, seed=1)
-    assert base.ci_low <= base.ci_high
-    mean = base.rho_samples.mean()
+    base, (_, _, ci_low, ci_high) = compare_one(vectors, index, "C0",
+                                                n_permutations=100, seed=1)
+    assert ci_low <= ci_high
+    mean = base.rho_samples[0].mean()
     assert abs(mean) < 0.2
-    _, again = compare_one(vectors, index, "C0", n_permutations=100, seed=1)
+    again, _ = compare_one(vectors, index, "C0", n_permutations=100, seed=1)
     assert np.array_equal(base.rho_samples, again.rho_samples)
 
 
@@ -180,17 +186,17 @@ def test_baseline_needs_two_permutations():
 @pytest.mark.parametrize("run", [
     lambda vectors, index, anchor: compare_regions(vectors, index, [anchor]),
     lambda vectors, index, anchor: compare_regions(vectors, index,
-                                                   sorted(vectors), 5),
+                                                   sorted(vectors.regions), 5),
 ], ids=["compare_with_index", "random_baseline"])
 def test_zero_preference_vector_rejected(run, zero):
     vectors, index = make_world()
-    vectors[zero] = pv(zero, np.zeros(4))
+    vectors.values[vectors.regions.index(zero)] = 0.0
     with pytest.raises(DataError, match="cosine distance undefined for a zero vector"):
         run(vectors, index, "C0")
 
 
 def test_too_few_regions():
-    vectors = {f"C{i}": pv(f"C{i}", [1.0, float(i)]) for i in range(3)}
+    vectors = vectors_of({f"C{i}": [1.0, float(i)] for i in range(3)})
     index = IndexTable("X", {f"C{i}": 0.2 * i for i in range(3)})
     with pytest.raises(DataError, match="at least 4"):
         compare_one(vectors, index, "C0")
@@ -294,13 +300,13 @@ def test_spearman_equals_scipy_version(pair):
 
 def oracle_rows(vectors, index, n_permutations, seed):
     """The per-pair oracle's (rho, p) and rho samples for every anchor in
-    turn, as ``compare_regions`` runs them over ``sorted(vectors)``, or the
+    turn, as ``compare_regions`` runs them over the sorted regions, or the
     message of the first DataError."""
     try:
         return [(oracle.rank_comparison(vectors, index, anchor),
                  oracle.baseline_samples(vectors, index, anchor,
                                          n_permutations, seed))
-                for anchor in sorted(vectors)]
+                for anchor in sorted(vectors.regions)]
     except DataError as exc:
         return str(exc)
 
@@ -311,13 +317,13 @@ def test_baseline_samples_equal_scipy_version(values, seed):
     # a three-valued index: permutations tie, and some give a constant d1
     vectors, _ = make_world(n=len(values), seed=seed % 7)
     index = IndexTable("C", {f"C{i}": v for i, v in enumerate(values)})
-    got = outcome(compare_regions, vectors, index, sorted(vectors), 20, seed)
+    got = outcome(compare_regions, vectors, index, sorted(vectors.regions), 20, seed)
     expected = oracle_rows(vectors, index, 20, seed)
     if isinstance(expected, str):
         assert got == expected
         return
-    for (_, base), (_, samples) in zip(got, expected, strict=True):
-        assert np.array_equal(base.rho_samples, samples)
+    for got_samples, (_, samples) in zip(got.rho_samples, expected, strict=True):
+        assert np.array_equal(got_samples, samples)
 
 
 def test_non_finite_input_rejected():
@@ -336,7 +342,7 @@ def tied_worlds(draw):
                          min_size=1, max_size=n))
     value = st.sampled_from([0.1, 0.25, 0.4]) | st.floats(0.0, 1.0)
     names = [f"C{i}" for i in range(n)]
-    vectors = {r: pv(r, draw(st.sampled_from(pool))) for r in names}
+    vectors = vectors_of({r: draw(st.sampled_from(pool)) for r in names})
     index = IndexTable("W", {r: draw(value) for r in names})
     return vectors, index
 
@@ -349,27 +355,29 @@ def test_comparison_equals_per_pair_version(cells, world, seed):
     vectors, index = world
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(comparison, "_BLOCK_CELLS", cells)
-        got = outcome(compare_regions, vectors, index, sorted(vectors), 10, seed)
+        got = outcome(compare_regions, vectors, index, sorted(vectors.regions), 10, seed)
     expected = oracle_rows(vectors, index, 10, seed)
     if isinstance(expected, str):
         assert got == expected
         return
-    for (comp, base), ((rho, p), samples) in zip(got, expected, strict=True):
-        assert comp.rho == rho
-        assert comp.p_value == pytest.approx(p, rel=1e-12, abs=0.0)
-        assert f"{comp.p_value:.6g}" == f"{p:.6g}"
-        assert np.array_equal(base.rho_samples, samples)
+    assert got.anchors == sorted(vectors.regions) and got.n == len(got.anchors) - 1
+    assert got.index_name == "W" and len(expected) == len(got.anchors)
+    for i, ((rho, p), samples) in enumerate(expected):
+        assert got.rho[i] == rho
+        assert got.p_value[i] == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert f"{got.p_value[i]:.6g}" == f"{p:.6g}"
+        assert np.array_equal(got.rho_samples[i], samples)
         # the 99% CI of one anchor's samples, as a per-anchor loop takes it
         mean, stderr = samples.mean(), samples.std(ddof=1) / np.sqrt(10)
-        assert (base.ci_low, base.ci_high) == (mean - 2.576 * stderr,
-                                               mean + 2.576 * stderr)
+        assert (got.ci_low[i], got.ci_high[i]) == (mean - 2.576 * stderr,
+                                                   mean + 2.576 * stderr)
 
 
-def pairs_equal(a, b):
-    (comp_a, base_a), (comp_b, base_b) = a, b
-    return (comp_a == comp_b
-            and np.array_equal(base_a.rho_samples, base_b.rho_samples)
-            and (base_a.ci_low, base_a.ci_high) == (base_b.ci_low, base_b.ci_high))
+def anchor_row(comparison, i):
+    """Anchor i's entry of every column of ``comparison``."""
+    return (comparison.anchors[i], comparison.index_name, comparison.n,
+            comparison.rho[i], comparison.p_value[i], comparison.ci_low[i],
+            comparison.ci_high[i], comparison.rho_samples[i].tolist())
 
 
 @pytest.mark.parametrize("cells", [comparison._BLOCK_CELLS, 2 * 11 * 8],
@@ -379,15 +387,14 @@ def test_unsorted_and_repeated_anchors_get_their_all_anchor_pairs(cells,
     vectors, _ = make_world(n=9, seed=3)
     # three values, so index values and their distances tie
     index = IndexTable("T", {r: (0.1, 0.4, 0.25)[i % 3]
-                             for i, r in enumerate(sorted(vectors))})
+                             for i, r in enumerate(sorted(vectors.regions))})
     monkeypatch.setattr(comparison, "_BLOCK_CELLS", cells)
-    every = dict(zip(sorted(vectors),
-                     compare_regions(vectors, index, sorted(vectors), 10, 4)))
+    every = compare_regions(vectors, index, sorted(vectors.regions), 10, 4)
     anchors = ["C5", "C1", "C5", "C8", "C0", "C1", "C7"]
     got = compare_regions(vectors, index, anchors, 10, 4)
-    assert [comp.anchor_region for comp, _ in got] == anchors
-    assert all(pairs_equal(pair, every[anchor])
-               for anchor, pair in zip(anchors, got))
+    assert got.anchors == anchors
+    assert all(anchor_row(got, i) == anchor_row(every, every.anchors.index(anchor))
+               for i, anchor in enumerate(anchors))
 
 
 def second_block_world(failure):
@@ -400,7 +407,7 @@ def second_block_world(failure):
         rows[3] = [3.0, 1.0, 0.5]
     else:  # C3 and C4 overflow: their pair's cosine is inf / inf
         rows[3], rows[4] = [1e200, 1.0, 1.0], [2e200, 1.0, 1.0]
-    vectors = {r: pv(r, v) for r, v in zip(names, rows)}
+    vectors = vectors_of(dict(zip(names, rows)))
     return vectors, IndexTable("T", {r: 0.1 * (i + 1) for i, r in enumerate(names)})
 
 
@@ -410,7 +417,7 @@ def test_a_failing_anchor_in_the_second_block_raises_the_oracles_message(
     vectors, index = second_block_world(failure)
     monkeypatch.setattr(comparison, "_BLOCK_CELLS", 2 * 6 * 5)  # 2 anchors
     with np.errstate(over="ignore", invalid="ignore"):
-        got = outcome(compare_regions, vectors, index, sorted(vectors), 5, 0)
+        got = outcome(compare_regions, vectors, index, sorted(vectors.regions), 5, 0)
         if failure == "constant":
             expected = oracle_rows(vectors, index, 5, 0)
         else:  # the oracle ranks a NaN; the library refuses it as spearman does
@@ -436,6 +443,6 @@ def test_ranking_calls_do_not_grow_with_the_anchors(monkeypatch):
 
     monkeypatch.setattr(comparison, "average_ranks", counted)
     # (10 + 1) rows x 7 other regions: one anchor per block, and one table call
-    assert ranking_calls(sorted(vectors), 11 * 7) <= 1 + 2 * 8
-    assert ranking_calls(sorted(vectors), default) \
+    assert ranking_calls(sorted(vectors.regions), 11 * 7) <= 1 + 2 * 8
+    assert ranking_calls(sorted(vectors.regions), default) \
         == ranking_calls(["C4"], default) <= 1 + 2 * 1

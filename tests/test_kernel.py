@@ -230,10 +230,10 @@ def test_null_distribution_matches_the_per_record_oracle(method, mode):
 @given(checkins(), st.sampled_from(COUNTRIES))
 def test_preference_vector_equals_oracle(records, country):
     region = RegionSelector(Granularity.COUNTRY, country)
-    dims = SUBCATS + ["Zoo"]
-    vec = build_preference_vector(scoped(records, region), country,
-                                  dims)
-    assert vec.values.tolist() == oracle.preference_values(records, region, dims)
+    vec = build_preference_vector(scoped(records, region), country)
+    # a dim per subcategory of the region's rows, in sorted order
+    assert vec.dims == sorted({r.subcategory for r in oracle.scope_records(records, region)})
+    assert vec.values[0].tolist() == oracle.preference_values(records, region, vec.dims)
 
 
 @given(checkins(), scopes())

@@ -1,15 +1,18 @@
+import io
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from venuepref.filtering import FilterConfig, filter_regions
 from venuepref.models import Granularity, rows_with
 from venuepref.preference import (
-    PreferenceVector,
+    PreferenceVectors,
     build_preference_vectors,
-    collect_global_dims,
     gini,
+    read_vectors_csv,
+    write_vectors_csv,
 )
 from venuepref.synth import SubcategorySpec, SynthSpec, generate
 
@@ -130,31 +133,39 @@ def region_records(name):
     return table.take(rows_with(table.country, table.countries, name))
 
 
+def both_regions():
+    """The vectors of BR and US, built in one call from two_region_records."""
+    table = to_table(two_region_records())
+    region = (table.country == table.countries.index("US")).astype(np.intp)
+    return build_preference_vectors(table, region, ["BR", "US"])
+
+
+def value(vectors, region, dim):
+    return vectors.values[vectors.regions.index(region), vectors.dims.index(dim)]
+
+
 def test_global_dims_union_is_sorted():
-    dims = collect_global_dims(to_table(two_region_records()))
-    assert dims == ["Bar", "Café"]
+    assert both_regions().dims == ["Bar", "Café"]
 
 
 def test_global_dims_of_a_subset_are_those_of_its_rows():
     # US's rows share the venue subcategories of BR's Café venues, and use none
-    assert collect_global_dims(region_records("US")) == ["Bar"]
-    assert collect_global_dims(region_records("BR")) == ["Bar", "Café"]
+    assert build_preference_vector(region_records("US"), "US").dims == ["Bar"]
+    assert build_preference_vector(region_records("BR"), "BR").dims == ["Bar", "Café"]
 
 
 def test_identical_venue_differences_give_zero():
-    records = region_records("BR")
-    vec = build_preference_vector(records, BR.name, ["Bar", "Café"])
-    bar = vec.values[vec.dims.index("Bar")]
-    cafe = vec.values[vec.dims.index("Café")]
-    assert bar == pytest.approx(0.0)
-    assert cafe > 0.0
+    vec = build_preference_vector(region_records("BR"), BR.name)
+    assert value(vec, "BR", "Bar") == pytest.approx(0.0)
+    assert value(vec, "BR", "Café") > 0.0
 
 
 def test_absent_dimension_is_zero():
-    records = region_records("US")
-    vec = build_preference_vector(records, "US", ["Bar", "Café", "Zoo"])
-    assert vec.values[vec.dims.index("Café")] == 0.0
-    assert vec.values[vec.dims.index("Zoo")] == 0.0
+    # US has no Café venue, and BR's give the call its Café dim
+    vectors = both_regions()
+    assert vectors.regions == ["BR", "US"] and vectors.dims == ["Bar", "Café"]
+    assert value(vectors, "US", "Café") == 0.0
+    assert value(vectors, "BR", "Café") > 0.0
 
 
 def test_single_gender_subcategory_is_zero():
@@ -163,28 +174,35 @@ def test_single_gender_subcategory_is_zero():
                if r.country == "BR" and r.subcategory == "Café"]
     records += [make_record(user=f"m{v}", gender="male", venue=f"b{v}", subcat="Bar")
                 for v in range(2)]
-    vec = build_preference_vector(to_table(records), BR.name, ["Bar", "Café"])
-    assert vec.values[vec.dims.index("Bar")] == 0.0
-    assert vec.values[vec.dims.index("Café")] > 0.0
+    vec = build_preference_vector(to_table(records), BR.name)
+    assert vec.dims == ["Bar", "Café"]
+    assert value(vec, "BR", "Bar") == 0.0
+    assert value(vec, "BR", "Café") > 0.0
 
 
 def test_vector_build_is_deterministic():
     records = region_records("BR")
-    a = build_preference_vector(records, BR.name, ["Bar", "Café"])
-    b = build_preference_vector(records, BR.name, ["Bar", "Café"])
-    assert np.array_equal(a.values, b.values)
+    a = build_preference_vector(records, BR.name)
+    b = build_preference_vector(records, BR.name)
+    assert a.dims == b.dims and np.array_equal(a.values, b.values)
 
 
 def test_values_in_unit_interval():
     records = region_records("BR")
-    vec = build_preference_vector(records, BR.name, ["Bar", "Café"])
+    vec = build_preference_vector(records, BR.name)
     assert np.all(vec.values >= 0.0)
     assert np.all(vec.values <= 1.0)
 
 
 def test_vector_length_checked():
-    with pytest.raises(ValueError):
-        PreferenceVector(region="BR", dims=["a", "b"], values=np.zeros(3))
+    # the values are a regions x dims matrix, and a region has one row
+    for values in (np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(4), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match="regions x"):
+            PreferenceVectors(regions=["BR", "US"], dims=["a", "b"], values=values)
+    with pytest.raises(ValueError, match="distinct"):
+        PreferenceVectors(regions=["BR", "US", "BR"], dims=["a"], values=np.ones((3, 1)))
+    vectors = PreferenceVectors(regions=["BR", "US"], dims=["a", "b"], values=[[1, 2], [3, 4]])
+    assert vectors.values.dtype == float and vectors.values.shape == (2, 2)
 
 
 REGIONS = [BR, RegionSelector(Granularity.COUNTRY, "US")]
@@ -208,12 +226,12 @@ def two_region_checkins(draw):
 
 
 def region_vectors(records, config):
-    """The vectors command's pipeline: filter every region, take the global
-    dims of all of them, build one vector per region."""
+    """The vectors command's pipeline: filter every region, then build their
+    vectors in one call, over the dims of all their kept rows."""
     names = [region.name for region in REGIONS]
     kept, region, _ = filter_regions(to_table(records), Granularity.COUNTRY, names,
                                      config)
-    return build_preference_vectors(kept, region, names, collect_global_dims(kept))
+    return build_preference_vectors(kept, region, names)
 
 
 @given(records=two_region_checkins(), data=st.data(), config=st.builds(
@@ -223,10 +241,9 @@ def region_vectors(records, config):
     rng_seed=st.integers(0, 3)))
 def test_vectors_do_not_depend_on_row_order(records, data, config):
     shuffled = data.draw(st.permutations(records))
-    for a, b in zip(region_vectors(records, config),
-                    region_vectors(shuffled, config)):
-        assert a.region == b.region and a.dims == b.dims
-        assert np.array_equal(a.values, b.values)
+    a, b = region_vectors(records, config), region_vectors(shuffled, config)
+    assert a.regions == b.regions and a.dims == b.dims
+    assert np.array_equal(a.values, b.values)
 
 
 def uniform_segments(country):
@@ -254,13 +271,15 @@ def test_grouped_vectors_equal_each_region_alone(records, config):
     table = to_table(records)
     names = [region.name for region in REGIONS]
     kept, region, _ = filter_regions(table, Granularity.COUNTRY, names, config)
-    dims = collect_global_dims(kept)
-    grouped = build_preference_vectors(kept, region, names, dims)
-    for selector, vec in zip(REGIONS, grouped):
+    grouped = build_preference_vectors(kept, region, names)
+    assert grouped.regions == names
+    for row, selector in zip(grouped.values, REGIONS):
         alone = build_preference_vector(apply_filters(table, selector, config)[0],
-                                        selector.name, dims)
-        assert vec.region == alone.region and vec.dims == alone.dims
-        assert vec.values.view(np.int64).tolist() == alone.values.view(np.int64).tolist()
+                                        selector.name)
+        # the region's own dims are among the call's, and its row is 0 elsewhere
+        own = [grouped.dims.index(dim) for dim in alone.dims]
+        assert row[own].view(np.int64).tolist() == alone.values[0].view(np.int64).tolist()
+        assert not np.delete(row, own).any()
 
 
 def test_a_venue_has_one_subcategory_within_each_region():
@@ -277,10 +296,40 @@ def test_a_venue_has_one_subcategory_within_each_region():
         to_table(records + [make_record(venue="v1", subcat="Café", country="BR")])
     table = to_table(records)
     region = (table.country == table.countries.index("US")).astype(np.intp)
-    vectors = build_preference_vectors(table, region, ["BR", "US"], ["Bar", "Gym"])
-    assert [v.region for v in vectors] == ["BR", "US"]
+    vectors = build_preference_vectors(table, region, ["BR", "US"])
+    assert vectors.regions == ["BR", "US"] and vectors.dims == ["Bar", "Gym"]
     # BR's Bar venues v1, v2 and v4 have |d| of 1/2, 1/6 and 2/3 (over
     # sqrt 2); its Gym lacks a male check-in, so it is absent. US's one
     # venue has d = 0.
-    assert vectors[0].values.tolist() == [pytest.approx(gini([3, 1, 4])), 0.0]
-    assert vectors[1].values.tolist() == [0.0, 0.0]
+    assert vectors.values.tolist() == [[pytest.approx(gini([3, 1, 4])), 0.0], [0.0, 0.0]]
+
+# names that csv must quote or keep as they are: a comma, a quote, an LF,
+# text past ASCII and surrounding spaces (vectors.csv refuses a CR)
+_names = st.text(st.sampled_from([",", '"', "\n", " ", "é", "\u2028", "\U0001f600", "a", "B"]),
+                 min_size=1, max_size=6).filter(str.strip)
+_values = (st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 1 - 1e-13])
+           | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def vector_tables(draw):
+    regions = draw(st.lists(_names, min_size=1, max_size=5, unique=True))
+    dims = draw(st.lists(_names, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(_values, min_size=len(dims), max_size=len(dims)),
+                         min_size=len(regions), max_size=len(regions)))
+    return PreferenceVectors(regions, dims, np.reshape(rows, (len(regions), len(dims))))
+
+
+@settings(max_examples=300)
+@given(vector_tables())
+@example(PreferenceVectors([' a,"b\n é ', "R"], ["x, y", ' "q"\n', "ü "],
+                           [[0.0, 5e-324, 1 / 3], [1 - 1e-13, 0.5, 2.0]]))
+def test_vectors_csv_reads_back_what_it_writes_to_12_digits(vectors):
+    sink = io.StringIO()
+    write_vectors_csv(vectors, sink)
+    back = read_vectors_csv(io.BytesIO(sink.getvalue().encode()))
+    assert back.regions == vectors.regions and back.dims == vectors.dims
+    rounded = np.reshape([float(f"{x:.12g}") for x in vectors.values.ravel().tolist()],
+                         vectors.values.shape)
+    assert back.values.shape == rounded.shape
+    assert back.values.tobytes() == rounded.tobytes()

@@ -28,6 +28,14 @@ GUARDS = {
     "per-anchor, per-unit or one-region entry point, a per-row subcategory, "
     "a timestamp mask or a per-unit result object":
         r'\b(compare_with_index|random_baseline|_distances|run_null_model|run_null_model_batch|find_unit|apply_filters|build_preference_vector|RegionSelector|venue_subcategories|ts_missing|_micros|PopularityPoint|NullModelResult|AnalysisUnit)\b|\btable\.subcategory\b|^def popularity\(|def unit\(',
+    # The regions chain passes one matrix and one columnar result:
+    # build_preference_vectors returns one PreferenceVectors over the dims
+    # its rows use, cluster_regions and compare_regions take it, and
+    # compare_regions returns one Comparison, a column per statistic. So no
+    # per-region vector object, no dims list handed in beside the rows, and
+    # no per-anchor comparison and baseline pair comes back.
+    "per-region vector, caller-given dims or per-anchor result pair":
+        r'\bPreferenceVector\b|\b(collect_global_dims|global_dims|RankComparison|RandomBaseline)\b',
     # Every region is filtered in one grouped pass, without multi-key sorts:
     # filter_regions runs each filter stage once for all regions, and groups
     # are found by code lookups or one np.unique; the per-region split and
